@@ -20,7 +20,9 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .momentum import MomentumPoint, psi_momentum
 from .position import PolarPoint, QuantumNumbers, make_bound_state, psi_position
@@ -82,30 +84,26 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         angles = [2.0 * math.pi * k / args.mesh for k in range(args.mesh)]
 
-    rows: List[Sequence[object]] = []
+    coords, phis = np.meshgrid(grid.values(), angles, indexing="ij")
     try:
-        for coord in grid.values():
-            for angle in angles:
-                if args.space == "position":
-                    val = psi_position(qn, PolarPoint(float(coord), angle))
-                else:
-                    val = psi_momentum(qn, MomentumPoint(float(coord), angle))
-                row = [float(coord), val.real, val.imag, abs(val) ** 2]
-                if args.mesh is not None:
-                    row.insert(1, angle)
-                rows.append(row)
+        if args.space == "position":
+            vals = psi_position(qn, PolarPoint(coords, phis))
+        else:
+            vals = psi_momentum(qn, MomentumPoint(coords, phis))
     except ValueError as exc:
         parser.error(str(exc))
+    columns = [coords, vals.real, vals.imag, np.abs(vals) ** 2]
+    if args.mesh is not None:
+        columns.insert(1, phis)
+    rows = zip(*(col.ravel().tolist() for col in columns))
 
     header = ["coordinate", "re", "im", "abs2"]
-    keys = ["coordinate", "re", "im", "abs2"]
     if args.mesh is not None:
         header.insert(1, "angle")
-        keys.insert(1, "angle")
     if args.format == "csv":
         text = _csv(header, rows)
     else:
-        text = _json([dict(zip(keys, row)) for row in rows])
+        text = _json([dict(zip(header, row)) for row in rows])
     _emit(text, args.out)
     return 0
 

@@ -84,23 +84,35 @@ def _cutoff_v(n: int, q0: float, tol: float) -> float:
     return v
 
 
-def _radial_integral(qn: QuantumNumbers, p: float, cfg: OracleConfig) -> float:
-    """integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho."""
+def _radial_rule(qn: QuantumNumbers, p: float, cfg: OracleConfig):
+    """Radial nodes rho and weights times rho R_{n,m}(rho), for integrals in p rho.
+
+    The one place that picks the rule: Gauss-Laguerre in w = q0 rho while
+    c = p/(2 q0) <= 3/4, Gauss-Legendre panels of width about pi/p on
+    [0, rho_max] beyond.  On the Gauss-Laguerre branch the rule's weight
+    e^(-w) supplies the exponential of R_{n,m}, so the weighted factor
+    carries only its polynomial part.
+    """
     am = abs(qn.m)
     q0 = 1.0 / (qn.n + 0.5)
     c = p / (2.0 * q0)
     if c <= _GL_SWITCH:
         x, w = gauss_laguerre(cfg.radial_nodes)
-        poly = x ** (am + 1) * laguerre(qn.n - am, 2 * am, 2.0 * x)
-        bess = bessel_j(am, 2.0 * c * x)
-        return normalization(qn) * 2.0**am / (q0 * q0) * float(np.sum(w * poly * bess))
+        weighted = (normalization(qn) * 2.0**am / (q0 * q0)
+                    * w * x ** (am + 1) * laguerre(qn.n - am, 2 * am, 2.0 * x))
+        return x / q0, weighted
 
     rho_max = _cutoff_v(qn.n, q0, cfg.p_max_tail_tol) / (2.0 * q0)
     n_panels = max(8, math.ceil(p * rho_max / math.pi))
     bounds = np.linspace(0.0, rho_max, n_panels + 1)
     rho, wts = panel_nodes(bounds, _PANEL_ORDER)
-    vals = radial_wavefunction(qn, rho) * bessel_j(am, p * rho) * rho
-    return float(np.sum(wts * vals))
+    return rho, wts * rho * radial_wavefunction(qn, rho)
+
+
+def _radial_integral(qn: QuantumNumbers, p: float, cfg: OracleConfig) -> float:
+    """integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho."""
+    rho, weighted = _radial_rule(qn, p, cfg)
+    return float(np.sum(weighted * bessel_j(abs(qn.m), p * rho)))
 
 
 def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint,
@@ -133,21 +145,9 @@ def _phi_count(x_osc: float) -> int:
 def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint,
                  cfg: OracleConfig = OracleConfig()) -> complex:
     """Oracle momentum wavefunction via brute-force polar quadrature."""
-    am = abs(qn.m)
     q0 = 1.0 / (qn.n + 0.5)
     rho_max = _cutoff_v(qn.n, q0, cfg.p_max_tail_tol) / (2.0 * q0)
-
-    c = mp.p / (2.0 * q0)
-    if c <= _GL_SWITCH:
-        x, w = gauss_laguerre(cfg.radial_nodes)
-        rho = x / q0
-        base = (normalization(qn) * 2.0**am / (q0 * q0)
-                * w * x ** (am + 1) * laguerre(qn.n - am, 2 * am, 2.0 * x))
-    else:
-        n_panels = max(8, math.ceil(mp.p * rho_max / math.pi))
-        bounds = np.linspace(0.0, rho_max, n_panels + 1)
-        rho, wts = panel_nodes(bounds, _PANEL_ORDER)
-        base = wts * rho * radial_wavefunction(qn, rho)
+    rho, base = _radial_rule(qn, mp.p, cfg)
 
     n_phi = _phi_count(mp.p * rho_max)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi

@@ -91,6 +91,22 @@ def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> floa
     return max(amp, 1.0) * r ** (n_max + 1) / (1.0 - r) + rounding
 
 
+def _partial_sum(z: complex, n_lo: int, n_max: int, coeff: Callable[[int], float]
+                 ) -> tuple[complex, SeriesTruncation]:
+    """sum_{k=n_lo}^{n_max} z^k coeff(k), with its truncation-plus-rounding bound."""
+    total = 0.0 + 0.0j
+    az = abs(z)
+    abs_sum = 0.0
+    scales = []
+    for k in range(n_lo, n_max + 1):
+        term = z**k * coeff(k)
+        total += term
+        abs_sum += abs(term)
+        if az > 0.0 and k > n_max - 5:
+            scales.append(abs(term) / az**k)
+    return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
+
+
 def laguerre_gf(z: complex, r: float, v: float) -> complex:
     """Closed form of the generalized Laguerre generating function."""
     _reject_z(z)
@@ -100,17 +116,7 @@ def laguerre_gf(z: complex, r: float, v: float) -> complex:
 def laguerre_gf_series(z: complex, r: float, v: float, n_max: int = 80
                        ) -> tuple[complex, SeriesTruncation]:
     _reject_z(z)
-    total = 0.0 + 0.0j
-    az = abs(z)
-    abs_sum = 0.0
-    scales = []
-    for k in range(n_max + 1):
-        term = z**k * laguerre(k, r, v)
-        total += term
-        abs_sum += abs(term)
-        if az > 0.0 and k > n_max - 5:
-            scales.append(abs(term) / az**k)
-    return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
+    return _partial_sum(z, 0, n_max, lambda k: laguerre(k, r, v))
 
 
 def shifted_laguerre_gf(z: complex, m: int, v: float) -> complex:
@@ -126,17 +132,7 @@ def shifted_laguerre_gf_series(z: complex, m: int, v: float, n_max: int = 80
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
-    total = 0.0 + 0.0j
-    az = abs(z)
-    abs_sum = 0.0
-    scales = []
-    for n in range(m, n_max + 1):
-        term = z**n * laguerre(n - m, 2 * m, v)
-        total += term
-        abs_sum += abs(term)
-        if az > 0.0 and n > n_max - 5:
-            scales.append(abs(term) / az**n)
-    return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
+    return _partial_sum(z, m, n_max, lambda n: laguerre(n - m, 2 * m, v))
 
 
 def coordinate_basis_term(n: int, m: int, q0: float, pt: PolarPoint) -> complex:
@@ -179,6 +175,8 @@ def coordinate_gf(z: complex, t: complex, q0: float, pt: PolarPoint) -> complex:
 
 def coordinate_gf_series(z: complex, t: complex, q0: float, pt: PolarPoint,
                          n_max: int = 40) -> tuple[complex, SeriesTruncation]:
+    # Not a _partial_sum: the rounding estimate sums |piece| over every m of
+    # a degree, not |term| of the collapsed degree.
     _reject_z(z)
     total = 0.0 + 0.0j
     az = abs(z)
@@ -207,17 +205,7 @@ def gegenbauer_gf(z: complex, q: float, alpha: float) -> complex:
 def gegenbauer_gf_series(z: complex, q: float, alpha: float, n_max: int = 80
                          ) -> tuple[complex, SeriesTruncation]:
     _reject_z(z)
-    total = 0.0 + 0.0j
-    az = abs(z)
-    abs_sum = 0.0
-    scales = []
-    for k in range(n_max + 1):
-        term = z**k * gegenbauer(k, alpha, q)
-        total += term
-        abs_sum += abs(term)
-        if az > 0.0 and k > n_max - 5:
-            scales.append(abs(term) / az**k)
-    return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
+    return _partial_sum(z, 0, n_max, lambda k: gegenbauer(k, alpha, q))
 
 
 def new_legendre_gf(z: complex, t: float, m: int) -> complex:
@@ -243,17 +231,7 @@ def new_legendre_gf_series(z: complex, t: float, m: int, n_max: int = 80
     if not -1.0 < t < 1.0:
         raise ValueError("argument t must lie in (-1, 1)")
     dfact = double_factorial(2 * m + 1)
-    total = 0.0 + 0.0j
-    az = abs(z)
-    abs_sum = 0.0
-    scales = []
-    for n in range(m, n_max + 1):
-        term = z**n * (2 * n + 1) / dfact * assoc_legendre(n, m, t)
-        total += term
-        abs_sum += abs(term)
-        if az > 0.0 and n > n_max - 5:
-            scales.append(abs(term) / az**n)
-    return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
+    return _partial_sum(z, m, n_max, lambda n: (2 * n + 1) / dfact * assoc_legendre(n, m, t))
 
 
 def series_coefficients_1d(fn: Callable[[complex], complex], n_coeffs: int,

@@ -40,8 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .polys import NEG_I_POW, assoc_legendre, gegenbauer, pochhammer
-from .position import QuantumNumbers, normalization
+from .position import QuantumNumbers, _complex_or_array, _point_arrays, normalization
 
 __all__ = [
     "MomentumPoint",
@@ -53,53 +56,63 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentumPoint:
-    p: float
-    phi_p: float
+    """Polar momentum; each field a scalar or an array, broadcast together."""
+
+    p: ArrayLike
+    phi_p: ArrayLike
 
     def __post_init__(self):
-        if self.p < 0.0:
+        if np.any(np.asarray(self.p) < 0.0):
             raise ValueError("radial momentum p must be >= 0")
 
 
-def q_of_p(p: float, q0: float) -> float:
-    """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2)."""
-    if p < 0.0:
+def q_of_p(p: ArrayLike, q0: float):
+    """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p."""
+    p = np.asarray(p, dtype=float)
+    if np.any(p < 0.0):
         raise ValueError("q_of_p needs p >= 0")
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
     return (p * p - q0 * q0) / (p * p + q0 * q0)
 
 
-def _phase(m: int, phi_p: float) -> complex:
-    """(-i)^|m| e^(i m phi_p) with the i-power taken from an exact table."""
-    return NEG_I_POW[abs(m) % 4] * complex(math.cos(m * phi_p), math.sin(m * phi_p))
+def _phase(m: int, phi_p: ArrayLike):
+    """e^(i m phi_p) as cos + i sin, for scalar or array phi_p.
+
+    The one angular factor of both closed forms, and of the check that
+    psi(p, phi_p) = psi(p, 0) e^(i m phi_p) holds bit for bit.
+    """
+    angle = m * np.asarray(phi_p, dtype=float)
+    return np.cos(angle) + 1j * np.sin(angle)
 
 
-def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint) -> complex:
+def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the associated-Legendre form.
 
     Constructed as (real amplitude) * (-i)^|m| * e^(i m phi_p), so the phase
     relation psi(p, phi_p) = psi(p, 0) e^(i m phi_p) holds exactly and the
-    modulus is independent of the sign of m.
+    modulus is independent of the sign of m.  Scalar fields of ``mp`` give
+    a complex, array fields a complex ndarray of their broadcast shape.
     """
     am = abs(qn.m)
     q0 = 1.0 / (qn.n + 0.5)
-    q = q_of_p(mp.p, q0)
+    p, phi_p = _point_arrays(mp.p, mp.phi_p)
+    q = q_of_p(p, q0)
     ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
     amp = (
         math.sqrt(ratio / (2.0 * math.pi))
-        * (2.0 * q0 / (mp.p * mp.p + q0 * q0)) ** 1.5
+        * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
         * assoc_legendre(qn.n, am, q)
     )
-    val0 = amp * NEG_I_POW[am % 4]
-    return val0 * complex(math.cos(qn.m * mp.phi_p), math.sin(qn.m * mp.phi_p))
+    return _complex_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)
 
 
-def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint) -> complex:
+def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the Gegenbauer form; equals ``psi_momentum``."""
     am = abs(qn.m)
     q0 = 1.0 / (qn.n + 0.5)
-    q = q_of_p(mp.p, q0)
+    p, phi_p = _point_arrays(mp.p, mp.phi_p)
+    q = q_of_p(p, q0)
     amp = (
         normalization(qn)
         * ((qn.n + 0.5) / (am + 0.5))
@@ -107,8 +120,7 @@ def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint) -> complex:
         * q0 ** (am + 1)
         * pochhammer(1.5, am)
         * gegenbauer(qn.n - am, am + 0.5, q)
-        * mp.p**am
-        / (mp.p * mp.p + q0 * q0) ** (am + 1.5)
+        * p**am
+        / (p * p + q0 * q0) ** (am + 1.5)
     )
-    val0 = amp * NEG_I_POW[am % 4]
-    return val0 * complex(math.cos(qn.m * mp.phi_p), math.sin(qn.m * mp.phi_p))
+    return _complex_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)

@@ -22,8 +22,12 @@ q0 (a Sturmian basis function rather than an eigenfunction) carries
 
     sqrt( 2 q0^2 (n-|m|)! / (pi (2n+1) (n+|m|)!) )
 
-which reduces to N_{n,m} at the physical q0; ``normalization`` evaluates
-both forms and insists they agree.
+which reduces to N_{n,m} at the physical q0; ``normalization`` returns the
+physical form, and the test suite checks that the two agree.
+
+The wavefunctions are array-first: the fields of a ``PolarPoint`` may be
+scalars or arrays that broadcast together.  Scalar fields give a Python
+``complex``, array fields a complex ndarray of the broadcast shape.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .polys import laguerre
 from .quadrature import gauss_laguerre
@@ -73,11 +78,13 @@ class BoundState:
 
 @dataclass(frozen=True)
 class PolarPoint:
-    rho: float
-    phi: float
+    """Polar coordinates; each field a scalar or an array, broadcast together."""
+
+    rho: ArrayLike
+    phi: ArrayLike
 
     def __post_init__(self):
-        if self.rho < 0.0:
+        if np.any(np.asarray(self.rho) < 0.0):
             raise ValueError("radial coordinate rho must be >= 0")
 
 
@@ -87,21 +94,12 @@ def make_bound_state(qn: QuantumNumbers) -> BoundState:
     return BoundState(qn=qn, q0=q0, energy=-(q0 * q0))
 
 
-def _general_normalization(n: int, am: int, q0: float) -> float:
-    ratio = math.factorial(n - am) / math.factorial(n + am)
-    return math.sqrt(2.0 * q0 * q0 * ratio / (math.pi * (2 * n + 1)))
-
-
 def normalization(qn: QuantumNumbers) -> float:
     """N_{n,m} at the physical q0 of the level."""
     am = abs(qn.m)
     q0 = 1.0 / (qn.n + 0.5)
     ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
-    value = math.sqrt(q0**3 * ratio / math.pi)
-    # The fixed-scale form must collapse to the same number at the physical
-    # q0; treat any disagreement as an internal error.
-    assert abs(value - _general_normalization(qn.n, am, q0)) <= 1e-12 * value
-    return value
+    return math.sqrt(q0**3 * ratio / math.pi)
 
 
 def radial_wavefunction(qn: QuantumNumbers, rho):
@@ -115,24 +113,40 @@ def radial_wavefunction(qn: QuantumNumbers, rho):
     return value
 
 
-def psi_position(qn: QuantumNumbers, pt: PolarPoint) -> complex:
-    """Full wavefunction psi_{n,m} at a polar point.
+def _point_arrays(*fields):
+    """The fields of a point as float arrays of at least one dimension.
+
+    Scalar points then run through the same numpy array loops as array
+    points.  numpy's scalar ``**`` rounds differently from its array loop,
+    so 0-d arithmetic would make a scalar call differ in the last bits from
+    the same point inside an array call.
+    """
+    return [np.atleast_1d(np.asarray(f, dtype=float)) for f in fields]
+
+
+def _complex_or_array(value, *fields):
+    """A Python complex when every field is a scalar, else the complex ndarray."""
+    if all(np.ndim(f) == 0 for f in fields):
+        return complex(value[0])
+    return value
+
+
+def psi_position(qn: QuantumNumbers, pt: PolarPoint):
+    """Full wavefunction psi_{n,m} at a polar point (scalar or broadcast arrays).
 
     The angular factor is assembled from cos(|m| phi) and sin(|m| phi) with
     the sign of m applied to the imaginary part, so that
     psi(n, -m) == conjugate(psi(n, m)) holds exactly, not just to rounding.
     """
-    amp = radial_wavefunction(qn, pt.rho)
-    am = abs(qn.m)
-    re = amp * math.cos(am * pt.phi)
-    im = amp * math.sin(am * pt.phi)
-    if qn.m < 0:
-        im = -im
-    return complex(re, im)
+    rho, phi = _point_arrays(pt.rho, pt.phi)
+    amp = radial_wavefunction(qn, rho)
+    angle = abs(qn.m) * phi
+    sign = -1.0 if qn.m < 0 else 1.0
+    return _complex_or_array(amp * (np.cos(angle) + 1j * (sign * np.sin(angle))), pt.rho, pt.phi)
 
 
-def radial_ode_residual(qn: QuantumNumbers, rho: float) -> float:
-    """Residual of the radial equation at rho, by central differences.
+def radial_ode_residual(qn: QuantumNumbers, rho):
+    """Residual of the radial equation at rho (scalar or array), by central differences.
 
     The closed-form radial factor is pushed through
 
@@ -140,11 +154,12 @@ def radial_ode_residual(qn: QuantumNumbers, rho: float) -> float:
 
     with step h = 1e-5 * max(rho, 1); an eigenfunction returns ~0.
     """
-    if rho <= 0.0:
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0.0):
         raise ValueError("ODE residual needs rho > 0")
     q0 = 1.0 / (qn.n + 0.5)
     m = qn.m
-    h = 1e-5 * max(rho, 1.0)
+    h = 1e-5 * np.maximum(rho, 1.0)
     r_minus = radial_wavefunction(qn, rho - h)
     r_0 = radial_wavefunction(qn, rho)
     r_plus = radial_wavefunction(qn, rho + h)

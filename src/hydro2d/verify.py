@@ -2,8 +2,15 @@
 
 Every check returns a VerificationReport and is deterministic: random draws
 use a fixed seed, grids are fixed, and nothing depends on wall-clock state.
-Checks accept an optional n_max (defaulting to the cap stated in the module
-contracts) and an optional tolerance override.
+Each check's signature carries its default n_max (the cap stated in the
+module contracts) and its default tolerance; ``run_suite`` passes on only
+the overrides that are set.  Checks on fixed parameter sets accept n_max
+and ignore it.
+
+Most checks sweep (n, m) with ``_states`` and reduce (error, scale) pairs
+with ``_worst``: the largest error is max_abs_err, the largest error/scale
+is max_rel_err.  Checks about an absolute error use scale 1, so the two
+agree.
 
 A recurring pattern here is the *scaled* residual: polynomial identities at
 degree 20 involve terms of magnitude 1e15, where float64 cannot do better
@@ -16,17 +23,18 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from . import genfunc
 from .ftoracle import OracleConfig, ft_direct_2d, ft_hankel, oracle_report
 from .levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
-from .momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
+from .momentum import MomentumPoint, _phase, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from .polys import assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre, legendre, pochhammer
-from .position import (PolarPoint, QuantumNumbers, normalization, norm_squared,
-                       overlap, psi_position, radial_ode_residual)
+from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
+                       psi_position, radial_ode_residual)
 from .quadrature import gauss_laguerre, gauss_legendre, panel_nodes
 from .reporting import VerificationReport
 
@@ -47,107 +55,106 @@ def acceptance_grid(points: int = 20, p_min: float = 0.05, p_max: float = 20.0) 
     return _grid_points(np.geomspace(p_min, p_max, points))
 
 
-def _cap(n_max: Optional[int], default: int) -> int:
-    return default if n_max is None else n_max
+def _states(cap: int, signed: bool) -> Iterator[QuantumNumbers]:
+    """Every (n, m) with n <= cap: m in [-n, n] when signed, else in [0, n]."""
+    for n in range(cap + 1):
+        for m in range(-n if signed else 0, n + 1):
+            yield QuantumNumbers(n, m)
+
+
+def _worst(pairs: Iterable[Tuple[ArrayLike, ArrayLike]]) -> Tuple[float, float]:
+    """(max error, max error / scale) over (error, scale) pairs.
+
+    Error and scale may be scalars or arrays that broadcast together.  A
+    point whose scale is 0 counts towards the absolute maximum only.
+    """
+    worst_abs = worst_rel = 0.0
+    for err, scale in pairs:
+        err, scale = np.broadcast_arrays(np.asarray(err, dtype=float), scale)
+        worst_abs = max(worst_abs, float(np.max(err, initial=0.0)))
+        ok = scale > 0.0
+        worst_rel = max(worst_rel, float(np.max(err[ok] / scale[ok], initial=0.0)))
+    return worst_abs, worst_rel
 
 
 # ---------------------------------------------------------------------------
 # polys suite
 # ---------------------------------------------------------------------------
 
-def check_gegenbauer_gf_coefficients(n_max: Optional[int] = None,
-                                     tol: Optional[float] = None) -> VerificationReport:
+def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> VerificationReport:
     """Gegenbauer values vs Taylor coefficients of (1-2qz+z^2)^(-lam)."""
-    tol = 1e-9 if tol is None else tol
-    kmax = _cap(n_max, 12)
-    worst_abs = worst_rel = 0.0
-    for lam in (0.5, 1.5, 2.5, 3.5):
-        for q in np.linspace(-1.0, 1.0, 21):
-            coeffs = genfunc.series_coefficients_1d(
-                lambda z, q=float(q), lam=lam: genfunc.gegenbauer_gf(z, q, lam),
-                kmax + 1)
-            for k in range(kmax + 1):
-                ref = gegenbauer(k, lam, float(q))
-                d = abs(coeffs[k] - ref)
-                worst_abs = max(worst_abs, d)
-                worst_rel = max(worst_rel, d / max(1.0, abs(ref)))
+    def pairs():
+        for lam in (0.5, 1.5, 2.5, 3.5):
+            for q in np.linspace(-1.0, 1.0, 21):
+                coeffs = genfunc.series_coefficients_1d(
+                    lambda z, q=float(q), lam=lam: genfunc.gegenbauer_gf(z, q, lam),
+                    n_max + 1)
+                ref = np.array([gegenbauer(k, lam, float(q)) for k in range(n_max + 1)])
+                yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
     return VerificationReport.from_rel(
         "gegenbauer-gf-coefficients",
-        f"k <= {kmax}, lam in {{1/2,3/2,5/2,7/2}}, q on 21-point grid of [-1,1]",
-        worst_abs, worst_rel, tol,
+        f"k <= {n_max}, lam in {{1/2,3/2,5/2,7/2}}, q on 21-point grid of [-1,1]",
+        *_worst(pairs()), tol,
         notes="coefficients by Cauchy quadrature; errors scaled by max(1, |value|)")
 
 
-def check_gegenbauer_recurrence(n_max: Optional[int] = None,
-                                tol: Optional[float] = None) -> VerificationReport:
+def check_gegenbauer_recurrence(n_max: int = 20, tol: float = 1e-10) -> VerificationReport:
     """(n+1/2) C_{n-m}^(m+1/2) = (m+1/2)[C_{n-m}^(m+3/2) - C_{n-m-2}^(m+3/2)]."""
-    tol = 1e-10 if tol is None else tol
-    cap = _cap(n_max, 20)
     qs = np.linspace(-1.0, 1.0, 21)
-    worst_abs = worst_rel = 0.0
-    for n in range(cap + 1):
-        for m in range(n + 1):
+
+    def pairs():
+        for qn in _states(n_max, signed=False):
+            n, m = qn.n, qn.m
             lhs = (n + 0.5) * gegenbauer(n - m, m + 0.5, qs)
             hi = (m + 0.5) * gegenbauer(n - m, m + 1.5, qs)
             lo = (m + 0.5) * gegenbauer(n - m - 2, m + 1.5, qs)
-            resid = np.abs(lhs - (hi - lo))
             scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(hi), np.abs(lo))))
-            worst_abs = max(worst_abs, float(np.max(resid)))
-            worst_rel = max(worst_rel, float(np.max(resid / scale)))
+            yield np.abs(lhs - (hi - lo)), scale
     return VerificationReport.from_rel(
         "gegenbauer-difference-recurrence",
-        f"0 <= m <= n <= {cap}, q on 21-point grid of [-1,1]",
-        worst_abs, worst_rel, tol,
+        f"0 <= m <= n <= {n_max}, q on 21-point grid of [-1,1]",
+        *_worst(pairs()), tol,
         notes="residual scaled by largest term; raw magnitudes reach ~1e15 at n=20")
 
 
-def check_legendre_connection(n_max: Optional[int] = None,
-                              tol: Optional[float] = None) -> VerificationReport:
+def check_legendre_connection(n_max: int = 12, tol: float = 1e-10) -> VerificationReport:
     """(2m-1)!! C_{n-m}^(m+1/2)(t) (1-t^2)^(m/2) = P_n^m(t), no Condon-Shortley."""
-    tol = 1e-10 if tol is None else tol
-    cap = _cap(n_max, 12)
     ts = np.linspace(-0.99, 0.99, 21)
-    worst_abs = worst_rel = 0.0
-    for n in range(cap + 1):
-        for m in range(n + 1):
+
+    def pairs():
+        for qn in _states(n_max, signed=False):
+            n, m = qn.n, qn.m
             lhs = (float(double_factorial(2 * m - 1))
                    * gegenbauer(n - m, m + 0.5, ts)
                    * ((1.0 - ts) * (1.0 + ts)) ** (0.5 * m))
             rhs = assoc_legendre(n, m, ts)
-            resid = np.abs(lhs - rhs)
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            worst_abs = max(worst_abs, float(np.max(resid)))
-            worst_rel = max(worst_rel, float(np.max(resid / scale)))
+            yield np.abs(lhs - rhs), np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return VerificationReport.from_rel(
         "gegenbauer-legendre-connection",
-        f"0 <= m <= n <= {cap}, |t| <= 0.99 on 21-point grid",
-        worst_abs, worst_rel, tol,
+        f"0 <= m <= n <= {n_max}, |t| <= 0.99 on 21-point grid",
+        *_worst(pairs()), tol,
         notes="both sides use the convention without the Condon-Shortley sign; "
               "residual scaled by largest term")
 
 
-def check_laguerre_derivative(n_max: Optional[int] = None,
-                              tol: Optional[float] = None) -> VerificationReport:
+def check_laguerre_derivative(n_max: int = 10, tol: float = 1e-6) -> VerificationReport:
     """d/dv L_n^(a)(v) = -L_{n-1}^(a+1)(v) by central differences."""
-    tol = 1e-6 if tol is None else tol
-    cap = _cap(n_max, 10)
     vs = np.linspace(0.1, 10.0, 12)
     h = 1e-5
-    worst = 0.0
-    for n in range(1, cap + 1):
-        for alpha in (0.0, 1.0, 2.0, 4.0):
-            fd = (laguerre(n, alpha, vs + h) - laguerre(n, alpha, vs - h)) / (2.0 * h)
-            worst = max(worst, float(np.max(np.abs(fd + laguerre(n - 1, alpha + 1.0, vs)))))
+
+    def residual(n, alpha):
+        fd = (laguerre(n, alpha, vs + h) - laguerre(n, alpha, vs - h)) / (2.0 * h)
+        return np.abs(fd + laguerre(n - 1, alpha + 1.0, vs))
     return VerificationReport.from_abs(
         "laguerre-derivative",
-        f"1 <= n <= {cap}, alpha in {{0,1,2,4}}, v in [0.1, 10]",
-        worst, worst, tol, notes="central difference step 1e-5")
+        f"1 <= n <= {n_max}, alpha in {{0,1,2,4}}, v in [0.1, 10]",
+        *_worst((residual(n, alpha), 1.0)
+                for n in range(1, n_max + 1) for alpha in (0.0, 1.0, 2.0, 4.0)),
+        tol, notes="central difference step 1e-5")
 
 
-def check_polys_determinism(n_max: Optional[int] = None,
-                            tol: Optional[float] = None) -> VerificationReport:
+def check_polys_determinism(n_max: Optional[int] = None, tol: float = 0.0) -> VerificationReport:
     """Identical inputs must give bit-identical outputs."""
-    tol = 0.0 if tol is None else tol
     xs = np.linspace(0.0, 12.0, 7)
     ts = np.linspace(-1.0, 1.0, 7)
     samples: List[float] = []
@@ -166,78 +173,52 @@ def check_polys_determinism(n_max: Optional[int] = None,
 # position suite
 # ---------------------------------------------------------------------------
 
-def check_position_normalization(n_max: Optional[int] = None,
-                                 tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-8 if tol is None else tol
-    cap = _cap(n_max, 10)
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            worst = max(worst, abs(norm_squared(QuantumNumbers(n, m)) - 1.0))
+def check_position_normalization(n_max: int = 10, tol: float = 1e-8) -> VerificationReport:
     return VerificationReport.from_abs(
-        "position-normalization", f"|m| <= n <= {cap}, Gauss-Laguerre 128 nodes",
-        worst, worst, tol, notes="integrand is polynomial x e^(-v): rule is exact")
+        "position-normalization", f"|m| <= n <= {n_max}, Gauss-Laguerre 128 nodes",
+        *_worst((abs(norm_squared(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
+        tol, notes="integrand is polynomial x e^(-v): rule is exact")
 
 
-def check_position_orthogonality(n_max: Optional[int] = None,
-                                 tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-7 if tol is None else tol
-    cap = min(_cap(n_max, 6), 10)
-    worst = 0.0
-    for n1 in range(cap + 1):
-        for n2 in range(n1 + 1, cap + 1):
-            for m in range(-n1, n1 + 1):
-                worst = max(worst, abs(overlap(QuantumNumbers(n1, m), QuantumNumbers(n2, m))))
+def check_position_orthogonality(n_max: int = 6, tol: float = 1e-7) -> VerificationReport:
+    cap = min(n_max, 10)
     return VerificationReport.from_abs(
         "position-orthogonality-same-m", f"n < n' <= {cap}, shared m",
-        worst, worst, tol, notes="distinct eigenvalues of one Hamiltonian")
+        *_worst((abs(overlap(qn, QuantumNumbers(n2, qn.m))), 1.0)
+                for qn in _states(cap, signed=True) for n2 in range(qn.n + 1, cap + 1)),
+        tol, notes="distinct eigenvalues of one Hamiltonian")
 
 
-def check_angular_orthogonality(n_max: Optional[int] = None,
-                                tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-12 if tol is None else tol
-    cap = min(_cap(n_max, 6), 10)
-    worst = 0.0
-    for n in range(1, cap + 1):
-        for m1 in range(-n, n + 1):
-            for m2 in range(m1 + 1, n + 1):
-                worst = max(worst, abs(overlap(QuantumNumbers(n, m1), QuantumNumbers(n, m2))))
+def check_angular_orthogonality(n_max: int = 6, tol: float = 1e-12) -> VerificationReport:
+    cap = min(n_max, 10)
     return VerificationReport.from_abs(
         "position-orthogonality-same-n", f"n <= {cap}, distinct m",
-        worst, worst, tol, notes="angular integral vanishes identically")
+        *_worst((abs(overlap(qn, QuantumNumbers(qn.n, m2))), 1.0)
+                for qn in _states(cap, signed=True) for m2 in range(qn.m + 1, qn.n + 1)),
+        tol, notes="angular integral vanishes identically")
 
 
-def check_ode_residual(n_max: Optional[int] = None,
-                       tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-4 if tol is None else tol
-    cap = min(_cap(n_max, 6), 10)
+def check_ode_residual(n_max: int = 6, tol: float = 1e-4) -> VerificationReport:
+    cap = min(n_max, 10)
     rhos = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            for rho in rhos:
-                worst = max(worst, abs(radial_ode_residual(QuantumNumbers(n, m), rho)))
     return VerificationReport.from_abs(
         "radial-ode-residual", f"n <= {cap}, |m| <= n, rho in {rhos}",
-        worst, worst, tol, notes="central differences, step 1e-5 max(rho, 1)")
+        *_worst((np.abs(radial_ode_residual(qn, rhos)), 1.0)
+                for qn in _states(cap, signed=True)),
+        tol, notes="central differences, step 1e-5 max(rho, 1)")
 
 
-def check_position_conjugation(n_max: Optional[int] = None,
-                               tol: Optional[float] = None) -> VerificationReport:
-    tol = 0.0 if tol is None else tol
-    cap = min(_cap(n_max, 6), 10)
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(n + 1):
-            for rho in (0.3, 1.0, 4.0):
-                for phi in (0.35, 2.1, 5.0):
-                    pt = PolarPoint(rho, phi)
-                    a = psi_position(QuantumNumbers(n, -m), pt)
-                    b = psi_position(QuantumNumbers(n, m), pt).conjugate()
-                    worst = max(worst, abs(a - b))
+def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> VerificationReport:
+    cap = min(n_max, 10)
+    pt = PolarPoint(np.array([[0.3], [1.0], [4.0]]), np.array([0.35, 2.1, 5.0]))
+
+    def mismatch(qn):
+        flipped = psi_position(QuantumNumbers(qn.n, -qn.m), pt)
+        return np.abs(flipped - np.conj(psi_position(qn, pt)))
     return VerificationReport.from_abs(
         "position-conjugation", f"n <= {cap}, bitwise psi(n,-m) == conj(psi(n,m))",
-        worst, worst, tol, notes="exact by construction of the angular factor")
+        *_worst((mismatch(qn), 1.0) for qn in _states(cap, signed=False)),
+        tol, notes="exact by construction of the angular factor")
 
 
 # ---------------------------------------------------------------------------
@@ -262,74 +243,51 @@ def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
     while bounds[-1] < p_max:
         bounds.append(bounds[-1] * 2.0)
     nodes, wts = panel_nodes(np.asarray(bounds), 24)
-    dens = np.array([abs(psi_momentum(qn, MomentumPoint(float(p), 0.0))) ** 2 for p in nodes])
+    dens = np.abs(psi_momentum(qn, MomentumPoint(nodes, 0.0))) ** 2
     return 2.0 * math.pi * float(np.sum(wts * dens * nodes))
 
 
-def check_parseval(n_max: Optional[int] = None,
-                   tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-6 if tol is None else tol
-    cap = _cap(n_max, 6)
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            worst = max(worst, abs(_parseval_norm(QuantumNumbers(n, m)) - 1.0))
+def check_parseval(n_max: int = 6, tol: float = 1e-6) -> VerificationReport:
     return VerificationReport.from_abs(
-        "momentum-parseval", f"|m| <= n <= {cap}, radial tail bound < 1e-9",
-        worst, worst, tol,
-        notes="unitary 1/(2pi) transform: momentum norm equals position norm")
+        "momentum-parseval", f"|m| <= n <= {n_max}, radial tail bound < 1e-9",
+        *_worst((abs(_parseval_norm(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
+        tol, notes="unitary 1/(2pi) transform: momentum norm equals position norm")
 
 
-def check_two_form_equality(n_max: Optional[int] = None,
-                            tol: Optional[float] = None) -> VerificationReport:
+def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationReport:
     """Gegenbauer-route momentum wavefunction vs associated-Legendre route."""
-    tol = 1e-12 if tol is None else tol
-    cap = _cap(n_max, 8)
     # p is capped at 3 (q up to ~0.997): beyond that the (1-q^2)^(m/2) seed
     # of the associated-Legendre route hits its float64 conditioning limit
     # (m/2 * eps / (1-q) grows past 1e-12) and pointwise relative comparison
     # stops measuring the formulas rather than the rounding of q.
-    ps = np.geomspace(0.05, 3.0, 20)
-    phis = (0.0, math.pi / 3.0, math.pi)
-    worst_abs = worst_rel = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            qn = QuantumNumbers(n, m)
-            for p in ps:
-                for phi in phis:
-                    mp = MomentumPoint(float(p), phi)
-                    a = psi_momentum(qn, mp)
-                    b = psi_momentum_gegenbauer(qn, mp)
-                    d = abs(a - b)
-                    worst_abs = max(worst_abs, d)
-                    big = max(abs(a), abs(b))
-                    if big > 0.0:
-                        worst_rel = max(worst_rel, d / big)
+    mp = MomentumPoint(np.geomspace(0.05, 3.0, 20)[:, None],
+                       np.array([0.0, math.pi / 3.0, math.pi]))
+
+    def pairs():
+        for qn in _states(n_max, signed=True):
+            a = psi_momentum(qn, mp)
+            b = psi_momentum_gegenbauer(qn, mp)
+            yield np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
     return VerificationReport.from_rel(
         "momentum-two-form-equality",
-        f"|m| <= n <= {cap}, 20-point log p-grid, 3 azimuths",
-        worst_abs, worst_rel, tol,
+        f"|m| <= n <= {n_max}, 20-point log p-grid, 3 azimuths",
+        *_worst(pairs()), tol,
         notes="Gegenbauer-form denominator read as (p^2 + q0^2)^(|m|+3/2); the "
               "variant with unsquared q0 is dimensionally inconsistent (typo)")
 
 
-def check_momentum_phase_structure(n_max: Optional[int] = None,
-                                   tol: Optional[float] = None) -> VerificationReport:
-    tol = 0.0 if tol is None else tol
-    cap = min(_cap(n_max, 6), 10)
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            qn = QuantumNumbers(n, m)
-            for p in (0.3, 1.7):
-                base = psi_momentum(qn, MomentumPoint(p, 0.0))
-                for phi in (0.9, -2.3, 4.4):
-                    lhs = psi_momentum(qn, MomentumPoint(p, phi))
-                    rhs = base * complex(math.cos(m * phi), math.sin(m * phi))
-                    worst = max(worst, abs(lhs - rhs))
+def check_momentum_phase_structure(n_max: int = 6, tol: float = 0.0) -> VerificationReport:
+    cap = min(n_max, 10)
+    ps = np.array([[0.3], [1.7]])
+    phis = np.array([0.9, -2.3, 4.4])
+
+    def mismatch(qn):
+        base = psi_momentum(qn, MomentumPoint(ps, 0.0))
+        return np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * _phase(qn.m, phis))
     return VerificationReport.from_abs(
         "momentum-phase-structure", f"|m| <= n <= {cap}, exact factorized phase",
-        worst, worst, tol, notes="psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bitwise")
+        *_worst((mismatch(qn), 1.0) for qn in _states(cap, signed=True)),
+        tol, notes="psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bitwise")
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +306,12 @@ def _draw_params(rng: np.random.Generator, z_cap: float, p_cap: float,
     return gp, mp
 
 
-def check_det_identity(n_max: Optional[int] = None,
-                       tol: Optional[float] = None) -> VerificationReport:
+def check_det_identity(n_max: Optional[int] = None, tol: float = 1e-12) -> VerificationReport:
     """Closed-form determinant vs a11 a22 - a12^2 on random admissible draws."""
-    tol = 1e-12 if tol is None else tol
     rng = np.random.default_rng(_SEED)
-    worst_abs = worst_rel = 0.0
-    accepted = 0
+    pairs = []
     guard = 0
-    while accepted < 100:
+    while len(pairs) < 100:
         guard += 1
         if guard > 10000:
             raise RuntimeError("draw filter failed to accept 100 parameter sets")
@@ -365,26 +320,19 @@ def check_det_identity(n_max: Optional[int] = None,
         scale = gp.q0**2 + mp.p**2 + abs(gp.beta) ** 2 + 1.0
         if abs(closed) < 1e-3 * scale:
             continue
-        accepted += 1
-        matrix = quadratic_form_matrix(gp, mp).det()
-        d = abs(closed - matrix)
-        worst_abs = max(worst_abs, d)
-        worst_rel = max(worst_rel, d / abs(closed))
+        pairs.append((abs(closed - quadratic_form_matrix(gp, mp).det()), abs(closed)))
     return VerificationReport.from_rel(
         "quadratic-form-det-identity",
         "100 seeded draws, |z| <= 0.8, |t| <= 1, p <= 10, beta <= 2",
-        worst_abs, worst_rel, tol, notes="dual routes kept separate")
+        *_worst(pairs), tol, notes="dual routes kept separate")
 
 
-def check_gaussian_integral(n_max: Optional[int] = None,
-                            tol: Optional[float] = None) -> VerificationReport:
+def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> VerificationReport:
     """2-d quadrature of exp(-P) over the u-plane vs pi/sqrt(det X)."""
-    tol = 1e-7 if tol is None else tol
     rng = np.random.default_rng(_SEED + 1)
-    worst = 0.0
-    accepted = 0
+    pairs = []
     guard = 0
-    while accepted < 20:
+    while len(pairs) < 20:
         guard += 1
         if guard > 20000:
             raise RuntimeError("draw filter failed to accept 20 parameter sets")
@@ -398,7 +346,6 @@ def check_gaussian_integral(n_max: Optional[int] = None,
         freq = abs(x.a11.imag) + abs(x.a22.imag) + 2.0 * abs(x.a12.imag)
         if lam_min < 0.5 or freq > 6.0:
             continue
-        accepted += 1
         box = math.sqrt(34.5 / lam_min)
         n_nodes = min(2400, max(200, int(10.0 * freq * box * box / math.pi) + 60))
         gx, gw = gauss_legendre(n_nodes)
@@ -409,18 +356,16 @@ def check_gaussian_integral(n_max: Optional[int] = None,
         cross = np.exp(-2.0 * x.a12 * np.outer(u, u))
         integral = ex @ cross @ ey
         closed = math.pi / cmath.sqrt(det_x(gp, mp))
-        worst = max(worst, abs(integral - closed))
+        pairs.append((abs(integral - closed), 1.0))
     return VerificationReport.from_abs(
         "gaussian-integral-identity",
         "20 seeded draws with positive-definite real part (min eigenvalue >= 0.5)",
-        worst, worst, tol,
+        *_worst(pairs), tol,
         notes="tensor Gauss-Legendre box sized so the discarded tail < 1e-12")
 
 
-def check_measure_factor(n_max: Optional[int] = None,
-                         tol: Optional[float] = None) -> VerificationReport:
+def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
     """Measure the constant c in  integral f d^2r = c integral f(u) u^2 d^2u."""
-    tol = 1e-8 if tol is None else tol
     x, w = gauss_laguerre(96)
     # Covering-plane side: plain Gauss-Legendre in u on [0, 9]; e^(-u^2)
     # tails beyond are < 1e-35 for both test integrands.
@@ -450,10 +395,8 @@ def check_measure_factor(n_max: Optional[int] = None,
               "alone double-counts and the honest constant is 2")
 
 
-def check_beta_derivative(n_max: Optional[int] = None,
-                          tol: Optional[float] = None) -> VerificationReport:
+def check_beta_derivative(n_max: Optional[int] = None, tol: float = 1e-6) -> VerificationReport:
     """Finite-difference -dG/dbeta vs the analytic reduced generating function."""
-    tol = 1e-6 if tol is None else tol
     sets = [
         (0.3 + 0.0j, 0.2 + 0.0j, 1.5, 2.0, 0.4),
         (0.25 + 0.2j, -0.3 + 0.1j, 1.2, 3.0, 1.8),
@@ -461,24 +404,21 @@ def check_beta_derivative(n_max: Optional[int] = None,
         (0.1 + 0.3j, 0.4 - 0.2j, 1.8, 2.5, 4.0),
     ]
     h = 5e-7
-    worst_abs = worst_rel = 0.0
-    for z, t, q0, p, phi in sets:
+
+    def pair(z, t, q0, p, phi):
         mp = MomentumPoint(p, phi)
         g0 = gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp)
         g2 = gen_func_momentum(GenFuncParams(z, t, q0, 2.0 * h), mp)
         fd = (g0.g_beta - g2.g_beta) / (2.0 * h)
-        d = abs(fd - g0.g)
-        worst_abs = max(worst_abs, d)
-        worst_rel = max(worst_rel, d / abs(g0.g))
+        return abs(fd - g0.g), abs(g0.g)
     return VerificationReport.from_rel(
         "genfunc-beta-derivative",
         "central difference across beta in [0, 1e-6], 4 parameter sets",
-        worst_abs, worst_rel, tol,
+        *_worst(pair(*s) for s in sets), tol,
         notes="reduced form (1-z^2) q0 S^(-3/2) vs numerical -dG/dbeta")
 
 
-def check_coefficient_consistency(n_max: Optional[int] = None,
-                                  tol: Optional[float] = None) -> VerificationReport:
+def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> VerificationReport:
     """Taylor coefficients of the momentum generating function.
 
     The (n, m) coefficient must be proportional to
@@ -490,8 +430,7 @@ def check_coefficient_consistency(n_max: Optional[int] = None,
     and reported rather than assumed (conventions in the source derivation
     chain disagree about it by factors of 2).
     """
-    tol = 1e-6 if tol is None else tol
-    cap = min(_cap(n_max, 5), 8)
+    cap = min(n_max, 8)
     q0 = 1.0
     mp = MomentumPoint(0.7, 0.3)
     coeffs = genfunc.series_coefficients_2d(
@@ -500,24 +439,20 @@ def check_coefficient_consistency(n_max: Optional[int] = None,
     q = q_of_p(mp.p, q0)
     denom = (mp.p**2 + q0**2)
     refs = np.zeros_like(coeffs)
-    for n in range(cap + 1):
-        for m in range(n + 1):
-            amp = (2.0 * (2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
-                   * gegenbauer(n - m, m + 0.5, q) * mp.p**m
-                   / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
-            refs[n, m] = (amp * ((-1j) ** (m % 4))
-                          * cmath.exp(1j * m * mp.phi_p))
+    for qn in _states(cap, signed=False):
+        n, m = qn.n, qn.m
+        amp = (2.0 * (2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
+               * gegenbauer(n - m, m + 0.5, q) * mp.p**m
+               / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
+        refs[n, m] = (amp * ((-1j) ** (m % 4))
+                      * cmath.exp(1j * m * mp.phi_p))
     const = coeffs[0, 0] / refs[0, 0]
-    worst_abs = worst_rel = 0.0
-    for n in range(cap + 1):
-        for m in range(n + 1):
-            d = abs(coeffs[n, m] - const * refs[n, m])
-            worst_abs = max(worst_abs, d)
-            worst_rel = max(worst_rel, abs(coeffs[n, m] / refs[n, m] - const) / abs(const))
+    tri = np.tril(np.ones(refs.shape, dtype=bool))
+    scaled = const * refs[tri]
     return VerificationReport.from_rel(
         "genfunc-coefficient-consistency",
         f"n <= {cap}, m <= n at q0 = 1, p = 0.7",
-        worst_abs, worst_rel, tol,
+        *_worst([(np.abs(coeffs[tri] - scaled), np.abs(scaled))]), tol,
         notes=f"measured global constant {const.real:.6f} relative to the doubled "
               "reference normalization (0.5 = unitary anchoring), uniform over n, m")
 
@@ -526,23 +461,24 @@ def check_coefficient_consistency(n_max: Optional[int] = None,
 # genfunc suite
 # ---------------------------------------------------------------------------
 
-def _gf_report(name: str,
-               cases: Sequence[Tuple[complex, float, complex, genfunc.SeriesTruncation]],
-               tol: float, extra: str = "") -> VerificationReport:
+def _gf_report(name: str, closed_form: Callable[..., complex],
+               series: Callable[..., Tuple[complex, genfunc.SeriesTruncation]],
+               cases: Sequence[tuple], terms: int, tol: float,
+               extra: str = "") -> VerificationReport:
     """Shared closed-form-vs-partial-sum comparison.
 
-    Each case is (closed value, |z|, partial sum, truncation); the fitted
-    geometric constant err / |z|^n_max is reported in the notes.
+    Each case is the argument tuple of both functions, z first; the series
+    also gets the cutoff ``terms``.  The fitted geometric constant
+    err / |z|^n_max is reported in the notes.
     """
-    worst = 0.0
-    fitted = 0.0
+    errs = []
     bound_ok = True
-    for closed, az, partial, trunc in cases:
-        err = abs(closed - partial)
-        worst = max(worst, err)
-        if az > 0.0:
-            fitted = max(fitted, err / az**trunc.n_max)
+    for args in cases:
+        partial, trunc = series(*args, terms)
+        err = abs(closed_form(*args) - partial)
+        errs.append((err, abs(args[0]) ** trunc.n_max))
         bound_ok = bound_ok and err <= max(trunc.tail_bound, 1e-15)
+    worst, fitted = _worst(errs)
     notes = f"fitted geometric constant <= {fitted:.3g}; tail bound honored: {bound_ok}"
     if extra:
         notes += "; " + extra
@@ -550,109 +486,75 @@ def _gf_report(name: str,
                               tol, worst <= tol and bound_ok, notes)
 
 
-def check_laguerre_gf(n_max: Optional[int] = None,
-                      tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-10 if tol is None else tol
-    cases = []
-    for z, r, v in [(0.5, 2.0, 1.5), (0.3, 0.0, 0.0), (-0.4, 4.5, 3.0),
-                    (0.35 + 0.35j, 1.0, 2.0)]:
-        partial, trunc = genfunc.laguerre_gf_series(z, r, v, 80)
-        cases.append((genfunc.laguerre_gf(z, r, v), abs(z), partial, trunc))
-    return _gf_report("laguerre-gf", cases, tol)
+def check_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> VerificationReport:
+    return _gf_report("laguerre-gf", genfunc.laguerre_gf, genfunc.laguerre_gf_series,
+                      [(0.5, 2.0, 1.5), (0.3, 0.0, 0.0), (-0.4, 4.5, 3.0),
+                       (0.35 + 0.35j, 1.0, 2.0)], 80, tol)
 
 
-def check_shifted_laguerre_gf(n_max: Optional[int] = None,
-                              tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-10 if tol is None else tol
-    cases = []
-    for z, m, v in [(0.4, 0, 1.0), (0.4, 2, 1.0), (-0.3, 1, 2.5), (0.3 + 0.3j, 4, 0.5)]:
-        partial, trunc = genfunc.shifted_laguerre_gf_series(z, m, v, 80)
-        cases.append((genfunc.shifted_laguerre_gf(z, m, v), abs(z), partial, trunc))
-    return _gf_report("shifted-laguerre-gf", cases, tol,
-                      extra="index shift starts the sum at n = m")
+def check_shifted_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> VerificationReport:
+    return _gf_report("shifted-laguerre-gf", genfunc.shifted_laguerre_gf,
+                      genfunc.shifted_laguerre_gf_series,
+                      [(0.4, 0, 1.0), (0.4, 2, 1.0), (-0.3, 1, 2.5), (0.3 + 0.3j, 4, 0.5)],
+                      80, tol, extra="index shift starts the sum at n = m")
 
 
-def check_coordinate_gf(n_max: Optional[int] = None,
-                        tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-8 if tol is None else tol
-    cases = []
-    for z, t, q0, rho, phi in [(0.3, 0.2, 1.0, 1.5, 0.7),
-                               (0.25, 0.4 + 0.2j, 0.8, 0.6, 2.0),
-                               (0.3, -0.5, 1.3, 3.0, 4.2)]:
-        pt = PolarPoint(rho, phi)
-        partial, trunc = genfunc.coordinate_gf_series(z, t, q0, pt, 40)
-        cases.append((genfunc.coordinate_gf(z, t, q0, pt), abs(z), partial, trunc))
-    return _gf_report("coordinate-gf", cases, tol,
-                      extra="fixed-q0 scaled basis, not per-level physical q0")
+def check_coordinate_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
+    return _gf_report("coordinate-gf", genfunc.coordinate_gf, genfunc.coordinate_gf_series,
+                      [(0.3, 0.2, 1.0, PolarPoint(1.5, 0.7)),
+                       (0.25, 0.4 + 0.2j, 0.8, PolarPoint(0.6, 2.0)),
+                       (0.3, -0.5, 1.3, PolarPoint(3.0, 4.2))],
+                      40, tol, extra="fixed-q0 scaled basis, not per-level physical q0")
 
 
-def check_gegenbauer_gf(n_max: Optional[int] = None,
-                        tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-9 if tol is None else tol
-    cases = []
-    for z, q, alpha in [(0.5, 0.3, 2.5), (0.5, 1.0, 1.5), (-0.6, -0.8, 0.5)]:
-        partial, trunc = genfunc.gegenbauer_gf_series(z, q, alpha, 80)
-        cases.append((genfunc.gegenbauer_gf(z, q, alpha), abs(z), partial, trunc))
-    return _gf_report("gegenbauer-gf", cases, tol)
+def check_gegenbauer_gf(n_max: Optional[int] = None, tol: float = 1e-9) -> VerificationReport:
+    return _gf_report("gegenbauer-gf", genfunc.gegenbauer_gf, genfunc.gegenbauer_gf_series,
+                      [(0.5, 0.3, 2.5), (0.5, 1.0, 1.5), (-0.6, -0.8, 0.5)], 80, tol)
 
 
-def check_new_legendre_gf(n_max: Optional[int] = None,
-                          tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-8 if tol is None else tol
-    cases = []
-    for z, t, m in [(0.4, 0.3, 0), (0.4, 0.3, 2), (0.3, -0.6, 1), (0.55, 0.0, 3)]:
-        partial, trunc = genfunc.new_legendre_gf_series(z, t, m, 80)
-        cases.append((genfunc.new_legendre_gf(z, t, m), abs(z), partial, trunc))
-    return _gf_report("new-legendre-gf", cases, tol,
-                      extra="sum over n >= m with (2n+1)/(2m+1)!! weights, "
-                            "no (-1)^m in the non-Condon-Shortley convention")
+def check_new_legendre_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
+    return _gf_report("new-legendre-gf", genfunc.new_legendre_gf, genfunc.new_legendre_gf_series,
+                      [(0.4, 0.3, 0), (0.4, 0.3, 2), (0.3, -0.6, 1), (0.55, 0.0, 3)],
+                      80, tol, extra="sum over n >= m with (2n+1)/(2m+1)!! weights, "
+                                     "no (-1)^m in the non-Condon-Shortley convention")
 
 
-def check_reindexing_identity(n_max: Optional[int] = None,
-                              tol: Optional[float] = None) -> VerificationReport:
-    """Coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2) are Gegenbauer differences."""
-    tol = 1e-9 if tol is None else tol
-    cap = _cap(n_max, 30)
-    worst_abs = worst_rel = 0.0
+def _reindexing_coefficients(cap: int) -> Iterator[Tuple[int, float, np.ndarray]]:
+    """(m, q, c_0..c_cap): Taylor coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2)."""
     for m in range(5):
         for q in (0.3, -0.45, 0.8):
             # radius 0.8 keeps the 1/r^n amplification of the circle samples'
             # rounding below 1e-10 out to n = 30 (r = 0.5 would amplify 2^30)
-            coeffs = genfunc.series_coefficients_1d(
+            yield m, q, genfunc.series_coefficients_1d(
                 lambda z, q=q, m=m: (1.0 - z * z) * z**m * genfunc.gegenbauer_gf(z, q, m + 1.5),
                 cap + 1, radius=0.8, nodes=256)
-            for n in range(cap + 1):
-                ref = gegenbauer(n - m, m + 1.5, q) - gegenbauer(n - m - 2, m + 1.5, q)
-                d = abs(coeffs[n] - ref)
-                worst_abs = max(worst_abs, d)
-                worst_rel = max(worst_rel, d / max(1.0, abs(ref)))
+
+
+def check_reindexing_identity(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:
+    """Coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2) are Gegenbauer differences."""
+    def pairs():
+        for m, q, coeffs in _reindexing_coefficients(n_max):
+            ref = np.array([gegenbauer(n - m, m + 1.5, q) - gegenbauer(n - m - 2, m + 1.5, q)
+                            for n in range(n_max + 1)])
+            yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
     return VerificationReport.from_rel(
         "gegenbauer-reindexing-identity",
-        f"m <= 4, n <= {cap}, q in {{0.3, -0.45, 0.8}}",
-        worst_abs, worst_rel, tol,
+        f"m <= 4, n <= {n_max}, q in {{0.3, -0.45, 0.8}}",
+        *_worst(pairs()), tol,
         notes="negative-degree Gegenbauer terms are zero; errors scaled by max(1, |value|)")
 
 
-def check_reindexing_chain(n_max: Optional[int] = None,
-                           tol: Optional[float] = None) -> VerificationReport:
+def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:
     """Same coefficients, compared against (2n+1)/(2m+1) C_{n-m}^(m+1/2)(q)."""
-    tol = 1e-9 if tol is None else tol
-    cap = _cap(n_max, 30)
-    worst_abs = worst_rel = 0.0
-    for m in range(5):
-        for q in (0.3, -0.45, 0.8):
-            coeffs = genfunc.series_coefficients_1d(
-                lambda z, q=q, m=m: (1.0 - z * z) * z**m * genfunc.gegenbauer_gf(z, q, m + 1.5),
-                cap + 1, radius=0.8, nodes=256)
-            for n in range(m, cap + 1):
-                ref = (2.0 * n + 1.0) / (2.0 * m + 1.0) * gegenbauer(n - m, m + 0.5, q)
-                d = abs(coeffs[n] - ref)
-                worst_abs = max(worst_abs, d)
-                worst_rel = max(worst_rel, d / max(1.0, abs(ref)))
+    def pairs():
+        for m, q, coeffs in _reindexing_coefficients(n_max):
+            ref = np.array([(2.0 * n + 1.0) / (2.0 * m + 1.0) * gegenbauer(n - m, m + 0.5, q)
+                            for n in range(m, n_max + 1)])
+            yield np.abs(coeffs[m:] - ref), np.maximum(1.0, np.abs(ref))
     return VerificationReport.from_rel(
         "gegenbauer-chain-consistency",
-        f"m <= 4, m <= n <= {cap}, q in {{0.3, -0.45, 0.8}}",
-        worst_abs, worst_rel, tol,
+        f"m <= 4, m <= n <= {n_max}, q in {{0.3, -0.45, 0.8}}",
+        *_worst(pairs()), tol,
         notes="links the half-integer-order ladder to the difference form")
 
 
@@ -660,76 +562,56 @@ def check_reindexing_chain(n_max: Optional[int] = None,
 # ft suite
 # ---------------------------------------------------------------------------
 
-def check_oracle_agreement(n_max: Optional[int] = None,
-                           tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-6 if tol is None else tol
-    return oracle_report(_cap(n_max, 4), acceptance_grid(), OracleConfig(), tol)
+def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationReport:
+    return oracle_report(n_max, acceptance_grid(), OracleConfig(), tol)
 
 
-def check_two_oracles(n_max: Optional[int] = None,
-                      tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-7 if tol is None else tol
-    cap = min(_cap(n_max, 3), 3)
+def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
+    cap = min(n_max, 3)
     grid = _grid_points(np.geomspace(0.05, 3.0, 10))
     cfg = OracleConfig()
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            qn = QuantumNumbers(n, m)
-            for mp in grid:
-                worst = max(worst, abs(ft_hankel(qn, mp, cfg) - ft_direct_2d(qn, mp, cfg)))
     return VerificationReport.from_abs(
         "two-oracle-agreement", f"|m| <= n <= {cap}, 10-point log p-grid",
-        worst, worst, tol,
-        notes="angular-reduction route vs brute-force polar quadrature")
+        *_worst((abs(ft_hankel(qn, mp, cfg) - ft_direct_2d(qn, mp, cfg)), 1.0)
+                for qn in _states(cap, signed=True) for mp in grid),
+        tol, notes="angular-reduction route vs brute-force polar quadrature")
 
 
-def check_oracle_phase(n_max: Optional[int] = None,
-                       tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-8 if tol is None else tol
-    cap = min(_cap(n_max, 3), 6)
+def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
+    cap = min(n_max, 6)
     cfg = OracleConfig()
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            qn = QuantumNumbers(n, m)
+
+    def pairs():
+        for qn in _states(cap, signed=True):
             for p in (0.5, 2.0):
                 base = ft_hankel(qn, MomentumPoint(p, 0.0), cfg)
                 if abs(base) <= 1e-6:
                     continue
                 for phi in (0.9, -2.4):
                     val = ft_hankel(qn, MomentumPoint(p, phi), cfg)
-                    diff = cmath.phase(val) - cmath.phase(base) - m * phi
-                    wrapped = (diff + math.pi) % (2.0 * math.pi) - math.pi
-                    worst = max(worst, abs(wrapped))
+                    diff = cmath.phase(val) - cmath.phase(base) - qn.m * phi
+                    yield abs((diff + math.pi) % (2.0 * math.pi) - math.pi), 1.0
     return VerificationReport.from_abs(
         "oracle-phase-correctness", f"n <= {cap}, angles wrapped mod 2 pi",
-        worst, worst, tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
+        *_worst(pairs()), tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
 
 
-def check_node_doubling(n_max: Optional[int] = None,
-                        tol: Optional[float] = None) -> VerificationReport:
-    tol = 1e-9 if tol is None else tol
-    cap = _cap(n_max, 4)
+def check_node_doubling(n_max: int = 4, tol: float = 1e-9) -> VerificationReport:
     grid = acceptance_grid()
     lo = OracleConfig(radial_nodes=512)
     hi = OracleConfig(radial_nodes=1024)
-    worst = 0.0
-    for n in range(cap + 1):
-        for m in range(-n, n + 1):
-            qn = QuantumNumbers(n, m)
-            for mp in grid:
-                worst = max(worst, abs(ft_hankel(qn, mp, lo) - ft_hankel(qn, mp, hi)))
     return VerificationReport.from_abs(
-        "oracle-node-doubling", f"|m| <= n <= {cap}, acceptance grid",
-        worst, worst, tol, notes="quadrature already converged at 512 nodes")
+        "oracle-node-doubling", f"|m| <= n <= {n_max}, acceptance grid",
+        *_worst((abs(ft_hankel(qn, mp, lo) - ft_hankel(qn, mp, hi)), 1.0)
+                for qn in _states(n_max, signed=True) for mp in grid),
+        tol, notes="quadrature already converged at 512 nodes")
 
 
 # ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
-CheckFn = Callable[[Optional[int], Optional[float]], VerificationReport]
+CheckFn = Callable[..., VerificationReport]
 
 SUITES: Dict[str, List[CheckFn]] = {
     "polys": [check_gegenbauer_gf_coefficients, check_gegenbauer_recurrence,
@@ -755,7 +637,11 @@ SUITE_ORDER = ("polys", "position", "momentum", "levicivita", "genfunc", "ft")
 
 def run_suite(name: str, n_max: Optional[int] = None,
               tol: Optional[float] = None) -> List[VerificationReport]:
-    """Run one suite (or 'all') and return its reports in stable order."""
+    """Run one suite (or 'all') and return its reports in stable order.
+
+    ``n_max`` and ``tol`` override each check's own default only when set;
+    a tolerance of 0.0 counts as set.
+    """
     if name == "all":
         out: List[VerificationReport] = []
         for suite in SUITE_ORDER:
@@ -763,4 +649,6 @@ def run_suite(name: str, n_max: Optional[int] = None,
         return out
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {SUITE_ORDER + ('all',)}")
-    return [fn(n_max, tol) for fn in SUITES[name]]
+    overrides = {key: value for key, value in (("n_max", n_max), ("tol", tol))
+                 if value is not None}
+    return [fn(**overrides) for fn in SUITES[name]]

@@ -53,6 +53,18 @@ def test_normalization_values():
         assert normalization(QuantumNumbers(n, m)) == normalization(QuantumNumbers(n, -m))
 
 
+def test_normalization_matches_fixed_scale_form():
+    # The Sturmian normalization at a fixed scale q0,
+    # sqrt(2 q0^2 (n-|m|)! / (pi (2n+1) (n+|m|)!)), collapses to N_{n,m} at
+    # the physical q0 = 1/(n + 1/2).
+    for n in range(21):
+        q0 = 1.0 / (n + 0.5)
+        for m in range(-n, n + 1):
+            ratio = math.factorial(n - abs(m)) / math.factorial(n + abs(m))
+            fixed_scale = math.sqrt(2.0 * q0 * q0 * ratio / (math.pi * (2 * n + 1)))
+            assert normalization(QuantumNumbers(n, m)) == pytest.approx(fixed_scale, rel=1e-12)
+
+
 def test_psi_at_origin():
     val = psi_position(QuantumNumbers(0, 0), PolarPoint(0.0, 2.1))
     assert val == complex(normalization(QuantumNumbers(0, 0)), 0.0)

@@ -89,6 +89,13 @@ def test_tolerance_override_forces_failure():
     assert all(r.tolerance == 1e-30 for r in reports)
 
 
+def test_zero_tolerance_is_an_override():
+    # 0.0 is set, not a request for each check's default
+    reports = run_suite("position", n_max=2, tol=0.0)
+    assert any(not r.passed for r in reports)
+    assert all(r.tolerance == 0.0 for r in reports)
+
+
 def test_single_check_report_fields():
     rep = check_measure_factor()
     assert rep.passed
