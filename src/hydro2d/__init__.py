@@ -6,7 +6,7 @@ momentum closed forms, and verification suites that check every identity
 against independent numerical oracles.
 """
 
-from .ftoracle import OracleConfig, ft_direct_2d, ft_hankel, oracle_report
+from .ftoracle import ft_direct_2d, ft_hankel
 from .genfunc import (SeriesTruncation, coordinate_gf, coordinate_gf_series,
                       gegenbauer_gf, gegenbauer_gf_series, laguerre_gf,
                       laguerre_gf_series, new_legendre_gf, new_legendre_gf_series,
@@ -28,15 +28,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundState", "GenFuncParams", "GenFuncValues", "GridSpec", "MomentumPoint",
-    "OracleConfig", "PolarPoint", "QuadraticFormMatrix", "QuantumNumbers",
+    "PolarPoint", "QuadraticFormMatrix", "QuantumNumbers",
     "SeriesTruncation", "SUITES", "SUITE_ORDER", "UPoint", "VerificationReport",
     "assoc_legendre", "bessel_j", "coordinate_gf", "coordinate_gf_series",
     "det_x", "double_factorial", "ft_direct_2d", "ft_hankel", "gegenbauer",
     "gegenbauer_gf", "gegenbauer_gf_series", "gen_func_momentum", "laguerre",
     "laguerre_gf", "laguerre_gf_series", "lc_jacobian", "lc_map",
     "lc_measure_factor", "legendre", "make_bound_state", "new_legendre_gf",
-    "new_legendre_gf_series", "norm_squared", "normalization", "oracle_report",
-    "overlap", "pochhammer", "psi_momentum", "psi_momentum_gegenbauer",
+    "new_legendre_gf_series", "norm_squared", "normalization", "overlap", "pochhammer", "psi_momentum", "psi_momentum_gegenbauer",
     "psi_position", "q_of_p", "quadratic_form_matrix", "radial_ode_residual",
     "radial_wavefunction", "run_suite", "series_coefficients_1d",
     "series_coefficients_2d", "shifted_laguerre_gf", "shifted_laguerre_gf_series",

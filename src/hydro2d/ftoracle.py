@@ -25,15 +25,13 @@ routes are provided:
     two routes genuinely different derivations.
 
 Independence: this module imports only the momentum-plane point type from
-``momentum``; the closed-form wavefunction code is touched exclusively
-inside ``oracle_report``, where the comparison is the whole point.
+``momentum`` and touches no closed-form momentum wavefunction at all; the
+comparison against them lives in ``verify.check_oracle_agreement``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,32 +39,16 @@ from .momentum import MomentumPoint
 from .polys import NEG_I_POW, bessel_j, laguerre
 from .position import QuantumNumbers, normalization, radial_wavefunction
 from .quadrature import gauss_laguerre, panel_nodes
-from .reporting import VerificationReport
 
-__all__ = ["OracleConfig", "ft_hankel", "ft_direct_2d", "oracle_report"]
-
-_METHODS = ("hankel_reduced", "direct_2d")
+__all__ = ["ft_hankel", "ft_direct_2d"]
 
 # Gauss-Laguerre handles the radial integral while the Bessel factor
 # oscillates slower than the e^(-w) weight decays; c = p/(2 q0) <= 3/4
 # keeps its c^(2N) error term far below every tolerance in the suite.
 _GL_SWITCH = 0.75
 _PANEL_ORDER = 16
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    radial_nodes: int = 512
-    p_max_tail_tol: float = 1e-9
-    method: str = "hankel_reduced"
-
-    def __post_init__(self):
-        if self.radial_nodes < 64:
-            raise ValueError("oracle needs at least 64 radial nodes")
-        if self.p_max_tail_tol <= 0.0:
-            raise ValueError("tail tolerance must be > 0")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
+# Bound on the radial tail that the panel range discards (see _cutoff_v).
+_TAIL_TOL = 1e-9
 
 
 def _cutoff_v(n: int, q0: float, tol: float) -> float:
@@ -84,7 +66,7 @@ def _cutoff_v(n: int, q0: float, tol: float) -> float:
     return v
 
 
-def _radial_rule(qn: QuantumNumbers, p: float, cfg: OracleConfig):
+def _radial_rule(qn: QuantumNumbers, p: float, nodes: int):
     """Radial nodes rho and weights times rho R_{n,m}(rho), for integrals in p rho.
 
     The one place that picks the rule: Gauss-Laguerre in w = q0 rho while
@@ -93,38 +75,40 @@ def _radial_rule(qn: QuantumNumbers, p: float, cfg: OracleConfig):
     e^(-w) supplies the exponential of R_{n,m}, so the weighted factor
     carries only its polynomial part.
     """
+    if nodes < 64:
+        raise ValueError("oracle needs at least 64 radial nodes")
     am = abs(qn.m)
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     c = p / (2.0 * q0)
     if c <= _GL_SWITCH:
-        x, w = gauss_laguerre(cfg.radial_nodes)
+        x, w = gauss_laguerre(nodes)
         weighted = (normalization(qn) * 2.0**am / (q0 * q0)
                     * w * x ** (am + 1) * laguerre(qn.n - am, 2 * am, 2.0 * x))
         return x / q0, weighted
 
-    rho_max = _cutoff_v(qn.n, q0, cfg.p_max_tail_tol) / (2.0 * q0)
+    rho_max = _cutoff_v(qn.n, q0, _TAIL_TOL) / (2.0 * q0)
     n_panels = max(8, math.ceil(p * rho_max / math.pi))
     bounds = np.linspace(0.0, rho_max, n_panels + 1)
     rho, wts = panel_nodes(bounds, _PANEL_ORDER)
     return rho, wts * rho * radial_wavefunction(qn, rho)
 
 
-def _radial_integral(qn: QuantumNumbers, p: float, cfg: OracleConfig) -> float:
+def _radial_integral(qn: QuantumNumbers, p: float, nodes: int) -> float:
     """integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho."""
-    rho, weighted = _radial_rule(qn, p, cfg)
+    rho, weighted = _radial_rule(qn, p, nodes)
     return float(np.sum(weighted * bessel_j(abs(qn.m), p * rho)))
 
 
-def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint,
-              cfg: OracleConfig = OracleConfig()) -> complex:
+def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512) -> complex:
     """Oracle momentum wavefunction via the angular-reduction route.
 
     Assembled as (real radial integral) * (-i)^|m| * e^(i m phi_p), the
     same construction order as the closed forms, so phase comparisons are
-    not polluted by arithmetic reordering.
+    not polluted by arithmetic reordering.  ``nodes`` (at least 64) sizes
+    the Gauss-Laguerre rule of the small-momentum branch.
     """
     am = abs(qn.m)
-    radial = _radial_integral(qn, mp.p, cfg)
+    radial = _radial_integral(qn, mp.p, nodes)
     val0 = radial * NEG_I_POW[am % 4]
     return val0 * complex(math.cos(qn.m * mp.phi_p), math.sin(qn.m * mp.phi_p))
 
@@ -142,12 +126,14 @@ def _phi_count(x_osc: float) -> int:
     return n_phi
 
 
-def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint,
-                 cfg: OracleConfig = OracleConfig()) -> complex:
-    """Oracle momentum wavefunction via brute-force polar quadrature."""
-    q0 = 1.0 / (qn.n + 0.5)
-    rho_max = _cutoff_v(qn.n, q0, cfg.p_max_tail_tol) / (2.0 * q0)
-    rho, base = _radial_rule(qn, mp.p, cfg)
+def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512) -> complex:
+    """Oracle momentum wavefunction via brute-force polar quadrature.
+
+    ``nodes`` as for ``ft_hankel``.
+    """
+    q0 = qn.q0
+    rho_max = _cutoff_v(qn.n, q0, _TAIL_TOL) / (2.0 * q0)
+    rho, base = _radial_rule(qn, mp.p, nodes)
 
     n_phi = _phi_count(mp.p * rho_max)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -161,39 +147,3 @@ def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint,
         kernel = np.exp(-1j * mp.p * np.outer(r_blk, cosines))
         total += np.dot(base[lo:lo + chunk], kernel @ ang)
     return complex(total)
-
-
-def oracle_report(n_max: int, grid: Sequence[MomentumPoint],
-                  cfg: OracleConfig = OracleConfig(),
-                  tol: float = 1e-6) -> VerificationReport:
-    """Compare the closed-form momentum wavefunctions against the oracle.
-
-    Scans every |m| <= n <= n_max over the grid, recording the worst
-    absolute and relative deviation; passes iff the absolute one is within
-    tol.  The closed forms are imported here, not at module level, so the
-    oracle itself stays structurally independent of them.
-    """
-    from .momentum import psi_momentum
-
-    name = "momentum-vs-ft-oracle"
-    notes = ("unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
-             f"oracle method {cfg.method}")
-    if len(grid) == 0:
-        return VerificationReport(name, f"n <= {n_max}, empty grid", 0.0, 0.0,
-                                  tol, True, notes + "; vacuous: no comparisons")
-
-    oracle = ft_hankel if cfg.method == "hankel_reduced" else ft_direct_2d
-    max_abs = 0.0
-    max_rel = 0.0
-    for n in range(n_max + 1):
-        for m in range(-n, n + 1):
-            qn = QuantumNumbers(n, m)
-            for mp in grid:
-                want = oracle(qn, mp, cfg)
-                got = psi_momentum(qn, mp)
-                err = abs(got - want)
-                max_abs = max(max_abs, err)
-                if abs(want) > 1e-8:
-                    max_rel = max(max_rel, err / abs(want))
-    desc = f"|m| <= n <= {n_max}, {len(grid)} momentum points"
-    return VerificationReport.from_abs(name, desc, max_abs, max_rel, tol, notes)

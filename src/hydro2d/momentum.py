@@ -95,7 +95,7 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     a complex, array fields a complex ndarray of their broadcast shape.
     """
     am = abs(qn.m)
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     p, phi_p = _point_arrays(mp.p, mp.phi_p)
     q = q_of_p(p, q0)
     ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
@@ -110,7 +110,7 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
 def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the Gegenbauer form; equals ``psi_momentum``."""
     am = abs(qn.m)
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     p, phi_p = _point_arrays(mp.p, mp.phi_p)
     q = q_of_p(p, q0)
     amp = (

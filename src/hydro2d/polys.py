@@ -15,10 +15,13 @@ Conventions
 * ``double_factorial`` uses (-1)!! = 0!! = 1 and exact integers.
 * Gegenbauer polynomials of negative degree are identically zero; several
   generating-function identities are stated most cleanly with that choice.
-* ``bessel_j`` is an integer-order J_m evaluator: ascending series at small
-  argument, Miller's normalized downward recurrence at moderate argument,
-  and a phase/amplitude expansion at large argument so that oscillatory
-  radial quadratures stay cheap far out on the axis.
+* ``bessel_j`` is an integer-order J_m evaluator for 0 <= m <= 160:
+  ascending series at small argument, Miller's normalized downward
+  recurrence at moderate argument (each argument seeded at its own order
+  x + 10 x^(1/3) + 1.5 m + 30), and a phase/amplitude expansion at large
+  argument so that oscillatory radial quadratures stay cheap far out on the
+  axis.  Past order 160 the recurrence would overflow just above the series
+  range, so larger orders raise ``ValueError``.
 
 All functions are pure and accept numpy arrays in the evaluation-point slot.
 """
@@ -158,11 +161,8 @@ def assoc_legendre(n: int, m: int, t):
 # Bessel J_m
 # ---------------------------------------------------------------------------
 
-# Miller-recurrence buckets: for arguments in (lo, hi] start the downward
-# recurrence at the given (even) order.  Chosen so the seed order comfortably
-# exceeds x + 10 x^(1/3) and intermediate values stay far from overflow.
-_MILLER_BUCKETS = ((9.0, 30.0, 80), (30.0, 60.0, 130), (60.0, 100.0, 178), (100.0, 160.0, 244))
 _ASYMPTOTIC_CUT = 160.0
+_BESSEL_MAX_ORDER = 160
 
 
 def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
@@ -178,25 +178,34 @@ def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _bessel_miller(m: int, x: np.ndarray, start: int) -> np.ndarray:
+def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
     # Downward recurrence from an order where J is negligible, normalized by
-    # J_0 + 2 (J_2 + J_4 + ...) = 1.
-    start = max(start, m + 30)
-    if start % 2:
-        start += 1
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-35)
-    norm = np.zeros_like(x)
-    captured = np.zeros_like(x)
-    for k in range(start, 0, -1):
-        jp, jc = jc, (2.0 * k / x) * jc - jp
-        order = k - 1
-        if order == m:
+    # J_0 + 2 (J_2 + J_4 + ...) = 1.  Each argument starts at its own even
+    # order x + 10 x^(1/3) + 1.5 m + 30, so the values it passes through stay
+    # far from overflow.  Sorted by that seed, the arguments under way at
+    # order k are a prefix of the arrays; one sweep serves them all.
+    seed = (x + 10.0 * np.cbrt(x) + 1.5 * m + 30.0).astype(np.int64)
+    seed += seed % 2
+    order = np.argsort(-seed, kind="stable")
+    seed = seed[order]
+    two_over_x = 2.0 / x[order]
+    top = int(seed[0])
+    started = np.searchsorted(-seed, -np.arange(top, 0, -1), side="right")
+    jp = np.zeros_like(two_over_x)
+    jc = np.full_like(two_over_x, 1e-35)
+    norm = np.zeros_like(two_over_x)
+    for k, a in zip(range(top, 0, -1), started):
+        below = (k * two_over_x[:a]) * jc[:a] - jp[:a]
+        jp[:a] = jc[:a]
+        jc[:a] = below
+        if k - 1 == m:
             captured = jc.copy()
-        if order >= 2 and order % 2 == 0:
-            norm += 2.0 * jc
+        if k - 1 >= 2 and (k - 1) % 2 == 0:
+            norm[:a] += 2.0 * jc[:a]
     norm += jc  # jc now holds the unnormalized J_0
-    return captured / norm
+    out = np.empty_like(norm)
+    out[order] = captured / norm
+    return out
 
 
 def _bessel_asymptotic(m: int, x: np.ndarray) -> np.ndarray:
@@ -222,9 +231,13 @@ def _bessel_asymptotic(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(m: int, x):
-    """Bessel function of the first kind J_m(x) for integer m >= 0, x >= 0."""
-    if m < 0:
-        raise ValueError("bessel_j order m must be >= 0")
+    """Bessel function of the first kind J_m(x) for integer 0 <= m <= 160, x >= 0.
+
+    Accurate to about 1e-13 absolute over that whole range; orders past 160
+    raise ``ValueError`` rather than overflow in the Miller recurrence.
+    """
+    if not 0 <= m <= _BESSEL_MAX_ORDER:
+        raise ValueError(f"bessel_j order m must be in [0, {_BESSEL_MAX_ORDER}]")
     xs, scalar = _as_array(x)
     if np.any(xs < 0.0):
         raise ValueError("bessel_j argument must be >= 0")
@@ -243,22 +256,7 @@ def bessel_j(m: int, x):
 
     middle = (xs > series_cut) & (xs < asym_cut)
     if np.any(middle):
-        xm = xs[middle]
-        res = np.empty_like(xm)
-        done = np.zeros(xm.shape, dtype=bool)
-        for lo, hi, start in _MILLER_BUCKETS:
-            pick = (xm > lo) & (xm <= hi) & ~done
-            if np.any(pick):
-                res[pick] = _bessel_miller(m, xm[pick], start)
-                done |= pick
-        if not np.all(done):
-            # Arguments past the fixed buckets (only reachable for large
-            # orders, where the asymptotic cut moved out): one shared seed.
-            rest = ~done
-            xr = xm[rest]
-            start = int(np.max(xr) + 10.0 * np.max(xr) ** (1.0 / 3.0) + 1.5 * m + 30.0)
-            res[rest] = _bessel_miller(m, xr, start)
-        out[middle] = res
+        out[middle] = _bessel_miller(m, xs[middle])
 
     if scalar:
         return float(out[0])

@@ -68,6 +68,11 @@ class QuantumNumbers:
         if abs(self.m) > self.n:
             raise ValueError("angular quantum number needs |m| <= n")
 
+    @property
+    def q0(self) -> float:
+        """Spectral scale of the level, q0 = 1/(n + 1/2); E_n = -q0^2."""
+        return 1.0 / (self.n + 0.5)
+
 
 @dataclass(frozen=True)
 class BoundState:
@@ -90,14 +95,14 @@ class PolarPoint:
 
 def make_bound_state(qn: QuantumNumbers) -> BoundState:
     """Spectral data for the level n: q0 = 1/(n + 1/2), E = -q0^2."""
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     return BoundState(qn=qn, q0=q0, energy=-(q0 * q0))
 
 
 def normalization(qn: QuantumNumbers) -> float:
     """N_{n,m} at the physical q0 of the level."""
     am = abs(qn.m)
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
     return math.sqrt(q0**3 * ratio / math.pi)
 
@@ -105,7 +110,7 @@ def normalization(qn: QuantumNumbers) -> float:
 def radial_wavefunction(qn: QuantumNumbers, rho):
     """Radial factor R_{n,m}(rho) = N_{n,m} v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v)."""
     am = abs(qn.m)
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     v = 2.0 * q0 * np.asarray(rho, dtype=float)
     value = normalization(qn) * v**am * np.exp(-0.5 * v) * laguerre(qn.n - am, 2 * am, v)
     if np.ndim(rho) == 0:
@@ -157,7 +162,7 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("ODE residual needs rho > 0")
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     m = qn.m
     h = 1e-5 * np.maximum(rho, 1.0)
     r_minus = radial_wavefunction(qn, rho - h)
@@ -175,7 +180,7 @@ def norm_squared(qn: QuantumNumbers, nodes: int = 128) -> float:
     Gauss-Laguerre is exact here up to rounding.
     """
     am = abs(qn.m)
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     x, w = gauss_laguerre(nodes)
     lag = laguerre(qn.n - am, 2 * am, x)
     radial = float(np.sum(w * x ** (2 * am + 1) * lag * lag))
@@ -187,17 +192,19 @@ def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers, nodes: int = 128, phi_node
 
     The angular integral uses the periodic trapezoid rule; the radial one
     runs in s = (q0_1 + q0_2) rho where the joint integrand is again a
-    polynomial times e^(-s).
+    polynomial times e^(-s).  The rule's weight supplies that e^(-s), so
+    each state contributes only its polynomial part N v^|m| L(v).
     """
     phi = 2.0 * math.pi * np.arange(phi_nodes) / phi_nodes
     ang = np.mean(np.exp(1j * (qn2.m - qn1.m) * phi)) * 2.0 * math.pi
 
-    q01 = 1.0 / (qn1.n + 0.5)
-    q02 = 1.0 / (qn2.n + 0.5)
-    a = q01 + q02
+    a = qn1.q0 + qn2.q0
     s, w = gauss_laguerre(nodes)
     rho = s / a
-    radial = np.sum(w * rho * radial_wavefunction(qn1, rho) * radial_wavefunction(qn2, rho) * np.exp(s)) / a
-    # exp(s) cancels the e^(-s) in the Gauss-Laguerre weight: the two radial
-    # factors already carry e^(-(q01+q02) rho) = e^(-s) between them.
+
+    def polynomial(qn):
+        am = abs(qn.m)
+        v = 2.0 * qn.q0 * rho
+        return normalization(qn) * v**am * laguerre(qn.n - am, 2 * am, v)
+    radial = np.sum(w * rho * polynomial(qn1) * polynomial(qn2)) / a
     return complex(ang * radial)

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import genfunc
-from .ftoracle import OracleConfig, ft_direct_2d, ft_hankel, oracle_report
+from .ftoracle import ft_direct_2d, ft_hankel
 from .levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from .momentum import MomentumPoint, _phase, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from .polys import assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre, legendre, pochhammer
@@ -233,7 +233,7 @@ def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
     Panels double dyadically from q0/2, 24-point Gauss-Legendre each.
     """
     am = abs(qn.m)
-    q0 = 1.0 / (qn.n + 0.5)
+    q0 = qn.q0
     maxp = 1.2 * float(np.max(np.abs(assoc_legendre(qn.n, am, np.linspace(-1, 1, 401)))))
     ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
     bound = 2.0 * math.pi * (ratio / (2.0 * math.pi)) * (2.0 * q0) ** 3 * maxp * maxp / 4.0
@@ -563,32 +563,41 @@ def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationRe
 # ---------------------------------------------------------------------------
 
 def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationReport:
-    return oracle_report(n_max, acceptance_grid(), OracleConfig(), tol)
+    grid = acceptance_grid()
+
+    def pair(qn, mp):
+        # Relative errors count only where the oracle value exceeds 1e-8.
+        want = ft_hankel(qn, mp)
+        scale = abs(want)
+        return abs(psi_momentum(qn, mp) - want), (scale if scale > 1e-8 else 0.0)
+    return VerificationReport.from_abs(
+        "momentum-vs-ft-oracle", f"|m| <= n <= {n_max}, {len(grid)} momentum points",
+        *_worst(pair(qn, mp) for qn in _states(n_max, signed=True) for mp in grid),
+        tol, notes="unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
+                   "oracle method hankel_reduced")
 
 
 def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
     cap = min(n_max, 3)
     grid = _grid_points(np.geomspace(0.05, 3.0, 10))
-    cfg = OracleConfig()
     return VerificationReport.from_abs(
         "two-oracle-agreement", f"|m| <= n <= {cap}, 10-point log p-grid",
-        *_worst((abs(ft_hankel(qn, mp, cfg) - ft_direct_2d(qn, mp, cfg)), 1.0)
+        *_worst((abs(ft_hankel(qn, mp) - ft_direct_2d(qn, mp)), 1.0)
                 for qn in _states(cap, signed=True) for mp in grid),
         tol, notes="angular-reduction route vs brute-force polar quadrature")
 
 
 def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
     cap = min(n_max, 6)
-    cfg = OracleConfig()
 
     def pairs():
         for qn in _states(cap, signed=True):
             for p in (0.5, 2.0):
-                base = ft_hankel(qn, MomentumPoint(p, 0.0), cfg)
+                base = ft_hankel(qn, MomentumPoint(p, 0.0))
                 if abs(base) <= 1e-6:
                     continue
                 for phi in (0.9, -2.4):
-                    val = ft_hankel(qn, MomentumPoint(p, phi), cfg)
+                    val = ft_hankel(qn, MomentumPoint(p, phi))
                     diff = cmath.phase(val) - cmath.phase(base) - qn.m * phi
                     yield abs((diff + math.pi) % (2.0 * math.pi) - math.pi), 1.0
     return VerificationReport.from_abs(
@@ -598,11 +607,9 @@ def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
 
 def check_node_doubling(n_max: int = 4, tol: float = 1e-9) -> VerificationReport:
     grid = acceptance_grid()
-    lo = OracleConfig(radial_nodes=512)
-    hi = OracleConfig(radial_nodes=1024)
     return VerificationReport.from_abs(
         "oracle-node-doubling", f"|m| <= n <= {n_max}, acceptance grid",
-        *_worst((abs(ft_hankel(qn, mp, lo) - ft_hankel(qn, mp, hi)), 1.0)
+        *_worst((abs(ft_hankel(qn, mp, nodes=512) - ft_hankel(qn, mp, nodes=1024)), 1.0)
                 for qn in _states(n_max, signed=True) for mp in grid),
         tol, notes="quadrature already converged at 512 nodes")
 

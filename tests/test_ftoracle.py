@@ -3,33 +3,33 @@
 The oracle exists to referee the closed-form momentum wavefunctions, so its
 own tests avoid those closed forms wherever a value can be pinned down
 independently (p = 0 radial integrals, symmetry relations, decay envelopes).
-The one place the closed form legitimately appears is oracle_report, whose
-job is the comparison itself.
+Where a test does compare with the closed form, the comparison happens
+here, never inside the oracle module.
 """
 
 import ast
 import inspect
 import math
 
+import numpy as np
 import pytest
 
 import hydro2d.ftoracle
-from hydro2d.ftoracle import OracleConfig, ft_direct_2d, ft_hankel, oracle_report
+from hydro2d.ftoracle import ft_direct_2d, ft_hankel
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import QuantumNumbers
+from hydro2d.verify import check_oracle_agreement
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def test_config_validation():
-    OracleConfig()
-    OracleConfig(radial_nodes=128, p_max_tail_tol=1e-8, method="direct_2d")
+    qn, mp = QuantumNumbers(1, 0), MomentumPoint(0.5, 0.0)
+    ft_hankel(qn, mp, nodes=64)
     with pytest.raises(ValueError):
-        OracleConfig(radial_nodes=32)
+        ft_hankel(qn, mp, nodes=32)
     with pytest.raises(ValueError):
-        OracleConfig(p_max_tail_tol=0.0)
-    with pytest.raises(ValueError):
-        OracleConfig(method="fft")
+        ft_direct_2d(qn, mp, nodes=32)
 
 
 def test_ground_state_at_zero_momentum():
@@ -82,38 +82,35 @@ def test_direct_large_momentum_tail():
 
 def test_node_count_invariance():
     qn, mp = QuantumNumbers(3, 2), MomentumPoint(0.7, 0.4)
-    lo = ft_hankel(qn, mp, OracleConfig(radial_nodes=512))
-    hi = ft_hankel(qn, mp, OracleConfig(radial_nodes=1024))
+    lo = ft_hankel(qn, mp, nodes=512)
+    hi = ft_hankel(qn, mp, nodes=1024)
     assert abs(lo - hi) <= 1e-12
 
 
+@pytest.mark.parametrize("n, m, p", [(13, 13, 2.0), (15, 14, 1.0), (20, 16, 3.0)])
+def test_hankel_large_order(n, m, p):
+    # For |m| >= 13 the Miller range of bessel_j reaches out to p rho = 20 m^2;
+    # the oracle must stay finite and agree with the closed form there too.
+    qn, mp = QuantumNumbers(n, m), MomentumPoint(p, 0.0)
+    val = ft_hankel(qn, mp)
+    assert np.isfinite(val.real) and np.isfinite(val.imag)
+    assert abs(val - psi_momentum(qn, mp)) <= 1e-12  # measured 1.2e-14
+
+
 def test_oracle_report_single_point():
-    rep = oracle_report(0, [MomentumPoint(0.0, 0.0)])
+    # The ground state over the acceptance grid, through the shared sweep.
+    rep = check_oracle_agreement(n_max=0)
     assert rep.passed
     assert rep.max_abs_err <= 1e-8
     assert rep.check_name == "momentum-vs-ft-oracle"
-
-
-def test_oracle_report_empty_grid_is_vacuous():
-    rep = oracle_report(2, [])
-    assert rep.passed
-    assert rep.max_abs_err == 0.0
-    assert "vacuous" in rep.notes
-
-
-def test_oracle_report_direct_method():
-    cfg = OracleConfig(method="direct_2d")
-    rep = oracle_report(1, [MomentumPoint(0.3, 0.9)], cfg, tol=1e-6)
-    assert rep.passed
-    assert "direct_2d" in rep.notes
+    assert rep.grid_desc == "|m| <= n <= 0, 20 momentum points"
 
 
 def test_oracle_is_structurally_independent():
     # The whole point of the oracle is that it never computes through the
     # closed-form momentum expressions.  Enforce that at the AST level: the
     # module-level import from the momentum module brings in only the point
-    # type, and the name psi_momentum appears in no function except
-    # oracle_report (where the comparison happens).
+    # type, and the name psi_momentum appears in no function at all.
     tree = ast.parse(inspect.getsource(hydro2d.ftoracle))
     for node in tree.body:
         if isinstance(node, ast.ImportFrom) and node.module and "momentum" in node.module:
@@ -126,6 +123,6 @@ def test_oracle_is_structurally_independent():
                 isinstance(sub, ast.ImportFrom)
                 and any(alias.name == "psi_momentum" for alias in sub.names)
                 for sub in ast.walk(node))
-            if (("psi_momentum" in used) or pulled) and node.name != "oracle_report":
+            if ("psi_momentum" in used) or pulled:
                 offenders.append(node.name)
     assert offenders == []

@@ -7,6 +7,7 @@ deviation on each grid and padding it by an order of magnitude.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,6 +160,26 @@ def test_bessel_against_scipy_large_arguments():
         for x in (80.0, 120.0, 159.0, 161.0, 300.0, 1000.0, 5000.0):
             worst = max(worst, abs(bessel_j(m, x) - jv(m, x)))
     assert worst <= 1e-12  # measured 3.4e-15
+
+
+def test_bessel_against_scipy_large_orders():
+    # For m >= 13 the Miller range runs out to 20 m^2; every argument there
+    # needs its own seed order, or the small ones overflow to NaN.
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in range(13, 25):
+            x = np.linspace(0.0, 20.0 * m * m, 4001)
+            worst = max(worst, float(np.max(np.abs(bessel_j(m, x) - jv(m, x)))))
+    assert worst <= 1e-12  # measured 8.0e-15
+
+
+def test_bessel_order_limit():
+    # Order 160 is the last one the recurrence carries without overflow.
+    x = np.linspace(0.0, 200.0, 2001)
+    assert np.max(np.abs(bessel_j(160, x) - jv(160, x))) <= 1e-12  # measured 2.9e-15
+    with pytest.raises(ValueError):
+        bessel_j(161, 1.0)
 
 
 def test_bessel_first_zero_by_bisection():

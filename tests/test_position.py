@@ -109,6 +109,15 @@ def test_overlap_orthogonality():
     assert overlap(QuantumNumbers(3, 1), QuantumNumbers(3, 1)).real == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("nodes", [256, 1024])
+def test_overlap_large_rules(nodes):
+    # Rules this large reach s > 709, where e^s overflows and the radial
+    # factors underflow; the overlap must carry only the polynomial parts.
+    qn = QuantumNumbers(2, 1)
+    assert abs(overlap(qn, qn, nodes=nodes) - 1.0) <= 1e-12  # measured 1.3e-15
+    assert abs(overlap(qn, QuantumNumbers(4, 1), nodes=nodes)) <= 1e-12  # measured 1.6e-15
+
+
 def test_ode_residual_examples():
     # The closed forms are exact solutions; the residual is limited only by
     # the finite-difference truncation of the second derivative.
