@@ -10,8 +10,7 @@ from .ftoracle import ft_direct_2d, ft_hankel
 from .genfunc import (SeriesTruncation, coordinate_gf, coordinate_gf_series,
                       gegenbauer_gf, gegenbauer_gf_series, laguerre_gf,
                       laguerre_gf_series, new_legendre_gf, new_legendre_gf_series,
-                      series_coefficients_1d, series_coefficients_2d,
-                      shifted_laguerre_gf, shifted_laguerre_gf_series)
+                      series_coefficients, shifted_laguerre_gf, shifted_laguerre_gf_series)
 from .levicivita import (GenFuncParams, GenFuncValues, QuadraticFormMatrix, UPoint,
                          det_x, gen_func_momentum, lc_jacobian, lc_map,
                          lc_measure_factor, quadratic_form_matrix)
@@ -37,6 +36,6 @@ __all__ = [
     "lc_measure_factor", "legendre", "make_bound_state", "new_legendre_gf",
     "new_legendre_gf_series", "norm_squared", "normalization", "overlap", "pochhammer", "psi_momentum", "psi_momentum_gegenbauer",
     "psi_position", "q_of_p", "quadratic_form_matrix", "radial_ode_residual",
-    "radial_wavefunction", "run_suite", "series_coefficients_1d",
-    "series_coefficients_2d", "shifted_laguerre_gf", "shifted_laguerre_gf_series",
+    "radial_wavefunction", "run_suite", "series_coefficients",
+    "shifted_laguerre_gf", "shifted_laguerre_gf_series",
 ]

@@ -32,6 +32,7 @@ comparison against them lives in ``verify.check_oracle_agreement``.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -73,7 +74,8 @@ def _radial_rule(qn: QuantumNumbers, p: float, nodes: int):
     c = p/(2 q0) <= 3/4, Gauss-Legendre panels of width about pi/p on
     [0, rho_max] beyond.  On the Gauss-Laguerre branch the rule's weight
     e^(-w) supplies the exponential of R_{n,m}, so the weighted factor
-    carries only its polynomial part.
+    carries only its polynomial part, and raises ``ValueError`` where its
+    x^(|m|+1) overflows (|m| >= 93 at 512 nodes, >= 85 at 1024).
     """
     if nodes < 64:
         raise ValueError("oracle needs at least 64 radial nodes")
@@ -82,6 +84,10 @@ def _radial_rule(qn: QuantumNumbers, p: float, nodes: int):
     c = p / (2.0 * q0)
     if c <= _GL_SWITCH:
         x, w = gauss_laguerre(nodes)
+        limit = math.floor(math.log(sys.float_info.max) / math.log(x[-1]) - 1.0)
+        if am > limit:
+            raise ValueError(f"oracle at {nodes} nodes needs |m| <= {limit}: "
+                             "x_max^(|m|+1) overflows past it")
         weighted = (normalization(qn) * 2.0**am / (q0 * q0)
                     * w * x ** (am + 1) * laguerre(qn.n - am, 2 * am, 2.0 * x))
         return x / q0, weighted

@@ -17,10 +17,14 @@ tail estimate, so closed form and series can be compared without trusting
 either side.
 
 Taylor coefficients of arbitrary analytic functions are recovered by
-trapezoid quadrature of the Cauchy integral on a circle, which is exact up
-to aliasing: with N nodes on radius r the error in c_n is a sum of
-c_{n+jN} r^{jN} terms, negligible for r <= 0.5 and N >= 64 against the
-unit-disk growth of everything handled here.
+trapezoid quadrature of the Cauchy integral on a circle (one circle per
+variable), which is exact up to aliasing: with N nodes on radius r the
+error in c_n is the sum over j >= 1 of c_{n+jN} r^{jN}, which falls like
+(r/R)^N when the nearest singularity lies at radius R.  R, not the unit
+disk, sets the node count: the momentum generating function at q0 = 1,
+p = 0.7 is singular at |t| = 0.75 for |z| = 0.5, so 64 nodes on r = 0.5
+leave a relative error of 2.5e-10 in its coefficients, and 128 nodes
+leave rounding (1.1e-14).
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .polys import assoc_legendre, double_factorial, gegenbauer, laguerre
-from .position import PolarPoint
+from .position import PolarPoint, _complex_or_array, _point_arrays
 
 __all__ = [
     "SeriesTruncation",
@@ -48,8 +53,7 @@ __all__ = [
     "gegenbauer_gf_series",
     "new_legendre_gf",
     "new_legendre_gf_series",
-    "series_coefficients_1d",
-    "series_coefficients_2d",
+    "series_coefficients",
 ]
 
 
@@ -67,8 +71,8 @@ class SeriesTruncation:
             raise ValueError("tail bound must be >= 0")
 
 
-def _reject_z(z: complex) -> None:
-    if abs(z) >= 1.0:
+def _reject_z(z: ArrayLike) -> None:
+    if np.any(np.abs(z) >= 1.0):
         raise ValueError("generating variable must satisfy |z| < 1")
 
 
@@ -196,10 +200,12 @@ def coordinate_gf_series(z: complex, t: complex, q0: float, pt: PolarPoint,
     return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
 
 
-def gegenbauer_gf(z: complex, q: float, alpha: float) -> complex:
-    """Closed form (1 - 2qz + z^2)^(-alpha), principal branch."""
+def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
+    """Closed form (1 - 2qz + z^2)^(-alpha), principal branch; z and q broadcast."""
     _reject_z(z)
-    return (1.0 - 2.0 * q * z + z * z) ** (-alpha)
+    zs, qs = _point_arrays(z, q)
+    value = np.emath.power(1.0 - 2.0 * qs * zs + zs * zs, -alpha)
+    return _complex_or_array(value.astype(complex), z, q)
 
 
 def gegenbauer_gf_series(z: complex, q: float, alpha: float, n_max: int = 80
@@ -234,39 +240,23 @@ def new_legendre_gf_series(z: complex, t: float, m: int, n_max: int = 80
     return _partial_sum(z, m, n_max, lambda n: (2 * n + 1) / dfact * assoc_legendre(n, m, t))
 
 
-def series_coefficients_1d(fn: Callable[[complex], complex], n_coeffs: int,
-                           radius: float = 0.5, nodes: int = 128) -> np.ndarray:
-    """Taylor coefficients c_0 .. c_{n_coeffs-1} of fn by Cauchy quadrature.
+def series_coefficients(fn: Callable[..., ArrayLike], counts: Sequence[int],
+                        radius: float = 0.5, nodes: int = 128) -> np.ndarray:
+    """Taylor coefficients c[k_1, ..., k_d] of fn by Cauchy quadrature.
 
-    fn must be analytic on |z| <= radius.  Trapezoid rule on the circle is
-    spectrally accurate; nodes should comfortably exceed n_coeffs so the
-    aliased c_{n+nodes} radius^nodes contamination is negligible.
+    fn takes d complex arguments, one per entry of ``counts``, and must be
+    analytic on the polydisk of the given radius.  It is called once, on
+    the ``np.ix_`` grid of one circle of ``nodes`` points per argument, and
+    returns an array whose first d axes are those node axes; any axes it
+    adds after them are batch axes and come back unchanged after the
+    coefficient axes, whose lengths are ``counts``.
     """
-    if not 0 < n_coeffs <= nodes:
-        raise ValueError("need 0 < n_coeffs <= nodes")
-    samples = np.empty(nodes, dtype=complex)
-    for k in range(nodes):
-        samples[k] = fn(radius * cmath.exp(2j * math.pi * k / nodes))
-    hat = np.fft.fft(samples) / nodes
-    powers = radius ** np.arange(n_coeffs)
-    return hat[:n_coeffs] / powers
-
-
-def series_coefficients_2d(fn: Callable[[complex, complex], complex],
-                           n_coeffs: int, m_coeffs: int,
-                           radius_z: float = 0.5, radius_t: float = 0.5,
-                           nodes_z: int = 128, nodes_t: int = 64) -> np.ndarray:
-    """Double Taylor coefficients c[n, m] of fn(z, t) by nested Cauchy quadrature."""
-    if not 0 < n_coeffs <= nodes_z:
-        raise ValueError("need 0 < n_coeffs <= nodes_z")
-    if not 0 < m_coeffs <= nodes_t:
-        raise ValueError("need 0 < m_coeffs <= nodes_t")
-    samples = np.empty((nodes_z, nodes_t), dtype=complex)
-    for j in range(nodes_z):
-        zj = radius_z * cmath.exp(2j * math.pi * j / nodes_z)
-        for k in range(nodes_t):
-            samples[j, k] = fn(zj, radius_t * cmath.exp(2j * math.pi * k / nodes_t))
-    hat = np.fft.fft2(samples) / (nodes_z * nodes_t)
-    pz = radius_z ** np.arange(n_coeffs)
-    pt = radius_t ** np.arange(m_coeffs)
-    return hat[:n_coeffs, :m_coeffs] / np.outer(pz, pt)
+    if not counts or not all(0 < c <= nodes for c in counts):
+        raise ValueError("need 0 < count <= nodes on every axis")
+    d = len(counts)
+    circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    samples = np.asarray(fn(*np.ix_(*[circle] * d)), dtype=complex)
+    hat = np.fft.fftn(samples, axes=range(d)) / nodes**d
+    degree = sum(np.ix_(*[np.arange(c) for c in counts]))
+    powers = (radius ** degree).reshape(degree.shape + (1,) * (hat.ndim - d))
+    return hat[tuple(slice(c) for c in counts)] / powers

@@ -38,12 +38,15 @@ assuming one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+from numpy.typing import ArrayLike
+
 from .momentum import MomentumPoint
+from .position import _complex_or_array, _point_arrays
 
 __all__ = [
     "UPoint",
@@ -74,26 +77,28 @@ class GenFuncParams:
     z is the principal expansion variable (strictly inside the unit disk so
     every series in sight converges), t tags the angular-momentum ladder,
     q0 > 0 sets the length scale, and beta >= 0 is the convergence regulator
-    that is differentiated away at the end.
+    that is differentiated away at the end.  Each field may be a scalar or
+    an array: ``gen_func_momentum`` and ``det_x`` broadcast them with the
+    momentum point's fields, and give a complex when every field is a scalar.
     """
 
-    z: complex
-    t: complex
-    q0: float
-    beta: float = 0.0
+    z: ArrayLike
+    t: ArrayLike
+    q0: ArrayLike
+    beta: ArrayLike = 0.0
 
     def __post_init__(self):
-        if abs(self.z) >= 1.0:
+        if np.any(np.abs(self.z) >= 1.0):
             raise ValueError("generating variable must satisfy |z| < 1")
-        if self.q0 <= 0.0:
+        if np.any(np.asarray(self.q0) <= 0.0):
             raise ValueError("scale q0 must be > 0")
-        if self.beta < 0.0:
+        if np.any(np.asarray(self.beta) < 0.0):
             raise ValueError("regulator beta must be >= 0")
 
 
 @dataclass(frozen=True)
 class QuadraticFormMatrix:
-    """Symmetric 2x2 complex matrix of the Gaussian exponent.
+    """Symmetric 2x2 complex matrix [[a11, a12], [a12, a22]] of the Gaussian exponent.
 
     For admissible parameters the real part of the associated quadratic form
     is positive definite, which is what makes the Gaussian integral converge.
@@ -101,18 +106,10 @@ class QuadraticFormMatrix:
 
     a11: complex
     a12: complex
-    a21: complex
     a22: complex
 
-    def __post_init__(self):
-        if self.a12 != self.a21:
-            raise ValueError("quadratic-form matrix must be symmetric")
-
     def det(self) -> complex:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def trace(self) -> complex:
-        return self.a11 + self.a22
+        return self.a11 * self.a22 - self.a12 * self.a12
 
 
 class GenFuncValues(NamedTuple):
@@ -160,28 +157,31 @@ def quadratic_form_matrix(gp: GenFuncParams, p: MomentumPoint) -> QuadraticFormM
     a11 = a - b + 1j * px
     a22 = a + b - 1j * px
     a12 = 1j * py - 1j * b
-    return QuadraticFormMatrix(a11=a11, a12=a12, a21=a12, a22=a22)
+    return QuadraticFormMatrix(a11=a11, a12=a12, a22=a22)
 
 
-def _s_invariant(gp: GenFuncParams, p: MomentumPoint, beta: float) -> complex:
-    one_minus = 1.0 - gp.z
-    head = (1.0 + gp.z) * gp.q0 + beta * one_minus
-    circ = p.p * cmath.exp(1j * p.phi_p)
-    return head * head + p.p * p.p * one_minus * one_minus + 4j * gp.t * gp.z * gp.q0 * circ
+def _s_invariant(z, t, q0, beta, p, phi_p) -> np.ndarray:
+    one_minus = 1.0 - z
+    head = (1.0 + z) * q0 + beta * one_minus
+    circ = p * np.exp(1j * phi_p)
+    return head * head + p * p * one_minus * one_minus + 4j * t * z * q0 * circ
 
 
-def det_x(gp: GenFuncParams, p: MomentumPoint) -> complex:
+def det_x(gp: GenFuncParams, p: MomentumPoint):
     """Closed-form determinant of ``quadratic_form_matrix``:  S(beta)/(1-z)^2."""
-    one_minus = 1.0 - gp.z
-    return _s_invariant(gp, p, gp.beta) / (one_minus * one_minus)
+    fields = (gp.z, gp.t, gp.q0, gp.beta, p.p, p.phi_p)
+    z, t, q0, beta, mom, phi_p = _point_arrays(*fields)
+    one_minus = 1.0 - z
+    return _complex_or_array(_s_invariant(z, t, q0, beta, mom, phi_p) / (one_minus * one_minus),
+                             *fields)
 
 
-def _principal_sqrt(s: complex) -> complex:
-    """Principal square root, rejecting arguments on the branch cut."""
-    if s == 0.0 or (s.real < 0.0 and abs(s.imag) <= 1e-12 * abs(s.real)):
+def _principal_sqrt(s: np.ndarray) -> np.ndarray:
+    """Principal square root, rejecting any argument on the branch cut."""
+    if np.any((s == 0.0) | ((s.real < 0.0) & (np.abs(s.imag) <= 1e-12 * np.abs(s.real)))):
         raise ValueError("square-root argument is on the negative real axis; "
                          "parameters are outside the admissible domain")
-    return cmath.sqrt(s)
+    return np.sqrt(s)
 
 
 def gen_func_momentum(gp: GenFuncParams, p: MomentumPoint) -> GenFuncValues:
@@ -192,8 +192,9 @@ def gen_func_momentum(gp: GenFuncParams, p: MomentumPoint) -> GenFuncValues:
     (n, m) Taylor coefficient of g in z and t is 1/m! times the unitary
     momentum transform of the bare scaled basis function at fixed q0.
     """
-    s_beta = _s_invariant(gp, p, gp.beta)
-    g_beta = 1.0 / _principal_sqrt(s_beta)
-    s0 = _s_invariant(gp, p, 0.0)
-    g = (1.0 - gp.z * gp.z) * gp.q0 / (s0 * _principal_sqrt(s0))
-    return GenFuncValues(g_beta=g_beta, g=g)
+    fields = (gp.z, gp.t, gp.q0, gp.beta, p.p, p.phi_p)
+    z, t, q0, beta, mom, phi_p = _point_arrays(*fields)
+    g_beta = 1.0 / _principal_sqrt(_s_invariant(z, t, q0, beta, mom, phi_p))
+    s0 = _s_invariant(z, t, q0, 0.0, mom, phi_p)
+    g = (1.0 - z * z) * q0 / (s0 * _principal_sqrt(s0))
+    return GenFuncValues(_complex_or_array(g_beta, *fields), _complex_or_array(g, *fields))

@@ -98,9 +98,8 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     q0 = qn.q0
     p, phi_p = _point_arrays(mp.p, mp.phi_p)
     q = q_of_p(p, q0)
-    ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
     amp = (
-        math.sqrt(ratio / (2.0 * math.pi))
+        math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
         * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
         * assoc_legendre(qn.n, am, q)
     )

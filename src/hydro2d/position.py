@@ -33,6 +33,7 @@ scalars or arrays that broadcast together.  Scalar fields give a Python
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,15 @@ class QuantumNumbers:
         """Spectral scale of the level, q0 = 1/(n + 1/2); E_n = -q0^2."""
         return 1.0 / (self.n + 0.5)
 
+    @property
+    def factorial_ratio(self) -> float:
+        """(n-|m|)!/(n+|m|)!; ValueError where that is below a normal double (n = |m| >= 86)."""
+        ratio = math.factorial(self.n - abs(self.m)) / math.factorial(self.n + abs(self.m))
+        if ratio < sys.float_info.min:
+            raise ValueError(f"(n-|m|)!/(n+|m|)! at (n, m) = ({self.n}, {self.m}) is below "
+                             f"the smallest normal double {sys.float_info.min:.4g}")
+        return ratio
+
 
 @dataclass(frozen=True)
 class BoundState:
@@ -101,10 +111,7 @@ def make_bound_state(qn: QuantumNumbers) -> BoundState:
 
 def normalization(qn: QuantumNumbers) -> float:
     """N_{n,m} at the physical q0 of the level."""
-    am = abs(qn.m)
-    q0 = qn.q0
-    ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
-    return math.sqrt(q0**3 * ratio / math.pi)
+    return math.sqrt(qn.q0**3 * qn.factorial_ratio / math.pi)
 
 
 def radial_wavefunction(qn: QuantumNumbers, rho):
@@ -119,14 +126,15 @@ def radial_wavefunction(qn: QuantumNumbers, rho):
 
 
 def _point_arrays(*fields):
-    """The fields of a point as float arrays of at least one dimension.
+    """The fields of a point as float (complex if complex) arrays of at least one dimension.
 
     Scalar points then run through the same numpy array loops as array
     points.  numpy's scalar ``**`` rounds differently from its array loop,
     so 0-d arithmetic would make a scalar call differ in the last bits from
     the same point inside an array call.
     """
-    return [np.atleast_1d(np.asarray(f, dtype=float)) for f in fields]
+    return [np.atleast_1d(np.asarray(f, dtype=complex if np.iscomplexobj(f) else float))
+            for f in fields]
 
 
 def _complex_or_array(value, *fields):

@@ -83,14 +83,14 @@ def _worst(pairs: Iterable[Tuple[ArrayLike, ArrayLike]]) -> Tuple[float, float]:
 
 def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> VerificationReport:
     """Gegenbauer values vs Taylor coefficients of (1-2qz+z^2)^(-lam)."""
+    qs = np.linspace(-1.0, 1.0, 21)
+
     def pairs():
         for lam in (0.5, 1.5, 2.5, 3.5):
-            for q in np.linspace(-1.0, 1.0, 21):
-                coeffs = genfunc.series_coefficients_1d(
-                    lambda z, q=float(q), lam=lam: genfunc.gegenbauer_gf(z, q, lam),
-                    n_max + 1)
-                ref = np.array([gegenbauer(k, lam, float(q)) for k in range(n_max + 1)])
-                yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
+            coeffs = genfunc.series_coefficients(
+                lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam), (n_max + 1,))
+            ref = np.array([gegenbauer(k, lam, qs) for k in range(n_max + 1)])
+            yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
     return VerificationReport.from_rel(
         "gegenbauer-gf-coefficients",
         f"k <= {n_max}, lam in {{1/2,3/2,5/2,7/2}}, q on 21-point grid of [-1,1]",
@@ -235,8 +235,8 @@ def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
     am = abs(qn.m)
     q0 = qn.q0
     maxp = 1.2 * float(np.max(np.abs(assoc_legendre(qn.n, am, np.linspace(-1, 1, 401)))))
-    ratio = math.factorial(qn.n - am) / math.factorial(qn.n + am)
-    bound = 2.0 * math.pi * (ratio / (2.0 * math.pi)) * (2.0 * q0) ** 3 * maxp * maxp / 4.0
+    bound = (2.0 * math.pi * (qn.factorial_ratio / (2.0 * math.pi))
+             * (2.0 * q0) ** 3 * maxp * maxp / 4.0)
     p_max = max(8.0 * q0, (bound / tail_tol) ** 0.25)
 
     bounds = [0.0, 0.5 * q0]
@@ -397,24 +397,18 @@ def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> Veri
 
 def check_beta_derivative(n_max: Optional[int] = None, tol: float = 1e-6) -> VerificationReport:
     """Finite-difference -dG/dbeta vs the analytic reduced generating function."""
-    sets = [
-        (0.3 + 0.0j, 0.2 + 0.0j, 1.5, 2.0, 0.4),
-        (0.25 + 0.2j, -0.3 + 0.1j, 1.2, 3.0, 1.8),
-        (-0.4 + 0.0j, 0.5 + 0.0j, 2.0, 1.5, 0.0),
-        (0.1 + 0.3j, 0.4 - 0.2j, 1.8, 2.5, 4.0),
-    ]
+    z = np.array([0.3, 0.25 + 0.2j, -0.4, 0.1 + 0.3j])
+    t = np.array([0.2, -0.3 + 0.1j, 0.5, 0.4 - 0.2j])
+    q0 = np.array([1.5, 1.2, 2.0, 1.8])
+    mp = MomentumPoint(np.array([2.0, 3.0, 1.5, 2.5]), np.array([0.4, 1.8, 0.0, 4.0]))
     h = 5e-7
-
-    def pair(z, t, q0, p, phi):
-        mp = MomentumPoint(p, phi)
-        g0 = gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp)
-        g2 = gen_func_momentum(GenFuncParams(z, t, q0, 2.0 * h), mp)
-        fd = (g0.g_beta - g2.g_beta) / (2.0 * h)
-        return abs(fd - g0.g), abs(g0.g)
+    g0 = gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp)
+    g2 = gen_func_momentum(GenFuncParams(z, t, q0, 2.0 * h), mp)
+    fd = (g0.g_beta - g2.g_beta) / (2.0 * h)
     return VerificationReport.from_rel(
         "genfunc-beta-derivative",
         "central difference across beta in [0, 1e-6], 4 parameter sets",
-        *_worst(pair(*s) for s in sets), tol,
+        *_worst([(np.abs(fd - g0.g), np.abs(g0.g))]), tol,
         notes="reduced form (1-z^2) q0 S^(-3/2) vs numerical -dG/dbeta")
 
 
@@ -433,9 +427,8 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     cap = min(n_max, 8)
     q0 = 1.0
     mp = MomentumPoint(0.7, 0.3)
-    coeffs = genfunc.series_coefficients_2d(
-        lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g,
-        cap + 1, cap + 1)
+    coeffs = genfunc.series_coefficients(
+        lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
     q = q_of_p(mp.p, q0)
     denom = (mp.p**2 + q0**2)
     refs = np.zeros_like(coeffs)
@@ -521,13 +514,16 @@ def check_new_legendre_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> Ver
 
 def _reindexing_coefficients(cap: int) -> Iterator[Tuple[int, float, np.ndarray]]:
     """(m, q, c_0..c_cap): Taylor coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2)."""
+    qs = np.array([0.3, -0.45, 0.8])
     for m in range(5):
-        for q in (0.3, -0.45, 0.8):
-            # radius 0.8 keeps the 1/r^n amplification of the circle samples'
-            # rounding below 1e-10 out to n = 30 (r = 0.5 would amplify 2^30)
-            yield m, q, genfunc.series_coefficients_1d(
-                lambda z, q=q, m=m: (1.0 - z * z) * z**m * genfunc.gegenbauer_gf(z, q, m + 1.5),
-                cap + 1, radius=0.8, nodes=256)
+        # radius 0.8 keeps the 1/r^n amplification of the circle samples'
+        # rounding below 1e-10 out to n = 30 (r = 0.5 would amplify 2^30)
+        coeffs = genfunc.series_coefficients(
+            lambda z: ((1.0 - z * z) * z**m)[:, None]
+            * genfunc.gegenbauer_gf(z[:, None], qs, m + 1.5),
+            (cap + 1,), radius=0.8, nodes=256)
+        for q, column in zip(qs.tolist(), coeffs.T):
+            yield m, q, column
 
 
 def check_reindexing_identity(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:

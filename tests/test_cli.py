@@ -107,6 +107,8 @@ def test_table_mesh_outer_product(capsys):
     ["table", "--n", "1", "--m", "0", "--grid", "junk"],
     ["table", "--n", "1", "--m", "0", "--grid", "-1:5:6"],    # negative radius
     ["table", "--n", "1", "--m", "0", "--grid", "0:5:6", "--mesh", "1"],
+    ["table", "--n", "92", "--m", "92", "--grid", "0:1:3"],  # normalization underflows
+    ["table", "--space", "momentum", "--n", "92", "--m", "92", "--grid", "0:1:3"],
 ])
 def test_table_usage_errors(bad):
     with pytest.raises(SystemExit) as exc:

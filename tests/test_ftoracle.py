@@ -97,6 +97,15 @@ def test_hankel_large_order(n, m, p):
     assert abs(val - psi_momentum(qn, mp)) <= 1e-12  # measured 1.2e-14
 
 
+@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+@pytest.mark.parametrize("order, nodes", [(95, 512), (85, 1024)])
+def test_gauss_laguerre_order_limit(oracle, order, nodes):
+    # x_max^(|m|+1) passes the float maximum from |m| = 93 at 512 nodes and
+    # from |m| = 85 at 1024 nodes; the oracle names the limit instead.
+    with pytest.raises(ValueError, match="overflows"):
+        oracle(QuantumNumbers(order, order), MomentumPoint(0.01, 0.0), nodes=nodes)
+
+
 def test_oracle_report_single_point():
     # The ground state over the acceptance grid, through the shared sweep.
     rep = check_oracle_agreement(n_max=0)

@@ -5,7 +5,6 @@ series carries a tail bound that the measured difference must respect.
 That double bookkeeping is the point: neither side is trusted alone.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -22,8 +21,7 @@ from hydro2d.genfunc import (
     laguerre_gf_series,
     new_legendre_gf,
     new_legendre_gf_series,
-    series_coefficients_1d,
-    series_coefficients_2d,
+    series_coefficients,
     shifted_laguerre_gf,
     shifted_laguerre_gf_series,
 )
@@ -125,27 +123,27 @@ def test_unit_disk_enforced(bad_z):
 
 
 def test_cauchy_coefficients_of_exp():
-    coeffs = series_coefficients_1d(cmath.exp, 12)
+    coeffs = series_coefficients(np.exp, (12,))
     want = np.array([1.0 / math.factorial(k) for k in range(12)])
     assert np.max(np.abs(coeffs - want)) <= 1e-12  # measured 2.9e-14
 
 
 def test_cauchy_coefficients_recover_gegenbauer():
-    coeffs = series_coefficients_1d(lambda z: gegenbauer_gf(z, 0.3, 1.5), 11)
+    coeffs = series_coefficients(lambda z: gegenbauer_gf(z, 0.3, 1.5), (11,))
     worst = max(abs(coeffs[k] - gegenbauer(k, 1.5, 0.3)) for k in range(11))
-    assert worst <= 1e-12  # measured 8.4e-15
+    assert worst <= 1e-12  # measured 1.8e-14
 
 
 def test_cauchy_coefficients_2d():
-    coeffs = series_coefficients_2d(lambda z, t: cmath.exp(z) / (1.0 - t), 6, 6)
+    coeffs = series_coefficients(lambda z, t: np.exp(z) / (1.0 - t), (6, 6))
     want = np.array([[1.0 / math.factorial(n)] * 6 for n in range(6)])
     assert np.max(np.abs(coeffs - want)) <= 1e-12  # measured 2.0e-15
 
 
 def test_cauchy_argument_validation():
     with pytest.raises(ValueError):
-        series_coefficients_1d(cmath.exp, 0)
+        series_coefficients(np.exp, (0,))
     with pytest.raises(ValueError):
-        series_coefficients_1d(cmath.exp, 200, nodes=128)
+        series_coefficients(np.exp, (200,), nodes=128)
     with pytest.raises(ValueError):
-        series_coefficients_2d(lambda z, t: 1.0, 70, 4, nodes_z=64)
+        series_coefficients(lambda z, t: 1.0, (70, 4), nodes=64)

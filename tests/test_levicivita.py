@@ -14,7 +14,6 @@ import pytest
 
 from hydro2d.levicivita import (
     GenFuncParams,
-    QuadraticFormMatrix,
     UPoint,
     det_x,
     gen_func_momentum,
@@ -85,12 +84,6 @@ def test_params_validation():
         GenFuncParams(z=0.0, t=0.0, q0=1.0, beta=-0.5)
 
 
-def test_matrix_symmetry_enforced():
-    QuadraticFormMatrix(a11=1.0, a12=2.0, a21=2.0, a22=3.0)
-    with pytest.raises(ValueError):
-        QuadraticFormMatrix(a11=1.0, a12=2.0, a21=2.5, a22=3.0)
-
-
 def test_matrix_entries_at_origin_parameters():
     # z = t = beta = 0 gives A = q0, B = 0, so the matrix is
     # [[q0 + i px, i py], [i py, q0 - i px]].
@@ -100,7 +93,6 @@ def test_matrix_entries_at_origin_parameters():
     assert m.a11 == 1.5 + 2.0j
     assert m.a22 == 1.5 - 2.0j
     assert m.a12 == 0.0
-    assert m.trace() == 3.0 + 0.0j
 
 
 def test_det_at_origin_parameters():

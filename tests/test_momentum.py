@@ -123,3 +123,10 @@ def test_gegenbauer_route_uses_signed_phase_too():
     assert cmath.isclose(
         psi_momentum_gegenbauer(qn, MomentumPoint(1.1, -0.6)),
         psi_momentum_gegenbauer(QuantumNumbers(3, 2), mp), rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("psi", [psi_momentum, psi_momentum_gegenbauer])
+def test_underflowing_normalization_raises(psi):
+    # (n-|m|)!/(n+|m|)! = 1/184! at (92, 92) is not a double; no silent 0j.
+    with pytest.raises(ValueError, match="smallest normal double"):
+        psi(QuantumNumbers(92, 92), MomentumPoint(1.0, 0.0))

@@ -213,7 +213,7 @@ def test_determinism_bitwise():
 # property tests
 # ---------------------------------------------------------------------------
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.integers(min_value=1, max_value=8),
        st.floats(min_value=0.5, max_value=50.0, allow_nan=False))
 def test_bessel_three_term_recurrence(m, x):
@@ -222,7 +222,7 @@ def test_bessel_three_term_recurrence(m, x):
     assert lhs == pytest.approx(rhs, abs=5e-12)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.integers(min_value=1, max_value=15),
        st.floats(min_value=0.0, max_value=20.0, allow_nan=False),
        st.sampled_from([0.0, 1.0, 2.0, 4.0]))
@@ -233,7 +233,7 @@ def test_laguerre_three_term_recurrence(k, x, alpha):
     assert abs(lhs - rhs) / scale <= 1e-13
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(st.integers(min_value=0, max_value=15),
        st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
        st.sampled_from([0.5, 1.5, 2.5]))
@@ -243,7 +243,7 @@ def test_gegenbauer_parity(k, q, lam):
     assert left == pytest.approx(right, abs=1e-12, rel=1e-12)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=10))
 def test_legendre_endpoint_values(n):
     assert legendre(n, 1.0) == pytest.approx(1.0, abs=1e-14)

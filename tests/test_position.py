@@ -53,6 +53,12 @@ def test_normalization_values():
         assert normalization(QuantumNumbers(n, m)) == normalization(QuantumNumbers(n, -m))
 
 
+def test_normalization_rejects_underflowing_factorial_ratio():
+    assert QuantumNumbers(85, 85).factorial_ratio > 0.0  # 1/170!, still a normal double
+    with pytest.raises(ValueError, match="smallest normal double"):
+        normalization(QuantumNumbers(92, 92))
+
+
 def test_normalization_matches_fixed_scale_form():
     # The Sturmian normalization at a fixed scale q0,
     # sqrt(2 q0^2 (n-|m|)! / (pi (2n+1) (n+|m|)!)), collapses to N_{n,m} at
