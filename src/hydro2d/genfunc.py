@@ -29,16 +29,17 @@ leave rounding (1.1e-14).
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import assoc_legendre, double_factorial, gegenbauer, laguerre
-from .position import PolarPoint, _complex_or_array, _point_arrays
+from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
+                    _point_arrays, _scalar_or_array, double_factorial)
+from .position import PolarPoint
 
 __all__ = [
     "SeriesTruncation",
@@ -76,6 +77,12 @@ def _reject_z(z: ArrayLike) -> None:
         raise ValueError("generating variable must satisfy |z| < 1")
 
 
+def _reject_t(t: ArrayLike) -> None:
+    t = np.asarray(t)
+    if not np.all((-1.0 < t) & (t < 1.0)):
+        raise ValueError("argument t must lie in (-1, 1)")
+
+
 def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> float:
     """Truncation-plus-rounding bound for a partial sum.
 
@@ -95,40 +102,50 @@ def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> floa
     return max(amp, 1.0) * r ** (n_max + 1) / (1.0 - r) + rounding
 
 
-def _partial_sum(z: complex, n_lo: int, n_max: int, coeff: Callable[[int], float]
+def _partial_sum(z: complex, n_lo: int, n_max: int, degrees: Iterable[ArrayLike]
                  ) -> tuple[complex, SeriesTruncation]:
-    """sum_{k=n_lo}^{n_max} z^k coeff(k), with its truncation-plus-rounding bound."""
+    """sum_{k=n_lo}^{n_max} z^k (pieces of degree k), with its truncation-plus-rounding bound.
+
+    ``degrees`` yields the pieces of degree n_lo, n_lo + 1, ..., one number
+    or an array of them per degree: the term is z^k times their total, and
+    the rounding estimate sums |z^k piece| over every piece.
+    """
     total = 0.0 + 0.0j
     az = abs(z)
     abs_sum = 0.0
     scales = []
-    for k in range(n_lo, n_max + 1):
-        term = z**k * coeff(k)
+    for k, pieces in zip(range(n_lo, n_max + 1), degrees):
+        zk = z**k
+        pieces = np.asarray(pieces)
+        term = zk * pieces.sum().item()
         total += term
-        abs_sum += abs(term)
+        abs_sum += float(np.abs(zk * pieces).sum())
         if az > 0.0 and k > n_max - 5:
             scales.append(abs(term) / az**k)
     return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
 
 
-def laguerre_gf(z: complex, r: float, v: float) -> complex:
-    """Closed form of the generalized Laguerre generating function."""
+def laguerre_gf(z: ArrayLike, r: float, v: ArrayLike):
+    """Closed form of the generalized Laguerre generating function; z and v broadcast."""
     _reject_z(z)
-    return (1.0 - z) ** (-(r + 1.0)) * cmath.exp(-z * v / (1.0 - z))
+    zs, vs = _point_arrays(z, v)
+    value = (1.0 - zs) ** (-(r + 1.0)) * np.exp(-zs * vs / (1.0 - zs))
+    return _scalar_or_array(value.astype(complex), z, v)
 
 
 def laguerre_gf_series(z: complex, r: float, v: float, n_max: int = 80
                        ) -> tuple[complex, SeriesTruncation]:
     _reject_z(z)
-    return _partial_sum(z, 0, n_max, lambda k: laguerre(k, r, v))
+    return _partial_sum(z, 0, n_max, _laguerre_ladder(r, _point_arrays(float(v))[0]))
 
 
-def shifted_laguerre_gf(z: complex, m: int, v: float) -> complex:
+def shifted_laguerre_gf(z: ArrayLike, m: int, v: ArrayLike):
     """Closed form of sum_{n>=m} z^n L_{n-m}^(2m)(v), the index-shifted series."""
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
-    return z**m * laguerre_gf(z, 2 * m, v)
+    zs, vs = _point_arrays(z, v)
+    return _scalar_or_array(zs**m * laguerre_gf(zs, 2 * m, vs), z, v)
 
 
 def shifted_laguerre_gf_series(z: complex, m: int, v: float, n_max: int = 80
@@ -136,10 +153,22 @@ def shifted_laguerre_gf_series(z: complex, m: int, v: float, n_max: int = 80
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
-    return _partial_sum(z, m, n_max, lambda n: laguerre(n - m, 2 * m, v))
+    return _partial_sum(z, m, n_max, _laguerre_ladder(2 * m, _point_arrays(float(v))[0]))
 
 
-def coordinate_basis_term(n: int, m: int, q0: float, pt: PolarPoint) -> complex:
+def _coordinate_ladder(m: int, q0: float, rho: np.ndarray, phi: np.ndarray
+                       ) -> Iterator[np.ndarray]:
+    """The bare basis terms (m, m), (m + 1, m), ...: v^m e^(-v/2) L_j^(2m)(v) e^(i m phi)."""
+    if q0 <= 0.0:
+        raise ValueError("scale q0 must be > 0")
+    v = 2.0 * q0 * rho
+    head = v**m * np.exp(-0.5 * v)
+    phase = np.exp(1j * m * phi)
+    for lag in _laguerre_ladder(2 * m, v):
+        yield head * lag * phase
+
+
+def coordinate_basis_term(n: int, m: int, q0: float, pt: PolarPoint):
     """Bare scaled basis function v^m e^(-v/2) L_{n-m}^(2m)(v) e^(i m phi).
 
     v = 2 q0 rho with the caller's fixed q0; no normalization constant.
@@ -148,14 +177,11 @@ def coordinate_basis_term(n: int, m: int, q0: float, pt: PolarPoint) -> complex:
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    if q0 <= 0.0:
-        raise ValueError("scale q0 must be > 0")
-    v = 2.0 * q0 * pt.rho
-    real_part = v**m * math.exp(-0.5 * v) * laguerre(n - m, 2 * m, v)
-    return real_part * cmath.exp(1j * m * pt.phi)
+    rho, phi = _point_arrays(pt.rho, pt.phi, real=True)
+    return _scalar_or_array(_degree(_coordinate_ladder(m, q0, rho, phi), n - m), pt.rho, pt.phi)
 
 
-def coordinate_gf(z: complex, t: complex, q0: float, pt: PolarPoint) -> complex:
+def coordinate_gf(z: ArrayLike, t: ArrayLike, q0: float, pt: PolarPoint):
     """Position-space generating function of the bare scaled basis.
 
     Equals sum over n >= 0, 0 <= m <= n of z^n (t^m / m!) times
@@ -164,40 +190,33 @@ def coordinate_gf(z: complex, t: complex, q0: float, pt: PolarPoint) -> complex:
         (1/(1-z)) exp(-q0 rho) exp(-2 z q0 rho/(1-z) + 2 t z q0 rho e^(i phi)/(1-z)^2).
 
     The e^(i phi) branch pairs with the m >= 0 ladder; negative m follows by
-    conjugating the result.
+    conjugating the result.  z, t and the fields of pt broadcast together.
     """
     _reject_z(z)
     if q0 <= 0.0:
         raise ValueError("scale q0 must be > 0")
+    fields = (z, t, pt.rho, pt.phi)
+    z, t, rho, phi = _point_arrays(*fields)
     one_minus = 1.0 - z
-    w = pt.rho * cmath.exp(1j * pt.phi)
-    expo = (-q0 * pt.rho
-            - 2.0 * z * q0 * pt.rho / one_minus
+    w = rho * np.exp(1j * phi)
+    expo = (-q0 * rho
+            - 2.0 * z * q0 * rho / one_minus
             + 2.0 * t * z * q0 * w / (one_minus * one_minus))
-    return cmath.exp(expo) / one_minus
+    return _scalar_or_array(np.exp(expo) / one_minus, *fields)
 
 
 def coordinate_gf_series(z: complex, t: complex, q0: float, pt: PolarPoint,
                          n_max: int = 40) -> tuple[complex, SeriesTruncation]:
-    # Not a _partial_sum: the rounding estimate sums |piece| over every m of
-    # a degree, not |term| of the collapsed degree.
     _reject_z(z)
-    total = 0.0 + 0.0j
-    az = abs(z)
-    abs_sum = 0.0
-    scales = []
-    for n in range(n_max + 1):
-        inner = 0.0
-        term = 0.0 + 0.0j
-        for m in range(n + 1):
-            piece = t**m / math.factorial(m) * coordinate_basis_term(n, m, q0, pt)
-            term += z**n * piece
-            inner += abs(z) ** n * abs(piece)
-        total += term
-        abs_sum += inner
-        if az > 0.0 and n > n_max - 5:
-            scales.append(abs(term) / az**n)
-    return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
+    rho, phi = _point_arrays(float(pt.rho), float(pt.phi))
+
+    def degrees():
+        # Degree n adds the ladder of m = n; every ladder steps once per degree.
+        ladders = []
+        for n in itertools.count():
+            ladders.append(_coordinate_ladder(n, q0, rho, phi))
+            yield [t**m / math.factorial(m) * next(lad) for m, lad in enumerate(ladders)]
+    return _partial_sum(z, 0, n_max, degrees())
 
 
 def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
@@ -205,17 +224,17 @@ def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
     _reject_z(z)
     zs, qs = _point_arrays(z, q)
     value = np.emath.power(1.0 - 2.0 * qs * zs + zs * zs, -alpha)
-    return _complex_or_array(value.astype(complex), z, q)
+    return _scalar_or_array(value.astype(complex), z, q)
 
 
 def gegenbauer_gf_series(z: complex, q: float, alpha: float, n_max: int = 80
                          ) -> tuple[complex, SeriesTruncation]:
     _reject_z(z)
-    return _partial_sum(z, 0, n_max, lambda k: gegenbauer(k, alpha, q))
+    return _partial_sum(z, 0, n_max, _gegenbauer_ladder(alpha, _point_arrays(float(q))[0]))
 
 
-def new_legendre_gf(z: complex, t: float, m: int) -> complex:
-    """Closed form (1-t^2)^(m/2) (1-z^2) z^m / (1 - 2zt + z^2)^(m+3/2).
+def new_legendre_gf(z: ArrayLike, t: ArrayLike, m: int):
+    """Closed form (1-t^2)^(m/2) (1-z^2) z^m / (1 - 2zt + z^2)^(m+3/2); z and t broadcast.
 
     Generates (2n+1)/(2m+1)!! times the associated Legendre functions, see
     ``new_legendre_gf_series``.
@@ -223,10 +242,11 @@ def new_legendre_gf(z: complex, t: float, m: int) -> complex:
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
-    if not -1.0 < t < 1.0:
-        raise ValueError("argument t must lie in (-1, 1)")
-    return ((1.0 - t * t) ** (0.5 * m) * (1.0 - z * z) * z**m
-            / (1.0 - 2.0 * z * t + z * z) ** (m + 1.5))
+    _reject_t(t)
+    zs, ts = _point_arrays(z, t)
+    value = ((1.0 - ts * ts) ** (0.5 * m) * (1.0 - zs * zs) * zs**m
+             / (1.0 - 2.0 * zs * ts + zs * zs) ** (m + 1.5))
+    return _scalar_or_array(value.astype(complex), z, t)
 
 
 def new_legendre_gf_series(z: complex, t: float, m: int, n_max: int = 80
@@ -234,10 +254,11 @@ def new_legendre_gf_series(z: complex, t: float, m: int, n_max: int = 80
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
-    if not -1.0 < t < 1.0:
-        raise ValueError("argument t must lie in (-1, 1)")
+    _reject_t(t)
     dfact = double_factorial(2 * m + 1)
-    return _partial_sum(z, m, n_max, lambda n: (2 * n + 1) / dfact * assoc_legendre(n, m, t))
+    ladder = _assoc_legendre_ladder(m, _point_arrays(float(t))[0])
+    return _partial_sum(z, m, n_max, ((2 * n + 1) / dfact * p
+                                      for n, p in zip(itertools.count(m), ladder)))
 
 
 def series_coefficients(fn: Callable[..., ArrayLike], counts: Sequence[int],

@@ -1,4 +1,4 @@
-"""Conformal squaring map and the Gaussian reduction of the momentum transform.
+"""The Levi-Civita squaring map and the Gaussian reduction of the momentum transform.
 
 The map (u1, u2) -> (x, y) = (u1^2 - u2^2, 2 u1 u2) is the real form of
 w -> w^2 on the complex plane.  It squares distances, rho = u1^2 + u2^2,
@@ -9,8 +9,8 @@ pulling an integral back through the double covering gives
     integral f(x, y) dx dy  =  2 integral f(x(u), y(u)) (u1^2 + u2^2) d^2 u
 
 with the factor 2 (not 4) because the full u-plane on the right counts every
-(x, y) twice.  ``lc_measure_factor`` returns this constant and the
-verification suite measures it independently by quadrature.
+(x, y) twice.  The verification suite measures this constant by quadrature
+rather than assuming it.
 
 The payoff is that exp(-i p.r - a rho + b(x + iy)) becomes a Gaussian in u:
 with A = (1+z) q0/(1-z) + beta and B = 2 t z q0/(1-z)^2 the exponent is
@@ -38,7 +38,6 @@ assuming one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,28 +45,16 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .momentum import MomentumPoint
-from .position import _complex_or_array, _point_arrays
+from .polys import _point_arrays, _scalar_or_array
 
 __all__ = [
-    "UPoint",
     "GenFuncParams",
     "QuadraticFormMatrix",
     "GenFuncValues",
-    "lc_map",
-    "lc_jacobian",
-    "lc_measure_factor",
     "quadratic_form_matrix",
     "det_x",
     "gen_func_momentum",
 ]
-
-
-@dataclass(frozen=True)
-class UPoint:
-    """Point in the covering plane.  No constraints, the whole plane is used."""
-
-    u1: float
-    u2: float
 
 
 @dataclass(frozen=True)
@@ -104,60 +91,35 @@ class QuadraticFormMatrix:
     is positive definite, which is what makes the Gaussian integral converge.
     """
 
-    a11: complex
-    a12: complex
-    a22: complex
+    a11: ArrayLike
+    a12: ArrayLike
+    a22: ArrayLike
 
-    def det(self) -> complex:
+    def det(self) -> ArrayLike:
         return self.a11 * self.a22 - self.a12 * self.a12
 
 
 class GenFuncValues(NamedTuple):
-    g_beta: complex
-    g: complex
-
-
-def lc_map(u: UPoint) -> tuple[float, float, float]:
-    """Map a covering-plane point to (x, y, rho) with rho = sqrt(x^2 + y^2)."""
-    x = u.u1 * u.u1 - u.u2 * u.u2
-    y = 2.0 * u.u1 * u.u2
-    return x, y, u.u1 * u.u1 + u.u2 * u.u2
-
-
-def lc_jacobian(u: UPoint) -> float:
-    """Absolute Jacobian determinant of ``lc_map``, 4(u1^2 + u2^2)."""
-    return 4.0 * (u.u1 * u.u1 + u.u2 * u.u2)
-
-
-def lc_measure_factor() -> float:
-    """Constant c in  integral f d^2r = c * integral f(u) u^2 d^2u.
-
-    The Jacobian contributes 4 u^2 but the full u-plane covers the target
-    plane twice (u and -u are the same point downstream), so c = 4/2 = 2.
-    """
-    return 2.0
-
-
-def _ab(gp: GenFuncParams) -> tuple[complex, complex]:
-    one_minus = 1.0 - gp.z
-    a = (1.0 + gp.z) * gp.q0 / one_minus + gp.beta
-    b = 2.0 * gp.t * gp.z * gp.q0 / (one_minus * one_minus)
-    return a, b
+    g_beta: ArrayLike
+    g: ArrayLike
 
 
 def quadratic_form_matrix(gp: GenFuncParams, p: MomentumPoint) -> QuadraticFormMatrix:
     """Matrix X of the exponent -(a11 u1^2 + 2 a12 u1 u2 + a22 u2^2).
 
     Assembled from -i p.r - A rho + B (x + iy) pulled back through the
-    squaring map, with A and B as in the module docstring.
+    squaring map, with A and B as in the module docstring.  Each entry is a
+    complex, or an array of the fields' broadcast shape.
     """
-    a, b = _ab(gp)
-    px = p.p * math.cos(p.phi_p)
-    py = p.p * math.sin(p.phi_p)
-    a11 = a - b + 1j * px
-    a22 = a + b - 1j * px
-    a12 = 1j * py - 1j * b
-    return QuadraticFormMatrix(a11=a11, a12=a12, a22=a22)
+    fields = (gp.z, gp.t, gp.q0, gp.beta, p.p, p.phi_p)
+    z, t, q0, beta, mom, phi_p = _point_arrays(*fields)
+    one_minus = 1.0 - z
+    a = (1.0 + z) * q0 / one_minus + beta
+    b = 2.0 * t * z * q0 / (one_minus * one_minus)
+    px = mom * np.cos(phi_p)
+    py = mom * np.sin(phi_p)
+    return QuadraticFormMatrix(*(_scalar_or_array(entry, *fields) for entry in
+                                 (a - b + 1j * px, 1j * py - 1j * b, a + b - 1j * px)))
 
 
 def _s_invariant(z, t, q0, beta, p, phi_p) -> np.ndarray:
@@ -172,7 +134,7 @@ def det_x(gp: GenFuncParams, p: MomentumPoint):
     fields = (gp.z, gp.t, gp.q0, gp.beta, p.p, p.phi_p)
     z, t, q0, beta, mom, phi_p = _point_arrays(*fields)
     one_minus = 1.0 - z
-    return _complex_or_array(_s_invariant(z, t, q0, beta, mom, phi_p) / (one_minus * one_minus),
+    return _scalar_or_array(_s_invariant(z, t, q0, beta, mom, phi_p) / (one_minus * one_minus),
                              *fields)
 
 
@@ -197,4 +159,4 @@ def gen_func_momentum(gp: GenFuncParams, p: MomentumPoint) -> GenFuncValues:
     g_beta = 1.0 / _principal_sqrt(_s_invariant(z, t, q0, beta, mom, phi_p))
     s0 = _s_invariant(z, t, q0, 0.0, mom, phi_p)
     g = (1.0 - z * z) * q0 / (s0 * _principal_sqrt(s0))
-    return GenFuncValues(_complex_or_array(g_beta, *fields), _complex_or_array(g, *fields))
+    return GenFuncValues(_scalar_or_array(g_beta, *fields), _scalar_or_array(g, *fields))

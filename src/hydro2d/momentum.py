@@ -43,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import NEG_I_POW, assoc_legendre, gegenbauer, pochhammer
-from .position import QuantumNumbers, _complex_or_array, _point_arrays, normalization
+from .polys import (NEG_I_POW, _point_arrays, _scalar_or_array, assoc_legendre, gegenbauer,
+                    pochhammer)
+from .position import QuantumNumbers, normalization
 
 __all__ = [
     "MomentumPoint",
@@ -68,12 +69,12 @@ class MomentumPoint:
 
 def q_of_p(p: ArrayLike, q0: float):
     """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p."""
-    p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0):
+    ps, = _point_arrays(p, real=True)
+    if np.any(ps < 0.0):
         raise ValueError("q_of_p needs p >= 0")
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
-    return (p * p - q0 * q0) / (p * p + q0 * q0)
+    return _scalar_or_array((ps * ps - q0 * q0) / (ps * ps + q0 * q0), p)
 
 
 def _phase(m: int, phi_p: ArrayLike):
@@ -96,21 +97,21 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     """
     am = abs(qn.m)
     q0 = qn.q0
-    p, phi_p = _point_arrays(mp.p, mp.phi_p)
+    p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
     q = q_of_p(p, q0)
     amp = (
         math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
         * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
         * assoc_legendre(qn.n, am, q)
     )
-    return _complex_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)
+    return _scalar_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)
 
 
 def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the Gegenbauer form; equals ``psi_momentum``."""
     am = abs(qn.m)
     q0 = qn.q0
-    p, phi_p = _point_arrays(mp.p, mp.phi_p)
+    p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
     q = q_of_p(p, q0)
     amp = (
         normalization(qn)
@@ -122,4 +123,4 @@ def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
         * p**am
         / (p * p + q0 * q0) ** (am + 1.5)
     )
-    return _complex_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)
+    return _scalar_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)

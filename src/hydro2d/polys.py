@@ -23,12 +23,19 @@ Conventions
   axis.  Past order 160 the recurrence would overflow just above the series
   range, so larger orders raise ``ValueError``.
 
-All functions are pure and accept numpy arrays in the evaluation-point slot.
+All functions are pure and array-first: the evaluation point may be a real
+scalar or array.  A scalar runs through the same array loops as an array
+(``_point_arrays``) and comes back as a Python float (``_scalar_or_array``);
+the rest of the package uses the same pair for its points and fields.  Each
+recurrence is a private ladder that yields every degree in turn, so the
+generating-function series take all their coefficients from one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -49,13 +56,22 @@ __all__ = [
 NEG_I_POW = (1 + 0j, 0 - 1j, -1 + 0j, 0 + 1j)
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
+def _point_arrays(*fields, real: bool = False):
+    """The fields as float arrays of at least one dimension, complex ones complex unless ``real``.
+
+    Scalars then run through the same numpy array loops as arrays: numpy's
+    0-d ``**`` rounds differently from its array loop, so 0-d arithmetic
+    would make a scalar call differ in the last bits from an array call.
+    """
+    return [np.atleast_1d(np.asarray(f, dtype=complex if np.iscomplexobj(f) and not real
+                                     else float)) for f in fields]
 
 
-def _scalar_or_array(arr, scalar: bool):
-    return float(arr) if scalar else arr
+def _scalar_or_array(value: np.ndarray, *fields):
+    """A Python float or complex (after value's dtype) when every field is a scalar, else value."""
+    if all(np.ndim(f) == 0 for f in fields):
+        return value[0].item()
+    return value
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -83,6 +99,20 @@ def double_factorial(k: int) -> int:
     return out
 
 
+def _degree(ladder: Iterator[np.ndarray], k: int) -> np.ndarray:
+    """Item k of a ladder: its recurrence run up to degree k."""
+    return next(itertools.islice(ladder, k, None))
+
+
+def _laguerre_ladder(alpha: float, xs: np.ndarray) -> Iterator[np.ndarray]:
+    """L_0^(alpha)(xs), L_1^(alpha)(xs), ...: one recurrence step per degree."""
+    p0, p1 = np.ones_like(xs), 1.0 + alpha - xs
+    yield p0
+    for i in itertools.count(1):
+        yield p1
+        p0, p1 = p1, ((2.0 * i + 1.0 + alpha - xs) * p1 - (i + alpha) * p0) / (i + 1.0)
+
+
 def laguerre(k: int, alpha: float, x):
     """Generalized Laguerre polynomial L_k^(alpha)(x).
 
@@ -92,14 +122,17 @@ def laguerre(k: int, alpha: float, x):
     """
     if k < 0:
         raise ValueError("laguerre degree k must be >= 0")
-    xs, scalar = _as_array(x)
-    p0 = np.ones_like(xs)
-    if k == 0:
-        return _scalar_or_array(p0, scalar)
-    p1 = 1.0 + alpha - xs
-    for i in range(1, k):
-        p0, p1 = p1, ((2.0 * i + 1.0 + alpha - xs) * p1 - (i + alpha) * p0) / (i + 1.0)
-    return _scalar_or_array(p1, scalar)
+    xs, = _point_arrays(x, real=True)
+    return _scalar_or_array(_degree(_laguerre_ladder(alpha, xs), k), x)
+
+
+def _gegenbauer_ladder(lam: float, qs: np.ndarray) -> Iterator[np.ndarray]:
+    """C_0^(lam)(qs), C_1^(lam)(qs), ...: one recurrence step per degree."""
+    c0, c1 = np.ones_like(qs), 2.0 * lam * qs
+    yield c0
+    for i in itertools.count(1):
+        yield c1
+        c0, c1 = c1, (2.0 * (i + lam) * qs * c1 - (i + 2.0 * lam - 1.0) * c0) / (i + 1.0)
 
 
 def gegenbauer(k: int, lam: float, q):
@@ -108,30 +141,35 @@ def gegenbauer(k: int, lam: float, q):
     Negative degree returns 0, which is the natural value in the
     difference identities this package verifies.
     """
-    qs, scalar = _as_array(q)
+    qs, = _point_arrays(q, real=True)
     if k < 0:
-        return _scalar_or_array(np.zeros_like(qs), scalar)
-    c0 = np.ones_like(qs)
-    if k == 0:
-        return _scalar_or_array(c0, scalar)
-    c1 = 2.0 * lam * qs
-    for i in range(1, k):
-        c0, c1 = c1, (2.0 * (i + lam) * qs * c1 - (i + 2.0 * lam - 1.0) * c0) / (i + 1.0)
-    return _scalar_or_array(c1, scalar)
+        return _scalar_or_array(np.zeros_like(qs), q)
+    return _scalar_or_array(_degree(_gegenbauer_ladder(lam, qs), k), q)
 
 
 def legendre(n: int, t):
     """Legendre polynomial P_n(t) by the Bonnet recurrence."""
     if n < 0:
         raise ValueError("legendre degree n must be >= 0")
-    ts, scalar = _as_array(t)
+    ts, = _point_arrays(t, real=True)
     p0 = np.ones_like(ts)
     if n == 0:
-        return _scalar_or_array(p0, scalar)
+        return _scalar_or_array(p0, t)
     p1 = ts.copy()
     for i in range(1, n):
         p0, p1 = p1, ((2.0 * i + 1.0) * ts * p1 - i * p0) / (i + 1.0)
-    return _scalar_or_array(p1, scalar)
+    return _scalar_or_array(p1, t)
+
+
+def _assoc_legendre_ladder(m: int, ts: np.ndarray) -> Iterator[np.ndarray]:
+    """P_m^m(ts), P_{m+1}^m(ts), ...: the diagonal seed, then one recurrence step per degree."""
+    s = (1.0 - ts) * (1.0 + ts)
+    pmm = float(double_factorial(2 * m - 1)) * s ** (0.5 * m)
+    pm1 = (2.0 * m + 1.0) * ts * pmm
+    yield pmm
+    for i in itertools.count(m + 1):
+        yield pm1
+        pmm, pm1 = pm1, ((2.0 * i + 1.0) * ts * pm1 - (i + m) * pmm) / (i - m + 1.0)
 
 
 def assoc_legendre(n: int, m: int, t):
@@ -144,17 +182,10 @@ def assoc_legendre(n: int, m: int, t):
     """
     if n < 0 or m < 0 or m > n:
         raise ValueError("assoc_legendre needs 0 <= m <= n")
-    ts, scalar = _as_array(t)
+    ts, = _point_arrays(t, real=True)
     if np.any(np.abs(ts) > 1.0):
         raise ValueError("assoc_legendre needs |t| <= 1")
-    s = (1.0 - ts) * (1.0 + ts)
-    pmm = float(double_factorial(2 * m - 1)) * s ** (0.5 * m)
-    if n == m:
-        return _scalar_or_array(pmm, scalar)
-    pm1 = (2.0 * m + 1.0) * ts * pmm
-    for i in range(m + 1, n):
-        pmm, pm1 = pm1, ((2.0 * i + 1.0) * ts * pm1 - (i + m) * pmm) / (i - m + 1.0)
-    return _scalar_or_array(pm1, scalar)
+    return _scalar_or_array(_degree(_assoc_legendre_ladder(m, ts), n - m), t)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +269,9 @@ def bessel_j(m: int, x):
     """
     if not 0 <= m <= _BESSEL_MAX_ORDER:
         raise ValueError(f"bessel_j order m must be in [0, {_BESSEL_MAX_ORDER}]")
-    xs, scalar = _as_array(x)
+    xs, = _point_arrays(x, real=True)
     if np.any(xs < 0.0):
         raise ValueError("bessel_j argument must be >= 0")
-    xs = np.atleast_1d(xs)
     out = np.empty_like(xs)
 
     series_cut = max(9.0, 1.8 * math.sqrt(m + 1.0))
@@ -257,7 +287,4 @@ def bessel_j(m: int, x):
     middle = (xs > series_cut) & (xs < asym_cut)
     if np.any(middle):
         out[middle] = _bessel_miller(m, xs[middle])
-
-    if scalar:
-        return float(out[0])
-    return out
+    return _scalar_or_array(out, x)

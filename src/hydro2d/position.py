@@ -27,7 +27,8 @@ physical form, and the test suite checks that the two agree.
 
 The wavefunctions are array-first: the fields of a ``PolarPoint`` may be
 scalars or arrays that broadcast together.  Scalar fields give a Python
-``complex``, array fields a complex ndarray of the broadcast shape.
+``complex`` (``radial_wavefunction`` and ``radial_ode_residual`` a
+``float``), array fields an ndarray of the broadcast shape.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import laguerre
+from .polys import _point_arrays, _scalar_or_array, laguerre
 from .quadrature import gauss_laguerre
 
 __all__ = [
@@ -117,31 +118,9 @@ def normalization(qn: QuantumNumbers) -> float:
 def radial_wavefunction(qn: QuantumNumbers, rho):
     """Radial factor R_{n,m}(rho) = N_{n,m} v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v)."""
     am = abs(qn.m)
-    q0 = qn.q0
-    v = 2.0 * q0 * np.asarray(rho, dtype=float)
+    v = 2.0 * qn.q0 * _point_arrays(rho, real=True)[0]
     value = normalization(qn) * v**am * np.exp(-0.5 * v) * laguerre(qn.n - am, 2 * am, v)
-    if np.ndim(rho) == 0:
-        return float(value)
-    return value
-
-
-def _point_arrays(*fields):
-    """The fields of a point as float (complex if complex) arrays of at least one dimension.
-
-    Scalar points then run through the same numpy array loops as array
-    points.  numpy's scalar ``**`` rounds differently from its array loop,
-    so 0-d arithmetic would make a scalar call differ in the last bits from
-    the same point inside an array call.
-    """
-    return [np.atleast_1d(np.asarray(f, dtype=complex if np.iscomplexobj(f) else float))
-            for f in fields]
-
-
-def _complex_or_array(value, *fields):
-    """A Python complex when every field is a scalar, else the complex ndarray."""
-    if all(np.ndim(f) == 0 for f in fields):
-        return complex(value[0])
-    return value
+    return _scalar_or_array(value, rho)
 
 
 def psi_position(qn: QuantumNumbers, pt: PolarPoint):
@@ -151,11 +130,11 @@ def psi_position(qn: QuantumNumbers, pt: PolarPoint):
     the sign of m applied to the imaginary part, so that
     psi(n, -m) == conjugate(psi(n, m)) holds exactly, not just to rounding.
     """
-    rho, phi = _point_arrays(pt.rho, pt.phi)
+    rho, phi = _point_arrays(pt.rho, pt.phi, real=True)
     amp = radial_wavefunction(qn, rho)
     angle = abs(qn.m) * phi
     sign = -1.0 if qn.m < 0 else 1.0
-    return _complex_or_array(amp * (np.cos(angle) + 1j * (sign * np.sin(angle))), pt.rho, pt.phi)
+    return _scalar_or_array(amp * (np.cos(angle) + 1j * (sign * np.sin(angle))), pt.rho, pt.phi)
 
 
 def radial_ode_residual(qn: QuantumNumbers, rho):
@@ -167,18 +146,18 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
 
     with step h = 1e-5 * max(rho, 1); an eigenfunction returns ~0.
     """
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0.0):
+    r, = _point_arrays(rho, real=True)
+    if np.any(r <= 0.0):
         raise ValueError("ODE residual needs rho > 0")
     q0 = qn.q0
     m = qn.m
-    h = 1e-5 * np.maximum(rho, 1.0)
-    r_minus = radial_wavefunction(qn, rho - h)
-    r_0 = radial_wavefunction(qn, rho)
-    r_plus = radial_wavefunction(qn, rho + h)
+    h = 1e-5 * np.maximum(r, 1.0)
+    r_minus = radial_wavefunction(qn, r - h)
+    r_0 = radial_wavefunction(qn, r)
+    r_plus = radial_wavefunction(qn, r + h)
     d2 = (r_plus - 2.0 * r_0 + r_minus) / (h * h)
     d1 = (r_plus - r_minus) / (2.0 * h)
-    return d2 + d1 / rho + (2.0 / rho - q0 * q0 - (m * m) / (rho * rho)) * r_0
+    return _scalar_or_array(d2 + d1 / r + (2.0 / r - q0 * q0 - (m * m) / (r * r)) * r_0, rho)
 
 
 def norm_squared(qn: QuantumNumbers, nodes: int = 128) -> float:

@@ -22,6 +22,7 @@ say so in the notes; the raw residual is still recorded as max_abs_err.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -32,7 +33,8 @@ from . import genfunc
 from .ftoracle import ft_direct_2d, ft_hankel
 from .levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from .momentum import MomentumPoint, _phase, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from .polys import assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre, legendre, pochhammer
+from .polys import (_gegenbauer_ladder, assoc_legendre, bessel_j, double_factorial, gegenbauer,
+                    laguerre, legendre, pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
 from .quadrature import gauss_laguerre, gauss_legendre, panel_nodes
@@ -294,69 +296,67 @@ def check_momentum_phase_structure(n_max: int = 6, tol: float = 0.0) -> Verifica
 # levicivita suite
 # ---------------------------------------------------------------------------
 
-def _draw_params(rng: np.random.Generator, z_cap: float, p_cap: float,
-                 q0_lo: float, q0_hi: float, beta_cap: float) -> Tuple[GenFuncParams, MomentumPoint]:
-    rz = z_cap * math.sqrt(rng.uniform())
-    az = rng.uniform(0.0, 2.0 * math.pi)
-    rt = math.sqrt(rng.uniform())
-    at = rng.uniform(0.0, 2.0 * math.pi)
-    gp = GenFuncParams(z=rz * cmath.exp(1j * az), t=rt * cmath.exp(1j * at),
-                       q0=rng.uniform(q0_lo, q0_hi), beta=rng.uniform(0.0, beta_cap))
-    mp = MomentumPoint(rng.uniform(0.0, p_cap), rng.uniform(0.0, 2.0 * math.pi))
-    return gp, mp
+def _accepted_draws(seed: int, count: int, limit: int,
+                    accept: Callable[[GenFuncParams, MomentumPoint], np.ndarray],
+                    z_cap: float, p_cap: float, q0_lo: float, q0_hi: float,
+                    beta_cap: float) -> Tuple[GenFuncParams, MomentumPoint]:
+    """The first ``count`` of ``limit`` seeded draws that ``accept`` keeps, as arrays.
+
+    A draw is eight uniforms, in this order: (|z| / z_cap)^2, arg z, |t|^2,
+    arg t, q0, beta, p, phi_p.  ``accept`` maps all draws to a boolean mask.
+    """
+    u = np.random.default_rng(seed).uniform(size=(limit, 8))
+    two_pi = 2.0 * math.pi
+    gp = GenFuncParams(z=z_cap * np.sqrt(u[:, 0]) * np.exp(1j * (two_pi * u[:, 1])),
+                       t=np.sqrt(u[:, 2]) * np.exp(1j * (two_pi * u[:, 3])),
+                       q0=q0_lo + (q0_hi - q0_lo) * u[:, 4], beta=beta_cap * u[:, 5])
+    mp = MomentumPoint(p_cap * u[:, 6], two_pi * u[:, 7])
+    keep = np.flatnonzero(accept(gp, mp))[:count]
+    if keep.size < count:
+        raise RuntimeError(f"draw filter accepted {keep.size} of {limit} draws, not {count}")
+    return (GenFuncParams(gp.z[keep], gp.t[keep], gp.q0[keep], gp.beta[keep]),
+            MomentumPoint(mp.p[keep], mp.phi_p[keep]))
 
 
 def check_det_identity(n_max: Optional[int] = None, tol: float = 1e-12) -> VerificationReport:
     """Closed-form determinant vs a11 a22 - a12^2 on random admissible draws."""
-    rng = np.random.default_rng(_SEED)
-    pairs = []
-    guard = 0
-    while len(pairs) < 100:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("draw filter failed to accept 100 parameter sets")
-        gp, mp = _draw_params(rng, 0.8, 10.0, 0.3, 2.5, 2.0)
-        closed = det_x(gp, mp)
-        scale = gp.q0**2 + mp.p**2 + abs(gp.beta) ** 2 + 1.0
-        if abs(closed) < 1e-3 * scale:
-            continue
-        pairs.append((abs(closed - quadratic_form_matrix(gp, mp).det()), abs(closed)))
+    def nondegenerate(gp, mp):
+        return np.abs(det_x(gp, mp)) >= 1e-3 * (gp.q0**2 + mp.p**2 + gp.beta**2 + 1.0)
+    gp, mp = _accepted_draws(_SEED, 100, 10000, nondegenerate, 0.8, 10.0, 0.3, 2.5, 2.0)
+    closed = det_x(gp, mp)
     return VerificationReport.from_rel(
         "quadratic-form-det-identity",
         "100 seeded draws, |z| <= 0.8, |t| <= 1, p <= 10, beta <= 2",
-        *_worst(pairs), tol, notes="dual routes kept separate")
+        *_worst([(np.abs(closed - quadratic_form_matrix(gp, mp).det()), np.abs(closed))]),
+        tol, notes="dual routes kept separate")
 
 
 def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> VerificationReport:
     """2-d quadrature of exp(-P) over the u-plane vs pi/sqrt(det X)."""
-    rng = np.random.default_rng(_SEED + 1)
+    def spectrum(x):
+        # Re X is [[ReA-ReB, ImB], [ImB, ReA+ReB]]; its smallest eigenvalue is
+        # ReA - |B| with A, B recovered from the entries.  The second entry
+        # bounds the oscillation of Im X.
+        return (0.5 * (x.a11 + x.a22).real - np.abs(0.5 * (x.a22 - x.a11)),
+                np.abs(x.a11.imag) + np.abs(x.a22.imag) + 2.0 * np.abs(x.a12.imag))
+
+    def decaying(gp, mp):
+        lam_min, freq = spectrum(quadratic_form_matrix(gp, mp))
+        return (lam_min >= 0.5) & (freq <= 6.0)
+    gp, mp = _accepted_draws(_SEED + 1, 20, 20000, decaying, 0.5, 2.0, 0.8, 1.6, 1.0)
+    x = quadratic_form_matrix(gp, mp)
     pairs = []
-    guard = 0
-    while len(pairs) < 20:
-        guard += 1
-        if guard > 20000:
-            raise RuntimeError("draw filter failed to accept 20 parameter sets")
-        gp, mp = _draw_params(rng, 0.5, 2.0, 0.8, 1.6, 1.0)
-        x = quadratic_form_matrix(gp, mp)
-        # Real part of X is [[ReA-ReB, ImB], [ImB, ReA+ReB]]; its smallest
-        # eigenvalue is ReA - |B| with A, B recovered from the entries.
-        re_a = 0.5 * (x.a11 + x.a22).real
-        b = 0.5 * (x.a22 - x.a11)
-        lam_min = re_a - abs(b)
-        freq = abs(x.a11.imag) + abs(x.a22.imag) + 2.0 * abs(x.a12.imag)
-        if lam_min < 0.5 or freq > 6.0:
-            continue
+    for a11, a12, a22, lam_min, freq, closed in zip(x.a11, x.a12, x.a22, *spectrum(x),
+                                                    math.pi / np.sqrt(det_x(gp, mp))):
         box = math.sqrt(34.5 / lam_min)
         n_nodes = min(2400, max(200, int(10.0 * freq * box * box / math.pi) + 60))
         gx, gw = gauss_legendre(n_nodes)
         u = box * gx
         w = box * gw
-        ex = np.exp(-x.a11 * u * u) * w
-        ey = np.exp(-x.a22 * u * u) * w
-        cross = np.exp(-2.0 * x.a12 * np.outer(u, u))
-        integral = ex @ cross @ ey
-        closed = math.pi / cmath.sqrt(det_x(gp, mp))
-        pairs.append((abs(integral - closed), 1.0))
+        ex = np.exp(-a11 * u * u) * w
+        ey = np.exp(-a22 * u * u) * w
+        cross = np.exp(-2.0 * a12 * np.outer(u, u))
+        pairs.append((abs(ex @ cross @ ey - closed), 1.0))
     return VerificationReport.from_abs(
         "gaussian-integral-identity",
         "20 seeded draws with positive-definite real part (min eigenvalue >= 0.5)",
@@ -512,26 +512,33 @@ def check_new_legendre_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> Ver
                                      "no (-1)^m in the non-Condon-Shortley convention")
 
 
-def _reindexing_coefficients(cap: int) -> Iterator[Tuple[int, float, np.ndarray]]:
-    """(m, q, c_0..c_cap): Taylor coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2)."""
-    qs = np.array([0.3, -0.45, 0.8])
+_REINDEX_QS = np.array([0.3, -0.45, 0.8])
+
+
+def _reindexing_coefficients(cap: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """(m, c): c[n, j] is the z^n Taylor coefficient of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2)
+    at q = _REINDEX_QS[j], for n <= cap."""
     for m in range(5):
         # radius 0.8 keeps the 1/r^n amplification of the circle samples'
         # rounding below 1e-10 out to n = 30 (r = 0.5 would amplify 2^30)
-        coeffs = genfunc.series_coefficients(
+        yield m, genfunc.series_coefficients(
             lambda z: ((1.0 - z * z) * z**m)[:, None]
-            * genfunc.gegenbauer_gf(z[:, None], qs, m + 1.5),
+            * genfunc.gegenbauer_gf(z[:, None], _REINDEX_QS, m + 1.5),
             (cap + 1,), radius=0.8, nodes=256)
-        for q, column in zip(qs.tolist(), coeffs.T):
-            yield m, q, column
+
+
+def _shifted_gegenbauer(lam: float, shift: int, cap: int) -> np.ndarray:
+    """Rows n = 0 ... cap of C_{n-shift}^(lam) at _REINDEX_QS, zero where n < shift."""
+    ladder = itertools.islice(_gegenbauer_ladder(lam, _REINDEX_QS), max(cap + 1 - shift, 0))
+    return np.array([np.zeros_like(_REINDEX_QS)] * shift + list(ladder))[:cap + 1]
 
 
 def check_reindexing_identity(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:
     """Coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2) are Gegenbauer differences."""
     def pairs():
-        for m, q, coeffs in _reindexing_coefficients(n_max):
-            ref = np.array([gegenbauer(n - m, m + 1.5, q) - gegenbauer(n - m - 2, m + 1.5, q)
-                            for n in range(n_max + 1)])
+        for m, coeffs in _reindexing_coefficients(n_max):
+            ref = (_shifted_gegenbauer(m + 1.5, m, n_max)
+                   - _shifted_gegenbauer(m + 1.5, m + 2, n_max))
             yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
     return VerificationReport.from_rel(
         "gegenbauer-reindexing-identity",
@@ -543,9 +550,9 @@ def check_reindexing_identity(n_max: int = 30, tol: float = 1e-9) -> Verificatio
 def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:
     """Same coefficients, compared against (2n+1)/(2m+1) C_{n-m}^(m+1/2)(q)."""
     def pairs():
-        for m, q, coeffs in _reindexing_coefficients(n_max):
-            ref = np.array([(2.0 * n + 1.0) / (2.0 * m + 1.0) * gegenbauer(n - m, m + 0.5, q)
-                            for n in range(m, n_max + 1)])
+        for m, coeffs in _reindexing_coefficients(n_max):
+            weight = (2.0 * np.arange(m, n_max + 1) + 1.0) / (2.0 * m + 1.0)
+            ref = weight[:, None] * _shifted_gegenbauer(m + 0.5, m, n_max)[m:]
             yield np.abs(coeffs[m:] - ref), np.maximum(1.0, np.abs(ref))
     return VerificationReport.from_rel(
         "gegenbauer-chain-consistency",

@@ -1,22 +1,29 @@
-"""Array contract of the wavefunctions and the generating functions.
+"""Array contract of the special functions, wavefunctions and generating functions.
 
-``psi_position``, ``psi_momentum``, ``psi_momentum_gegenbauer``,
-``gen_func_momentum`` and ``gegenbauer_gf`` accept fields that are scalars
-or arrays broadcasting together.  An array call must agree with the scalar
-calls stacked in the broadcast shape, and a scalar call must still return a
-Python complex.  ``series_coefficients`` treats the axes its function adds
-after the node axes as a batch.
+Every evaluator accepts points and fields that are scalars or arrays
+broadcasting together.  An array call must agree with the scalar calls
+stacked in the broadcast shape, and a scalar call must return a Python
+float (polynomials, Bessel, radial factor) or complex (wavefunctions and
+closed forms).  ``series_coefficients`` treats the axes its function adds
+after the node axes as a batch.  One convention serves the whole package,
+so only ``verify`` may import ``cmath``.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hydro2d.genfunc import gegenbauer_gf, series_coefficients
-from hydro2d.levicivita import GenFuncParams, gen_func_momentum
+import hydro2d
+from hydro2d.genfunc import (coordinate_basis_term, coordinate_gf, gegenbauer_gf, laguerre_gf,
+                             new_legendre_gf, series_coefficients, shifted_laguerre_gf)
+from hydro2d.levicivita import GenFuncParams, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer
-from hydro2d.position import PolarPoint, QuantumNumbers, psi_position
+from hydro2d.polys import assoc_legendre, bessel_j, gegenbauer, laguerre
+from hydro2d.position import PolarPoint, QuantumNumbers, psi_position, radial_wavefunction
 
 CASES = (
     (psi_position, PolarPoint, 40.0),
@@ -55,6 +62,29 @@ def test_array_call_matches_stacked_scalar_calls(qn, case, rows, cols, data):
     np.testing.assert_allclose(values, stacked, rtol=1e-15, atol=0.0)
 
 
+def test_special_functions_match_stacked_scalar_calls():
+    # A scalar runs through the same array loops as an array.  With 0-d
+    # arithmetic, numpy's scalar ** made assoc_legendre and the radial
+    # factor differ from their array calls in the last bits.
+    grid = np.linspace(-1.0, 1.0, 13)
+    cases = [(lambda x, k=k, a=a: laguerre(k, a, x), 20.0 * (grid + 1.0))
+             for k in range(21) for a in (0.0, 2.5, 7.0)]
+    cases += [(lambda x, k=k, a=a: gegenbauer(k, a, x), grid)
+              for k in range(21) for a in (0.5, 1.5, 4.0)]
+    cases += [(lambda x, n=n, m=m: assoc_legendre(n, m, x), grid)
+              for n in range(21) for m in range(n + 1)]
+    cases += [(lambda x, m=m: bessel_j(m, x), 100.0 * (grid + 1.0)) for m in range(21)]
+    cases += [(lambda x, qn=QuantumNumbers(n, m): radial_wavefunction(qn, x), 24.0 * (grid + 1.0))
+              for n in range(21) for m in range(-n, n + 1)]
+    for fn, points in cases:
+        stacked = []
+        for x in points.tolist():
+            scalar = fn(x)
+            assert type(scalar) is float
+            stacked.append(scalar)
+        np.testing.assert_allclose(fn(points), stacked, rtol=1e-15, atol=0.0)
+
+
 def _disk(draw, size, r_max):
     return _column(draw, size, 0.0, r_max) * np.exp(1j * _column(draw, size, -7.0, 7.0))
 
@@ -64,28 +94,63 @@ def _disk(draw, size, r_max):
 def test_generating_functions_match_stacked_scalar_calls(rows, cols, data):
     z = _disk(data.draw, rows, 0.6)[:, None]
     beta = _column(data.draw, rows, 0.0, 2.0)[:, None]
+    phi = _column(data.draw, rows, -7.0, 7.0)[:, None]
     t = _disk(data.draw, cols, 1.0)
     p = _column(data.draw, cols, 0.0, 5.0)
     q = _column(data.draw, cols, -1.0, 1.0)
     q0 = data.draw(st.floats(0.5, 2.0))
     phi_p = data.draw(st.floats(-7.0, 7.0))
     alpha = data.draw(st.sampled_from([0.5, 1.5, 2.5, 3.5]))
+    m = data.draw(st.integers(0, 4))
 
-    values = gen_func_momentum(GenFuncParams(z, t, q0, beta), MomentumPoint(p, phi_p))
-    gegen = gegenbauer_gf(z, q, alpha)
-    for array in (*values, gegen):
+    def closed_forms(z, beta, phi, t, p, q):
+        gp = GenFuncParams(z, t, q0, beta)
+        mp = MomentumPoint(p, phi_p)
+        pt = PolarPoint(p, phi)
+        x = quadratic_form_matrix(gp, mp)
+        return (*gen_func_momentum(gp, mp), gegenbauer_gf(z, q, alpha),
+                laguerre_gf(z, alpha, p), shifted_laguerre_gf(z, m, p),
+                coordinate_basis_term(m + 3, m, q0, pt), coordinate_gf(z, t, q0, pt),
+                new_legendre_gf(z, 0.99 * q, m), x.a11, x.a12, x.a22)
+
+    values = closed_forms(z, beta, phi, t, p, q)
+    for array in values:
         assert isinstance(array, np.ndarray)
         assert array.shape == (rows, cols)
-    stacked = np.empty((3, rows, cols), dtype=complex)
+    stacked = np.empty((len(values), rows, cols), dtype=complex)
     for i in range(rows):
         for j in range(cols):
-            scalar = gen_func_momentum(
-                GenFuncParams(complex(z[i, 0]), complex(t[j]), q0, float(beta[i, 0])),
-                MomentumPoint(float(p[j]), phi_p))
-            scalar = (*scalar, gegenbauer_gf(complex(z[i, 0]), float(q[j]), alpha))
+            scalar = closed_forms(complex(z[i, 0]), float(beta[i, 0]), float(phi[i, 0]),
+                                  complex(t[j]), float(p[j]), float(q[j]))
             assert all(type(v) is complex for v in scalar)
             stacked[:, i, j] = scalar
-    np.testing.assert_allclose(np.stack([*values, gegen]), stacked, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(np.stack(values), stacked, rtol=1e-15, atol=0.0)
+
+
+def test_one_t_outside_the_interval_in_an_array_raises():
+    new_legendre_gf(0.4, np.array([0.3, -0.9]), 2)
+    with pytest.raises(ValueError, match=r"\(-1, 1\)"):
+        new_legendre_gf(0.4, np.array([0.3, -0.9, 1.0]), 2)
+
+
+def _modules():
+    for path in sorted(Path(hydro2d.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def test_only_verify_imports_cmath():
+    importers = {name for name, tree in _modules() for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "cmath"}
+    assert importers <= {"verify"}
+
+
+def test_generating_functions_use_no_scalar_math():
+    calls = {f"{name}: math.{node.attr}" for name, tree in _modules()
+             if name in ("genfunc", "levicivita") for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id == "math" and node.attr in ("exp", "cos", "sin")}
+    assert not calls
 
 
 def test_one_branch_cut_point_in_an_array_raises():

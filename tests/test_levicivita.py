@@ -1,9 +1,9 @@
-"""Conformal squaring map, quadratic-form determinant, Gaussian reduction.
+"""Quadratic-form determinant, Gaussian reduction, momentum generating function.
 
-The one subtle constant in this module is the measure factor: the Jacobian
-of the squaring map is 4 u^2, but the map covers the plane twice, so pulled
-back integrals pick up a factor 2.  That constant is measured here by two
-independent quadratures of the same integral rather than trusted.
+The one subtle constant behind this module is the measure factor of the
+squaring map: its Jacobian is 4 u^2, but the map covers the plane twice, so
+pulled-back integrals pick up a factor 2.  That constant is measured here by
+two independent quadratures of the same integral rather than trusted.
 """
 
 import cmath
@@ -12,52 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from hydro2d.levicivita import (
-    GenFuncParams,
-    UPoint,
-    det_x,
-    gen_func_momentum,
-    lc_jacobian,
-    lc_map,
-    lc_measure_factor,
-    quadratic_form_matrix,
-)
+from hydro2d.levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint
 from hydro2d.polys import bessel_j
 from hydro2d.quadrature import gauss_laguerre, gauss_legendre
-
-
-def test_map_hand_values():
-    assert lc_map(UPoint(1.0, 0.0)) == (1.0, 0.0, 1.0)
-    assert lc_map(UPoint(0.0, 1.0)) == (-1.0, 0.0, 1.0)
-    assert lc_map(UPoint(1.0, 1.0)) == (0.0, 2.0, 2.0)
-
-
-def test_map_squares_radii_and_identifies_antipodes():
-    u = UPoint(0.8, -1.7)
-    x, y, rho = lc_map(u)
-    assert rho == pytest.approx(0.8**2 + 1.7**2, rel=1e-15)
-    assert math.hypot(x, y) == pytest.approx(rho, rel=1e-15)
-    assert lc_map(UPoint(-0.8, 1.7)) == (x, y, rho)
-
-
-def test_jacobian():
-    assert lc_jacobian(UPoint(1.0, 1.0)) == 8.0
-    assert lc_jacobian(UPoint(0.0, 0.0)) == 0.0
-
-
-def test_jacobian_matches_finite_differences():
-    u1, u2, h = 0.7, -0.3, 1e-6
-    def fx(a, b):
-        return lc_map(UPoint(a, b))[0]
-    def fy(a, b):
-        return lc_map(UPoint(a, b))[1]
-    j11 = (fx(u1 + h, u2) - fx(u1 - h, u2)) / (2 * h)
-    j12 = (fx(u1, u2 + h) - fx(u1, u2 - h)) / (2 * h)
-    j21 = (fy(u1 + h, u2) - fy(u1 - h, u2)) / (2 * h)
-    j22 = (fy(u1, u2 + h) - fy(u1, u2 - h)) / (2 * h)
-    fd = abs(j11 * j22 - j12 * j21)
-    assert fd == pytest.approx(lc_jacobian(UPoint(u1, u2)), abs=1e-6)
 
 
 def test_measure_factor_by_independent_quadratures():
@@ -71,7 +29,6 @@ def test_measure_factor_by_independent_quadratures():
     u = 4.5 * (x + 1.0)
     cover = 2.0 * math.pi * float(np.sum(4.5 * gw * u**5 * np.exp(-2.0 * u * u)))
     assert plane / cover == pytest.approx(2.0, abs=1e-8)
-    assert lc_measure_factor() == 2.0
 
 
 def test_params_validation():
