@@ -6,7 +6,9 @@ Implements the unitary transform
 
 directly from position-space data, so the closed-form momentum expressions
 can be checked against something that never saw their derivation.  Two
-routes are provided:
+routes are provided.  Each works a level at a time (``_hankel_rows`` and
+``_direct_rows`` give every m at an array of momenta, with one radial rule
+per p), and each public function is one point of its route:
 
 ``ft_hankel``
     reduces the angular integral with the plane-wave harmonic expansion,
@@ -37,7 +39,7 @@ import sys
 import numpy as np
 
 from .momentum import MomentumPoint
-from .polys import NEG_I_POW, bessel_j, laguerre
+from .polys import NEG_I_POW, _bessel_ladder, _point_arrays, laguerre
 from .position import QuantumNumbers, normalization, radial_wavefunction
 from .quadrature import gauss_laguerre, panel_nodes
 
@@ -67,8 +69,8 @@ def _cutoff_v(n: int, q0: float, tol: float) -> float:
     return v
 
 
-def _radial_rule(qn: QuantumNumbers, p: float, nodes: int):
-    """Radial nodes rho and weights times rho R_{n,m}(rho), for integrals in p rho.
+def _radial_rule(n: int, am_max: int, p: float, nodes: int):
+    """Radial nodes rho and, in row |m| <= am_max, weights times rho R_{n,m}(rho).
 
     The one place that picks the rule: Gauss-Laguerre in w = q0 rho while
     c = p/(2 q0) <= 3/4, Gauss-Legendre panels of width about pi/p on
@@ -79,44 +81,53 @@ def _radial_rule(qn: QuantumNumbers, p: float, nodes: int):
     """
     if nodes < 64:
         raise ValueError("oracle needs at least 64 radial nodes")
-    am = abs(qn.m)
-    q0 = qn.q0
+    states = [QuantumNumbers(n, am) for am in range(am_max + 1)]
+    q0 = states[0].q0
     c = p / (2.0 * q0)
     if c <= _GL_SWITCH:
         x, w = gauss_laguerre(nodes)
         limit = math.floor(math.log(sys.float_info.max) / math.log(x[-1]) - 1.0)
-        if am > limit:
+        if am_max > limit:
             raise ValueError(f"oracle at {nodes} nodes needs |m| <= {limit}: "
                              "x_max^(|m|+1) overflows past it")
-        weighted = (normalization(qn) * 2.0**am / (q0 * q0)
-                    * w * x ** (am + 1) * laguerre(qn.n - am, 2 * am, 2.0 * x))
-        return x / q0, weighted
+        return x / q0, np.array([normalization(qn) * 2.0**qn.m / (q0 * q0) * w * x ** (qn.m + 1)
+                                 * laguerre(n - qn.m, 2 * qn.m, 2.0 * x) for qn in states])
 
-    rho_max = _cutoff_v(qn.n, q0, _TAIL_TOL) / (2.0 * q0)
+    rho_max = _cutoff_v(n, q0, _TAIL_TOL) / (2.0 * q0)
     n_panels = max(8, math.ceil(p * rho_max / math.pi))
     bounds = np.linspace(0.0, rho_max, n_panels + 1)
     rho, wts = panel_nodes(bounds, _PANEL_ORDER)
-    return rho, wts * rho * radial_wavefunction(qn, rho)
+    return rho, np.array([wts * rho * radial_wavefunction(qn, rho) for qn in states])
 
 
-def _radial_integral(qn: QuantumNumbers, p: float, nodes: int) -> float:
-    """integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho."""
-    rho, weighted = _radial_rule(qn, p, nodes)
-    return float(np.sum(weighted * bessel_j(abs(qn.m), p * rho)))
+def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
+    """psi_{n,m} for m = -am_max ... am_max (rows) at the points of 1-d ``mp`` (columns).
+
+    One Bessel ladder J_0 ... J_am_max covers the arguments p rho of every
+    distinct p.  Assembled as (radial integral) * (-i)^|m| * e^(i m phi_p),
+    the order of the closed forms, so phase comparisons see no reordering.
+    """
+    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
+    ps, which = np.unique(p, return_inverse=True)
+    rules = [_radial_rule(n, am_max, pk, nodes) for pk in ps]
+    ladder = _bessel_ladder(am_max, np.concatenate([pk * rho for pk, (rho, _) in zip(ps, rules)]))
+    ends = np.cumsum([rho.size for rho, _ in rules])[:-1]
+    radial = np.array([np.sum(weighted * bessel, axis=1) for (_, weighted), bessel
+                       in zip(rules, np.split(ladder, ends, axis=1))]).T
+    ms = np.arange(-am_max, am_max + 1)
+    turn = np.outer(ms, phi_p)
+    val0 = radial[np.abs(ms)][:, which] * np.array([NEG_I_POW[abs(m) % 4] for m in ms])[:, None]
+    return val0 * (np.cos(turn) + 1j * np.sin(turn))
 
 
 def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512) -> complex:
     """Oracle momentum wavefunction via the angular-reduction route.
 
-    Assembled as (real radial integral) * (-i)^|m| * e^(i m phi_p), the
-    same construction order as the closed forms, so phase comparisons are
-    not polluted by arithmetic reordering.  ``nodes`` (at least 64) sizes
-    the Gauss-Laguerre rule of the small-momentum branch.
+    One point of ``_hankel_rows``.  ``nodes`` (at least 64) sizes the
+    Gauss-Laguerre rule of the small-momentum branch.
     """
     am = abs(qn.m)
-    radial = _radial_integral(qn, mp.p, nodes)
-    val0 = radial * NEG_I_POW[am % 4]
-    return val0 * complex(math.cos(qn.m * mp.phi_p), math.sin(qn.m * mp.phi_p))
+    return complex(_hankel_rows(qn.n, am, mp, nodes)[qn.m + am, 0])
 
 
 def _phi_count(x_osc: float) -> int:
@@ -132,24 +143,35 @@ def _phi_count(x_osc: float) -> int:
     return n_phi
 
 
+def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
+    """As ``_hankel_rows``, from one kernel e^(-i p rho cos(phi - phi_p)) per point.
+
+    Chunks of at most 2^21 kernel elements are projected by a DFT over phi
+    onto every m of the level, whatever am_max, so rows do not depend on it.
+    """
+    q0 = QuantumNumbers(n, 0).q0
+    rho_max = _cutoff_v(n, q0, _TAIL_TOL) / (2.0 * q0)
+    ms = np.arange(-am_max, am_max + 1)
+    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
+    out = np.zeros((ms.size, p.size), dtype=complex)
+    for j, (pk, phik) in enumerate(zip(p, phi_p)):
+        rho, weighted = _radial_rule(n, am_max, pk, nodes)
+        n_phi = _phi_count(pk * rho_max)
+        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+        dft = np.exp(1j * np.outer(phi, np.arange(-n, n + 1))) / n_phi
+        cosines = np.cos(phi - phik)
+        chunk = max(1, (1 << 21) // n_phi)
+        for lo in range(0, rho.size, chunk):
+            # No name holds a kernel, so each is freed before the next is built.
+            proj = np.exp(-1j * pk * np.outer(rho[lo:lo + chunk], cosines)) @ dft
+            out[:, j] += np.sum(weighted[np.abs(ms), lo:lo + chunk] * proj[:, ms + n].T, axis=1)
+    return out
+
+
 def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512) -> complex:
     """Oracle momentum wavefunction via brute-force polar quadrature.
 
-    ``nodes`` as for ``ft_hankel``.
+    One point of ``_direct_rows``; ``nodes`` as for ``ft_hankel``.
     """
-    q0 = qn.q0
-    rho_max = _cutoff_v(qn.n, q0, _TAIL_TOL) / (2.0 * q0)
-    rho, base = _radial_rule(qn, mp.p, nodes)
-
-    n_phi = _phi_count(mp.p * rho_max)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    ang = np.exp(1j * qn.m * phi) / n_phi
-    cosines = np.cos(phi - mp.phi_p)
-
-    total = 0.0 + 0.0j
-    chunk = max(1, (1 << 21) // n_phi)
-    for lo in range(0, rho.size, chunk):
-        r_blk = rho[lo:lo + chunk]
-        kernel = np.exp(-1j * mp.p * np.outer(r_blk, cosines))
-        total += np.dot(base[lo:lo + chunk], kernel @ ang)
-    return complex(total)
+    am = abs(qn.m)
+    return complex(_direct_rows(qn.n, am, mp, nodes)[qn.m + am, 0])

@@ -60,16 +60,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Cutoff and geometric tail estimate attached to a partial sum."""
+    """Cutoff, truncation-plus-rounding tail bound and its rounding part, for a partial sum."""
 
     n_max: int
     tail_bound: float
+    rounding: float = 0.0
 
     def __post_init__(self):
         if self.n_max < 1:
             raise ValueError("series cutoff must be a positive integer")
         if self.tail_bound < 0.0:
             raise ValueError("tail bound must be >= 0")
+        if not 0.0 <= self.rounding <= self.tail_bound:
+            raise ValueError("rounding estimate must lie in [0, tail_bound]")
 
 
 def _reject_z(z: ArrayLike) -> None:
@@ -83,7 +86,7 @@ def _reject_t(t: ArrayLike) -> None:
         raise ValueError("argument t must lie in (-1, 1)")
 
 
-def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> float:
+def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> SeriesTruncation:
     """Truncation-plus-rounding bound for a partial sum.
 
     The geometric part is amp * r^(n_max+1) / (1 - r), where ``scales``
@@ -96,10 +99,8 @@ def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> floa
     tail drops below float precision.
     """
     rounding = (4 * n_max + 8) * math.ulp(1.0) * abs_sum
-    if r == 0.0:
-        return rounding
-    amp = max(scales, default=1.0)
-    return max(amp, 1.0) * r ** (n_max + 1) / (1.0 - r) + rounding
+    tail = 0.0 if r == 0.0 else max(1.0, *scales) * r ** (n_max + 1) / (1.0 - r)
+    return SeriesTruncation(n_max, tail + rounding, rounding)
 
 
 def _partial_sum(z: complex, n_lo: int, n_max: int, degrees: Iterable[ArrayLike]
@@ -122,7 +123,7 @@ def _partial_sum(z: complex, n_lo: int, n_max: int, degrees: Iterable[ArrayLike]
         abs_sum += float(np.abs(zk * pieces).sum())
         if az > 0.0 and k > n_max - 5:
             scales.append(abs(term) / az**k)
-    return total, SeriesTruncation(n_max, _tail(az, n_max, scales, abs_sum))
+    return total, _tail(az, n_max, scales, abs_sum)
 
 
 def laguerre_gf(z: ArrayLike, r: float, v: ArrayLike):

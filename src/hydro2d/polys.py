@@ -15,13 +15,13 @@ Conventions
 * ``double_factorial`` uses (-1)!! = 0!! = 1 and exact integers.
 * Gegenbauer polynomials of negative degree are identically zero; several
   generating-function identities are stated most cleanly with that choice.
-* ``bessel_j`` is an integer-order J_m evaluator for 0 <= m <= 160:
+* ``bessel_j(m, x)`` is row m of a ladder J_0 ... J_M, 0 <= M <= 160:
   ascending series at small argument, Miller's normalized downward
-  recurrence at moderate argument (each argument seeded at its own order
-  x + 10 x^(1/3) + 1.5 m + 30), and a phase/amplitude expansion at large
-  argument so that oscillatory radial quadratures stay cheap far out on the
-  axis.  Past order 160 the recurrence would overflow just above the series
-  range, so larger orders raise ``ValueError``.
+  recurrence at moderate argument (one sweep gives every order), and a
+  phase/amplitude expansion at large argument so that oscillatory radial
+  quadratures stay cheap far out on the axis.  Past order 160 the
+  recurrence would overflow just above the series range, so larger orders
+  raise ``ValueError``.
 
 All functions are pure and array-first: the evaluation point may be a real
 scalar or array.  A scalar runs through the same array loops as an array
@@ -209,13 +209,13 @@ def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
+def _bessel_miller(tops: np.ndarray, x: np.ndarray, M: int) -> np.ndarray:
     # Downward recurrence from an order where J is negligible, normalized by
-    # J_0 + 2 (J_2 + J_4 + ...) = 1.  Each argument starts at its own even
-    # order x + 10 x^(1/3) + 1.5 m + 30, so the values it passes through stay
-    # far from overflow.  Sorted by that seed, the arguments under way at
-    # order k are a prefix of the arrays; one sweep serves them all.
-    seed = (x + 10.0 * np.cbrt(x) + 1.5 * m + 30.0).astype(np.int64)
+    # J_0 + 2 (J_2 + J_4 + ...) = 1, keeping orders M ... 0.  Each argument
+    # starts at its own even order x + 10 x^(1/3) + 1.5 top + 30, top being the
+    # highest order it is needed at, so its values stay far from overflow.
+    # Sorted by that seed, the arguments under way at order k are a prefix.
+    seed = (x + 10.0 * np.cbrt(x) + 1.5 * tops + 30.0).astype(np.int64)
     seed += seed % 2
     order = np.argsort(-seed, kind="stable")
     seed = seed[order]
@@ -225,17 +225,18 @@ def _bessel_miller(m: int, x: np.ndarray) -> np.ndarray:
     jp = np.zeros_like(two_over_x)
     jc = np.full_like(two_over_x, 1e-35)
     norm = np.zeros_like(two_over_x)
+    captured = np.zeros((M + 1, x.size))  # orders above every seed stay 0
     for k, a in zip(range(top, 0, -1), started):
         below = (k * two_over_x[:a]) * jc[:a] - jp[:a]
         jp[:a] = jc[:a]
         jc[:a] = below
-        if k - 1 == m:
-            captured = jc.copy()
+        if k - 1 <= M:
+            captured[k - 1] = jc
         if k - 1 >= 2 and (k - 1) % 2 == 0:
             norm[:a] += 2.0 * jc[:a]
     norm += jc  # jc now holds the unnormalized J_0
-    out = np.empty_like(norm)
-    out[order] = captured / norm
+    out = np.empty_like(captured)
+    out[:, order] = captured / norm
     return out
 
 
@@ -261,30 +262,41 @@ def _bessel_asymptotic(m: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 / (math.pi * x)) * (p_sum * np.cos(chi) - q_sum * np.sin(chi))
 
 
+def _bessel_ladder(M: int, xs: np.ndarray) -> np.ndarray:
+    """J_0(xs) ... J_M(xs) as an (M+1, xs.size) array, for 0 <= M <= 160 and xs >= 0.
+
+    Order m takes the ascending series for x <= max(9, 1.8 sqrt(m+1)), the
+    asymptotic expansion for x >= 160 (20 m^2 past order 12), and between
+    them its row of one Miller sweep over the arguments of every order.
+    """
+    if not 0 <= M <= _BESSEL_MAX_ORDER:
+        raise ValueError(f"Bessel order must be in [0, {_BESSEL_MAX_ORDER}]")
+    if np.any(xs < 0.0):
+        raise ValueError("Bessel argument must be >= 0")
+    series_cuts = [max(9.0, 1.8 * math.sqrt(m + 1.0)) for m in range(M + 1)]
+    asym_cuts = [_ASYMPTOTIC_CUT if m <= 12 else 20.0 * m * m for m in range(M + 1)]
+    out = np.empty((M + 1, xs.size))
+    middle = (xs > series_cuts[0]) & (xs < asym_cuts[M])
+    if np.any(middle):
+        # An argument is needed up to the highest order whose series range ends below it.
+        x = xs[middle]
+        out[:, middle] = _bessel_miller(np.searchsorted(series_cuts, x) - 1, x, M)
+    for m in range(M + 1):
+        sel = xs <= series_cuts[m]
+        if np.any(sel):
+            out[m, sel] = _bessel_series(m, xs[sel])
+        sel = xs >= asym_cuts[m]
+        if np.any(sel):
+            out[m, sel] = _bessel_asymptotic(m, xs[sel])
+    return out
+
+
 def bessel_j(m: int, x):
     """Bessel function of the first kind J_m(x) for integer 0 <= m <= 160, x >= 0.
 
-    Accurate to about 1e-13 absolute over that whole range; orders past 160
-    raise ``ValueError`` rather than overflow in the Miller recurrence.
+    Row m of ``_bessel_ladder(m, x)``, accurate to about 1e-13 absolute;
+    orders past 160 raise ``ValueError`` rather than overflow in the Miller
+    recurrence.
     """
-    if not 0 <= m <= _BESSEL_MAX_ORDER:
-        raise ValueError(f"bessel_j order m must be in [0, {_BESSEL_MAX_ORDER}]")
     xs, = _point_arrays(x, real=True)
-    if np.any(xs < 0.0):
-        raise ValueError("bessel_j argument must be >= 0")
-    out = np.empty_like(xs)
-
-    series_cut = max(9.0, 1.8 * math.sqrt(m + 1.0))
-    sel = xs <= series_cut
-    if np.any(sel):
-        out[sel] = _bessel_series(m, xs[sel])
-
-    asym_cut = _ASYMPTOTIC_CUT if m <= 12 else max(_ASYMPTOTIC_CUT, 20.0 * m * m)
-    sel = xs >= asym_cut
-    if np.any(sel):
-        out[sel] = _bessel_asymptotic(m, xs[sel])
-
-    middle = (xs > series_cut) & (xs < asym_cut)
-    if np.any(middle):
-        out[middle] = _bessel_miller(m, xs[middle])
-    return _scalar_or_array(out, x)
+    return _scalar_or_array(_bessel_ladder(m, xs)[m], x)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from . import genfunc
-from .ftoracle import ft_direct_2d, ft_hankel
+from .ftoracle import _direct_rows, _hankel_rows
 from .levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from .momentum import MomentumPoint, _phase, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from .polys import (_gegenbauer_ladder, assoc_legendre, bessel_j, double_factorial, gegenbauer,
@@ -91,7 +91,7 @@ def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> Veri
         for lam in (0.5, 1.5, 2.5, 3.5):
             coeffs = genfunc.series_coefficients(
                 lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam), (n_max + 1,))
-            ref = np.array([gegenbauer(k, lam, qs) for k in range(n_max + 1)])
+            ref = np.array(list(itertools.islice(_gegenbauer_ladder(lam, qs), n_max + 1)))
             yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
     return VerificationReport.from_rel(
         "gegenbauer-gf-coefficients",
@@ -461,18 +461,23 @@ def _gf_report(name: str, closed_form: Callable[..., complex],
     """Shared closed-form-vs-partial-sum comparison.
 
     Each case is the argument tuple of both functions, z first; the series
-    also gets the cutoff ``terms``.  The fitted geometric constant
-    err / |z|^n_max is reported in the notes.
+    also gets the cutoff ``terms``.  The notes report the fitted geometric
+    constant err / |z|^n_max over the cases whose error exceeds the
+    series' own rounding estimate; below it there is no tail to fit.
     """
-    errs = []
+    errs, fits = [], []
     bound_ok = True
     for args in cases:
         partial, trunc = series(*args, terms)
         err = abs(closed_form(*args) - partial)
-        errs.append((err, abs(args[0]) ** trunc.n_max))
+        errs.append(err)
+        if err > trunc.rounding:
+            fits.append(err / abs(args[0]) ** trunc.n_max)
         bound_ok = bound_ok and err <= max(trunc.tail_bound, 1e-15)
-    worst, fitted = _worst(errs)
-    notes = f"fitted geometric constant <= {fitted:.3g}; tail bound honored: {bound_ok}"
+    worst = max(errs)
+    fitted = (f"fitted geometric constant <= {max(fits):.3g}" if fits
+              else "errors at rounding level, no geometric constant to fit")
+    notes = f"{fitted}; tail bound honored: {bound_ok}"
     if extra:
         notes += "; " + extra
     return VerificationReport(name, f"{len(cases)} parameter sets", worst, worst,
@@ -565,55 +570,61 @@ def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationRe
 # ft suite
 # ---------------------------------------------------------------------------
 
-def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationReport:
-    grid = acceptance_grid()
+def _array_point(grid: Sequence[MomentumPoint]) -> MomentumPoint:
+    """The points of ``grid`` as one point with array fields."""
+    return MomentumPoint(np.array([g.p for g in grid]), np.array([g.phi_p for g in grid]))
 
-    def pair(qn, mp):
+
+def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationReport:
+    mp = _array_point(acceptance_grid())
+
+    def pairs():
         # Relative errors count only where the oracle value exceeds 1e-8.
-        want = ft_hankel(qn, mp)
-        scale = abs(want)
-        return abs(psi_momentum(qn, mp) - want), (scale if scale > 1e-8 else 0.0)
+        for n in range(n_max + 1):
+            for m, want in zip(range(-n, n + 1), _hankel_rows(n, n, mp, 512)):
+                err = np.abs(psi_momentum(QuantumNumbers(n, m), mp) - want)
+                yield err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0)
     return VerificationReport.from_abs(
-        "momentum-vs-ft-oracle", f"|m| <= n <= {n_max}, {len(grid)} momentum points",
-        *_worst(pair(qn, mp) for qn in _states(n_max, signed=True) for mp in grid),
+        "momentum-vs-ft-oracle", f"|m| <= n <= {n_max}, {mp.p.size} momentum points",
+        *_worst(pairs()),
         tol, notes="unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
                    "oracle method hankel_reduced")
 
 
 def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
     cap = min(n_max, 3)
-    grid = _grid_points(np.geomspace(0.05, 3.0, 10))
+    mp = _array_point(_grid_points(np.geomspace(0.05, 3.0, 10)))
     return VerificationReport.from_abs(
         "two-oracle-agreement", f"|m| <= n <= {cap}, 10-point log p-grid",
-        *_worst((abs(ft_hankel(qn, mp) - ft_direct_2d(qn, mp)), 1.0)
-                for qn in _states(cap, signed=True) for mp in grid),
+        *_worst((np.abs(_hankel_rows(n, n, mp, 512) - _direct_rows(n, n, mp, 512)), 1.0)
+                for n in range(cap + 1)),
         tol, notes="angular-reduction route vs brute-force polar quadrature")
 
 
 def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
     cap = min(n_max, 6)
+    angles = np.array([0.0, 0.9, -2.4])
+    mp = MomentumPoint(np.repeat([0.5, 2.0], angles.size), np.tile(angles, 2))
 
     def pairs():
-        for qn in _states(cap, signed=True):
-            for p in (0.5, 2.0):
-                base = ft_hankel(qn, MomentumPoint(p, 0.0))
-                if abs(base) <= 1e-6:
-                    continue
-                for phi in (0.9, -2.4):
-                    val = ft_hankel(qn, MomentumPoint(p, phi))
-                    diff = cmath.phase(val) - cmath.phase(base) - qn.m * phi
-                    yield abs((diff + math.pi) % (2.0 * math.pi) - math.pi), 1.0
+        # vals[m, p, phi]; points where |psi(p, 0)| <= 1e-6 are skipped.
+        for n in range(cap + 1):
+            vals = _hankel_rows(n, n, mp, 512).reshape(2 * n + 1, 2, angles.size)
+            diff = (np.angle(vals) - np.angle(vals[..., :1])
+                    - np.arange(-n, n + 1)[:, None, None] * angles)
+            wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
+            yield np.where(np.abs(vals[..., :1]) > 1e-6, wrapped, 0.0), 1.0
     return VerificationReport.from_abs(
         "oracle-phase-correctness", f"n <= {cap}, angles wrapped mod 2 pi",
         *_worst(pairs()), tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
 
 
 def check_node_doubling(n_max: int = 4, tol: float = 1e-9) -> VerificationReport:
-    grid = acceptance_grid()
+    mp = _array_point(acceptance_grid())
     return VerificationReport.from_abs(
         "oracle-node-doubling", f"|m| <= n <= {n_max}, acceptance grid",
-        *_worst((abs(ft_hankel(qn, mp, nodes=512) - ft_hankel(qn, mp, nodes=1024)), 1.0)
-                for qn in _states(n_max, signed=True) for mp in grid),
+        *_worst((np.abs(_hankel_rows(n, n, mp, 512) - _hankel_rows(n, n, mp, 1024)), 1.0)
+                for n in range(n_max + 1)),
         tol, notes="quadrature already converged at 512 nodes")
 
 

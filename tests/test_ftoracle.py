@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hydro2d.ftoracle
-from hydro2d.ftoracle import ft_direct_2d, ft_hankel
+from hydro2d.ftoracle import _direct_rows, _hankel_rows, ft_direct_2d, ft_hankel
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import QuantumNumbers
 from hydro2d.verify import check_oracle_agreement
@@ -106,6 +106,37 @@ def test_gauss_laguerre_order_limit(oracle, order, nodes):
         oracle(QuantumNumbers(order, order), MomentumPoint(0.01, 0.0), nodes=nodes)
 
 
+# With c = p (n + 1/2) / 2, p = 0 and 0.05 take the Gauss-Laguerre branch at
+# every n <= 4; p = 0.7 takes the panel branch from n = 2 on, p = 3 from
+# n = 1 on and p = 20 always (c > 3/4).
+_BATCH_P = (0.0, 0.05, 0.7, 3.0, 20.0)
+_BATCH_PHI = (0.0, 0.9, 2.2, -1.4, 1.3)
+
+
+@pytest.mark.parametrize("nodes", [512, 1024])
+@pytest.mark.parametrize("n", range(5))
+def test_batched_rows_equal_point_calls(n, nodes):
+    # The checks read every (m, p) of a level from one batched call; the
+    # public one-point functions must give the same values.  The direct
+    # route's kernel grows with p rho_max, to 2.6e4 radial nodes times 8192
+    # angles at n = 4, p = 20, so beyond n = 0 it is compared at p <= 0.7
+    # (still the panel branch from n = 2 on).
+    mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
+    hankel = _hankel_rows(n, n, mp, nodes)
+    cols = len(_BATCH_P) if n == 0 else 3
+    direct = _direct_rows(n, n, MomentumPoint(mp.p[:cols], mp.phi_p[:cols]), nodes)
+    worst_h = worst_d = 0.0
+    for m in range(-n, n + 1):
+        qn = QuantumNumbers(n, m)
+        for j, point in enumerate(zip(_BATCH_P, _BATCH_PHI)):
+            one = MomentumPoint(*point)
+            worst_h = max(worst_h, abs(hankel[m + n, j] - ft_hankel(qn, one, nodes)))
+            if j < cols:
+                worst_d = max(worst_d, abs(direct[m + n, j] - ft_direct_2d(qn, one, nodes)))
+    assert worst_h <= 1e-15  # measured 1.4e-16: one Bessel sweep seeded at |m|, one at n
+    assert worst_d <= 1e-15  # measured 0
+
+
 def test_oracle_report_single_point():
     # The ground state over the acceptance grid, through the shared sweep.
     rep = check_oracle_agreement(n_max=0)
@@ -135,3 +166,25 @@ def test_oracle_is_structurally_independent():
             if ("psi_momentum" in used) or pulled:
                 offenders.append(node.name)
     assert offenders == []
+
+
+def _names(node):
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_direct_route_uses_no_bessel_function():
+    # The two oracles stay separate derivations: nothing that ft_direct_2d
+    # reaches, through any chain of module functions, names a Bessel routine.
+    tree = ast.parse(inspect.getsource(hydro2d.ftoracle))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["ft_direct_2d"]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(_names(defs[name]) & defs.keys())
+    assert {"_direct_rows", "_radial_rule", "_phi_count"} <= reached
+    named = set().union(*(_names(defs[name]) for name in reached))
+    assert not named & {"bessel_j", "_bessel_ladder", "jv"}
+    assert "_bessel_ladder" in _names(defs["_hankel_rows"])

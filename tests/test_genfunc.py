@@ -35,6 +35,17 @@ def test_truncation_record_validation():
         SeriesTruncation(0, 1e-12)
     with pytest.raises(ValueError):
         SeriesTruncation(10, -1.0)
+    SeriesTruncation(10, 1e-12, 1e-12)
+    with pytest.raises(ValueError):
+        SeriesTruncation(10, 1e-12, 2e-12)  # rounding is a part of the bound
+
+
+def test_truncation_splits_off_rounding():
+    # At 60 terms and |z| = 0.5 the geometric part is 1.3e-17 against 1.3e-13
+    # of rounding, and the series error sits below the rounding part.
+    value, trunc = laguerre_gf_series(0.5, 2.0, 1.5, n_max=60)
+    assert 0.0 < trunc.rounding <= trunc.tail_bound <= trunc.rounding * (1.0 + 1e-3)
+    assert abs(value - laguerre_gf(0.5, 2.0, 1.5)) <= trunc.rounding
 
 
 def test_laguerre_gf_hand_values():

@@ -16,6 +16,7 @@ from scipy.special import eval_gegenbauer, eval_genlaguerre, eval_legendre, jv, 
 
 from hydro2d.polys import (
     NEG_I_POW,
+    _bessel_ladder,
     assoc_legendre,
     bessel_j,
     double_factorial,
@@ -180,6 +181,38 @@ def test_bessel_order_limit():
     assert np.max(np.abs(bessel_j(160, x) - jv(160, x))) <= 1e-12  # measured 2.9e-15
     with pytest.raises(ValueError):
         bessel_j(161, 1.0)
+
+
+def _ladder_error(top, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _bessel_ladder(top, x)
+    return max(float(np.max(np.abs(rows[m] - jv(m, x)))) for m in range(top + 1))
+
+
+def test_bessel_ladder_against_scipy_small_top():
+    # Every row up to order 12 on the core range and far into the asymptotic one.
+    x = np.concatenate([np.linspace(0.0, 60.0, 601), [80.0, 159.0, 161.0, 300.0, 1000.0, 5000.0]])
+    assert _ladder_error(12, x) <= 1e-12  # measured 3.8e-14
+
+
+def test_bessel_ladder_against_scipy_wide_miller_range():
+    # Row 24 stays on the Miller sweep out to 20 * 24^2, rows 0 ... 12 leave it at 160.
+    assert _ladder_error(24, np.linspace(0.0, 20.0 * 24 * 24, 4001)) <= 1e-12  # measured 1.6e-14
+
+
+def test_bessel_ladder_against_scipy_top_order():
+    # One sweep seeded for order 160 must not overflow for the low rows near x = 9.
+    assert _ladder_error(160, np.linspace(0.0, 200.0, 2001)) <= 1e-12  # measured 3.8e-14
+    with pytest.raises(ValueError):
+        _bessel_ladder(161, np.ones(1))
+
+
+def test_bessel_j_is_a_ladder_row():
+    x = np.linspace(0.0, 400.0, 4001)
+    rows = _bessel_ladder(40, x)
+    worst = max(float(np.max(np.abs(bessel_j(m, x) - rows[m]))) for m in range(41))
+    assert worst <= 1e-14  # measured 4.5e-16
 
 
 def test_bessel_first_zero_by_bisection():

@@ -13,6 +13,7 @@ from hydro2d.verify import (
     SUITES,
     acceptance_grid,
     check_measure_factor,
+    check_new_legendre_gf,
     check_two_form_equality,
     run_suite,
 )
@@ -81,6 +82,14 @@ def test_genfunc_suite_passes():
     names = {r.check_name for r in reports}
     assert "gegenbauer-reindexing-identity" in names
     assert "gegenbauer-chain-consistency" in names
+
+
+def test_gf_note_fits_no_constant_to_rounding_errors():
+    # Errors up to 3.3e-16 against rounding estimates of 3e-14 and more:
+    # dividing them by |z|^80 would report a meaningless constant near 1e24.
+    rep = check_new_legendre_gf()
+    assert rep.notes.startswith("errors at rounding level, no geometric constant to fit; "
+                                "tail bound honored: True")
 
 
 def test_tolerance_override_forces_failure():
