@@ -8,23 +8,22 @@ directly from position-space data, so the closed-form momentum expressions
 can be checked against something that never saw their derivation.  Two
 routes are provided.  Each works a level at a time (``_hankel_rows`` and
 ``_direct_rows`` give every m at an array of momenta, with one radial rule
-per p), and each public function is one point of its route:
+per p), and each public function is one row of its route:
 
 ``ft_hankel``
     reduces the angular integral with the plane-wave harmonic expansion,
     leaving (-i)^|m| e^(i m phi_p) times the radial integral
-    integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho.  In w = q0 rho the
-    integrand is w^(m+1) e^(-w) L(2w) J_m(2cw) with c = p/(2 q0); plain
-    Gauss-Laguerre converges like c^(2 N) there, so it is used for
-    c <= 3/4 and the integral switches to Gauss-Legendre panels of width
-    pi/p (half a Bessel oscillation) on a truncated range otherwise.
+    integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho.
 
 ``ft_direct_2d``
     brute-force polar quadrature of the double integral, trapezoid in phi
     (periodic, so spectrally exact; the node count grows with p rho_max to
-    keep the aliased Bessel orders negligible) times the same two radial
-    rules.  Slower, but free of the angular reduction, which makes the
-    two routes genuinely different derivations.
+    keep the aliased Bessel orders negligible) times the same radial rule.
+    Slower, but free of the angular reduction, which makes the two routes
+    genuinely different derivations.
+
+Both use one radial rule at every momentum (``_radial_rule``): Gauss-Legendre
+panels on [0, rho_max], at least ``nodes`` points, none wider than pi/p.
 
 Independence: this module imports only the momentum-plane point type from
 ``momentum`` and touches no closed-form momentum wavefunction at all; the
@@ -34,21 +33,17 @@ comparison against them lives in ``verify.check_oracle_agreement``.
 from __future__ import annotations
 
 import math
-import sys
+from functools import lru_cache
 
 import numpy as np
 
 from .momentum import MomentumPoint
-from .polys import NEG_I_POW, _bessel_ladder, _point_arrays, laguerre
-from .position import QuantumNumbers, normalization, radial_wavefunction
-from .quadrature import gauss_laguerre, panel_nodes
+from .polys import NEG_I_POW, _bessel_ladder, _point_arrays, _scalar_or_array
+from .position import QuantumNumbers, radial_wavefunction
+from .quadrature import panel_nodes
 
 __all__ = ["ft_hankel", "ft_direct_2d"]
 
-# Gauss-Laguerre handles the radial integral while the Bessel factor
-# oscillates slower than the e^(-w) weight decays; c = p/(2 q0) <= 3/4
-# keeps its c^(2N) error term far below every tolerance in the suite.
-_GL_SWITCH = 0.75
 _PANEL_ORDER = 16
 # Bound on the radial tail that the panel range discards (see _cutoff_v).
 _TAIL_TOL = 1e-9
@@ -69,35 +64,27 @@ def _cutoff_v(n: int, q0: float, tol: float) -> float:
     return v
 
 
+@lru_cache(maxsize=None)
+def _rho_max(n: int) -> float:
+    """End of the radial range of level n, from ``_cutoff_v`` once per level."""
+    q0 = QuantumNumbers(n, 0).q0
+    return _cutoff_v(n, q0, _TAIL_TOL) / (2.0 * q0)
+
+
 def _radial_rule(n: int, am_max: int, p: float, nodes: int):
     """Radial nodes rho and, in row |m| <= am_max, weights times rho R_{n,m}(rho).
 
-    The one place that picks the rule: Gauss-Laguerre in w = q0 rho while
-    c = p/(2 q0) <= 3/4, Gauss-Legendre panels of width about pi/p on
-    [0, rho_max] beyond.  On the Gauss-Laguerre branch the rule's weight
-    e^(-w) supplies the exponential of R_{n,m}, so the weighted factor
-    carries only its polynomial part, and raises ``ValueError`` where its
-    x^(|m|+1) overflows (|m| >= 93 at 512 nodes, >= 85 at 1024).
+    Gauss-Legendre panels of ``_PANEL_ORDER`` points on [0, rho_max]: at
+    least ``nodes`` points, and at least p rho_max / pi panels, so none is
+    wider than half an oscillation of J_m(p rho).
     """
     if nodes < 64:
         raise ValueError("oracle needs at least 64 radial nodes")
-    states = [QuantumNumbers(n, am) for am in range(am_max + 1)]
-    q0 = states[0].q0
-    c = p / (2.0 * q0)
-    if c <= _GL_SWITCH:
-        x, w = gauss_laguerre(nodes)
-        limit = math.floor(math.log(sys.float_info.max) / math.log(x[-1]) - 1.0)
-        if am_max > limit:
-            raise ValueError(f"oracle at {nodes} nodes needs |m| <= {limit}: "
-                             "x_max^(|m|+1) overflows past it")
-        return x / q0, np.array([normalization(qn) * 2.0**qn.m / (q0 * q0) * w * x ** (qn.m + 1)
-                                 * laguerre(n - qn.m, 2 * qn.m, 2.0 * x) for qn in states])
-
-    rho_max = _cutoff_v(n, q0, _TAIL_TOL) / (2.0 * q0)
-    n_panels = max(8, math.ceil(p * rho_max / math.pi))
-    bounds = np.linspace(0.0, rho_max, n_panels + 1)
-    rho, wts = panel_nodes(bounds, _PANEL_ORDER)
-    return rho, np.array([wts * rho * radial_wavefunction(qn, rho) for qn in states])
+    rho_max = _rho_max(n)
+    n_panels = max(math.ceil(nodes / _PANEL_ORDER), math.ceil(p * rho_max / math.pi))
+    rho, wts = panel_nodes(np.linspace(0.0, rho_max, n_panels + 1), _PANEL_ORDER)
+    return rho, np.array([wts * rho * radial_wavefunction(QuantumNumbers(n, am), rho)
+                          for am in range(am_max + 1)])
 
 
 def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
@@ -120,14 +107,21 @@ def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     return val0 * (np.cos(turn) + 1j * np.sin(turn))
 
 
-def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512) -> complex:
+def _row(rows, qn: QuantumNumbers, mp: MomentumPoint, nodes: int):
+    """Row m of the level core ``rows`` over the broadcast shape of ``mp``; complex if scalar."""
+    am = abs(qn.m)
+    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
+    row = rows(qn.n, am, MomentumPoint(p.ravel(), phi_p.ravel()), nodes)[qn.m + am]
+    return _scalar_or_array(row.reshape(p.shape), mp.p, mp.phi_p)
+
+
+def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):
     """Oracle momentum wavefunction via the angular-reduction route.
 
-    One point of ``_hankel_rows``.  ``nodes`` (at least 64) sizes the
-    Gauss-Laguerre rule of the small-momentum branch.
+    Row m of ``_hankel_rows``: a ``complex`` for a scalar point, else an array
+    of the broadcast shape.  ``nodes`` (at least 64) is the least radial count.
     """
-    am = abs(qn.m)
-    return complex(_hankel_rows(qn.n, am, mp, nodes)[qn.m + am, 0])
+    return _row(_hankel_rows, qn, mp, nodes)
 
 
 def _phi_count(x_osc: float) -> int:
@@ -149,14 +143,12 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     Chunks of at most 2^21 kernel elements are projected by a DFT over phi
     onto every m of the level, whatever am_max, so rows do not depend on it.
     """
-    q0 = QuantumNumbers(n, 0).q0
-    rho_max = _cutoff_v(n, q0, _TAIL_TOL) / (2.0 * q0)
     ms = np.arange(-am_max, am_max + 1)
     p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
     out = np.zeros((ms.size, p.size), dtype=complex)
     for j, (pk, phik) in enumerate(zip(p, phi_p)):
         rho, weighted = _radial_rule(n, am_max, pk, nodes)
-        n_phi = _phi_count(pk * rho_max)
+        n_phi = _phi_count(pk * _rho_max(n))
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         dft = np.exp(1j * np.outer(phi, np.arange(-n, n + 1))) / n_phi
         cosines = np.cos(phi - phik)
@@ -168,10 +160,9 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     return out
 
 
-def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512) -> complex:
+def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):
     """Oracle momentum wavefunction via brute-force polar quadrature.
 
-    One point of ``_direct_rows``; ``nodes`` as for ``ft_hankel``.
+    Row m of ``_direct_rows``; values and ``nodes`` as for ``ft_hankel``.
     """
-    am = abs(qn.m)
-    return complex(_direct_rows(qn.n, am, mp, nodes)[qn.m + am, 0])
+    return _row(_direct_rows, qn, mp, nodes)

@@ -148,17 +148,11 @@ def gegenbauer(k: int, lam: float, q):
 
 
 def legendre(n: int, t):
-    """Legendre polynomial P_n(t) by the Bonnet recurrence."""
+    """Legendre polynomial P_n(t) = C_n^(1/2)(t): the Gegenbauer ladder is then Bonnet's."""
     if n < 0:
         raise ValueError("legendre degree n must be >= 0")
     ts, = _point_arrays(t, real=True)
-    p0 = np.ones_like(ts)
-    if n == 0:
-        return _scalar_or_array(p0, t)
-    p1 = ts.copy()
-    for i in range(1, n):
-        p0, p1 = p1, ((2.0 * i + 1.0) * ts * p1 - i * p0) / (i + 1.0)
-    return _scalar_or_array(p1, t)
+    return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n), t)
 
 
 def _assoc_legendre_ladder(m: int, ts: np.ndarray) -> Iterator[np.ndarray]:

@@ -161,27 +161,21 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
 
 
 def norm_squared(qn: QuantumNumbers, nodes: int = 128) -> float:
-    """Quadrature of the squared norm over the plane.
-
-    In v = 2 q0 rho the integrand is a polynomial times e^(-v), so
-    Gauss-Laguerre is exact here up to rounding.
-    """
-    am = abs(qn.m)
-    q0 = qn.q0
-    x, w = gauss_laguerre(nodes)
-    lag = laguerre(qn.n - am, 2 * am, x)
-    radial = float(np.sum(w * x ** (2 * am + 1) * lag * lag))
-    return 2.0 * math.pi * normalization(qn) ** 2 * radial / (4.0 * q0 * q0)
+    """Squared norm over the plane: ``overlap`` of the state with itself."""
+    return overlap(qn, qn, nodes).real
 
 
 def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers, nodes: int = 128, phi_nodes: int = 256) -> complex:
     """2-d overlap <psi_1 | psi_2> by product quadrature.
 
     The angular integral uses the periodic trapezoid rule; the radial one
-    runs in s = (q0_1 + q0_2) rho where the joint integrand is again a
-    polynomial times e^(-s).  The rule's weight supplies that e^(-s), so
-    each state contributes only its polynomial part N v^|m| L(v).
+    runs in s = (q0_1 + q0_2) rho where the joint integrand is a polynomial
+    of degree n1 + n2 + 1 times e^(-s).  The rule's weight supplies that
+    e^(-s), so each state contributes only its polynomial part N v^|m| L(v).
+    Past the rule's exact degree, n1 + n2 > 2 nodes - 2, it raises ValueError.
     """
+    if qn1.n + qn2.n > 2 * nodes - 2:
+        raise ValueError(f"overlap at {nodes} nodes is exact only for n1 + n2 <= {2 * nodes - 2}")
     phi = 2.0 * math.pi * np.arange(phi_nodes) / phi_nodes
     ang = np.mean(np.exp(1j * (qn2.m - qn1.m) * phi)) * 2.0 * math.pi
 

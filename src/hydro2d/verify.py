@@ -22,6 +22,7 @@ say so in the notes; the raw residual is still recorded as max_abs_err.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -47,13 +48,13 @@ _SEED = 20260814
 _PHI_CYCLE = (0.0, 0.9, 2.2, -1.4, 0.5 * math.pi)
 
 
-def _grid_points(p_values: Sequence[float]) -> List[MomentumPoint]:
-    return [MomentumPoint(float(p), _PHI_CYCLE[i % len(_PHI_CYCLE)])
-            for i, p in enumerate(p_values)]
+def _grid_points(p_values: np.ndarray) -> MomentumPoint:
+    """The momenta ``p_values`` as one array point, azimuths cycling through _PHI_CYCLE."""
+    return MomentumPoint(p_values, np.resize(_PHI_CYCLE, p_values.size))
 
 
-def acceptance_grid(points: int = 20, p_min: float = 0.05, p_max: float = 20.0) -> List[MomentumPoint]:
-    """Log-spaced momentum grid used by the oracle acceptance run."""
+def acceptance_grid(points: int = 20, p_min: float = 0.05, p_max: float = 20.0) -> MomentumPoint:
+    """Log-spaced momentum grid used by the oracle acceptance run, as one array point."""
     return _grid_points(np.geomspace(p_min, p_max, points))
 
 
@@ -570,18 +571,19 @@ def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationRe
 # ft suite
 # ---------------------------------------------------------------------------
 
-def _array_point(grid: Sequence[MomentumPoint]) -> MomentumPoint:
-    """The points of ``grid`` as one point with array fields."""
-    return MomentumPoint(np.array([g.p for g in grid]), np.array([g.phi_p for g in grid]))
+@functools.lru_cache(maxsize=None)
+def _acceptance_rows(n: int, nodes: int) -> np.ndarray:
+    """``_hankel_rows`` of level n on the acceptance grid, computed once; callers only read it."""
+    return _hankel_rows(n, n, acceptance_grid(), nodes)
 
 
 def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationReport:
-    mp = _array_point(acceptance_grid())
+    mp = acceptance_grid()
 
     def pairs():
         # Relative errors count only where the oracle value exceeds 1e-8.
         for n in range(n_max + 1):
-            for m, want in zip(range(-n, n + 1), _hankel_rows(n, n, mp, 512)):
+            for m, want in zip(range(-n, n + 1), _acceptance_rows(n, 512)):
                 err = np.abs(psi_momentum(QuantumNumbers(n, m), mp) - want)
                 yield err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0)
     return VerificationReport.from_abs(
@@ -593,7 +595,7 @@ def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationRep
 
 def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
     cap = min(n_max, 3)
-    mp = _array_point(_grid_points(np.geomspace(0.05, 3.0, 10)))
+    mp = _grid_points(np.geomspace(0.05, 3.0, 10))
     return VerificationReport.from_abs(
         "two-oracle-agreement", f"|m| <= n <= {cap}, 10-point log p-grid",
         *_worst((np.abs(_hankel_rows(n, n, mp, 512) - _direct_rows(n, n, mp, 512)), 1.0)
@@ -620,10 +622,9 @@ def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
 
 
 def check_node_doubling(n_max: int = 4, tol: float = 1e-9) -> VerificationReport:
-    mp = _array_point(acceptance_grid())
     return VerificationReport.from_abs(
         "oracle-node-doubling", f"|m| <= n <= {n_max}, acceptance grid",
-        *_worst((np.abs(_hankel_rows(n, n, mp, 512) - _hankel_rows(n, n, mp, 1024)), 1.0)
+        *_worst((np.abs(_acceptance_rows(n, 512) - _acceptance_rows(n, 1024)), 1.0)
                 for n in range(n_max + 1)),
         tol, notes="quadrature already converged at 512 nodes")
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import hydro2d.ftoracle
-from hydro2d.ftoracle import _direct_rows, _hankel_rows, ft_direct_2d, ft_hankel
+from hydro2d.ftoracle import _direct_rows, _hankel_rows, _radial_rule, ft_direct_2d, ft_hankel
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import QuantumNumbers
 from hydro2d.verify import check_oracle_agreement
@@ -98,17 +98,55 @@ def test_hankel_large_order(n, m, p):
 
 
 @pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
-@pytest.mark.parametrize("order, nodes", [(95, 512), (85, 1024)])
-def test_gauss_laguerre_order_limit(oracle, order, nodes):
-    # x_max^(|m|+1) passes the float maximum from |m| = 93 at 512 nodes and
-    # from |m| = 85 at 1024 nodes; the oracle names the limit instead.
-    with pytest.raises(ValueError, match="overflows"):
-        oracle(QuantumNumbers(order, order), MomentumPoint(0.01, 0.0), nodes=nodes)
+@pytest.mark.parametrize("nodes", [512, 1024])
+def test_largest_order_matches_closed_form(oracle, nodes):
+    # n = |m| = 85 is the closed form's own limit; the panel rule carries no
+    # x^(|m|+1) factor, so the oracle reaches it at both node counts.
+    qn, mp = QuantumNumbers(85, 85), MomentumPoint(0.01, 0.0)
+    want = psi_momentum(qn, mp)
+    assert abs(oracle(qn, mp, nodes=nodes) - want) <= 1e-10 * abs(want)  # measured 6.7e-12
 
 
-# With c = p (n + 1/2) / 2, p = 0 and 0.05 take the Gauss-Laguerre branch at
-# every n <= 4; p = 0.7 takes the panel branch from n = 2 on, p = 3 from
-# n = 1 on and p = 20 always (c > 3/4).
+@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+def test_past_largest_order_raises_like_closed_form(oracle):
+    qn, mp = QuantumNumbers(95, 95), MomentumPoint(0.01, 0.0)
+    with pytest.raises(ValueError, match="smallest normal double"):
+        psi_momentum(qn, mp)
+    with pytest.raises(ValueError, match="smallest normal double"):
+        oracle(qn, mp)
+
+
+@pytest.mark.parametrize("n", [0, 4])
+def test_radial_rule_counts(n):
+    # At small p the rule has exactly ``nodes`` points, so doubling them
+    # refines it; at p = 20 the panel width pi/p sets the count alone.
+    for nodes in (512, 1024):
+        rho, weighted = _radial_rule(n, n, 0.05, nodes)
+        assert rho.size == nodes and weighted.shape == (n + 1, nodes)
+    lo, hi = _radial_rule(n, n, 20.0, 512), _radial_rule(n, n, 20.0, 1024)
+    assert lo[0].size > 1024
+    assert np.array_equal(lo[0], hi[0]) and np.array_equal(lo[1], hi[1])
+
+
+@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+def test_array_call_matches_stacked_scalar_calls(oracle):
+    # Like psi_momentum: an array point gives the row over its broadcast
+    # shape (tests/test_array_contract.py; too slow there for the direct route).
+    qn = QuantumNumbers(2, -1)
+    ps, angles = np.array([[0.1, 0.5, 2.0], [0.0, 0.7, 1.3]]), np.array([0.4, -1.1, 2.5])
+    values = oracle(qn, MomentumPoint(ps, angles))
+    assert isinstance(values, np.ndarray) and values.shape == (2, 3)
+    stacked = np.empty((2, 3), dtype=complex)
+    for (i, j), p in np.ndenumerate(ps):
+        scalar = oracle(qn, MomentumPoint(float(p), float(angles[j])))
+        assert type(scalar) is complex
+        stacked[i, j] = scalar
+    np.testing.assert_allclose(values, stacked, rtol=1e-15, atol=0.0)
+
+
+# At p = 0 and 0.05 every rule has exactly ``nodes`` points.  The panel
+# width pi/p adds panels (p rho_max / pi > nodes / 16) at p = 0.7 from n = 3
+# on at 512 nodes, at p = 3 from n = 1 on (n = 2 at 1024) and at p = 20 always.
 _BATCH_P = (0.0, 0.05, 0.7, 3.0, 20.0)
 _BATCH_PHI = (0.0, 0.9, 2.2, -1.4, 1.3)
 
@@ -120,7 +158,7 @@ def test_batched_rows_equal_point_calls(n, nodes):
     # public one-point functions must give the same values.  The direct
     # route's kernel grows with p rho_max, to 2.6e4 radial nodes times 8192
     # angles at n = 4, p = 20, so beyond n = 0 it is compared at p <= 0.7
-    # (still the panel branch from n = 2 on).
+    # (where the panel width still adds panels from n = 3 on at 512 nodes).
     mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
     hankel = _hankel_rows(n, n, mp, nodes)
     cols = len(_BATCH_P) if n == 0 else 3

@@ -106,6 +106,21 @@ def test_norm_squared_is_one():
         assert norm_squared(QuantumNumbers(n, m)) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_norm_squared_at_the_largest_order():
+    # The closed form's limit is n = |m| = 85; v^|m| is formed per state, so
+    # nothing like x^(2|m|+1) overflows on the way.
+    assert abs(norm_squared(QuantumNumbers(85, 85)) - 1.0) <= 1e-10  # measured 1.3e-11
+
+
+def test_norm_squared_past_the_rule_degree_raises():
+    # 128 Gauss-Laguerre nodes integrate degree 2 n + 1 <= 255 exactly.
+    assert abs(norm_squared(QuantumNumbers(127, 0)) - 1.0) <= 1e-12  # measured 3.3e-15
+    with pytest.raises(ValueError, match="n1 \\+ n2 <= 254"):
+        norm_squared(QuantumNumbers(128, 0))
+    with pytest.raises(ValueError, match="n1 \\+ n2 <= 126"):
+        overlap(QuantumNumbers(40, 0), QuantumNumbers(90, 0), nodes=64)
+
+
 def test_overlap_orthogonality():
     # same m, different n
     assert abs(overlap(QuantumNumbers(2, 1), QuantumNumbers(4, 1))) <= 1e-13

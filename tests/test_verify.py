@@ -32,13 +32,13 @@ def test_unknown_suite_raises():
 
 def test_acceptance_grid_shape():
     grid = acceptance_grid()
-    assert len(grid) == 20
-    assert grid[0].p == pytest.approx(0.05)
-    assert grid[-1].p == pytest.approx(20.0)
+    assert grid.p.shape == grid.phi_p.shape == (20,)
+    assert grid.p[0] == pytest.approx(0.05)
+    assert grid.p[-1] == pytest.approx(20.0)
     # log spacing: constant ratio
-    r = grid[1].p / grid[0].p
-    for a, b in zip(grid, grid[1:]):
-        assert b.p / a.p == pytest.approx(r, rel=1e-12)
+    r = grid.p[1] / grid.p[0]
+    for a, b in zip(grid.p, grid.p[1:]):
+        assert b / a == pytest.approx(r, rel=1e-12)
 
 
 def test_polys_suite_passes():
