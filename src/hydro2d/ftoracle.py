@@ -7,8 +7,8 @@ Implements the unitary transform
 directly from position-space data, so the closed-form momentum expressions
 can be checked against something that never saw their derivation.  Two
 routes are provided.  Each works a level at a time (``_hankel_rows`` and
-``_direct_rows`` give every m at an array of momenta, with one radial rule
-per p), and each public function is one row of its route:
+``_direct_rows`` give every m at an array of momenta, with one Gauss-Legendre
+panel rule per p, ``_radial_rule``), and each public function is one row:
 
 ``ft_hankel``
     reduces the angular integral with the plane-wave harmonic expansion,
@@ -21,9 +21,6 @@ per p), and each public function is one row of its route:
     keep the aliased Bessel orders negligible) times the same radial rule.
     Slower, but free of the angular reduction, which makes the two routes
     genuinely different derivations.
-
-Both use one radial rule at every momentum (``_radial_rule``): Gauss-Legendre
-panels on [0, rho_max], at least ``nodes`` points, none wider than pi/p.
 
 Independence: this module imports only the momentum-plane point type from
 ``momentum`` and touches no closed-form momentum wavefunction at all; the
@@ -45,6 +42,9 @@ from .quadrature import panel_nodes
 __all__ = ["ft_hankel", "ft_direct_2d"]
 
 _PANEL_ORDER = 16
+# rho R_{n,m}(rho) oscillates at most like J_0(sqrt(8 rho)) at any n (Hilb's
+# formula): a panel this wide holds about six of its zeros near the origin.
+_MAX_PANEL_WIDTH = (6.0 * math.pi) ** 2 / 8.0
 # Bound on the radial tail that the panel range discards (see _cutoff_v).
 _TAIL_TOL = 1e-9
 
@@ -74,14 +74,14 @@ def _rho_max(n: int) -> float:
 def _radial_rule(n: int, am_max: int, p: float, nodes: int):
     """Radial nodes rho and, in row |m| <= am_max, weights times rho R_{n,m}(rho).
 
-    Gauss-Legendre panels of ``_PANEL_ORDER`` points on [0, rho_max]: at
-    least ``nodes`` points, and at least p rho_max / pi panels, so none is
-    wider than half an oscillation of J_m(p rho).
+    Gauss-Legendre panels of ``_PANEL_ORDER`` points on [0, rho_max], at least
+    ``nodes`` points, none wider than pi/p (half a Bessel period) or ``_MAX_PANEL_WIDTH``.
     """
     if nodes < 64:
         raise ValueError("oracle needs at least 64 radial nodes")
     rho_max = _rho_max(n)
-    n_panels = max(math.ceil(nodes / _PANEL_ORDER), math.ceil(p * rho_max / math.pi))
+    n_panels = max(math.ceil(nodes / _PANEL_ORDER),
+                   math.ceil(rho_max * max(p / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
     rho, wts = panel_nodes(np.linspace(0.0, rho_max, n_panels + 1), _PANEL_ORDER)
     return rho, np.array([wts * rho * radial_wavefunction(QuantumNumbers(n, am), rho)
                           for am in range(am_max + 1)])

@@ -98,13 +98,16 @@ def test_hankel_large_order(n, m, p):
 
 
 @pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
-@pytest.mark.parametrize("nodes", [512, 1024])
-def test_largest_order_matches_closed_form(oracle, nodes):
-    # n = |m| = 85 is the closed form's own limit; the panel rule carries no
-    # x^(|m|+1) factor, so the oracle reaches it at both node counts.
-    qn, mp = QuantumNumbers(85, 85), MomentumPoint(0.01, 0.0)
+@pytest.mark.parametrize("n, m, p", [(85, 85, 0.01), (85, 0, 0.0), (85, 0, 0.01),
+                                     (40, 0, 0.0), (40, 0, 0.01)])
+def test_largest_order_matches_closed_form(oracle, n, m, p):
+    # n = |m| = 85 is the closed form's own limit (measured 6.7e-12).  At
+    # m = 0 the n zeros of R_{n,0} crowd toward the origin, which only the
+    # width cap _MAX_PANEL_WIDTH resolves (measured <= 1.1e-14; 9e-3 at
+    # (85, 0), p = 0 with 32 panels of 512 nodes and no cap).
+    qn, mp = QuantumNumbers(n, m), MomentumPoint(p, 0.3)
     want = psi_momentum(qn, mp)
-    assert abs(oracle(qn, mp, nodes=nodes) - want) <= 1e-10 * abs(want)  # measured 6.7e-12
+    assert abs(oracle(qn, mp) - want) <= 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
@@ -118,8 +121,9 @@ def test_past_largest_order_raises_like_closed_form(oracle):
 
 @pytest.mark.parametrize("n", [0, 4])
 def test_radial_rule_counts(n):
-    # At small p the rule has exactly ``nodes`` points, so doubling them
-    # refines it; at p = 20 the panel width pi/p sets the count alone.
+    # At small p and n <= 12 the rule has exactly ``nodes`` points, so
+    # doubling them refines it; at p = 20 the panel width pi/p sets the count
+    # alone (as _MAX_PANEL_WIDTH does at small p from n = 13 on).
     for nodes in (512, 1024):
         rho, weighted = _radial_rule(n, n, 0.05, nodes)
         assert rho.size == nodes and weighted.shape == (n + 1, nodes)
