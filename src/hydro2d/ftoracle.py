@@ -7,8 +7,8 @@ Implements the unitary transform
 directly from position-space data, so the closed-form momentum expressions
 can be checked against something that never saw their derivation.  Two
 routes are provided.  Each works a level at a time (``_hankel_rows`` and
-``_direct_rows`` give every m at an array of momenta, with one Gauss-Legendre
-panel rule per p, ``_radial_rule``), and each public function is one row:
+``_direct_rows`` give every m at an array of momenta, on the Gauss-Legendre
+panels of ``_radial_rules``), and each public function is one row:
 
 ``ft_hankel``
     reduces the angular integral with the plane-wave harmonic expansion,
@@ -37,11 +37,10 @@ import numpy as np
 from .momentum import MomentumPoint
 from .polys import NEG_I_POW, _bessel_ladder, _point_arrays, _scalar_or_array
 from .position import QuantumNumbers, radial_wavefunction
-from .quadrature import panel_nodes
+from .quadrature import PANEL_ORDER, panel_nodes
 
 __all__ = ["ft_hankel", "ft_direct_2d"]
 
-_PANEL_ORDER = 16
 # rho R_{n,m}(rho) oscillates at most like J_0(sqrt(8 rho)) at any n (Hilb's
 # formula): a panel this wide holds about six of its zeros near the origin.
 _MAX_PANEL_WIDTH = (6.0 * math.pi) ** 2 / 8.0
@@ -71,20 +70,27 @@ def _rho_max(n: int) -> float:
     return _cutoff_v(n, q0, _TAIL_TOL) / (2.0 * q0)
 
 
-def _radial_rule(n: int, am_max: int, p: float, nodes: int):
-    """Radial nodes rho and, in row |m| <= am_max, weights times rho R_{n,m}(rho).
-
-    Gauss-Legendre panels of ``_PANEL_ORDER`` points on [0, rho_max], at least
-    ``nodes`` points, none wider than pi/p (half a Bessel period) or ``_MAX_PANEL_WIDTH``.
-    """
+def _panel_count(n: int, p: float, nodes: int) -> int:
+    """Panels of the radial rule on [0, rho_max]: ``nodes`` points or more, none wider
+    than pi/p (half a Bessel period) or ``_MAX_PANEL_WIDTH``."""
     if nodes < 64:
         raise ValueError("oracle needs at least 64 radial nodes")
-    rho_max = _rho_max(n)
-    n_panels = max(math.ceil(nodes / _PANEL_ORDER),
-                   math.ceil(rho_max * max(p / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
-    rho, wts = panel_nodes(np.linspace(0.0, rho_max, n_panels + 1), _PANEL_ORDER)
+    return max(math.ceil(nodes / PANEL_ORDER),
+               math.ceil(_rho_max(n) * max(p / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
+
+
+def _radial_rule(n: int, am_max: int, p: float, nodes: int):
+    """Radial nodes rho and, in row |m| <= am_max, weights times rho R_{n,m}(rho)."""
+    rho, wts = panel_nodes(np.linspace(0.0, _rho_max(n), _panel_count(n, p, nodes) + 1))
     return rho, np.array([wts * rho * radial_wavefunction(QuantumNumbers(n, am), rho)
                           for am in range(am_max + 1)])
+
+
+def _radial_rules(n: int, am_max: int, ps: np.ndarray, nodes: int) -> list:
+    """``_radial_rule`` at each of ``ps``, built once per panel count: all it takes from p."""
+    counts = [_panel_count(n, pk, nodes) for pk in ps]
+    built = {c: _radial_rule(n, am_max, pk, nodes) for c, pk in dict(zip(counts, ps)).items()}
+    return [built[c] for c in counts]
 
 
 def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
@@ -96,7 +102,7 @@ def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     """
     p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
     ps, which = np.unique(p, return_inverse=True)
-    rules = [_radial_rule(n, am_max, pk, nodes) for pk in ps]
+    rules = _radial_rules(n, am_max, ps, nodes)
     ladder = _bessel_ladder(am_max, np.concatenate([pk * rho for pk, (rho, _) in zip(ps, rules)]))
     ends = np.cumsum([rho.size for rho, _ in rules])[:-1]
     radial = np.array([np.sum(weighted * bessel, axis=1) for (_, weighted), bessel
@@ -146,8 +152,8 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     ms = np.arange(-am_max, am_max + 1)
     p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
     out = np.zeros((ms.size, p.size), dtype=complex)
-    for j, (pk, phik) in enumerate(zip(p, phi_p)):
-        rho, weighted = _radial_rule(n, am_max, pk, nodes)
+    rules = _radial_rules(n, am_max, p, nodes)
+    for j, (pk, phik, (rho, weighted)) in enumerate(zip(p, phi_p, rules)):
         n_phi = _phi_count(pk * _rho_max(n))
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         dft = np.exp(1j * np.outer(phi, np.arange(-n, n + 1))) / n_phi

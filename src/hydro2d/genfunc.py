@@ -179,7 +179,8 @@ def coordinate_basis_term(n: int, m: int, q0: float, pt: PolarPoint):
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
     rho, phi = _point_arrays(pt.rho, pt.phi, real=True)
-    return _scalar_or_array(_degree(_coordinate_ladder(m, q0, rho, phi), n - m), pt.rho, pt.phi)
+    return _scalar_or_array(_degree(_coordinate_ladder(m, q0, rho, phi), n - m,
+                                    f"coordinate_basis_term n={n}, m={m}"), pt.rho, pt.phi)
 
 
 def coordinate_gf(z: ArrayLike, t: ArrayLike, q0: float, pt: PolarPoint):

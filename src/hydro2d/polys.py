@@ -99,9 +99,13 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def _degree(ladder: Iterator[np.ndarray], k: int) -> np.ndarray:
-    """Item k of a ladder: its recurrence run up to degree k."""
-    return next(itertools.islice(ladder, k, None))
+def _degree(ladder: Iterator[np.ndarray], k: int, what: str) -> np.ndarray:
+    """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return next(itertools.islice(ladder, k, None))
+    except (FloatingPointError, OverflowError):  # a float64 step, or an integer seed
+        raise ValueError(f"{what} overflows float64") from None
 
 
 def _laguerre_ladder(alpha: float, xs: np.ndarray) -> Iterator[np.ndarray]:
@@ -123,7 +127,7 @@ def laguerre(k: int, alpha: float, x):
     if k < 0:
         raise ValueError("laguerre degree k must be >= 0")
     xs, = _point_arrays(x, real=True)
-    return _scalar_or_array(_degree(_laguerre_ladder(alpha, xs), k), x)
+    return _scalar_or_array(_degree(_laguerre_ladder(alpha, xs), k, f"laguerre k={k}"), x)
 
 
 def _gegenbauer_ladder(lam: float, qs: np.ndarray) -> Iterator[np.ndarray]:
@@ -144,7 +148,7 @@ def gegenbauer(k: int, lam: float, q):
     qs, = _point_arrays(q, real=True)
     if k < 0:
         return _scalar_or_array(np.zeros_like(qs), q)
-    return _scalar_or_array(_degree(_gegenbauer_ladder(lam, qs), k), q)
+    return _scalar_or_array(_degree(_gegenbauer_ladder(lam, qs), k, f"gegenbauer k={k}"), q)
 
 
 def legendre(n: int, t):
@@ -152,7 +156,7 @@ def legendre(n: int, t):
     if n < 0:
         raise ValueError("legendre degree n must be >= 0")
     ts, = _point_arrays(t, real=True)
-    return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n), t)
+    return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n, f"legendre n={n}"), t)
 
 
 def _assoc_legendre_ladder(m: int, ts: np.ndarray) -> Iterator[np.ndarray]:
@@ -179,7 +183,8 @@ def assoc_legendre(n: int, m: int, t):
     ts, = _point_arrays(t, real=True)
     if np.any(np.abs(ts) > 1.0):
         raise ValueError("assoc_legendre needs |t| <= 1")
-    return _scalar_or_array(_degree(_assoc_legendre_ladder(m, ts), n - m), t)
+    return _scalar_or_array(_degree(_assoc_legendre_ladder(m, ts), n - m,
+                                   f"assoc_legendre n={n}, m={m}"), t)
 
 
 # ---------------------------------------------------------------------------

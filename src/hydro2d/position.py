@@ -165,7 +165,7 @@ def norm_squared(qn: QuantumNumbers, nodes: int = 128) -> float:
     return overlap(qn, qn, nodes).real
 
 
-def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers, nodes: int = 128, phi_nodes: int = 256) -> complex:
+def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers, nodes: int = 128) -> complex:
     """2-d overlap <psi_1 | psi_2> by product quadrature.
 
     The angular integral uses the periodic trapezoid rule; the radial one
@@ -176,7 +176,7 @@ def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers, nodes: int = 128, phi_node
     """
     if qn1.n + qn2.n > 2 * nodes - 2:
         raise ValueError(f"overlap at {nodes} nodes is exact only for n1 + n2 <= {2 * nodes - 2}")
-    phi = 2.0 * math.pi * np.arange(phi_nodes) / phi_nodes
+    phi = 2.0 * math.pi * np.arange(256) / 256  # exact while |m1 - m2| < 256
     ang = np.mean(np.exp(1j * (qn2.m - qn1.m) * phi)) * 2.0 * math.pi
 
     a = qn1.q0 + qn2.q0

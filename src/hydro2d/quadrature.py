@@ -1,4 +1,4 @@
-"""Cached quadrature nodes shared by the normalization and transform code."""
+"""Gauss-Laguerre rules and Gauss-Legendre panels, built with numpy alone."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import roots_legendre
+
+PANEL_ORDER = 16  # points per panel of ``panel_nodes``: exact to degree 31
+_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 # Below this size a squared eigenvector component (good to about 1e-16
 # absolute) is worse than the node formula (about 1e-13 relative away from
@@ -42,10 +43,10 @@ def gauss_laguerre(n: int):
     Built by Golub-Welsch (Math. Comp. 23 (1969) 221) on the symmetric
     Jacobi matrix (diagonal 2k+1, off-diagonal k) because the library rules
     return NaN weights above a few hundred nodes.  The nodes are its
-    eigenvalues.  A weight is the squared first component of the unit
-    eigenvector while that is at least 1e-8; those components carry only
-    absolute accuracy, so the smaller (tail) weights come from the node
-    formula instead,
+    eigenvalues, from numpy's dense symmetric solver.  A weight is the
+    squared first component of the unit eigenvector while that is at least
+    1e-8; those components carry only absolute accuracy, so the smaller
+    (tail) weights come from the node formula instead,
 
         w_i = x_i / ((n+1) L_{n+1}(x_i))^2 = 1 / (x_i L_n'(x_i)^2),
 
@@ -56,8 +57,8 @@ def gauss_laguerre(n: int):
     """
     if n < 1:
         raise ValueError("need at least one node")
-    nodes, vectors = eigh_tridiagonal(2.0 * np.arange(n) + 1.0,
-                                      np.arange(1.0, n))
+    nodes, vectors = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 1.0)
+                                    + np.diag(np.arange(1.0, n), 1), UPLO="U")
     weights = vectors[0] ** 2
     tail = weights < _EIGENVECTOR_WEIGHT_FLOOR
     x = nodes[tail]
@@ -74,24 +75,14 @@ def gauss_laguerre(n: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=None)
-def gauss_legendre(n: int):
-    """Nodes/weights on [-1, 1]."""
-    x, w = roots_legendre(n)
-    return np.asarray(x), np.asarray(w)
-
-
-def panel_nodes(boundaries: np.ndarray, order: int):
+def panel_nodes(boundaries: np.ndarray):
     """Gauss-Legendre nodes/weights for a chain of contiguous panels.
 
-    ``boundaries`` is an increasing 1-d array; every consecutive pair
-    becomes one panel.  Returns flat node and weight arrays.
+    ``boundaries`` is an increasing 1-d array; each consecutive pair is
+    one panel of ``PANEL_ORDER`` points.  Returns flat nodes and weights.
     """
-    gx, gw = gauss_legendre(order)
-    lo = boundaries[:-1]
-    hi = boundaries[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    weights = (half[:, None] * gw[None, :]).ravel()
+    half = 0.5 * np.diff(boundaries)
+    mid = 0.5 * (boundaries[1:] + boundaries[:-1])
+    nodes = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
+    weights = (half[:, None] * _PANEL_W[None, :]).ravel()
     return nodes, weights

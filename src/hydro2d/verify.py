@@ -38,7 +38,7 @@ from .polys import (_gegenbauer_ladder, assoc_legendre, bessel_j, double_factori
                     laguerre, legendre, pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
-from .quadrature import gauss_laguerre, gauss_legendre, panel_nodes
+from .quadrature import PANEL_ORDER, gauss_laguerre, panel_nodes
 from .reporting import VerificationReport
 
 _SEED = 20260814
@@ -233,7 +233,7 @@ def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
 
     |psi|^2 <= pref^2 (2 q0)^3 maxP^2 / p^6, so the discarded tail is below
     2 pi pref^2 (2 q0)^3 maxP^2 / (4 P_max^4); P_max is solved from that.
-    Panels double dyadically from q0/2, 24-point Gauss-Legendre each.
+    Panels double dyadically from q0/2, 16-point Gauss-Legendre each.
     """
     am = abs(qn.m)
     q0 = qn.q0
@@ -245,7 +245,7 @@ def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
     bounds = [0.0, 0.5 * q0]
     while bounds[-1] < p_max:
         bounds.append(bounds[-1] * 2.0)
-    nodes, wts = panel_nodes(np.asarray(bounds), 24)
+    nodes, wts = panel_nodes(np.asarray(bounds))
     dens = np.abs(psi_momentum(qn, MomentumPoint(nodes, 0.0))) ** 2
     return 2.0 * math.pi * float(np.sum(wts * dens * nodes))
 
@@ -351,9 +351,7 @@ def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> V
                                                     math.pi / np.sqrt(det_x(gp, mp))):
         box = math.sqrt(34.5 / lam_min)
         n_nodes = min(2400, max(200, int(10.0 * freq * box * box / math.pi) + 60))
-        gx, gw = gauss_legendre(n_nodes)
-        u = box * gx
-        w = box * gw
+        u, w = panel_nodes(np.linspace(-box, box, math.ceil(n_nodes / PANEL_ORDER) + 1))
         ex = np.exp(-a11 * u * u) * w
         ey = np.exp(-a22 * u * u) * w
         cross = np.exp(-2.0 * a12 * np.outer(u, u))
@@ -368,11 +366,9 @@ def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> V
 def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
     """Measure the constant c in  integral f d^2r = c integral f(u) u^2 d^2u."""
     x, w = gauss_laguerre(96)
-    # Covering-plane side: plain Gauss-Legendre in u on [0, 9]; e^(-u^2)
+    # Covering-plane side: 160 Gauss-Legendre nodes in u on [0, 9]; e^(-u^2)
     # tails beyond are < 1e-35 for both test integrands.
-    gx, gw = gauss_legendre(160)
-    u = 4.5 * (gx + 1.0)
-    uw = 4.5 * gw
+    u, uw = panel_nodes(np.linspace(0.0, 9.0, 11))
 
     # f = e^(-rho): integral f d^2r by Gauss-Laguerre in rho against
     # integral f(u) u^2 d^2u by Gauss-Legendre in u.

@@ -137,6 +137,17 @@ def test_assoc_legendre_domain_errors():
         assoc_legendre(2, 1, 1.5)
 
 
+@pytest.mark.parametrize("call, limit", [
+    (lambda: assoc_legendre(160, 150, 0.3), "assoc_legendre n=160, m=150"),
+    (lambda: laguerre(300, 0.0, 5000.0), "laguerre k=300"),
+    # (2m-1)!! of the seed is already past the largest double.
+    (lambda: assoc_legendre(300, 200, 0.5), "assoc_legendre n=300, m=200"),
+], ids=["assoc_legendre-recurrence", "laguerre-recurrence", "assoc_legendre-seed"])
+def test_overflow_raises_naming_the_limit(call, limit):
+    with pytest.raises(ValueError, match=f"{limit} overflows float64"):
+        call()
+
+
 def test_bessel_trivial_values():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(3, 0.0) == 0.0

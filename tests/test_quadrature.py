@@ -1,17 +1,24 @@
 """Quadrature rules: moment exactness and large-node stability.
 
-The Laguerre rule is built by Golub-Welsch instead of the library routines
-because those return NaN weights somewhere above 250 nodes; the whole point
-of these tests is that big rules stay finite and accurate.
+The Laguerre rule is built by Golub-Welsch on numpy's dense eigensolver
+instead of the library routines, because those return NaN weights somewhere
+above 250 nodes; the point of most tests here is that big rules stay finite
+and accurate.  The Gauss-Legendre panel rule is checked on its moments and on
+a chain of panels.  The package imports numpy only: scipy is a test oracle,
+and a test here checks that importing and using the package never loads it.
 """
 
 import math
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from hydro2d.quadrature import gauss_laguerre, gauss_legendre, panel_nodes
+import hydro2d
+from hydro2d.quadrature import gauss_laguerre, panel_nodes
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
@@ -62,13 +69,30 @@ def test_gauss_laguerre_rejects_empty_rule():
 
 
 def test_gauss_legendre_moments():
-    x, w = gauss_legendre(20)
-    for k in range(0, 10, 2):
-        assert float(np.sum(w * x**k)) == pytest.approx(2.0 / (k + 1), rel=1e-13)
-    assert float(np.sum(w * x**3)) == pytest.approx(0.0, abs=1e-15)
+    # One panel on [-1, 1]: the 16-point rule is exact to degree 31.
+    x, w = panel_nodes(np.array([-1.0, 1.0]))
+    for k in range(0, 31, 2):
+        assert float(np.sum(w * x**k)) == pytest.approx(2.0 / (k + 1), rel=1e-14)
+    for k in range(1, 32, 2):
+        assert float(np.sum(w * x**k)) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_panel_nodes_integrate_sine():
     bounds = np.linspace(0.0, math.pi, 9)
-    x, w = panel_nodes(bounds, 12)
+    x, w = panel_nodes(bounds)
     assert float(np.sum(w * np.sin(x))) == pytest.approx(2.0, rel=1e-13)
+
+
+def test_package_never_imports_scipy():
+    # Importing the package, building both rules and running a suite leave
+    # sys.modules free of scipy.
+    home = str(pathlib.Path(hydro2d.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {home!r})\n"
+            "import numpy as np, hydro2d\n"
+            "from hydro2d.quadrature import gauss_laguerre, panel_nodes\n"
+            "gauss_laguerre(16); panel_nodes(np.array([0.0, 1.0]))\n"
+            "hydro2d.run_suite('position', 2)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
