@@ -17,10 +17,15 @@ panels of ``_radial_rules``), and each public function is one row:
 
 ``ft_direct_2d``
     brute-force polar quadrature of the double integral, trapezoid in phi
-    (periodic, so spectrally exact; the node count grows with p rho_max to
-    keep the aliased Bessel orders negligible) times the same radial rule.
-    Slower, but free of the angular reduction, which makes the two routes
-    genuinely different derivations.
+    times the same radial rule.  The integrand is periodic in phi, so the
+    trapezoid rule is spectrally exact on any shifted grid: the nodes are
+    phi_p + 2 pi k / n_phi, where the kernel is e^(-i p rho cos theta_k),
+    and the node count grows with p rho_max to keep the aliased Bessel
+    orders negligible.  The symmetries of cos theta fold the sum onto a
+    quarter circle in real arithmetic: cos(p rho cos theta) for even |m|,
+    -i sin(p rho cos theta) for odd |m|, the -i being that of
+    e^(-iy) = cos y - i sin y.  No Bessel function and no (-i)^|m| table
+    enters, which makes the two routes genuinely different derivations.
 
 Independence: this module imports only the momentum-plane point type from
 ``momentum`` and touches no closed-form momentum wavefunction at all; the
@@ -93,6 +98,12 @@ def _radial_rules(n: int, am_max: int, ps: np.ndarray, nodes: int) -> list:
     return [built[c] for c in counts]
 
 
+def _turns(ms: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
+    """e^(i m phi_p) for m in ``ms`` (rows) and the angles ``phi_p`` (columns)."""
+    turn = np.outer(ms, phi_p)
+    return np.cos(turn) + 1j * np.sin(turn)
+
+
 def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
     """psi_{n,m} for m = -am_max ... am_max (rows) at the points of 1-d ``mp`` (columns).
 
@@ -108,9 +119,8 @@ def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     radial = np.array([np.sum(weighted * bessel, axis=1) for (_, weighted), bessel
                        in zip(rules, np.split(ladder, ends, axis=1))]).T
     ms = np.arange(-am_max, am_max + 1)
-    turn = np.outer(ms, phi_p)
     val0 = radial[np.abs(ms)][:, which] * np.array([NEG_I_POW[abs(m) % 4] for m in ms])[:, None]
-    return val0 * (np.cos(turn) + 1j * np.sin(turn))
+    return val0 * _turns(ms, phi_p)
 
 
 def _row(rows, qn: QuantumNumbers, mp: MomentumPoint, nodes: int):
@@ -144,26 +154,36 @@ def _phi_count(x_osc: float) -> int:
 
 
 def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
-    """As ``_hankel_rows``, from one kernel e^(-i p rho cos(phi - phi_p)) per point.
+    """As ``_hankel_rows``, by the trapezoid rule in phi on the nodes phi_p + theta_k.
 
-    Chunks of at most 2^21 kernel elements are projected by a DFT over phi
-    onto every m of the level, whatever am_max, so rows do not depend on it.
+    With theta_k = 2 pi k / n_phi the kernel is e^(-i p rho cos theta_k) and
+    the state's angular factor e^(i m phi_p) e^(i m theta_k).  cos theta is
+    even in theta and odd about pi/2, so the sum over all n_phi nodes (a
+    multiple of 4) is one over k = 0 ... n_phi/4 with weights 4/n_phi, 2/n_phi
+    at the two ends: cos(p rho cos theta_k) cos(|m| theta_k) for even |m|,
+    -i sin(p rho cos theta_k) cos(|m| theta_k) for odd |m|, the -i being that
+    of e^(-iy) = cos y - i sin y.  Chunks of at most 2^21 kernel elements are
+    projected onto every order 0 ... n of the level, whatever am_max, so rows
+    do not depend on it.
     """
     ms = np.arange(-am_max, am_max + 1)
     p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
-    out = np.zeros((ms.size, p.size), dtype=complex)
+    radial = np.zeros((am_max + 1, p.size), dtype=complex)
     rules = _radial_rules(n, am_max, p, nodes)
-    for j, (pk, phik, (rho, weighted)) in enumerate(zip(p, phi_p, rules)):
+    for j, (pk, (rho, weighted)) in enumerate(zip(p, rules)):
         n_phi = _phi_count(pk * _rho_max(n))
-        phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-        dft = np.exp(1j * np.outer(phi, np.arange(-n, n + 1))) / n_phi
-        cosines = np.cos(phi - phik)
-        chunk = max(1, (1 << 21) // n_phi)
+        theta = 2.0 * math.pi * np.arange(n_phi // 4 + 1) / n_phi
+        proj = np.cos(np.outer(theta, np.arange(n + 1))) * (4.0 / n_phi)
+        proj[[0, -1]] *= 0.5
+        cosines = np.cos(theta)
+        chunk = max(1, (1 << 21) // theta.size)
         for lo in range(0, rho.size, chunk):
-            # No name holds a kernel, so each is freed before the next is built.
-            proj = np.exp(-1j * pk * np.outer(rho[lo:lo + chunk], cosines)) @ dft
-            out[:, j] += np.sum(weighted[np.abs(ms), lo:lo + chunk] * proj[:, ms + n].T, axis=1)
-    return out
+            arg = pk * np.outer(rho[lo:lo + chunk], cosines)
+            part = np.empty((arg.shape[0], n + 1), dtype=complex)
+            part[:, 0::2] = np.cos(arg) @ proj[:, 0::2]
+            part[:, 1::2] = -1j * (np.sin(arg, out=arg) @ proj[:, 1::2])
+            radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :am_max + 1].T, axis=1)
+    return radial[np.abs(ms)] * _turns(ms, phi_p)
 
 
 def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):

@@ -38,7 +38,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
-                    _point_arrays, _scalar_or_array, double_factorial)
+                    _overflow_guard, _point_arrays, _scalar_or_array, double_factorial)
 from .position import PolarPoint
 
 __all__ = [
@@ -103,26 +103,28 @@ def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> Seri
     return SeriesTruncation(n_max, tail + rounding, rounding)
 
 
-def _partial_sum(z: complex, n_lo: int, n_max: int, degrees: Iterable[ArrayLike]
+def _partial_sum(z: complex, n_lo: int, n_max: int, degrees: Iterable[ArrayLike], what: str
                  ) -> tuple[complex, SeriesTruncation]:
     """sum_{k=n_lo}^{n_max} z^k (pieces of degree k), with its truncation-plus-rounding bound.
 
     ``degrees`` yields the pieces of degree n_lo, n_lo + 1, ..., one number
     or an array of them per degree: the term is z^k times their total, and
-    the rounding estimate sums |z^k piece| over every piece.
+    the rounding estimate sums |z^k piece| over every piece.  A ladder that
+    overflows float64 on the way raises a ValueError naming ``what``.
     """
     total = 0.0 + 0.0j
     az = abs(z)
     abs_sum = 0.0
     scales = []
-    for k, pieces in zip(range(n_lo, n_max + 1), degrees):
-        zk = z**k
-        pieces = np.asarray(pieces)
-        term = zk * pieces.sum().item()
-        total += term
-        abs_sum += float(np.abs(zk * pieces).sum())
-        if az > 0.0 and k > n_max - 5:
-            scales.append(abs(term) / az**k)
+    with _overflow_guard(what):
+        for k, pieces in zip(range(n_lo, n_max + 1), degrees):
+            zk = z**k
+            pieces = np.asarray(pieces)
+            term = zk * pieces.sum().item()
+            total += term
+            abs_sum += float(np.abs(zk * pieces).sum())
+            if az > 0.0 and k > n_max - 5:
+                scales.append(abs(term) / az**k)
     return total, _tail(az, n_max, scales, abs_sum)
 
 
@@ -137,7 +139,8 @@ def laguerre_gf(z: ArrayLike, r: float, v: ArrayLike):
 def laguerre_gf_series(z: complex, r: float, v: float, n_max: int = 80
                        ) -> tuple[complex, SeriesTruncation]:
     _reject_z(z)
-    return _partial_sum(z, 0, n_max, _laguerre_ladder(r, _point_arrays(float(v))[0]))
+    return _partial_sum(z, 0, n_max, _laguerre_ladder(r, _point_arrays(float(v))[0]),
+                        f"laguerre_gf_series n_max={n_max}")
 
 
 def shifted_laguerre_gf(z: ArrayLike, m: int, v: ArrayLike):
@@ -154,7 +157,8 @@ def shifted_laguerre_gf_series(z: complex, m: int, v: float, n_max: int = 80
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
-    return _partial_sum(z, m, n_max, _laguerre_ladder(2 * m, _point_arrays(float(v))[0]))
+    return _partial_sum(z, m, n_max, _laguerre_ladder(2 * m, _point_arrays(float(v))[0]),
+                        f"shifted_laguerre_gf_series m={m}, n_max={n_max}")
 
 
 def _coordinate_ladder(m: int, q0: float, rho: np.ndarray, phi: np.ndarray
@@ -218,7 +222,7 @@ def coordinate_gf_series(z: complex, t: complex, q0: float, pt: PolarPoint,
         for n in itertools.count():
             ladders.append(_coordinate_ladder(n, q0, rho, phi))
             yield [t**m / math.factorial(m) * next(lad) for m, lad in enumerate(ladders)]
-    return _partial_sum(z, 0, n_max, degrees())
+    return _partial_sum(z, 0, n_max, degrees(), f"coordinate_gf_series n_max={n_max}")
 
 
 def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
@@ -232,7 +236,8 @@ def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
 def gegenbauer_gf_series(z: complex, q: float, alpha: float, n_max: int = 80
                          ) -> tuple[complex, SeriesTruncation]:
     _reject_z(z)
-    return _partial_sum(z, 0, n_max, _gegenbauer_ladder(alpha, _point_arrays(float(q))[0]))
+    return _partial_sum(z, 0, n_max, _gegenbauer_ladder(alpha, _point_arrays(float(q))[0]),
+                        f"gegenbauer_gf_series n_max={n_max}")
 
 
 def new_legendre_gf(z: ArrayLike, t: ArrayLike, m: int):
@@ -260,7 +265,8 @@ def new_legendre_gf_series(z: complex, t: float, m: int, n_max: int = 80
     dfact = double_factorial(2 * m + 1)
     ladder = _assoc_legendre_ladder(m, _point_arrays(float(t))[0])
     return _partial_sum(z, m, n_max, ((2 * n + 1) / dfact * p
-                                      for n, p in zip(itertools.count(m), ladder)))
+                                      for n, p in zip(itertools.count(m), ladder)),
+                        f"new_legendre_gf_series m={m}, n_max={n_max}")
 
 
 def series_coefficients(fn: Callable[..., ArrayLike], counts: Sequence[int],

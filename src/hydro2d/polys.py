@@ -33,6 +33,7 @@ generating-function series take all their coefficients from one pass.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from typing import Iterator
@@ -99,13 +100,20 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def _degree(ladder: Iterator[np.ndarray], k: int, what: str) -> np.ndarray:
-    """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows."""
+@contextlib.contextmanager
+def _overflow_guard(what: str) -> Iterator[None]:
+    """Run ladder steps so that an overflow raises a ValueError naming ``what``."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return next(itertools.islice(ladder, k, None))
+            yield
     except (FloatingPointError, OverflowError):  # a float64 step, or an integer seed
         raise ValueError(f"{what} overflows float64") from None
+
+
+def _degree(ladder: Iterator[np.ndarray], k: int, what: str) -> np.ndarray:
+    """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows."""
+    with _overflow_guard(what):
+        return next(itertools.islice(ladder, k, None))
 
 
 def _laguerre_ladder(alpha: float, xs: np.ndarray) -> Iterator[np.ndarray]:

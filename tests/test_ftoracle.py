@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import hydro2d.ftoracle
-from hydro2d.ftoracle import _direct_rows, _hankel_rows, _radial_rule, ft_direct_2d, ft_hankel
+from hydro2d.ftoracle import (_direct_rows, _hankel_rows, _phi_count, _radial_rule, _rho_max,
+                              ft_direct_2d, ft_hankel)
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import QuantumNumbers
 from hydro2d.verify import check_oracle_agreement
@@ -160,12 +161,12 @@ _BATCH_PHI = (0.0, 0.9, 2.2, -1.4, 1.3)
 def test_batched_rows_equal_point_calls(n, nodes):
     # The checks read every (m, p) of a level from one batched call; the
     # public one-point functions must give the same values.  The direct
-    # route's kernel grows with p rho_max, to 2.6e4 radial nodes times 8192
-    # angles at n = 4, p = 20, so beyond n = 0 it is compared at p <= 0.7
-    # (where the panel width still adds panels from n = 3 on at 512 nodes).
+    # route's kernel grows with p rho_max, to 2.6e4 radial nodes times 2049
+    # quarter-circle angles at n = 4, p = 20, so beyond n = 0 it is compared
+    # at p <= 3.
     mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
     hankel = _hankel_rows(n, n, mp, nodes)
-    cols = len(_BATCH_P) if n == 0 else 3
+    cols = len(_BATCH_P) if n == 0 else 4
     direct = _direct_rows(n, n, MomentumPoint(mp.p[:cols], mp.phi_p[:cols]), nodes)
     worst_h = worst_d = 0.0
     for m in range(-n, n + 1):
@@ -177,6 +178,49 @@ def test_batched_rows_equal_point_calls(n, nodes):
                 worst_d = max(worst_d, abs(direct[m + n, j] - ft_direct_2d(qn, one, nodes)))
     assert worst_h <= 1e-15  # measured 1.4e-16: one Bessel sweep seeded at |m|, one at n
     assert worst_d <= 1e-15  # measured 0
+
+
+def _full_circle_rows(n, p, phi_p, shifted):
+    """Every m of level n at one point by the unfolded trapezoid sum over all n_phi angles.
+
+    Shifted: nodes phi_p + theta_k, kernel e^(-i p rho cos theta_k) and
+    angular factor e^(i m phi_p) e^(i m theta_k).  Unshifted: nodes
+    phi_k = 2 pi k / n_phi, kernel e^(-i p rho cos(phi_k - phi_p)).
+    """
+    rho, weighted = _radial_rule(n, n, p, 512)
+    n_phi = _phi_count(p * _rho_max(n))
+    angles = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    if shifted:
+        kernel = np.exp(-1j * p * np.outer(rho, np.cos(angles)))
+    else:
+        kernel = np.exp(-1j * p * np.outer(rho, np.cos(angles - phi_p)))
+    rows = []
+    for m in range(-n, n + 1):
+        circle = np.exp(1j * m * angles) / n_phi
+        turn = np.exp(1j * m * phi_p) if shifted else 1.0
+        rows.append(turn * (weighted[abs(m)] @ kernel @ circle))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n, p, phi_p", [(2, 0.7, 0.9), (3, 3.0, -1.4)])
+def test_quarter_fold_equals_full_circle_sum(n, p, phi_p):
+    # The quarter-circle sum in real arithmetic is the full trapezoid sum on
+    # the shifted nodes, regrouped; moving the nodes from phi_k = 2 pi k /
+    # n_phi to phi_p + 2 pi k / n_phi changes only aliasing-level terms.
+    rows = _direct_rows(n, n, MomentumPoint(np.array([p]), np.array([phi_p])), 512)[:, 0]
+    shifted = _full_circle_rows(n, p, phi_p, shifted=True)
+    unshifted = _full_circle_rows(n, p, phi_p, shifted=False)
+    assert np.max(np.abs(rows - shifted)) <= 1e-14  # measured 4.6e-16
+    assert np.max(np.abs(rows - unshifted)) <= 1e-13  # measured 7.5e-16
+
+
+def test_direct_rows_at_large_momentum():
+    # p = 20 at n = 4: 2.6e4 radial nodes by 8192 angles, folded to 2049.
+    # Signs and phases of every m come out of the quadrature, not a table.
+    rows = _direct_rows(4, 4, MomentumPoint(np.array([20.0]), np.array([1.3])), 512)[:, 0]
+    worst = max(abs(rows[m + 4] - psi_momentum(QuantumNumbers(4, m), MomentumPoint(20.0, 1.3)))
+                for m in range(-4, 5))
+    assert worst <= 1e-12  # measured 9.6e-16
 
 
 def test_oracle_report_single_point():
@@ -217,7 +261,8 @@ def _names(node):
 
 def test_direct_route_uses_no_bessel_function():
     # The two oracles stay separate derivations: nothing that ft_direct_2d
-    # reaches, through any chain of module functions, names a Bessel routine.
+    # reaches, through any chain of module functions, names a Bessel routine
+    # or the Hankel route's phase table.
     tree = ast.parse(inspect.getsource(hydro2d.ftoracle))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     reached, todo = set(), ["ft_direct_2d"]
@@ -229,4 +274,6 @@ def test_direct_route_uses_no_bessel_function():
     assert {"_direct_rows", "_radial_rule", "_phi_count"} <= reached
     named = set().union(*(_names(defs[name]) for name in reached))
     assert not named & {"bessel_j", "_bessel_ladder", "jv"}
+    # Nor the Hankel route's (-i)^|m| table: the direct route's phases are numerical.
+    assert "NEG_I_POW" not in named
     assert "_bessel_ladder" in _names(defs["_hankel_rows"])

@@ -133,6 +133,17 @@ def test_unit_disk_enforced(bad_z):
         new_legendre_gf(bad_z, 0.3, 1)
 
 
+@pytest.mark.parametrize("call, limit", [
+    (lambda: laguerre_gf_series(0.5, 0.0, 5000.0, 300), "laguerre_gf_series n_max=300"),
+    # (2m-1)!! of the ladder's seed is already past the largest double.
+    (lambda: new_legendre_gf_series(0.5, 0.3, 160, 300), "new_legendre_gf_series m=160, n_max=300"),
+], ids=["laguerre-recurrence", "new_legendre-seed"])
+def test_series_overflow_raises_naming_the_limit(call, limit):
+    # The series run their ladders under the same guard as the polys functions.
+    with pytest.raises(ValueError, match=f"{limit} overflows float64"):
+        call()
+
+
 def test_cauchy_coefficients_of_exp():
     coeffs = series_coefficients(np.exp, (12,))
     want = np.array([1.0 / math.factorial(k) for k in range(12)])
