@@ -93,17 +93,21 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     columns = [coords, vals.real, vals.imag, np.abs(vals) ** 2]
-    if args.mesh is not None:
-        columns.insert(1, phis)
-    rows = zip(*(col.ravel().tolist() for col in columns))
-
     header = ["coordinate", "re", "im", "abs2"]
     if args.mesh is not None:
+        columns.insert(1, phis)
         header.insert(1, "angle")
+    stacked = np.column_stack([col.ravel() for col in columns])
+    finite = np.isfinite(stacked).all(axis=0)
+    if not finite.all():
+        parser.error(f"non-finite {header[finite.argmin()]} in the table")
+    rows, flat = len(stacked), tuple(stacked.ravel().tolist())
+    # One %-template per table: %r is float.__repr__, as in _csv and json.dumps.
     if args.format == "csv":
-        text = _csv(header, rows)
+        text = ",".join(header) + "\n" + (",".join(["%r"] * len(header)) + "\n") * rows % flat
     else:
-        text = _json([dict(zip(header, row)) for row in rows])
+        row = "  {\n" + ",\n".join(f'    "{h}": %r' for h in header) + "\n  }"
+        text = "[\n" + ",\n".join([row] * rows) % flat + "\n]\n"
     _emit(text, args.out)
     return 0
 

@@ -91,11 +91,13 @@ def _tail(r: float, n_max: int, scales: Sequence[float], abs_sum: float) -> Seri
 
     The geometric part is amp * r^(n_max+1) / (1 - r), where ``scales``
     holds |term_k| / r^k for the last few computed terms and their maximum
-    (floored at 1) estimates the subgeometric amplitude.  The rounding part
-    is the first-order forward-error model (4 n_max + 8) eps sum|term|:
-    each term passes through a recurrence of length <= n_max at roughly
-    four flops per step, so the summation error scales with the term
-    magnitudes times the operation count.  It dominates once the truncation
+    (floored at 1) estimates the subgeometric amplitude.  The caller takes
+    |term_k| / r^k as the modulus of the degree-k total, never dividing by
+    r^k, which underflows for small r.  The rounding part is the
+    first-order forward-error model (4 n_max + 8) eps sum|term|: each term
+    passes through a recurrence of length <= n_max at roughly four flops
+    per step, so the summation error scales with the term magnitudes times
+    the operation count.  It dominates once the truncation
     tail drops below float precision.
     """
     rounding = (4 * n_max + 8) * math.ulp(1.0) * abs_sum
@@ -120,11 +122,11 @@ def _partial_sum(z: complex, n_lo: int, n_max: int, degrees: Iterable[ArrayLike]
         for k, pieces in zip(range(n_lo, n_max + 1), degrees):
             zk = z**k
             pieces = np.asarray(pieces)
-            term = zk * pieces.sum().item()
-            total += term
+            piece_sum = pieces.sum().item()
+            total += zk * piece_sum
             abs_sum += float(np.abs(zk * pieces).sum())
-            if az > 0.0 and k > n_max - 5:
-                scales.append(abs(term) / az**k)
+            if k > n_max - 5:
+                scales.append(abs(piece_sum))
     return total, _tail(az, n_max, scales, abs_sum)
 
 

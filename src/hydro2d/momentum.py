@@ -45,7 +45,7 @@ from numpy.typing import ArrayLike
 
 from .polys import (NEG_I_POW, _point_arrays, _scalar_or_array, assoc_legendre, gegenbauer,
                     pochhammer)
-from .position import QuantumNumbers, normalization
+from .position import QuantumNumbers, _check_polar, normalization
 
 __all__ = [
     "MomentumPoint",
@@ -63,18 +63,33 @@ class MomentumPoint:
     phi_p: ArrayLike
 
     def __post_init__(self):
-        if np.any(np.asarray(self.p) < 0.0):
-            raise ValueError("radial momentum p must be >= 0")
+        _check_polar(self.p, self.phi_p, "radial momentum p", "momentum azimuth phi_p")
+
+
+def _overflow_free(ps: np.ndarray):
+    """ps with 0 wherever ps*ps overflows float64, and the mask of those points.
+
+    Both closed forms fall like p^-3 or faster, so they round to 0 long
+    before p*p overflows (p > 1.3e154), where evaluating them gives inf/inf.
+    Callers evaluate at the masked copy and put the limit back with np.where.
+    """
+    with np.errstate(over="ignore"):
+        far = np.isinf(ps * ps)
+    return np.where(far, 0.0, ps), far
 
 
 def q_of_p(p: ArrayLike, q0: float):
-    """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p."""
+    """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p.
+
+    Where p*p overflows, q takes its limit 1.
+    """
     ps, = _point_arrays(p, real=True)
     if np.any(ps < 0.0):
         raise ValueError("q_of_p needs p >= 0")
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
-    return _scalar_or_array((ps * ps - q0 * q0) / (ps * ps + q0 * q0), p)
+    ps, far = _overflow_free(ps)
+    return _scalar_or_array(np.where(far, 1.0, (ps * ps - q0 * q0) / (ps * ps + q0 * q0)), p)
 
 
 def _phase(m: int, phi_p: ArrayLike):
@@ -87,33 +102,37 @@ def _phase(m: int, phi_p: ArrayLike):
     return np.cos(angle) + 1j * np.sin(angle)
 
 
-def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
-    """Momentum wavefunction in the associated-Legendre form.
+def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
+    """amplitude(p, q) (-i)^|m| e^(i m phi_p), with the limit 0 where p*p overflows.
 
-    Constructed as (real amplitude) * (-i)^|m| * e^(i m phi_p), so the phase
-    relation psi(p, phi_p) = psi(p, 0) e^(i m phi_p) holds exactly and the
-    modulus is independent of the sign of m.  Scalar fields of ``mp`` give
-    a complex, array fields a complex ndarray of their broadcast shape.
+    Built this way, the phase relation psi(p, phi_p) = psi(p, 0) e^(i m phi_p)
+    holds exactly and the modulus is independent of the sign of m.  Scalar
+    fields of ``mp`` give a complex, array fields a complex ndarray of their
+    broadcast shape.
     """
+    p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
+    p, far = _overflow_free(p)
+    amp = np.where(far, 0.0, amplitude(p, q_of_p(p, qn.q0)))
+    return _scalar_or_array(amp * NEG_I_POW[abs(qn.m) % 4] * _phase(qn.m, phi_p),
+                            mp.p, mp.phi_p)
+
+
+def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
+    """Momentum wavefunction in the associated-Legendre form."""
     am = abs(qn.m)
     q0 = qn.q0
-    p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
-    q = q_of_p(p, q0)
-    amp = (
+    return _closed_form(qn, mp, lambda p, q: (
         math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
         * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
         * assoc_legendre(qn.n, am, q)
-    )
-    return _scalar_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)
+    ))
 
 
 def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the Gegenbauer form; equals ``psi_momentum``."""
     am = abs(qn.m)
     q0 = qn.q0
-    p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
-    q = q_of_p(p, q0)
-    amp = (
+    return _closed_form(qn, mp, lambda p, q: (
         normalization(qn)
         * ((qn.n + 0.5) / (am + 0.5))
         * (4.0**am)
@@ -122,5 +141,4 @@ def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
         * gegenbauer(qn.n - am, am + 0.5, q)
         * p**am
         / (p * p + q0 * q0) ** (am + 1.5)
-    )
-    return _scalar_or_array(amp * NEG_I_POW[am % 4] * _phase(qn.m, phi_p), mp.p, mp.phi_p)
+    ))

@@ -100,8 +100,16 @@ class PolarPoint:
     phi: ArrayLike
 
     def __post_init__(self):
-        if np.any(np.asarray(self.rho) < 0.0):
-            raise ValueError("radial coordinate rho must be >= 0")
+        _check_polar(self.rho, self.phi, "radial coordinate rho", "azimuth phi")
+
+
+def _check_polar(radial: ArrayLike, azimuth: ArrayLike, radial_name: str, azimuth_name: str):
+    """ValueError naming the field unless radial is finite and >= 0 and azimuth is finite."""
+    radial = np.asarray(radial)
+    if not np.all(np.isfinite(radial) & (radial >= 0.0)):
+        raise ValueError(f"{radial_name} must be finite and >= 0")
+    if not np.all(np.isfinite(azimuth)):
+        raise ValueError(f"{azimuth_name} must be finite")
 
 
 def make_bound_state(qn: QuantumNumbers) -> BoundState:

@@ -59,6 +59,9 @@ class GridSpec:
     scale: str = "linear"
 
     def __post_init__(self):
+        for name, bound in (("min", self.min), ("max", self.max)):
+            if not np.isfinite(bound):
+                raise ValueError(f"grid {name} must be finite, got {bound!r}")
         if self.scale not in ("linear", "log"):
             raise ValueError("grid scale must be 'linear' or 'log'")
         if not self.min < self.max:

@@ -9,9 +9,14 @@ values.
 import json
 import math
 
+import numpy as np
 import pytest
 
+from hydro2d import cli
 from hydro2d.cli import main
+from hydro2d.momentum import MomentumPoint, psi_momentum
+from hydro2d.position import PolarPoint, QuantumNumbers, psi_position
+from hydro2d.reporting import GridSpec
 
 EIGEN_2 = ("n,q0,energy\n"
            "0,2.0,-4.0\n"
@@ -109,11 +114,54 @@ def test_table_mesh_outer_product(capsys):
     ["table", "--n", "1", "--m", "0", "--grid", "0:5:6", "--mesh", "1"],
     ["table", "--n", "92", "--m", "92", "--grid", "0:1:3"],  # normalization underflows
     ["table", "--space", "momentum", "--n", "92", "--m", "92", "--grid", "0:1:3"],
+    ["table", "--n", "1", "--m", "1", "--grid", "0:5:3", "--angle", "nan"],
+    ["table", "--n", "1", "--m", "1", "--grid", "0:inf:3"],
 ])
 def test_table_usage_errors(bad):
     with pytest.raises(SystemExit) as exc:
         main(bad)
     assert exc.value.code == 2
+
+
+def test_table_non_finite_value_is_a_usage_error(monkeypatch, capsys):
+    # Whatever slips past input validation, the writer prints no NaN or inf.
+    monkeypatch.setattr(cli, "psi_position",
+                        lambda qn, pt: np.where(pt.rho > 1.0, complex(1.0, math.nan), 1.0))
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "1", "--m", "0", "--grid", "0:2:3"])
+    assert exc.value.code == 2
+    assert "non-finite im" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("space, extra", [
+    ("position", ["--grid", "0:7:9", "--angle", "0.4"]),
+    ("momentum", ["--grid", "0.01:30:9:log", "--angle", "2.5"]),
+    ("position", ["--grid", "0:7:5", "--mesh", "3"]),
+    ("momentum", ["--grid", "0:3:4", "--mesh", "5"]),
+    ("momentum", ["--grid", "0.5:1:2", "--angle", "0.0"]),
+])
+def test_table_writer_matches_generic_writers(capsys, space, extra, fmt):
+    # The one-template writer must give the bytes of _csv and _json on the same columns.
+    argv = ["table", "--space", space, "--n", "4", "--m", "-3", "--format", fmt, *extra]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    grid = GridSpec.parse(extra[1]).values()
+    meshed = "--mesh" in extra
+    angles = ([2.0 * math.pi * k / int(extra[-1]) for k in range(int(extra[-1]))] if meshed
+              else [float(extra[-1])])
+    coords, phis = np.meshgrid(grid, angles, indexing="ij")
+    qn = QuantumNumbers(4, -3)
+    vals = (psi_position(qn, PolarPoint(coords, phis)) if space == "position"
+            else psi_momentum(qn, MomentumPoint(coords, phis)))
+    header = ["coordinate", "angle", "re", "im", "abs2"]
+    cols = [coords, phis, vals.real, vals.imag, np.abs(vals) ** 2]
+    if not meshed:
+        del header[1], cols[1]
+    rows = list(zip(*(c.ravel().tolist() for c in cols)))
+    want = (cli._csv(header, rows) if fmt == "csv"
+            else cli._json([dict(zip(header, r)) for r in rows]))
+    assert out == want
 
 
 def test_verify_polys_json(capsys):

@@ -61,6 +61,16 @@ def test_laguerre_gf_series_converges():
     assert trunc.n_max == 60
 
 
+@pytest.mark.parametrize("series, closed", [
+    (lambda: gegenbauer_gf_series(1e-5, 0.3, 1.5, 80), lambda: gegenbauer_gf(1e-5, 0.3, 1.5)),
+    (lambda: laguerre_gf_series(1e-200, 0.0, 1.0, 80), lambda: laguerre_gf(1e-200, 0.0, 1.0)),
+], ids=["gegenbauer", "laguerre"])
+def test_series_at_tiny_z_where_z_to_the_k_underflows(series, closed):
+    # |z|^k underflows to 0 well before k = 80; the tail estimate must not divide by it.
+    value, trunc = series()
+    assert abs(value - closed()) <= trunc.tail_bound
+
+
 def test_shifted_laguerre_gf():
     assert shifted_laguerre_gf(0.0, 1, 2.0) == 0.0  # leading z^m factor
     assert shifted_laguerre_gf(0.4, 0, 1.0) == laguerre_gf(0.4, 0.0, 1.0)

@@ -10,6 +10,7 @@ test_ftoracle and the verification suites.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from hydro2d.momentum import (
@@ -27,6 +28,17 @@ def test_momentum_point_validation():
     MomentumPoint(0.0, 3.0)
     with pytest.raises(ValueError):
         MomentumPoint(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("p, phi_p, field", [
+    (math.inf, 0.0, "radial momentum p"),
+    (math.nan, 0.0, "radial momentum p"),
+    (1.0, math.inf, "momentum azimuth phi_p"),
+    (1.0, math.nan, "momentum azimuth phi_p"),
+])
+def test_momentum_point_rejects_non_finite(p, phi_p, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        MomentumPoint(p, phi_p)
 
 
 def test_q_of_p_special_points():
@@ -113,6 +125,18 @@ def test_large_p_envelope():
     a = abs(psi_momentum(QuantumNumbers(0, 0), MomentumPoint(100.0, 0.0)))
     b = abs(psi_momentum(QuantumNumbers(0, 0), MomentumPoint(1000.0, 0.0)))
     assert a / b == pytest.approx(1e3, rel=1e-2)
+
+
+@pytest.mark.parametrize("psi", [psi_momentum, psi_momentum_gegenbauer])
+@pytest.mark.parametrize("m", [1, -2])
+def test_limit_zero_where_p_squared_overflows(psi, m):
+    # p*p = inf at p = 1e160: both forms return their limit 0 instead of
+    # inf/inf = nan, and leave the finite points of the same array alone.
+    qn = QuantumNumbers(3, m)
+    assert psi(qn, MomentumPoint(1e160, 0.3)) == 0.0
+    both = psi(qn, MomentumPoint(np.array([1e160, 0.7]), 0.3))
+    assert both[0] == 0.0 and both[1] == psi(qn, MomentumPoint(np.array([0.7]), 0.3))[0]
+    assert q_of_p(1e160, qn.q0) == 1.0
 
 
 def test_gegenbauer_route_uses_signed_phase_too():

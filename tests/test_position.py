@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from hydro2d.position import (
@@ -31,6 +32,17 @@ def test_polar_point_validation():
     PolarPoint(0.0, -7.0)
     with pytest.raises(ValueError):
         PolarPoint(-0.1, 0.0)
+
+
+@pytest.mark.parametrize("rho, phi, field", [
+    (math.inf, 0.0, "radial coordinate rho"),
+    (np.array([1.0, math.nan]), 0.0, "radial coordinate rho"),
+    (1.0, math.nan, "azimuth phi"),
+    (1.0, np.array([0.0, -math.inf]), "azimuth phi"),
+])
+def test_polar_point_rejects_non_finite(rho, phi, field):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PolarPoint(rho, phi)
 
 
 def test_spectrum_ground_and_excited():

@@ -53,3 +53,11 @@ def test_gridspec_parse_log():
 def test_gridspec_rejects(bad):
     with pytest.raises(ValueError):
         GridSpec.parse(bad)
+
+
+@pytest.mark.parametrize("text, field", [
+    ("0:inf:3", "max"), ("nan:5:3", "min"), ("-inf:5:3", "min"), ("1:nan:3:log", "max"),
+])
+def test_gridspec_rejects_non_finite_bounds(text, field):
+    with pytest.raises(ValueError, match=f"grid {field} must be finite"):
+        GridSpec.parse(text)
