@@ -106,9 +106,7 @@ def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
     """amplitude(p, q) (-i)^|m| e^(i m phi_p), with the limit 0 where p*p overflows.
 
     Built this way, the phase relation psi(p, phi_p) = psi(p, 0) e^(i m phi_p)
-    holds exactly and the modulus is independent of the sign of m.  Scalar
-    fields of ``mp`` give a complex, array fields a complex ndarray of their
-    broadcast shape.
+    holds exactly and the modulus is independent of the sign of m.
     """
     p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
     p, far = _overflow_free(p)
@@ -118,7 +116,11 @@ def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
 
 
 def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
-    """Momentum wavefunction in the associated-Legendre form."""
+    """Momentum wavefunction in the associated-Legendre form.
+
+    Scalar fields of ``mp`` give a complex, array fields a complex ndarray of
+    their broadcast shape; where p*p overflows the value is its limit 0.
+    """
     am = abs(qn.m)
     q0 = qn.q0
     return _closed_form(qn, mp, lambda p, q: (
