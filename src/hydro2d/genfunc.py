@@ -37,8 +37,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
-                    _overflow_guard, _point_arrays, _scalar_or_array, double_factorial)
+from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder, _overflow_guard,
+                    _point_arrays, _scalar_or_array, double_factorial)
 from .position import PolarPoint
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "laguerre_gf_series",
     "shifted_laguerre_gf",
     "shifted_laguerre_gf_series",
-    "coordinate_basis_term",
     "coordinate_gf",
     "coordinate_gf_series",
     "gegenbauer_gf",
@@ -175,25 +174,12 @@ def _coordinate_ladder(m: int, q0: float, rho: np.ndarray, phi: np.ndarray
         yield head * lag * phase
 
 
-def coordinate_basis_term(n: int, m: int, q0: float, pt: PolarPoint):
-    """Bare scaled basis function v^m e^(-v/2) L_{n-m}^(2m)(v) e^(i m phi).
-
-    v = 2 q0 rho with the caller's fixed q0; no normalization constant.
-    Only m >= 0 is meaningful here, the generating function sums over the
-    non-negative ladder.
-    """
-    if not 0 <= m <= n:
-        raise ValueError("need 0 <= m <= n")
-    rho, phi = _point_arrays(pt.rho, pt.phi, real=True)
-    return _scalar_or_array(_degree(_coordinate_ladder(m, q0, rho, phi), n - m,
-                                    f"coordinate_basis_term n={n}, m={m}"), pt.rho, pt.phi)
-
-
 def coordinate_gf(z: ArrayLike, t: ArrayLike, q0: float, pt: PolarPoint):
     """Position-space generating function of the bare scaled basis.
 
-    Equals sum over n >= 0, 0 <= m <= n of z^n (t^m / m!) times
-    ``coordinate_basis_term``; in closed form
+    Equals sum over n >= 0, 0 <= m <= n of z^n (t^m / m!) times the bare
+    basis term v^m e^(-v/2) L_{n-m}^(2m)(v) e^(i m phi), v = 2 q0 rho with
+    this fixed q0 and no normalization constant; in closed form
 
         (1/(1-z)) exp(-q0 rho) exp(-2 z q0 rho/(1-z) + 2 t z q0 rho e^(i phi)/(1-z)^2).
 

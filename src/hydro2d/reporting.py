@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one named check.
 
-    ``passed`` reflects whichever error the check is about (absolute or
-    relative) compared against ``tolerance``; ``notes`` carries measured
+    Checks build it with ``from_errors``, the one reduction of their
+    errors to the two maxima and the verdict; ``notes`` carries measured
     constants and convention adjudications that a reader of the report
     should see.
     """
@@ -26,16 +29,31 @@ class VerificationReport:
     notes: str = ""
 
     @classmethod
-    def from_abs(cls, check_name: str, grid_desc: str, max_abs_err: float,
-                 max_rel_err: float, tolerance: float, notes: str = ""):
-        return cls(check_name, grid_desc, float(max_abs_err), float(max_rel_err),
-                   tolerance, bool(max_abs_err <= tolerance), notes)
+    def from_errors(cls, check_name: str, grid_desc: str,
+                    pairs: Iterable[Tuple[ArrayLike, ArrayLike]], tolerance: float,
+                    notes: str = "", relative: bool = False) -> "VerificationReport":
+        """The report of (error, scale) pairs, consumed lazily.
 
-    @classmethod
-    def from_rel(cls, check_name: str, grid_desc: str, max_abs_err: float,
-                 max_rel_err: float, tolerance: float, notes: str = ""):
-        return cls(check_name, grid_desc, float(max_abs_err), float(max_rel_err),
-                   tolerance, bool(max_rel_err <= tolerance), notes)
+        Error and scale may be scalars or arrays that broadcast together.
+        max_abs_err is the largest error and max_rel_err the largest
+        error / scale; a point whose scale is 0 counts towards the absolute
+        maximum only.  Both maxima propagate NaN.  The check passes when the
+        relative (``relative``) or else the absolute maximum is within
+        ``tolerance``, neither maximum is NaN and at least one point was
+        compared.
+        """
+        worst_abs = worst_rel = 0.0
+        compared = 0
+        for err, scale in pairs:
+            err, scale = np.broadcast_arrays(np.asarray(err, dtype=float), scale)
+            compared += err.size
+            worst_abs = float(np.max(err, initial=worst_abs))
+            ok = scale != 0.0
+            worst_rel = float(np.max(err[ok] / scale[ok], initial=worst_rel))
+        judged = worst_rel if relative else worst_abs
+        passed = bool(compared > 0 and judged <= tolerance
+                      and not math.isnan(worst_abs) and not math.isnan(worst_rel))
+        return cls(check_name, grid_desc, worst_abs, worst_rel, tolerance, passed, notes)
 
     def to_dict(self) -> dict:
         return {
@@ -89,6 +107,3 @@ class GridSpec:
         if self.scale == "log":
             return np.geomspace(self.min, self.max, self.points)
         return np.linspace(self.min, self.max, self.points)
-
-    def describe(self) -> str:
-        return f"{self.scale} grid [{self.min!r}, {self.max!r}] x {self.points}"

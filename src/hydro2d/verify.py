@@ -7,10 +7,11 @@ module contracts) and its default tolerance; ``run_suite`` passes on only
 the overrides that are set.  Checks on fixed parameter sets accept n_max
 and ignore it.
 
-Most checks sweep (n, m) with ``_states`` and reduce (error, scale) pairs
-with ``_worst``: the largest error is max_abs_err, the largest error/scale
-is max_rel_err.  Checks about an absolute error use scale 1, so the two
-agree.
+Most checks sweep (n, m) with ``_states``.  Every check hands its (error,
+scale) pairs to ``VerificationReport.from_errors``, the one reduction to a
+verdict: the largest error is max_abs_err, the largest error/scale is
+max_rel_err, a NaN error fails the check and so does a sweep that compared
+nothing.  Checks about an absolute error use scale 1, so the two agree.
 
 A recurring pattern here is the *scaled* residual: polynomial identities at
 degree 20 involve terms of magnitude 1e15, where float64 cannot do better
@@ -22,13 +23,13 @@ say so in the notes; the raw residual is still recorded as max_abs_err.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import itertools
 import math
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from . import genfunc
 from .ftoracle import _direct_rows, _hankel_rows
@@ -65,21 +66,6 @@ def _states(cap: int, signed: bool) -> Iterator[QuantumNumbers]:
             yield QuantumNumbers(n, m)
 
 
-def _worst(pairs: Iterable[Tuple[ArrayLike, ArrayLike]]) -> Tuple[float, float]:
-    """(max error, max error / scale) over (error, scale) pairs.
-
-    Error and scale may be scalars or arrays that broadcast together.  A
-    point whose scale is 0 counts towards the absolute maximum only.
-    """
-    worst_abs = worst_rel = 0.0
-    for err, scale in pairs:
-        err, scale = np.broadcast_arrays(np.asarray(err, dtype=float), scale)
-        worst_abs = max(worst_abs, float(np.max(err, initial=0.0)))
-        ok = scale > 0.0
-        worst_rel = max(worst_rel, float(np.max(err[ok] / scale[ok], initial=0.0)))
-    return worst_abs, worst_rel
-
-
 # ---------------------------------------------------------------------------
 # polys suite
 # ---------------------------------------------------------------------------
@@ -94,10 +80,10 @@ def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> Veri
                 lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam), (n_max + 1,))
             ref = np.array(list(itertools.islice(_gegenbauer_ladder(lam, qs), n_max + 1)))
             yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "gegenbauer-gf-coefficients",
         f"k <= {n_max}, lam in {{1/2,3/2,5/2,7/2}}, q on 21-point grid of [-1,1]",
-        *_worst(pairs()), tol,
+        pairs(), tol, relative=True,
         notes="coefficients by Cauchy quadrature; errors scaled by max(1, |value|)")
 
 
@@ -113,10 +99,10 @@ def check_gegenbauer_recurrence(n_max: int = 20, tol: float = 1e-10) -> Verifica
             lo = (m + 0.5) * gegenbauer(n - m - 2, m + 1.5, qs)
             scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(hi), np.abs(lo))))
             yield np.abs(lhs - (hi - lo)), scale
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "gegenbauer-difference-recurrence",
         f"0 <= m <= n <= {n_max}, q on 21-point grid of [-1,1]",
-        *_worst(pairs()), tol,
+        pairs(), tol, relative=True,
         notes="residual scaled by largest term; raw magnitudes reach ~1e15 at n=20")
 
 
@@ -132,10 +118,10 @@ def check_legendre_connection(n_max: int = 12, tol: float = 1e-10) -> Verificati
                    * ((1.0 - ts) * (1.0 + ts)) ** (0.5 * m))
             rhs = assoc_legendre(n, m, ts)
             yield np.abs(lhs - rhs), np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "gegenbauer-legendre-connection",
         f"0 <= m <= n <= {n_max}, |t| <= 0.99 on 21-point grid",
-        *_worst(pairs()), tol,
+        pairs(), tol, relative=True,
         notes="both sides use the convention without the Condon-Shortley sign; "
               "residual scaled by largest term")
 
@@ -148,11 +134,11 @@ def check_laguerre_derivative(n_max: int = 10, tol: float = 1e-6) -> Verificatio
     def residual(n, alpha):
         fd = (laguerre(n, alpha, vs + h) - laguerre(n, alpha, vs - h)) / (2.0 * h)
         return np.abs(fd + laguerre(n - 1, alpha + 1.0, vs))
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "laguerre-derivative",
         f"1 <= n <= {n_max}, alpha in {{0,1,2,4}}, v in [0.1, 10]",
-        *_worst((residual(n, alpha), 1.0)
-                for n in range(1, n_max + 1) for alpha in (0.0, 1.0, 2.0, 4.0)),
+        ((residual(n, alpha), 1.0)
+         for n in range(1, n_max + 1) for alpha in (0.0, 1.0, 2.0, 4.0)),
         tol, notes="central difference step 1e-5")
 
 
@@ -166,10 +152,9 @@ def check_polys_determinism(n_max: Optional[int] = None, tol: float = 0.0) -> Ve
                 assoc_legendre(9, 4, ts),
                 np.array([bessel_j(m, x) for m in (0, 3) for x in (0.5, 25.0, 200.0)])]
         samples.append(np.concatenate([np.atleast_1d(v) for v in vals]))
-    worst = float(np.max(np.abs(samples[0] - samples[1])))
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "polys-determinism", "repeated evaluation of a fixed mixed batch",
-        worst, worst, tol, notes="bitwise reproducibility")
+        [(np.abs(samples[0] - samples[1]), 1.0)], tol, notes="bitwise reproducibility")
 
 
 # ---------------------------------------------------------------------------
@@ -177,37 +162,36 @@ def check_polys_determinism(n_max: Optional[int] = None, tol: float = 0.0) -> Ve
 # ---------------------------------------------------------------------------
 
 def check_position_normalization(n_max: int = 10, tol: float = 1e-8) -> VerificationReport:
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "position-normalization", f"|m| <= n <= {n_max}, Gauss-Laguerre 128 nodes",
-        *_worst((abs(norm_squared(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
+        ((abs(norm_squared(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
         tol, notes="integrand is polynomial x e^(-v): rule is exact")
 
 
 def check_position_orthogonality(n_max: int = 6, tol: float = 1e-7) -> VerificationReport:
     cap = min(n_max, 10)
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "position-orthogonality-same-m", f"n < n' <= {cap}, shared m",
-        *_worst((abs(overlap(qn, QuantumNumbers(n2, qn.m))), 1.0)
-                for qn in _states(cap, signed=True) for n2 in range(qn.n + 1, cap + 1)),
+        ((abs(overlap(qn, QuantumNumbers(n2, qn.m))), 1.0)
+         for qn in _states(cap, signed=True) for n2 in range(qn.n + 1, cap + 1)),
         tol, notes="distinct eigenvalues of one Hamiltonian")
 
 
 def check_angular_orthogonality(n_max: int = 6, tol: float = 1e-12) -> VerificationReport:
     cap = min(n_max, 10)
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "position-orthogonality-same-n", f"n <= {cap}, distinct m",
-        *_worst((abs(overlap(qn, QuantumNumbers(qn.n, m2))), 1.0)
-                for qn in _states(cap, signed=True) for m2 in range(qn.m + 1, qn.n + 1)),
+        ((abs(overlap(qn, QuantumNumbers(qn.n, m2))), 1.0)
+         for qn in _states(cap, signed=True) for m2 in range(qn.m + 1, qn.n + 1)),
         tol, notes="angular integral vanishes identically")
 
 
 def check_ode_residual(n_max: int = 6, tol: float = 1e-4) -> VerificationReport:
     cap = min(n_max, 10)
     rhos = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "radial-ode-residual", f"n <= {cap}, |m| <= n, rho in {rhos}",
-        *_worst((np.abs(radial_ode_residual(qn, rhos)), 1.0)
-                for qn in _states(cap, signed=True)),
+        ((np.abs(radial_ode_residual(qn, rhos)), 1.0) for qn in _states(cap, signed=True)),
         tol, notes="central differences, step 1e-5 max(rho, 1)")
 
 
@@ -218,9 +202,9 @@ def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> Verification
     def mismatch(qn):
         flipped = psi_position(QuantumNumbers(qn.n, -qn.m), pt)
         return np.abs(flipped - np.conj(psi_position(qn, pt)))
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "position-conjugation", f"n <= {cap}, bitwise psi(n,-m) == conj(psi(n,m))",
-        *_worst((mismatch(qn), 1.0) for qn in _states(cap, signed=False)),
+        ((mismatch(qn), 1.0) for qn in _states(cap, signed=False)),
         tol, notes="exact by construction of the angular factor")
 
 
@@ -251,9 +235,9 @@ def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
 
 
 def check_parseval(n_max: int = 6, tol: float = 1e-6) -> VerificationReport:
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "momentum-parseval", f"|m| <= n <= {n_max}, radial tail bound < 1e-9",
-        *_worst((abs(_parseval_norm(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
+        ((abs(_parseval_norm(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
         tol, notes="unitary 1/(2pi) transform: momentum norm equals position norm")
 
 
@@ -271,10 +255,10 @@ def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationR
             a = psi_momentum(qn, mp)
             b = psi_momentum_gegenbauer(qn, mp)
             yield np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "momentum-two-form-equality",
         f"|m| <= n <= {n_max}, 20-point log p-grid, 3 azimuths",
-        *_worst(pairs()), tol,
+        pairs(), tol, relative=True,
         notes="Gegenbauer-form denominator read as (p^2 + q0^2)^(|m|+3/2); the "
               "variant with unsquared q0 is dimensionally inconsistent (typo)")
 
@@ -287,9 +271,9 @@ def check_momentum_phase_structure(n_max: int = 6, tol: float = 0.0) -> Verifica
     def mismatch(qn):
         base = psi_momentum(qn, MomentumPoint(ps, 0.0))
         return np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * _phase(qn.m, phis))
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "momentum-phase-structure", f"|m| <= n <= {cap}, exact factorized phase",
-        *_worst((mismatch(qn), 1.0) for qn in _states(cap, signed=True)),
+        ((mismatch(qn), 1.0) for qn in _states(cap, signed=True)),
         tol, notes="psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bitwise")
 
 
@@ -325,11 +309,11 @@ def check_det_identity(n_max: Optional[int] = None, tol: float = 1e-12) -> Verif
         return np.abs(det_x(gp, mp)) >= 1e-3 * (gp.q0**2 + mp.p**2 + gp.beta**2 + 1.0)
     gp, mp = _accepted_draws(_SEED, 100, 10000, nondegenerate, 0.8, 10.0, 0.3, 2.5, 2.0)
     closed = det_x(gp, mp)
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "quadratic-form-det-identity",
         "100 seeded draws, |z| <= 0.8, |t| <= 1, p <= 10, beta <= 2",
-        *_worst([(np.abs(closed - quadratic_form_matrix(gp, mp).det()), np.abs(closed))]),
-        tol, notes="dual routes kept separate")
+        [(np.abs(closed - quadratic_form_matrix(gp, mp).det()), np.abs(closed))],
+        tol, relative=True, notes="dual routes kept separate")
 
 
 def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> VerificationReport:
@@ -358,10 +342,10 @@ def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> V
         total = sum(ex[i:i + 64] @ (np.exp(-2.0 * a12 * np.outer(u[i:i + 64], u)) @ ey)
                     for i in range(0, u.size, 64))
         pairs.append((abs(total - closed), 1.0))
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "gaussian-integral-identity",
         "20 seeded draws with positive-definite real part (min eigenvalue >= 0.5)",
-        *_worst(pairs), tol,
+        pairs, tol,
         notes="tensor Gauss-Legendre box sized so the discarded tail < 1e-12")
 
 
@@ -383,12 +367,11 @@ def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> Veri
     rhs2 = 2.0 * math.pi * float(np.sum(uw * u**5 * np.exp(-2.0 * u * u)))
     c2 = lhs2 / rhs2
 
-    worst = max(abs(c1 - 2.0), abs(c2 - 2.0))
     measured = 0.5 * (c1 + c2)
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "measure-factor-adjudication",
         "quadrature ratio for e^(-rho) and rho e^(-2 rho)",
-        worst, worst, tol,
+        [(np.abs([c1 - 2.0, c2 - 2.0]), 1.0)], tol,
         notes=f"measured measure factor c = {measured:.10g}; the squaring map "
               "covers the plane twice, so the naive factor 4 from the Jacobian "
               "alone double-counts and the honest constant is 2")
@@ -404,10 +387,10 @@ def check_beta_derivative(n_max: Optional[int] = None, tol: float = 1e-6) -> Ver
     g0 = gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp)
     g2 = gen_func_momentum(GenFuncParams(z, t, q0, 2.0 * h), mp)
     fd = (g0.g_beta - g2.g_beta) / (2.0 * h)
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "genfunc-beta-derivative",
         "central difference across beta in [0, 1e-6], 4 parameter sets",
-        *_worst([(np.abs(fd - g0.g), np.abs(g0.g))]), tol,
+        [(np.abs(fd - g0.g), np.abs(g0.g))], tol, relative=True,
         notes="reduced form (1-z^2) q0 S^(-3/2) vs numerical -dG/dbeta")
 
 
@@ -441,10 +424,10 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     const = coeffs[0, 0] / refs[0, 0]
     tri = np.tril(np.ones(refs.shape, dtype=bool))
     scaled = const * refs[tri]
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "genfunc-coefficient-consistency",
         f"n <= {cap}, m <= n at q0 = 1, p = 0.7",
-        *_worst([(np.abs(coeffs[tri] - scaled), np.abs(scaled))]), tol,
+        [(np.abs(coeffs[tri] - scaled), np.abs(scaled))], tol, relative=True,
         notes=f"measured global constant {const.real:.6f} relative to the doubled "
               "reference normalization (0.5 = unitary anchoring), uniform over n, m")
 
@@ -464,23 +447,23 @@ def _gf_report(name: str, closed_form: Callable[..., complex],
     constant err / |z|^n_max over the cases whose error exceeds the
     series' own rounding estimate; below it there is no tail to fit.
     """
-    errs, fits = [], []
+    pairs, fits = [], []
     bound_ok = True
     for args in cases:
         partial, trunc = series(*args, terms)
         err = abs(closed_form(*args) - partial)
-        errs.append(err)
+        pairs.append((err, 1.0))
         if err > trunc.rounding:
             fits.append(err / abs(args[0]) ** trunc.n_max)
         bound_ok = bound_ok and err <= max(trunc.tail_bound, 1e-15)
-    worst = max(errs)
     fitted = (f"fitted geometric constant <= {max(fits):.3g}" if fits
               else "errors at rounding level, no geometric constant to fit")
     notes = f"{fitted}; tail bound honored: {bound_ok}"
     if extra:
         notes += "; " + extra
-    return VerificationReport(name, f"{len(cases)} parameter sets", worst, worst,
-                              tol, worst <= tol and bound_ok, notes)
+    report = VerificationReport.from_errors(name, f"{len(cases)} parameter sets", pairs, tol,
+                                            notes=notes)
+    return dataclasses.replace(report, passed=report.passed and bound_ok)
 
 
 def check_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> VerificationReport:
@@ -544,10 +527,10 @@ def check_reindexing_identity(n_max: int = 30, tol: float = 1e-9) -> Verificatio
             ref = (_shifted_gegenbauer(m + 1.5, m, n_max)
                    - _shifted_gegenbauer(m + 1.5, m + 2, n_max))
             yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "gegenbauer-reindexing-identity",
         f"m <= 4, n <= {n_max}, q in {{0.3, -0.45, 0.8}}",
-        *_worst(pairs()), tol,
+        pairs(), tol, relative=True,
         notes="negative-degree Gegenbauer terms are zero; errors scaled by max(1, |value|)")
 
 
@@ -558,10 +541,10 @@ def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationRe
             weight = (2.0 * np.arange(m, n_max + 1) + 1.0) / (2.0 * m + 1.0)
             ref = weight[:, None] * _shifted_gegenbauer(m + 0.5, m, n_max)[m:]
             yield np.abs(coeffs[m:] - ref), np.maximum(1.0, np.abs(ref))
-    return VerificationReport.from_rel(
+    return VerificationReport.from_errors(
         "gegenbauer-chain-consistency",
         f"m <= 4, m <= n <= {n_max}, q in {{0.3, -0.45, 0.8}}",
-        *_worst(pairs()), tol,
+        pairs(), tol, relative=True,
         notes="links the half-integer-order ladder to the difference form")
 
 
@@ -584,20 +567,19 @@ def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationRep
             for m, want in zip(range(-n, n + 1), _acceptance_rows(n, 512)):
                 err = np.abs(psi_momentum(QuantumNumbers(n, m), mp) - want)
                 yield err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0)
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "momentum-vs-ft-oracle", f"|m| <= n <= {n_max}, {mp.p.size} momentum points",
-        *_worst(pairs()),
-        tol, notes="unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
-                   "oracle method hankel_reduced")
+        pairs(), tol, notes="unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
+                            "oracle method hankel_reduced")
 
 
 def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
     cap = min(n_max, 3)
     mp = _grid_points(np.geomspace(0.05, 3.0, 10))
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "two-oracle-agreement", f"|m| <= n <= {cap}, 10-point log p-grid",
-        *_worst((np.abs(_hankel_rows(n, n, mp, 512) - _direct_rows(n, n, mp, 512)), 1.0)
-                for n in range(cap + 1)),
+        ((np.abs(_hankel_rows(n, n, mp, 512) - _direct_rows(n, n, mp, 512)), 1.0)
+         for n in range(cap + 1)),
         tol, notes="angular-reduction route vs brute-force polar quadrature")
 
 
@@ -614,16 +596,16 @@ def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
                     - np.arange(-n, n + 1)[:, None, None] * angles)
             wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
             yield np.where(np.abs(vals[..., :1]) > 1e-6, wrapped, 0.0), 1.0
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "oracle-phase-correctness", f"n <= {cap}, angles wrapped mod 2 pi",
-        *_worst(pairs()), tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
+        pairs(), tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
 
 
 def check_node_doubling(n_max: int = 4, tol: float = 1e-9) -> VerificationReport:
-    return VerificationReport.from_abs(
+    return VerificationReport.from_errors(
         "oracle-node-doubling", f"|m| <= n <= {n_max}, acceptance grid",
-        *_worst((np.abs(_acceptance_rows(n, 512) - _acceptance_rows(n, 1024)), 1.0)
-                for n in range(n_max + 1)),
+        ((np.abs(_acceptance_rows(n, 512) - _acceptance_rows(n, 1024)), 1.0)
+         for n in range(n_max + 1)),
         tol, notes="quadrature already converged at 512 nodes")
 
 

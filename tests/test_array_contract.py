@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hydro2d
-from hydro2d.genfunc import (coordinate_basis_term, coordinate_gf, gegenbauer_gf, laguerre_gf,
-                             new_legendre_gf, series_coefficients, shifted_laguerre_gf)
+from hydro2d.genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_legendre_gf,
+                             series_coefficients, shifted_laguerre_gf)
 from hydro2d.levicivita import GenFuncParams, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer
 from hydro2d.polys import assoc_legendre, bessel_j, gegenbauer, laguerre
@@ -110,7 +110,7 @@ def test_generating_functions_match_stacked_scalar_calls(rows, cols, data):
         x = quadratic_form_matrix(gp, mp)
         return (*gen_func_momentum(gp, mp), gegenbauer_gf(z, q, alpha),
                 laguerre_gf(z, alpha, p), shifted_laguerre_gf(z, m, p),
-                coordinate_basis_term(m + 3, m, q0, pt), coordinate_gf(z, t, q0, pt),
+                coordinate_gf(z, t, q0, pt),
                 new_legendre_gf(z, 0.99 * q, m), x.a11, x.a12, x.a22)
 
     values = closed_forms(z, beta, phi, t, p, q)

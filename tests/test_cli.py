@@ -195,6 +195,13 @@ def test_verify_unreachable_tolerance_fails(capsys):
     assert any(not rep["pass"] for rep in reports)
 
 
+def test_verify_empty_sweeps_exit_1(capsys):
+    code, out = run_cli(capsys, ["verify", "all", "--n-max", "0"])
+    assert code == 1
+    assert [rep["check_name"] for rep in json.loads(out) if not rep["pass"]] == [
+        "laguerre-derivative", "position-orthogonality-same-m", "position-orthogonality-same-n"]
+
+
 def test_verify_csv_format(capsys):
     code, out = run_cli(capsys, ["verify", "position", "--format", "csv"])
     assert code == 0

@@ -10,16 +10,18 @@ here, never inside the oracle module.
 import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hydro2d.ftoracle
+import hydro2d.verify
 from hydro2d.ftoracle import (_direct_rows, _hankel_rows, _phi_count, _radial_rule, _rho_max,
                               ft_direct_2d, ft_hankel)
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import QuantumNumbers
-from hydro2d.verify import check_oracle_agreement
+from hydro2d.verify import SUITES, check_oracle_agreement
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -277,3 +279,31 @@ def test_direct_route_uses_no_bessel_function():
     # Nor the Hankel route's (-i)^|m| table: the direct route's phases are numerical.
     assert "NEG_I_POW" not in named
     assert "_bessel_ladder" in _names(defs["_hankel_rows"])
+
+
+def test_every_check_returns_through_from_errors():
+    # One reduction decides every verdict.  verify builds reports only with
+    # VerificationReport.from_errors, and each check returns that report,
+    # directly or from a module helper that builds it.
+    tree = ast.parse(inspect.getsource(hydro2d.verify))
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "VerificationReport"]
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "VerificationReport"}
+    assert used == {"from_errors"}
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builders = {name for name, node in defs.items()
+                if not name.startswith("check_") and "from_errors" in _names(node)}
+    checks = {name: node for name, node in defs.items() if name.startswith("check_")}
+    assert set(checks) == {fn.__name__ for fns in SUITES.values() for fn in fns}
+    for name, node in checks.items():
+        ret = node.body[-1]
+        assert isinstance(ret, ast.Return) and isinstance(ret.value, ast.Call), name
+        func = ret.value.func
+        assert (isinstance(func, ast.Attribute) and func.attr == "from_errors"
+                or isinstance(func, ast.Name) and func.id in builders), name
+    # The retired reductions are gone from the package, not just unused.
+    for path in Path(hydro2d.verify.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for retired in ("_worst", "from_abs", "from_rel"):
+            assert retired not in text, (path.name, retired)

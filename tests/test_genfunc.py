@@ -12,7 +12,6 @@ import pytest
 
 from hydro2d.genfunc import (
     SeriesTruncation,
-    coordinate_basis_term,
     coordinate_gf,
     coordinate_gf_series,
     gegenbauer_gf,
@@ -78,17 +77,6 @@ def test_shifted_laguerre_gf():
     assert abs(value - shifted_laguerre_gf(0.35, 2, 1.2)) <= trunc.tail_bound
     with pytest.raises(ValueError):
         shifted_laguerre_gf(0.3, -1, 1.0)
-
-
-def test_coordinate_basis_term_validation():
-    pt = PolarPoint(1.0, 0.5)
-    coordinate_basis_term(3, 2, 1.0, pt)
-    with pytest.raises(ValueError):
-        coordinate_basis_term(2, 3, 1.0, pt)
-    with pytest.raises(ValueError):
-        coordinate_basis_term(2, -1, 1.0, pt)
-    with pytest.raises(ValueError):
-        coordinate_basis_term(2, 1, 0.0, pt)
 
 
 def test_coordinate_gf_collapses_at_z_zero():

@@ -6,22 +6,62 @@ import pytest
 from hydro2d.reporting import GridSpec, VerificationReport
 
 
-def test_from_abs_pass_logic():
-    rep = VerificationReport.from_abs("x", "g", 1e-9, 2e-7, 1e-8)
+def test_from_errors_absolute_pass_logic():
+    rep = VerificationReport.from_errors("x", "g", [(1e-9, 5e-3)], 1e-8)
+    assert (rep.max_abs_err, rep.max_rel_err) == (1e-9, 1e-9 / 5e-3)
     assert rep.passed
-    rep = VerificationReport.from_abs("x", "g", 2e-8, 1e-12, 1e-8)
+    rep = VerificationReport.from_errors("x", "g", [(2e-8, 2e4)], 1e-8)
+    assert rep.max_rel_err == 1e-12
     assert not rep.passed
 
 
-def test_from_rel_pass_logic():
-    rep = VerificationReport.from_rel("x", "g", 5.0, 1e-13, 1e-12)
+def test_from_errors_relative_pass_logic():
+    rep = VerificationReport.from_errors("x", "g", [(5.0, 5e13)], 1e-12, relative=True)
+    assert rep.max_abs_err == 5.0
     assert rep.passed  # judged on the relative column
-    rep = VerificationReport.from_rel("x", "g", 1e-15, 1e-11, 1e-12)
+    rep = VerificationReport.from_errors("x", "g", [(1e-15, 1e-4)], 1e-12, relative=True)
     assert not rep.passed
+
+
+def test_from_errors_broadcasts_lazy_pairs():
+    pairs = ((np.full((2, 3), 1e-3 * k), np.array([1.0, 2.0, 4.0])) for k in (1, 3, 2))
+    rep = VerificationReport.from_errors("x", "g", pairs, 1e-2)
+    assert (rep.max_abs_err, rep.max_rel_err) == (3e-3, 3e-3)
+    assert type(rep.max_abs_err) is float and type(rep.passed) is bool
+
+
+def test_from_errors_zero_scale_counts_towards_absolute_only():
+    pairs = [(np.array([1e-9, 3.0]), np.array([1.0, 0.0]))]
+    rep = VerificationReport.from_errors("x", "g", pairs, 1e-8, relative=True)
+    assert (rep.max_abs_err, rep.max_rel_err) == (3.0, 1e-9)
+    assert rep.passed
+    assert not VerificationReport.from_errors("x", "g", pairs, 1e-8).passed
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_from_errors_nan_fails(relative):
+    # Python's max keeps its first argument when the second is NaN; the
+    # reduction must not, wherever the NaN sits.
+    pairs = [(0.0, 1.0), (np.array([1e-20, np.nan]), 1.0), (1e-20, 1.0)]
+    rep = VerificationReport.from_errors("x", "g", pairs, 1.0, relative=relative)
+    assert np.isnan(rep.max_abs_err) and np.isnan(rep.max_rel_err)
+    assert rep.passed is False
+    # A NaN at a zero-scale point reaches only the absolute column, and still fails.
+    rep = VerificationReport.from_errors("x", "g", [(np.nan, 0.0), (0.0, 1.0)], 1.0,
+                                         relative=relative)
+    assert np.isnan(rep.max_abs_err) and rep.max_rel_err == 0.0
+    assert rep.passed is False
+
+
+def test_from_errors_fails_when_nothing_was_compared():
+    for pairs in ([], [(np.empty(0), 1.0)]):
+        rep = VerificationReport.from_errors("x", "g", pairs, 1.0)
+        assert (rep.max_abs_err, rep.max_rel_err) == (0.0, 0.0)
+        assert rep.passed is False
 
 
 def test_to_dict_schema():
-    rep = VerificationReport.from_abs("name", "grid", 0.0, 0.0, 1e-6, notes="hi")
+    rep = VerificationReport.from_errors("name", "grid", [(0.0, 1.0)], 1e-6, notes="hi")
     d = rep.to_dict()
     assert list(d.keys()) == ["check_name", "grid_desc", "max_abs_err",
                               "max_rel_err", "tolerance", "pass", "notes"]
@@ -44,7 +84,6 @@ def test_gridspec_parse_log():
     assert vals[0] == pytest.approx(0.05) and vals[-1] == pytest.approx(20.0)
     ratios = vals[1:] / vals[:-1]
     assert np.allclose(ratios, ratios[0])
-    assert "log" in g.describe()
 
 
 @pytest.mark.parametrize("bad", [

@@ -6,14 +6,21 @@ the contract-level properties (names, note strings, tolerance plumbing) are
 pinned down.
 """
 
+import math
+
+import numpy as np
 import pytest
 
+from hydro2d import genfunc, verify
+from hydro2d.position import QuantumNumbers
 from hydro2d.verify import (
     SUITE_ORDER,
     SUITES,
     acceptance_grid,
+    check_gegenbauer_gf,
     check_measure_factor,
     check_new_legendre_gf,
+    check_position_normalization,
     check_two_form_equality,
     run_suite,
 )
@@ -112,3 +119,44 @@ def test_single_check_report_fields():
     rep = check_two_form_equality(n_max=3)
     assert rep.passed
     assert rep.max_rel_err <= rep.tolerance == 1e-12
+
+
+def test_empty_sweeps_fail():
+    # At n_max = 0 these three sweeps compare nothing; a report of 0.0 over
+    # no points must not pass.
+    failed = [r.check_name for r in run_suite("all", 0) if not r.passed]
+    assert failed == ["laguerre-derivative", "position-orthogonality-same-m",
+                      "position-orthogonality-same-n"]
+
+
+def _assert_nan_fails(rep):
+    assert rep.passed is False
+    assert math.isnan(rep.max_abs_err)
+
+
+def test_nan_at_first_point_fails_two_form_equality(monkeypatch):
+    original = verify.psi_momentum_gegenbauer
+
+    def first_point_nan(qn, mp):
+        value = np.array(original(qn, mp))
+        value.flat[0] = np.nan
+        return value
+    monkeypatch.setattr(verify, "psi_momentum_gegenbauer", first_point_nan)
+    _assert_nan_fails(check_two_form_equality(n_max=3))
+
+
+def test_nan_norm_fails_position_normalization(monkeypatch):
+    original = verify.norm_squared
+    monkeypatch.setattr(verify, "norm_squared",
+                        lambda qn: math.nan if qn == QuantumNumbers(3, 1) else original(qn))
+    _assert_nan_fails(check_position_normalization())
+
+
+def test_nan_in_second_case_fails_gegenbauer_gf(monkeypatch):
+    # Not the first value reduced, so a max() seeded with it would drop it.
+    original = genfunc.gegenbauer_gf
+
+    def second_case_nan(z, q, alpha):
+        return complex(math.nan, 0.0) if (z, q, alpha) == (0.5, 1.0, 1.5) else original(z, q, alpha)
+    monkeypatch.setattr(genfunc, "gegenbauer_gf", second_case_nan)
+    _assert_nan_fails(check_gegenbauer_gf())
