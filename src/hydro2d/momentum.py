@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import (NEG_I_POW, _point_arrays, _scalar_or_array, assoc_legendre, gegenbauer,
-                    pochhammer)
+from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _overflow_free, _point_arrays,
+                    _scalar_or_array, gegenbauer, pochhammer)
 from .position import QuantumNumbers, _check_polar, normalization
 
 __all__ = [
@@ -66,18 +66,6 @@ class MomentumPoint:
         _check_polar(self.p, self.phi_p, "radial momentum p", "momentum azimuth phi_p")
 
 
-def _overflow_free(ps: np.ndarray):
-    """ps with 0 wherever ps*ps overflows float64, and the mask of those points.
-
-    Both closed forms fall like p^-3 or faster, so they round to 0 long
-    before p*p overflows (p > 1.3e154), where evaluating them gives inf/inf.
-    Callers evaluate at the masked copy and put the limit back with np.where.
-    """
-    with np.errstate(over="ignore"):
-        far = np.isinf(ps * ps)
-    return np.where(far, 0.0, ps), far
-
-
 def q_of_p(p: ArrayLike, q0: float):
     """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p.
 
@@ -88,7 +76,7 @@ def q_of_p(p: ArrayLike, q0: float):
         raise ValueError("q_of_p needs p >= 0")
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
-    ps, far = _overflow_free(ps)
+    ps, far = _overflow_free(ps, 2)
     return _scalar_or_array(np.where(far, 1.0, (ps * ps - q0 * q0) / (ps * ps + q0 * q0)), p)
 
 
@@ -109,7 +97,7 @@ def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
     holds exactly and the modulus is independent of the sign of m.
     """
     p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
-    p, far = _overflow_free(p)
+    p, far = _overflow_free(p, 2)
     amp = np.where(far, 0.0, amplitude(p, q_of_p(p, qn.q0)))
     return _scalar_or_array(amp * NEG_I_POW[abs(qn.m) % 4] * _phase(qn.m, phi_p),
                             mp.p, mp.phi_p)
@@ -117,6 +105,9 @@ def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
 
 def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the associated-Legendre form.
+
+    P_n^|m|(q) is seeded with sqrt(1 - q^2) = 2 p q0 / (p^2 + q0^2), which
+    keeps full accuracy at large p, where 1 - q^2 of the rounded q cancels.
 
     Scalar fields of ``mp`` give a complex, array fields a complex ndarray of
     their broadcast shape; where p*p overflows the value is its limit 0.
@@ -126,7 +117,8 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     return _closed_form(qn, mp, lambda p, q: (
         math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
         * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
-        * assoc_legendre(qn.n, am, q)
+        * _degree(_assoc_legendre_ladder(am, q, 2.0 * p * q0 / (p * p + q0 * q0)),
+                  qn.n - am, f"assoc_legendre n={qn.n}, m={am}")
     ))
 
 

@@ -75,6 +75,17 @@ def _scalar_or_array(value: np.ndarray, *fields):
     return value
 
 
+def _overflow_free(xs: np.ndarray, power: int):
+    """xs with 0 wherever xs**power overflows float64, and the mask of those points.
+
+    The closed forms damp that power (by p^-3 or e^(-v/2)) to 0 long before it
+    overflows; callers evaluate at the masked copy and put 0 back with np.where.
+    """
+    with np.errstate(over="ignore"):
+        far = np.isinf(xs**power)
+    return np.where(far, 0.0, xs), far
+
+
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial a (a+1) ... (a+k-1); the empty product is 1.
 
@@ -167,10 +178,13 @@ def legendre(n: int, t):
     return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n, f"legendre n={n}"), t)
 
 
-def _assoc_legendre_ladder(m: int, ts: np.ndarray) -> Iterator[np.ndarray]:
-    """P_m^m(ts), P_{m+1}^m(ts), ...: the diagonal seed, then one recurrence step per degree."""
-    s = (1.0 - ts) * (1.0 + ts)
-    pmm = float(double_factorial(2 * m - 1)) * s ** (0.5 * m)
+def _assoc_legendre_ladder(m: int, ts: np.ndarray, sine=None) -> Iterator[np.ndarray]:
+    """P_m^m(ts), P_{m+1}^m(ts), ...: the diagonal seed, then one recurrence step per degree.
+
+    A caller that knows sqrt(1 - ts^2) better than the rounded ts does passes it as ``sine``.
+    """
+    seed = ((1.0 - ts) * (1.0 + ts)) ** (0.5 * m) if sine is None else sine**m
+    pmm = float(double_factorial(2 * m - 1)) * seed
     pm1 = (2.0 * m + 1.0) * ts * pmm
     yield pmm
     for i in itertools.count(m + 1):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import _point_arrays, _scalar_or_array, laguerre
+from .polys import _overflow_free, _point_arrays, _scalar_or_array, laguerre
 from .quadrature import gauss_laguerre
 
 __all__ = [
@@ -124,11 +124,12 @@ def normalization(qn: QuantumNumbers) -> float:
 
 
 def radial_wavefunction(qn: QuantumNumbers, rho):
-    """Radial factor R_{n,m}(rho) = N_{n,m} v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v)."""
+    """Radial factor N_{n,m} v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v); 0 where v^|m| overflows."""
     am = abs(qn.m)
     v = 2.0 * qn.q0 * _point_arrays(rho, real=True)[0]
-    value = normalization(qn) * v**am * np.exp(-0.5 * v) * laguerre(qn.n - am, 2 * am, v)
-    return _scalar_or_array(value, rho)
+    near, far = _overflow_free(v, am)
+    value = normalization(qn) * near**am * np.exp(-0.5 * v) * laguerre(qn.n - am, 2 * am, v)
+    return _scalar_or_array(np.where(far, 0.0, value), rho)
 
 
 def psi_position(qn: QuantumNumbers, pt: PolarPoint):
@@ -168,27 +169,28 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
     return _scalar_or_array(d2 + d1 / r + (2.0 / r - q0 * q0 - (m * m) / (r * r)) * r_0, rho)
 
 
-def norm_squared(qn: QuantumNumbers, nodes: int = 128) -> float:
+def norm_squared(qn: QuantumNumbers) -> float:
     """Squared norm over the plane: ``overlap`` of the state with itself."""
-    return overlap(qn, qn, nodes).real
+    return overlap(qn, qn).real
 
 
-def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers, nodes: int = 128) -> complex:
-    """2-d overlap <psi_1 | psi_2> by product quadrature.
+def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers) -> complex:
+    """2-d overlap <psi_1 | psi_2> by product quadrature, for n1 + n2 <= 254.
 
     The angular integral uses the periodic trapezoid rule; the radial one
     runs in s = (q0_1 + q0_2) rho where the joint integrand is a polynomial
     of degree n1 + n2 + 1 times e^(-s).  The rule's weight supplies that
-    e^(-s), so each state contributes only its polynomial part N v^|m| L(v).
-    Past the rule's exact degree, n1 + n2 > 2 nodes - 2, it raises ValueError.
+    e^(-s), so each state contributes only its polynomial part N v^|m| L(v),
+    and ceil((n1 + n2)/2) + 1 nodes integrate it exactly.  Larger n1 + n2
+    would reach nodes above ~709, where the weights underflow: ValueError.
     """
-    if qn1.n + qn2.n > 2 * nodes - 2:
-        raise ValueError(f"overlap at {nodes} nodes is exact only for n1 + n2 <= {2 * nodes - 2}")
+    if qn1.n + qn2.n > 254:
+        raise ValueError("overlap is exact only for n1 + n2 <= 254: larger rules underflow")
     phi = 2.0 * math.pi * np.arange(256) / 256  # exact while |m1 - m2| < 256
     ang = np.mean(np.exp(1j * (qn2.m - qn1.m) * phi)) * 2.0 * math.pi
 
     a = qn1.q0 + qn2.q0
-    s, w = gauss_laguerre(nodes)
+    s, w = gauss_laguerre((qn1.n + qn2.n + 1) // 2 + 1)
     rho = s / a
 
     def polynomial(qn):

@@ -35,8 +35,8 @@ from . import genfunc
 from .ftoracle import _direct_rows, _hankel_rows
 from .levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from .momentum import MomentumPoint, _phase, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from .polys import (_gegenbauer_ladder, assoc_legendre, bessel_j, double_factorial, gegenbauer,
-                    laguerre, legendre, pochhammer)
+from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, assoc_legendre, bessel_j,
+                    double_factorial, gegenbauer, laguerre, legendre, pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
 from .quadrature import PANEL_ORDER, gauss_laguerre, panel_nodes
@@ -163,7 +163,7 @@ def check_polys_determinism(n_max: Optional[int] = None, tol: float = 0.0) -> Ve
 
 def check_position_normalization(n_max: int = 10, tol: float = 1e-8) -> VerificationReport:
     return VerificationReport.from_errors(
-        "position-normalization", f"|m| <= n <= {n_max}, Gauss-Laguerre 128 nodes",
+        "position-normalization", f"|m| <= n <= {n_max}, Gauss-Laguerre n + 1 nodes",
         ((abs(norm_squared(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
         tol, notes="integrand is polynomial x e^(-v): rule is exact")
 
@@ -242,22 +242,26 @@ def check_parseval(n_max: int = 6, tol: float = 1e-6) -> VerificationReport:
 
 
 def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationReport:
-    """Gegenbauer-route momentum wavefunction vs associated-Legendre route."""
-    # p is capped at 3 (q up to ~0.997): beyond that the (1-q^2)^(m/2) seed
-    # of the associated-Legendre route hits its float64 conditioning limit
-    # (m/2 * eps / (1-q) grows past 1e-12) and pointwise relative comparison
-    # stops measuring the formulas rather than the rounding of q.
-    mp = MomentumPoint(np.geomspace(0.05, 3.0, 20)[:, None],
-                       np.array([0.0, math.pi / 3.0, math.pi]))
+    """Gegenbauer-route momentum wavefunction vs associated-Legendre route.
+
+    Errors are scaled by |psi| with P_n^|m|(q) replaced by its ladder's largest
+    term |P_k^|m|(q)|, k <= n: relative error at large p (all radial nodes lie
+    below p = 1), the size of the cancelling terms next to a node.
+    """
+    p = np.geomspace(0.05, 1e4, 20)
+    mp = MomentumPoint(p[:, None], np.array([0.0, math.pi / 3.0, math.pi]))
 
     def pairs():
         for qn in _states(n_max, signed=True):
-            a = psi_momentum(qn, mp)
-            b = psi_momentum_gegenbauer(qn, mp)
-            yield np.abs(a - b), np.maximum(np.abs(a), np.abs(b))
+            am, q0, q = abs(qn.m), qn.q0, q_of_p(p, qn.q0)
+            ladder = np.max(np.abs(list(itertools.islice(_assoc_legendre_ladder(am, q),
+                                                         qn.n - am + 1))), 0)
+            scale = (math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
+                     * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * ladder)
+            yield np.abs(psi_momentum(qn, mp) - psi_momentum_gegenbauer(qn, mp)), scale[:, None]
     return VerificationReport.from_errors(
         "momentum-two-form-equality",
-        f"|m| <= n <= {n_max}, 20-point log p-grid, 3 azimuths",
+        f"|m| <= n <= {n_max}, 20-point log p-grid on [0.05, 1e4], 3 azimuths",
         pairs(), tol, relative=True,
         notes="Gegenbauer-form denominator read as (p^2 + q0^2)^(|m|+3/2); the "
               "variant with unsquared q0 is dimensionally inconsistent (typo)")
@@ -351,7 +355,7 @@ def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> V
 
 def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
     """Measure the constant c in  integral f d^2r = c integral f(u) u^2 d^2u."""
-    x, w = gauss_laguerre(96)
+    x, w = gauss_laguerre(2)  # exact for the x and x^2 moments below
     # Covering-plane side: 160 Gauss-Legendre nodes in u on [0, 9]; e^(-u^2)
     # tails beyond are < 1e-35 for both test integrands.
     u, uw = panel_nodes(np.linspace(0.0, 9.0, 11))

@@ -10,9 +10,10 @@ decision:
 * criterion 6 treats the 1e-10 identity tolerance as a residual scaled by
   the largest participating term, since the raw terms reach 1e15 at n = 20
   and no float identity can hold to 1e-10 absolute there;
-* criterion 9's 1e-12 relative equality is evaluated on p <= 3, where the
-  comparison is conditioning-limited rather than method-limited (the report
-  notes say the same).
+* criterion 9's 1e-12 relative equality is evaluated on p up to 1e4, with
+  each error scaled by the largest term of the associated-Legendre ladder, so
+  that points next to a radial node (all below p = 1) are measured against
+  the terms that cancel there rather than against the vanishing value.
 """
 
 import io

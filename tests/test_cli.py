@@ -66,6 +66,13 @@ def test_table_position_first_row(capsys):
     assert len(lines) == 7
 
 
+def test_table_position_at_overflowing_radius(capsys):
+    # v^|m| overflows at rho = 1e200; the table prints the limit 0 there.
+    code, out = run_cli(capsys, ["table", "--n", "2", "--m", "2", "--grid", "0:1e200:3"])
+    assert code == 0
+    assert out.splitlines()[-1] == "1e+200,0.0,0.0,0.0"
+
+
 def test_table_momentum_ground_state(capsys):
     code, out = run_cli(capsys, ["table", "--space", "momentum",
                                  "--n", "0", "--m", "0", "--grid", "0:2:5"])

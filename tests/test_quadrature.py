@@ -1,14 +1,18 @@
-"""Quadrature rules: moment exactness and large-node stability.
+"""Quadrature rules: moment exactness, large-node stability and stack independence.
 
-The Laguerre rule is built by Golub-Welsch on numpy's dense eigensolver
-instead of the library routines, because those return NaN weights somewhere
-above 250 nodes; the point of most tests here is that big rules stay finite
-and accurate.  The Gauss-Legendre panel rule is checked on its moments and on
-a chain of panels.  The package imports numpy only: scipy is a test oracle,
-and a test here checks that importing and using the package never loads it.
+The Laguerre rule is built by Sturm-count multisection on its Jacobi matrix with
+Christoffel weights, in elementwise IEEE arithmetic only, instead of the
+library routines, which return NaN weights somewhere above 250 nodes; most
+tests here check that big rules stay finite and accurate, and one that the
+rules keep their bits under other BLAS and SIMD kernels.  The Gauss-Legendre
+panel rule is checked on its moments and on a chain of panels.  The package
+imports numpy only: scipy is a test oracle, and a test here checks that
+importing and using the package never loads it, nor names numpy's linalg.
 """
 
+import hashlib
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,7 +22,7 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d.quadrature import gauss_laguerre, panel_nodes
+from hydro2d.quadrature import _PANEL_W, _PANEL_X, gauss_laguerre, panel_nodes
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
@@ -96,3 +100,34 @@ def test_package_never_imports_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_never_references_linalg():
+    # No LAPACK on the runtime path: every rule is built elementwise.
+    package = pathlib.Path(hydro2d.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "linalg" in p.read_text()] == []
+
+
+def _rule_digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("stack", [
+    {"OPENBLAS_CORETYPE": "Nehalem",
+     "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"},
+])
+def test_rules_are_bit_identical_on_other_kernels(stack):
+    # A child process on older BLAS kernels, or numpy at its baseline SIMD,
+    # builds the same bytes; the variables are set for the child only.
+    home = str(pathlib.Path(hydro2d.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {home!r})\n"
+            "import hashlib\n"
+            "from hydro2d.quadrature import _PANEL_W, _PANEL_X, gauss_laguerre\n"
+            "for rule in (gauss_laguerre(96), gauss_laguerre(128), (_PANEL_X, _PANEL_W)):\n"
+            "    print(hashlib.sha256(b''.join(a.tobytes() for a in rule)).hexdigest())\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, **stack})
+    assert out.stdout.split() == [_rule_digest(*gauss_laguerre(96)),
+                                  _rule_digest(*gauss_laguerre(128)),
+                                  _rule_digest(_PANEL_X, _PANEL_W)]
