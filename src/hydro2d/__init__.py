@@ -7,10 +7,8 @@ against independent numerical oracles.
 """
 
 from .ftoracle import ft_direct_2d, ft_hankel
-from .genfunc import (SeriesTruncation, coordinate_gf, coordinate_gf_series,
-                      gegenbauer_gf, gegenbauer_gf_series, laguerre_gf,
-                      laguerre_gf_series, new_legendre_gf, new_legendre_gf_series,
-                      series_coefficients, shifted_laguerre_gf, shifted_laguerre_gf_series)
+from .genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_legendre_gf,
+                      series_coefficients, shifted_laguerre_gf)
 from .levicivita import (GenFuncParams, GenFuncValues, QuadraticFormMatrix, det_x,
                          gen_func_momentum, quadratic_form_matrix)
 from .momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
@@ -26,14 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundState", "GenFuncParams", "GenFuncValues", "GridSpec", "MomentumPoint",
-    "PolarPoint", "QuadraticFormMatrix", "QuantumNumbers",
-    "SeriesTruncation", "SUITES", "SUITE_ORDER", "VerificationReport",
-    "assoc_legendre", "bessel_j", "coordinate_gf", "coordinate_gf_series",
-    "det_x", "double_factorial", "ft_direct_2d", "ft_hankel", "gegenbauer",
-    "gegenbauer_gf", "gegenbauer_gf_series", "gen_func_momentum", "laguerre",
-    "laguerre_gf", "laguerre_gf_series", "legendre", "make_bound_state", "new_legendre_gf",
-    "new_legendre_gf_series", "norm_squared", "normalization", "overlap", "pochhammer", "psi_momentum", "psi_momentum_gegenbauer",
-    "psi_position", "q_of_p", "quadratic_form_matrix", "radial_ode_residual",
-    "radial_wavefunction", "run_suite", "series_coefficients",
-    "shifted_laguerre_gf", "shifted_laguerre_gf_series",
+    "PolarPoint", "QuadraticFormMatrix", "QuantumNumbers", "SUITES", "SUITE_ORDER",
+    "VerificationReport", "assoc_legendre", "bessel_j", "coordinate_gf", "det_x",
+    "double_factorial", "ft_direct_2d", "ft_hankel", "gegenbauer", "gegenbauer_gf",
+    "gen_func_momentum", "laguerre", "laguerre_gf", "legendre", "make_bound_state",
+    "new_legendre_gf", "norm_squared", "normalization", "overlap", "pochhammer",
+    "psi_momentum", "psi_momentum_gegenbauer", "psi_position", "q_of_p",
+    "quadratic_form_matrix", "radial_ode_residual", "radial_wavefunction", "run_suite",
+    "series_coefficients", "shifted_laguerre_gf",
 ]

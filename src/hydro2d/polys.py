@@ -28,12 +28,11 @@ scalar or array.  A scalar runs through the same array loops as an array
 (``_point_arrays``) and comes back as a Python float (``_scalar_or_array``);
 the rest of the package uses the same pair for its points and fields.  Each
 recurrence is a private ladder that yields every degree in turn, so the
-generating-function series take all their coefficients from one pass.
+generating-function checks take every expected coefficient from one pass.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 from typing import Iterator
@@ -89,14 +88,16 @@ def _overflow_free(xs: np.ndarray, power: int):
 def pochhammer(a: float, k: int) -> float:
     """Rising factorial a (a+1) ... (a+k-1); the empty product is 1.
 
-    Evaluated in floating point, so very large k (around 150 and up,
-    depending on a) overflows to inf rather than raising.
+    Evaluated in floating point: a product past the largest double (around
+    k = 150 and up, depending on a) raises a ValueError naming a and k.
     """
     if k < 0:
         raise ValueError("pochhammer order k must be >= 0")
     out = 1.0
     for i in range(k):
         out *= a + i
+        if math.isinf(out):
+            raise ValueError(f"pochhammer a={a}, k={k} overflows float64")
     return out
 
 
@@ -111,20 +112,13 @@ def double_factorial(k: int) -> int:
     return out
 
 
-@contextlib.contextmanager
-def _overflow_guard(what: str) -> Iterator[None]:
-    """Run ladder steps so that an overflow raises a ValueError naming ``what``."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except (FloatingPointError, OverflowError):  # a float64 step, or an integer seed
-        raise ValueError(f"{what} overflows float64") from None
-
-
 def _degree(ladder: Iterator[np.ndarray], k: int, what: str) -> np.ndarray:
     """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows."""
-    with _overflow_guard(what):
-        return next(itertools.islice(ladder, k, None))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return next(itertools.islice(ladder, k, None))
+    except (FloatingPointError, OverflowError):  # a float64 step, or an integer seed
+        raise ValueError(f"{what} overflows float64") from None
 
 
 def _laguerre_ladder(alpha: float, xs: np.ndarray) -> Iterator[np.ndarray]:
@@ -217,7 +211,7 @@ _ASYMPTOTIC_CUT = 160.0
 _BESSEL_MAX_ORDER = 160
 
 
-def _bessel_series(m: int, x: np.ndarray) -> np.ndarray:
+def _bessel_ascending(m: int, x: np.ndarray) -> np.ndarray:
     # Ascending series; safe from cancellation when x is small or the order
     # dominates the argument.
     half = 0.5 * x
@@ -305,7 +299,7 @@ def _bessel_ladder(M: int, xs: np.ndarray) -> np.ndarray:
     for m in range(M + 1):
         sel = xs <= series_cuts[m]
         if np.any(sel):
-            out[m, sel] = _bessel_series(m, xs[sel])
+            out[m, sel] = _bessel_ascending(m, xs[sel])
         sel = xs >= asym_cuts[m]
         if np.any(sel):
             out[m, sel] = _bessel_asymptotic(m, xs[sel])

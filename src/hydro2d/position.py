@@ -34,6 +34,7 @@ scalars or arrays that broadcast together.  Scalar fields give a Python
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -65,6 +66,12 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("m", self.m)):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"quantum number {name} must be an integer, "
+                                 f"got {value!r}") from None
         if self.n < 0:
             raise ValueError("principal quantum number n must be >= 0")
         if abs(self.m) > self.n:

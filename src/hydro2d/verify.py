@@ -23,11 +23,10 @@ say so in the notes; the raw residual is still recorded as max_abs_err.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import functools
 import itertools
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,8 +34,8 @@ from . import genfunc
 from .ftoracle import _direct_rows, _hankel_rows
 from .levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from .momentum import MomentumPoint, _phase, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, assoc_legendre, bessel_j,
-                    double_factorial, gegenbauer, laguerre, legendre, pochhammer)
+from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder, assoc_legendre,
+                    bessel_j, double_factorial, gegenbauer, laguerre, legendre, pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
 from .quadrature import PANEL_ORDER, gauss_laguerre, panel_nodes
@@ -70,6 +69,20 @@ def _states(cap: int, signed: bool) -> Iterator[QuantumNumbers]:
 # polys suite
 # ---------------------------------------------------------------------------
 
+def _ladder_errors(coeffs: np.ndarray, ladder: Iterator[np.ndarray], shift: int = 0
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """(|c - want|, max(1, |want|)) for the Taylor coefficients c[n] of a generating function.
+
+    want[n] is item n - shift of the polynomial ``ladder``, and 0 for n < shift;
+    the rows of c and of the ladder share their trailing axes.  The pair is
+    the one ``VerificationReport.from_errors(relative=True)`` reduces.
+    """
+    want = np.zeros_like(coeffs)
+    for n, row in zip(range(shift, len(coeffs)), ladder):
+        want[n] = row
+    return np.abs(coeffs - want), np.maximum(1.0, np.abs(want))
+
+
 def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> VerificationReport:
     """Gegenbauer values vs Taylor coefficients of (1-2qz+z^2)^(-lam)."""
     qs = np.linspace(-1.0, 1.0, 21)
@@ -78,8 +91,7 @@ def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> Veri
         for lam in (0.5, 1.5, 2.5, 3.5):
             coeffs = genfunc.series_coefficients(
                 lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam), (n_max + 1,))
-            ref = np.array(list(itertools.islice(_gegenbauer_ladder(lam, qs), n_max + 1)))
-            yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
+            yield _ladder_errors(coeffs, _gegenbauer_ladder(lam, qs))
     return VerificationReport.from_errors(
         "gegenbauer-gf-coefficients",
         f"k <= {n_max}, lam in {{1/2,3/2,5/2,7/2}}, q on 21-point grid of [-1,1]",
@@ -401,14 +413,14 @@ def check_beta_derivative(n_max: Optional[int] = None, tol: float = 1e-6) -> Ver
 def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> VerificationReport:
     """Taylor coefficients of the momentum generating function.
 
-    The (n, m) coefficient must be proportional to
+    The (n, m) coefficient must equal
 
         (2n+1) (-4i)^m q0^(m+1) (3/2)_m C_{n-m}^(m+1/2)(q) p^m e^(i m phi_p)
         / ((2m+1) m! (p^2 + q0^2)^(m+3/2))
 
-    with one n,m-independent constant of proportionality, which is measured
-    and reported rather than assumed (conventions in the source derivation
-    chain disagree about it by factors of 2).
+    with constant 1, the unitary anchoring of ``gen_func_momentum``.  The
+    source derivation chain disagrees about that constant by factors of 2,
+    so it is asserted, not fitted: a fit would absorb any overall factor.
     """
     cap = min(n_max, 8)
     q0 = 1.0
@@ -420,87 +432,106 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     refs = np.zeros_like(coeffs)
     for qn in _states(cap, signed=False):
         n, m = qn.n, qn.m
-        amp = (2.0 * (2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
+        amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
                * gegenbauer(n - m, m + 0.5, q) * mp.p**m
                / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
         refs[n, m] = (amp * ((-1j) ** (m % 4))
                       * cmath.exp(1j * m * mp.phi_p))
-    const = coeffs[0, 0] / refs[0, 0]
     tri = np.tril(np.ones(refs.shape, dtype=bool))
-    scaled = const * refs[tri]
     return VerificationReport.from_errors(
         "genfunc-coefficient-consistency",
         f"n <= {cap}, m <= n at q0 = 1, p = 0.7",
-        [(np.abs(coeffs[tri] - scaled), np.abs(scaled))], tol, relative=True,
-        notes=f"measured global constant {const.real:.6f} relative to the doubled "
-              "reference normalization (0.5 = unitary anchoring), uniform over n, m")
+        [(np.abs(coeffs[tri] - refs[tri]), np.abs(refs[tri]))], tol, relative=True,
+        notes="constant 1 asserted (unitary anchoring), uniform over n, m")
 
 
 # ---------------------------------------------------------------------------
 # genfunc suite
 # ---------------------------------------------------------------------------
 
-def _gf_report(name: str, closed_form: Callable[..., complex],
-               series: Callable[..., Tuple[complex, genfunc.SeriesTruncation]],
-               cases: Sequence[tuple], terms: int, tol: float,
-               extra: str = "") -> VerificationReport:
-    """Shared closed-form-vs-partial-sum comparison.
-
-    Each case is the argument tuple of both functions, z first; the series
-    also gets the cutoff ``terms``.  The notes report the fitted geometric
-    constant err / |z|^n_max over the cases whose error exceeds the
-    series' own rounding estimate; below it there is no tail to fit.
-    """
-    pairs, fits = [], []
-    bound_ok = True
-    for args in cases:
-        partial, trunc = series(*args, terms)
-        err = abs(closed_form(*args) - partial)
-        pairs.append((err, 1.0))
-        if err > trunc.rounding:
-            fits.append(err / abs(args[0]) ** trunc.n_max)
-        bound_ok = bound_ok and err <= max(trunc.tail_bound, 1e-15)
-    fitted = (f"fitted geometric constant <= {max(fits):.3g}" if fits
-              else "errors at rounding level, no geometric constant to fit")
-    notes = f"{fitted}; tail bound honored: {bound_ok}"
-    if extra:
-        notes += "; " + extra
-    report = VerificationReport.from_errors(name, f"{len(cases)} parameter sets", pairs, tol,
-                                            notes=notes)
-    return dataclasses.replace(report, passed=report.passed and bound_ok)
+# The four one-variable checks read k <= 30 off a circle of radius 0.75.  The
+# samples' rounding reaches c_k multiplied by max|f| r^-k, so a larger circle
+# raises the first factor and a smaller one the second: at r = 0.8 the
+# (1-z)^-9 of shifted-laguerre-gf at m = 4 reads 1.5e-11, at r = 0.5 r^-30 = 2^30.
+_GF_CIRCLE = {"radius": 0.75, "nodes": 256}
+_GF_NOTES = ("coefficients by Cauchy quadrature, r = 0.75, 256 nodes; "
+             "errors scaled by max(1, |value|)")
 
 
 def check_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> VerificationReport:
-    return _gf_report("laguerre-gf", genfunc.laguerre_gf, genfunc.laguerre_gf_series,
-                      [(0.5, 2.0, 1.5), (0.3, 0.0, 0.0), (-0.4, 4.5, 3.0),
-                       (0.35 + 0.35j, 1.0, 2.0)], 80, tol)
+    def pairs():
+        for r, v in ((2.0, 1.5), (0.0, 0.0), (4.5, 3.0), (1.0, 2.0)):
+            vs = np.array([v])
+            coeffs = genfunc.series_coefficients(
+                lambda z: genfunc.laguerre_gf(z[:, None], r, vs), (31,), **_GF_CIRCLE)
+            yield _ladder_errors(coeffs, _laguerre_ladder(r, vs))
+    return VerificationReport.from_errors(
+        "laguerre-gf", "k <= 30 at (r, v) in {(2, 1.5), (0, 0), (4.5, 3), (1, 2)}",
+        pairs(), tol, relative=True, notes=_GF_NOTES)
 
 
 def check_shifted_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> VerificationReport:
-    return _gf_report("shifted-laguerre-gf", genfunc.shifted_laguerre_gf,
-                      genfunc.shifted_laguerre_gf_series,
-                      [(0.4, 0, 1.0), (0.4, 2, 1.0), (-0.3, 1, 2.5), (0.3 + 0.3j, 4, 0.5)],
-                      80, tol, extra="index shift starts the sum at n = m")
+    def pairs():
+        for m, v in ((0, 1.0), (2, 1.0), (1, 2.5), (4, 0.5)):
+            vs = np.array([v])
+            coeffs = genfunc.series_coefficients(
+                lambda z: genfunc.shifted_laguerre_gf(z[:, None], m, vs), (31,), **_GF_CIRCLE)
+            yield _ladder_errors(coeffs, _laguerre_ladder(2 * m, vs), shift=m)
+    return VerificationReport.from_errors(
+        "shifted-laguerre-gf", "n <= 30 at (m, v) in {(0, 1), (2, 1), (1, 2.5), (4, 0.5)}",
+        pairs(), tol, relative=True, notes=_GF_NOTES + "; index shift starts the sum at n = m")
 
 
 def check_coordinate_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
-    return _gf_report("coordinate-gf", genfunc.coordinate_gf, genfunc.coordinate_gf_series,
-                      [(0.3, 0.2, 1.0, PolarPoint(1.5, 0.7)),
-                       (0.25, 0.4 + 0.2j, 0.8, PolarPoint(0.6, 2.0)),
-                       (0.3, -0.5, 1.3, PolarPoint(3.0, 4.2))],
-                      40, tol, extra="fixed-q0 scaled basis, not per-level physical q0")
+    """z^n t^m coefficients, m <= n <= 10, vs v^m e^(-v/2) L_{n-m}^(2m)(v) e^(i m phi) / m!.
+
+    On the circle the closed form grows like e^(q0 rho / (1-z)^2): at r = 0.8,
+    or at r = 0.5 with n up to 30, the 2-D extraction loses every digit.
+    """
+    def pairs():
+        for q0, rho, phi in ((1.0, 1.5, 0.7), (0.8, 0.6, 2.0), (1.3, 3.0, 4.2)):
+            coeffs = genfunc.series_coefficients(
+                lambda z, t: genfunc.coordinate_gf(z, t, q0, PolarPoint(rho, phi)), (11, 11))
+            v = np.array([2.0 * q0 * rho])
+            for m in range(11):
+                head = v**m * np.exp(-0.5 * v) * cmath.exp(1j * m * phi) / math.factorial(m)
+                yield _ladder_errors(coeffs[:, m, None],
+                                     (head * lag for lag in _laguerre_ladder(2 * m, v)), shift=m)
+    return VerificationReport.from_errors(
+        "coordinate-gf",
+        "m <= n <= 10 at (q0, rho, phi) in {(1, 1.5, 0.7), (0.8, 0.6, 2), (1.3, 3, 4.2)}",
+        pairs(), tol, relative=True,
+        notes="2-D coefficients by Cauchy quadrature, r = 0.5, 128 nodes; errors scaled by "
+              "max(1, |value|); fixed-q0 scaled basis, not per-level physical q0")
 
 
 def check_gegenbauer_gf(n_max: Optional[int] = None, tol: float = 1e-9) -> VerificationReport:
-    return _gf_report("gegenbauer-gf", genfunc.gegenbauer_gf, genfunc.gegenbauer_gf_series,
-                      [(0.5, 0.3, 2.5), (0.5, 1.0, 1.5), (-0.6, -0.8, 0.5)], 80, tol)
+    def pairs():
+        for q, alpha in ((0.3, 2.5), (1.0, 1.5), (-0.8, 0.5)):
+            qs = np.array([q])
+            coeffs = genfunc.series_coefficients(
+                lambda z: genfunc.gegenbauer_gf(z[:, None], qs, alpha), (31,), **_GF_CIRCLE)
+            yield _ladder_errors(coeffs, _gegenbauer_ladder(alpha, qs))
+    return VerificationReport.from_errors(
+        "gegenbauer-gf", "k <= 30 at (q, alpha) in {(0.3, 2.5), (1, 1.5), (-0.8, 0.5)}",
+        pairs(), tol, relative=True, notes=_GF_NOTES)
 
 
 def check_new_legendre_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
-    return _gf_report("new-legendre-gf", genfunc.new_legendre_gf, genfunc.new_legendre_gf_series,
-                      [(0.4, 0.3, 0), (0.4, 0.3, 2), (0.3, -0.6, 1), (0.55, 0.0, 3)],
-                      80, tol, extra="sum over n >= m with (2n+1)/(2m+1)!! weights, "
-                                     "no (-1)^m in the non-Condon-Shortley convention")
+    def pairs():
+        for t, m in ((0.3, 0), (0.3, 2), (-0.6, 1), (0.0, 3)):
+            ts = np.array([t])
+            coeffs = genfunc.series_coefficients(
+                lambda z: genfunc.new_legendre_gf(z[:, None], ts, m), (31,), **_GF_CIRCLE)
+            dfact = double_factorial(2 * m + 1)
+            weighted = ((2 * n + 1) / dfact * p
+                        for n, p in zip(itertools.count(m), _assoc_legendre_ladder(m, ts)))
+            yield _ladder_errors(coeffs, weighted, shift=m)
+    return VerificationReport.from_errors(
+        "new-legendre-gf", "n <= 30 at (t, m) in {(0.3, 0), (0.3, 2), (-0.6, 1), (0, 3)}",
+        pairs(), tol, relative=True,
+        notes=_GF_NOTES + "; sum over n >= m with (2n+1)/(2m+1)!! weights, "
+                          "no (-1)^m in the non-Condon-Shortley convention")
 
 
 _REINDEX_QS = np.array([0.3, -0.45, 0.8])
@@ -518,19 +549,14 @@ def _reindexing_coefficients(cap: int) -> Iterator[Tuple[int, np.ndarray]]:
             (cap + 1,), radius=0.8, nodes=256)
 
 
-def _shifted_gegenbauer(lam: float, shift: int, cap: int) -> np.ndarray:
-    """Rows n = 0 ... cap of C_{n-shift}^(lam) at _REINDEX_QS, zero where n < shift."""
-    ladder = itertools.islice(_gegenbauer_ladder(lam, _REINDEX_QS), max(cap + 1 - shift, 0))
-    return np.array([np.zeros_like(_REINDEX_QS)] * shift + list(ladder))[:cap + 1]
-
-
 def check_reindexing_identity(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:
     """Coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2) are Gegenbauer differences."""
     def pairs():
         for m, coeffs in _reindexing_coefficients(n_max):
-            ref = (_shifted_gegenbauer(m + 1.5, m, n_max)
-                   - _shifted_gegenbauer(m + 1.5, m + 2, n_max))
-            yield np.abs(coeffs - ref), np.maximum(1.0, np.abs(ref))
+            # C_j - C_{j-2}, the lagged ladder starting from two zero degrees
+            lagged = itertools.chain((0.0, 0.0), _gegenbauer_ladder(m + 1.5, _REINDEX_QS))
+            diffs = (c - b for c, b in zip(_gegenbauer_ladder(m + 1.5, _REINDEX_QS), lagged))
+            yield _ladder_errors(coeffs, diffs, shift=m)
     return VerificationReport.from_errors(
         "gegenbauer-reindexing-identity",
         f"m <= 4, n <= {n_max}, q in {{0.3, -0.45, 0.8}}",
@@ -542,9 +568,10 @@ def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationRe
     """Same coefficients, compared against (2n+1)/(2m+1) C_{n-m}^(m+1/2)(q)."""
     def pairs():
         for m, coeffs in _reindexing_coefficients(n_max):
-            weight = (2.0 * np.arange(m, n_max + 1) + 1.0) / (2.0 * m + 1.0)
-            ref = weight[:, None] * _shifted_gegenbauer(m + 0.5, m, n_max)[m:]
-            yield np.abs(coeffs[m:] - ref), np.maximum(1.0, np.abs(ref))
+            ladder = _gegenbauer_ladder(m + 0.5, _REINDEX_QS)
+            weighted = ((2.0 * n + 1.0) / (2.0 * m + 1.0) * c
+                        for n, c in zip(itertools.count(m), ladder))
+            yield _ladder_errors(coeffs[m:], weighted)
     return VerificationReport.from_errors(
         "gegenbauer-chain-consistency",
         f"m <= 4, m <= n <= {n_max}, q in {{0.3, -0.45, 0.8}}",

@@ -39,9 +39,11 @@ def test_pochhammer_hand_values():
         pochhammer(1.0, -1)
 
 
-def test_pochhammer_overflows_to_inf():
-    # Float evaluation by design: huge orders saturate instead of raising.
-    assert pochhammer(2.0, 400) == math.inf
+def test_pochhammer_overflow_raises_naming_the_limit():
+    # Float evaluation: a product past the largest double raises instead of saturating.
+    assert math.isfinite(pochhammer(2.0, 160))
+    with pytest.raises(ValueError, match="pochhammer a=2.0, k=400 overflows float64"):
+        pochhammer(2.0, 400)
 
 
 def test_double_factorial_hand_values():

@@ -27,6 +27,10 @@ def test_quantum_number_validation():
         QuantumNumbers(2, 3)
     with pytest.raises(ValueError):
         QuantumNumbers(-1, 0)
+    assert QuantumNumbers(np.int64(3), np.int32(-2)) == QuantumNumbers(3, -2)
+    for n, m in ((2.5, 1), (2, 1.0), ("2", 1)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            QuantumNumbers(n, m)
 
 
 def test_polar_point_validation():

@@ -12,15 +12,20 @@ import numpy as np
 import pytest
 
 from hydro2d import genfunc, verify
+from hydro2d.levicivita import GenFuncValues
 from hydro2d.position import QuantumNumbers
 from hydro2d.verify import (
     SUITE_ORDER,
     SUITES,
     acceptance_grid,
+    check_coefficient_consistency,
+    check_coordinate_gf,
     check_gegenbauer_gf,
+    check_laguerre_gf,
     check_measure_factor,
     check_new_legendre_gf,
     check_position_normalization,
+    check_shifted_laguerre_gf,
     check_two_form_equality,
     run_suite,
 )
@@ -80,7 +85,7 @@ def test_levicivita_suite_adjudication_note():
     meas = next(r for r in reports if r.check_name == "measure-factor-adjudication")
     assert "c = 2" in meas.notes
     coeff = next(r for r in reports if r.check_name == "genfunc-coefficient-consistency")
-    assert "0.5" in coeff.notes
+    assert "constant 1 asserted" in coeff.notes
 
 
 def test_genfunc_suite_passes():
@@ -89,14 +94,6 @@ def test_genfunc_suite_passes():
     names = {r.check_name for r in reports}
     assert "gegenbauer-reindexing-identity" in names
     assert "gegenbauer-chain-consistency" in names
-
-
-def test_gf_note_fits_no_constant_to_rounding_errors():
-    # Errors up to 3.3e-16 against rounding estimates of 3e-14 and more:
-    # dividing them by |z|^80 would report a meaningless constant near 1e24.
-    rep = check_new_legendre_gf()
-    assert rep.notes.startswith("errors at rounding level, no geometric constant to fit; "
-                                "tail bound honored: True")
 
 
 def test_tolerance_override_forces_failure():
@@ -153,10 +150,39 @@ def test_nan_norm_fails_position_normalization(monkeypatch):
 
 
 def test_nan_in_second_case_fails_gegenbauer_gf(monkeypatch):
-    # Not the first value reduced, so a max() seeded with it would drop it.
+    # One circle node of the second case (alpha = 1.5): not the first value
+    # reduced, so a max() seeded with it would drop it.
     original = genfunc.gegenbauer_gf
 
     def second_case_nan(z, q, alpha):
-        return complex(math.nan, 0.0) if (z, q, alpha) == (0.5, 1.0, 1.5) else original(z, q, alpha)
+        value = original(z, q, alpha)
+        if alpha == 1.5:
+            value.flat[7] = complex(math.nan, 0.0)
+        return value
     monkeypatch.setattr(genfunc, "gegenbauer_gf", second_case_nan)
     _assert_nan_fails(check_gegenbauer_gf())
+
+
+_GF_CHECKS = {"laguerre_gf": check_laguerre_gf, "shifted_laguerre_gf": check_shifted_laguerre_gf,
+              "coordinate_gf": check_coordinate_gf, "gegenbauer_gf": check_gegenbauer_gf,
+              "new_legendre_gf": check_new_legendre_gf}
+
+
+@pytest.mark.parametrize("closed_form", list(_GF_CHECKS))
+def test_gf_check_fails_when_its_closed_form_is_scaled(monkeypatch, closed_form):
+    # Every coefficient moves by 1e-6 of itself, far above each tolerance.
+    original = getattr(genfunc, closed_form)
+    monkeypatch.setattr(genfunc, closed_form, lambda *args: (1.0 + 1e-6) * original(*args))
+    rep = _GF_CHECKS[closed_form]()
+    assert not rep.passed
+    assert rep.max_rel_err == pytest.approx(1e-6, rel=1e-3)
+
+
+def test_doubled_momentum_generating_function_fails_coefficient_consistency(monkeypatch):
+    # A constant fitted to the coefficients would absorb the factor 2.
+    original = verify.gen_func_momentum
+    monkeypatch.setattr(verify, "gen_func_momentum",
+                        lambda gp, mp: GenFuncValues(*(2.0 * v for v in original(gp, mp))))
+    rep = check_coefficient_consistency()
+    assert not rep.passed
+    assert rep.max_rel_err == pytest.approx(1.0, rel=1e-9)
