@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import _point_arrays, _scalar_or_array
+from .polys import _finite, _finite_points, _point_arrays, _scalar_or_array
 from .position import PolarPoint
 
 __all__ = [
@@ -48,7 +48,7 @@ __all__ = [
 
 
 def _reject_z(z: ArrayLike) -> None:
-    if np.any(np.abs(z) >= 1.0):
+    if not np.all(np.abs(z) < 1.0):  # NaN fails too
         raise ValueError("generating variable must satisfy |z| < 1")
 
 
@@ -61,7 +61,9 @@ def _reject_t(t: ArrayLike) -> None:
 def laguerre_gf(z: ArrayLike, r: float, v: ArrayLike):
     """Closed form of the generalized Laguerre generating function; z and v broadcast."""
     _reject_z(z)
+    _finite("laguerre_gf r", r)
     zs, vs = _point_arrays(z, v)
+    _finite_points("laguerre_gf v", vs)
     value = (1.0 - zs) ** (-(r + 1.0)) * np.exp(-zs * vs / (1.0 - zs))
     return _scalar_or_array(value.astype(complex), z, v)
 
@@ -88,10 +90,12 @@ def coordinate_gf(z: ArrayLike, t: ArrayLike, q0: float, pt: PolarPoint):
     conjugating the result.  z, t and the fields of pt broadcast together.
     """
     _reject_z(z)
+    _finite("coordinate_gf q0", q0)
     if q0 <= 0.0:
         raise ValueError("scale q0 must be > 0")
     fields = (z, t, pt.rho, pt.phi)
     z, t, rho, phi = _point_arrays(*fields)
+    _finite_points("coordinate_gf t", t)
     one_minus = 1.0 - z
     w = rho * np.exp(1j * phi)
     expo = (-q0 * rho
@@ -103,7 +107,9 @@ def coordinate_gf(z: ArrayLike, t: ArrayLike, q0: float, pt: PolarPoint):
 def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
     """Closed form (1 - 2qz + z^2)^(-alpha), principal branch; z and q broadcast."""
     _reject_z(z)
+    _finite("gegenbauer_gf alpha", alpha)
     zs, qs = _point_arrays(z, q)
+    _finite_points("gegenbauer_gf q", qs)
     value = np.emath.power(1.0 - 2.0 * qs * zs + zs * zs, -alpha)
     return _scalar_or_array(value.astype(complex), z, q)
 

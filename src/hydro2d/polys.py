@@ -74,6 +74,18 @@ def _scalar_or_array(value: np.ndarray, *fields):
     return value
 
 
+def _finite(name: str, value: float) -> None:
+    """A ValueError naming the scalar parameter ``name`` if it is NaN or infinite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _finite_points(name: str, values: np.ndarray) -> None:
+    """A ValueError naming the point ``name`` if any of its values is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 def _overflow_free(xs: np.ndarray, power: int):
     """xs with 0 wherever xs**power overflows float64, and the mask of those points.
 
@@ -93,6 +105,7 @@ def pochhammer(a: float, k: int) -> float:
     """
     if k < 0:
         raise ValueError("pochhammer order k must be >= 0")
+    _finite("pochhammer a", a)
     out = 1.0
     for i in range(k):
         out *= a + i
@@ -139,7 +152,9 @@ def laguerre(k: int, alpha: float, x):
     """
     if k < 0:
         raise ValueError("laguerre degree k must be >= 0")
+    _finite("laguerre alpha", alpha)
     xs, = _point_arrays(x, real=True)
+    _finite_points("laguerre x", xs)
     return _scalar_or_array(_degree(_laguerre_ladder(alpha, xs), k, f"laguerre k={k}"), x)
 
 
@@ -158,7 +173,9 @@ def gegenbauer(k: int, lam: float, q):
     Negative degree returns 0, which is the natural value in the
     difference identities this package verifies.
     """
+    _finite("gegenbauer lam", lam)
     qs, = _point_arrays(q, real=True)
+    _finite_points("gegenbauer q", qs)
     if k < 0:
         return _scalar_or_array(np.zeros_like(qs), q)
     return _scalar_or_array(_degree(_gegenbauer_ladder(lam, qs), k, f"gegenbauer k={k}"), q)
@@ -169,6 +186,7 @@ def legendre(n: int, t):
     if n < 0:
         raise ValueError("legendre degree n must be >= 0")
     ts, = _point_arrays(t, real=True)
+    _finite_points("legendre t", ts)
     return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n, f"legendre n={n}"), t)
 
 
@@ -197,7 +215,7 @@ def assoc_legendre(n: int, m: int, t):
     if n < 0 or m < 0 or m > n:
         raise ValueError("assoc_legendre needs 0 <= m <= n")
     ts, = _point_arrays(t, real=True)
-    if np.any(np.abs(ts) > 1.0):
+    if not np.all(np.abs(ts) <= 1.0):  # NaN fails too
         raise ValueError("assoc_legendre needs |t| <= 1")
     return _scalar_or_array(_degree(_assoc_legendre_ladder(m, ts), n - m,
                                    f"assoc_legendre n={n}, m={m}"), t)
@@ -314,4 +332,5 @@ def bessel_j(m: int, x):
     recurrence.
     """
     xs, = _point_arrays(x, real=True)
+    _finite_points("bessel_j x", xs)
     return _scalar_or_array(_bessel_ladder(m, xs)[m], x)

@@ -38,7 +38,7 @@ from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder
                     bessel_j, double_factorial, gegenbauer, laguerre, legendre, pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
-from .quadrature import PANEL_ORDER, gauss_laguerre, panel_nodes
+from .quadrature import _PANEL_X, PANEL_ORDER, gauss_laguerre, panel_nodes
 from .reporting import VerificationReport
 
 _SEED = 20260814
@@ -304,19 +304,27 @@ def _accepted_draws(seed: int, count: int, limit: int,
     """The first ``count`` of ``limit`` seeded draws that ``accept`` keeps, as arrays.
 
     A draw is eight uniforms, in this order: (|z| / z_cap)^2, arg z, |t|^2,
-    arg t, q0, beta, p, phi_p.  ``accept`` maps all draws to a boolean mask.
+    arg t, q0, beta, p, phi_p.  ``accept`` maps draws to a boolean mask, one
+    per draw.  The draws come in blocks of 4 count, then of all drawn so far,
+    until ``count`` are kept or ``limit`` are drawn: one Generator continues
+    its stream across calls, so the blocks are the rows of one limit-row draw.
     """
-    u = np.random.default_rng(seed).uniform(size=(limit, 8))
     two_pi = 2.0 * math.pi
-    gp = GenFuncParams(z=z_cap * np.sqrt(u[:, 0]) * np.exp(1j * (two_pi * u[:, 1])),
-                       t=np.sqrt(u[:, 2]) * np.exp(1j * (two_pi * u[:, 3])),
-                       q0=q0_lo + (q0_hi - q0_lo) * u[:, 4], beta=beta_cap * u[:, 5])
-    mp = MomentumPoint(p_cap * u[:, 6], two_pi * u[:, 7])
-    keep = np.flatnonzero(accept(gp, mp))[:count]
-    if keep.size < count:
-        raise RuntimeError(f"draw filter accepted {keep.size} of {limit} draws, not {count}")
-    return (GenFuncParams(gp.z[keep], gp.t[keep], gp.q0[keep], gp.beta[keep]),
-            MomentumPoint(mp.p[keep], mp.phi_p[keep]))
+
+    def params(u):
+        return (GenFuncParams(z=z_cap * np.sqrt(u[:, 0]) * np.exp(1j * (two_pi * u[:, 1])),
+                              t=np.sqrt(u[:, 2]) * np.exp(1j * (two_pi * u[:, 3])),
+                              q0=q0_lo + (q0_hi - q0_lo) * u[:, 4], beta=beta_cap * u[:, 5]),
+                MomentumPoint(p_cap * u[:, 6], two_pi * u[:, 7]))
+    rng = np.random.default_rng(seed)
+    kept, drawn = np.empty((0, 8)), 0
+    while len(kept) < count and drawn < limit:
+        u = rng.uniform(size=(min(limit - drawn, max(4 * count, drawn)), 8))
+        drawn += len(u)
+        kept = np.concatenate([kept, u[accept(*params(u))]])
+    if len(kept) < count:
+        raise RuntimeError(f"draw filter accepted {len(kept)} of {limit} draws, not {count}")
+    return params(kept[:count])
 
 
 def check_det_identity(n_max: Optional[int] = None, tol: float = 1e-12) -> VerificationReport:
@@ -332,8 +340,12 @@ def check_det_identity(n_max: Optional[int] = None, tol: float = 1e-12) -> Verif
         tol, relative=True, notes="dual routes kept separate")
 
 
-def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> VerificationReport:
-    """2-d quadrature of exp(-P) over the u-plane vs pi/sqrt(det X)."""
+def _gaussian_cases() -> Iterator[Tuple[complex, complex, complex, float, int, complex]]:
+    """(a11, a12, a22, box, n_nodes, pi / sqrt(det X)) for each draw of the Gaussian check.
+
+    The box [-box, box]^2 leaves a tail below 1e-12; n_nodes per axis follows
+    the oscillation of Im X across it.
+    """
     def spectrum(x):
         # Re X is [[ReA-ReB, ImB], [ImB, ReA+ReB]]; its smallest eigenvalue is
         # ReA - |B| with A, B recovered from the entries.  The second entry
@@ -346,23 +358,46 @@ def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> V
         return (lam_min >= 0.5) & (freq <= 6.0)
     gp, mp = _accepted_draws(_SEED + 1, 20, 20000, decaying, 0.5, 2.0, 0.8, 1.6, 1.0)
     x = quadratic_form_matrix(gp, mp)
-    pairs = []
     for a11, a12, a22, lam_min, freq, closed in zip(x.a11, x.a12, x.a22, *spectrum(x),
                                                     math.pi / np.sqrt(det_x(gp, mp))):
         box = math.sqrt(34.5 / lam_min)
         n_nodes = min(2400, max(200, int(10.0 * freq * box * box / math.pi) + 60))
-        u, w = panel_nodes(np.linspace(-box, box, math.ceil(n_nodes / PANEL_ORDER) + 1))
-        ex = np.exp(-a11 * u * u) * w
-        ey = np.exp(-a22 * u * u) * w
-        # exp(-2 a12 u u') in 64-row blocks: the dense square would set the suite's peak memory.
-        total = sum(ex[i:i + 64] @ (np.exp(-2.0 * a12 * np.outer(u[i:i + 64], u)) @ ey)
-                    for i in range(0, u.size, 64))
-        pairs.append((abs(total - closed), 1.0))
+        yield a11, a12, a22, box, n_nodes, closed
+
+
+def _quadrant_sum(a11: complex, a12: complex, a22: complex, box: float, n_nodes: int) -> complex:
+    """Tensor Gauss-Legendre sum of exp(-(a11 u^2 + 2 a12 u u' + a22 u'^2)) over [-box, box]^2.
+
+    The rule is mirror-symmetric, with at least n_nodes nodes per axis: its
+    half on [0, box] is ceil(n_nodes / 32) panels of ``panel_nodes``.  The
+    u and u' factors are even, so the sum is 4 sum_{u, u' > 0} ex ey
+    cosh(2 a12 u u').  Each u' = c + h x is split at its panel's centre c
+    (h the common half-width, x a panel abscissa), so exp(+-2 a12 u u') is
+    exp(+-2 a12 u c) exp(+-2 a12 h u x): n (panels + 16) exponentials per
+    sign instead of n^2, contracted by one einsum.
+    """
+    panels = math.ceil(n_nodes / (2 * PANEL_ORDER))
+    edges = np.linspace(0.0, box, panels + 1)
+    u, w = panel_nodes(edges)
+    centres = 0.5 * (edges[1:] + edges[:-1])
+    ex = np.exp(-a11 * u * u) * w
+    ey = (np.exp(-a22 * u * u) * w).reshape(panels, PANEL_ORDER)
+    rows = sum(np.einsum("ip,ik,pk->i", np.exp(s * np.outer(u, centres)),
+                         np.exp(s * (0.5 * box / panels) * np.outer(u, _PANEL_X)), ey)
+               for s in (-2.0 * a12, 2.0 * a12))
+    return 2.0 * np.sum(ex * rows)
+
+
+def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> VerificationReport:
+    """2-d quadrature of exp(-P) over the u-plane vs pi/sqrt(det X)."""
     return VerificationReport.from_errors(
         "gaussian-integral-identity",
         "20 seeded draws with positive-definite real part (min eigenvalue >= 0.5)",
-        pairs, tol,
-        notes="tensor Gauss-Legendre box sized so the discarded tail < 1e-12")
+        [(abs(_quadrant_sum(a11, a12, a22, box, n_nodes) - closed), 1.0)
+         for a11, a12, a22, box, n_nodes, closed in _gaussian_cases()], tol,
+        notes="tensor Gauss-Legendre box sized so the discarded tail < 1e-12, summed over "
+              "one quadrant (the integrand's even parts fold it) with each exponent "
+              "split at its panel's centre")
 
 
 def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:

@@ -22,7 +22,7 @@ from hydro2d.genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_lege
                              series_coefficients, shifted_laguerre_gf)
 from hydro2d.levicivita import GenFuncParams, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer
-from hydro2d.polys import assoc_legendre, bessel_j, gegenbauer, laguerre
+from hydro2d.polys import assoc_legendre, bessel_j, gegenbauer, laguerre, pochhammer
 from hydro2d.position import PolarPoint, QuantumNumbers, psi_position, radial_wavefunction
 
 CASES = (
@@ -136,6 +136,25 @@ def test_one_t_outside_the_interval_in_an_array_raises():
 def _modules():
     for path in sorted(Path(hydro2d.__file__).parent.glob("*.py")):
         yield path.stem, ast.parse(path.read_text())
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: pochhammer(_NAN, 3), "pochhammer a"),
+    (lambda: laguerre(3, _NAN, 1.0), "laguerre alpha"),
+    (lambda: laguerre(3, 1.0, _NAN), "laguerre x"),
+    (lambda: gegenbauer(3, _NAN, 0.2), "gegenbauer lam"),
+    (lambda: laguerre_gf(0.2, 1.0, _NAN), "laguerre_gf v"),
+    (lambda: coordinate_gf(0.2, 0.1, _NAN, PolarPoint(1.0, 0.0)), "coordinate_gf q0"),
+    (lambda: gegenbauer_gf(0.2, 0.1, _NAN), "gegenbauer_gf alpha"),
+], ids=["pochhammer", "laguerre-alpha", "laguerre-x", "gegenbauer", "laguerre_gf",
+        "coordinate_gf", "gegenbauer_gf"])
+def test_nan_parameter_raises_naming_it(call, name):
+    # Each of these returned NaN (or, for gegenbauer_gf, exactly 1) without a warning.
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
 
 
 def test_only_verify_imports_cmath():

@@ -8,10 +8,15 @@ values.
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hydro2d
 from hydro2d import cli
 from hydro2d.cli import main
 from hydro2d.momentum import MomentumPoint, psi_momentum
@@ -236,3 +241,37 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert target.read_text(encoding="utf-8") == EIGEN_2
+
+
+def _verify_all_in_child(stack):
+    # The variables are set for the child only; numpy and OpenBLAS read them at import.
+    env = {**os.environ, **stack,
+           "PYTHONPATH": str(pathlib.Path(hydro2d.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "hydro2d.cli", "verify", "all", "--format", "json"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
+@pytest.fixture(scope="module")
+def default_stack_reports():
+    return _verify_all_in_child({})
+
+
+@pytest.mark.parametrize("stack", [
+    {"OPENBLAS_CORETYPE": "Nehalem",
+     "NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"},
+    {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"},
+], ids=["nehalem-baseline-simd", "haswell-one-thread"])
+def test_verify_all_holds_on_other_kernels(stack, default_stack_reports):
+    # Older BLAS kernels, one BLAS thread or numpy at its baseline SIMD give
+    # the same checks, keys and verdicts, and errors within a decade.
+    reports = _verify_all_in_child(stack)
+    assert [r["check_name"] for r in reports] == [r["check_name"] for r in default_stack_reports]
+    for got, want in zip(reports, default_stack_reports):
+        assert list(got) == list(want)
+        assert got["pass"] is want["pass"] is True
+        assert (got["grid_desc"], got["tolerance"], got["notes"]) == \
+            (want["grid_desc"], want["tolerance"], want["notes"])
+        for key in ("max_abs_err", "max_rel_err"):
+            assert want[key] / 10.0 <= got[key] <= 10.0 * want[key], (got["check_name"], key)

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from hydro2d import genfunc, verify
-from hydro2d.levicivita import GenFuncValues
+from hydro2d.levicivita import GenFuncParams, GenFuncValues
+from hydro2d.momentum import MomentumPoint
 from hydro2d.position import QuantumNumbers
+from hydro2d.quadrature import PANEL_ORDER, panel_nodes
 from hydro2d.verify import (
     SUITE_ORDER,
     SUITES,
@@ -186,3 +188,70 @@ def test_doubled_momentum_generating_function_fails_coefficient_consistency(monk
     rep = check_coefficient_consistency()
     assert not rep.passed
     assert rep.max_rel_err == pytest.approx(1.0, rel=1e-9)
+
+
+def test_quadrant_sum_matches_the_dense_unfolded_sum():
+    # The reference sums exp(-P) over every pair of nodes of the mirrored
+    # rule on [-box, box], with exp(-2 a12 u u') formed pointwise.
+    for a11, a12, a22, box, n_nodes, _ in verify._gaussian_cases():
+        u, w = panel_nodes(np.linspace(0.0, box, math.ceil(n_nodes / (2 * PANEL_ORDER)) + 1))
+        u, w = np.concatenate([-u[::-1], u]), np.concatenate([w[::-1], w])
+        assert u.size >= n_nodes
+        ex, ey = np.exp(-a11 * u * u) * w, np.exp(-a22 * u * u) * w
+        dense = np.sum(ex[:, None] * np.exp(-2.0 * a12 * u[:, None] * u[None, :]) * ey[None, :])
+        folded = verify._quadrant_sum(a11, a12, a22, box, n_nodes)
+        assert abs(folded - dense) <= 1e-14 * abs(dense)
+
+
+def test_scaled_gaussian_closed_form_fails(monkeypatch):
+    # pi / sqrt(det X) scaled by 1 + 1e-6: every draw is off by 1e-6 of its value.
+    original = verify.det_x
+    monkeypatch.setattr(verify, "det_x", lambda gp, mp: original(gp, mp) / (1.0 + 1e-6) ** 2)
+    rep = verify.check_gaussian_integral()
+    assert not rep.passed
+    assert rep.max_abs_err > 10.0 * rep.tolerance
+
+
+def _all_draws_filtered(seed, count, limit, accept, z_cap, p_cap, q0_lo, q0_hi, beta_cap):
+    # Every one of the limit draws at once, then the first count accepted.
+    u = np.random.default_rng(seed).uniform(size=(limit, 8))
+    gp = GenFuncParams(z=z_cap * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * math.pi * u[:, 1])),
+                       t=np.sqrt(u[:, 2]) * np.exp(1j * (2.0 * math.pi * u[:, 3])),
+                       q0=q0_lo + (q0_hi - q0_lo) * u[:, 4], beta=beta_cap * u[:, 5])
+    mp = MomentumPoint(p_cap * u[:, 6], 2.0 * math.pi * u[:, 7])
+    keep = np.flatnonzero(accept(gp, mp))
+    return keep, (gp.z[keep[:count]], gp.t[keep[:count]], gp.q0[keep[:count]],
+                  gp.beta[keep[:count]], mp.p[keep[:count]], mp.phi_p[keep[:count]])
+
+
+def test_lazy_draws_are_the_first_accepted_of_all_draws(monkeypatch):
+    calls = []
+    original = verify._accepted_draws
+    monkeypatch.setattr(verify, "_accepted_draws", lambda *args: calls.append(args) or original(*args))
+    verify.check_det_identity()
+    verify.check_gaussian_integral()
+    assert [args[:3] for args in calls] == [(verify._SEED, 100, 10000),
+                                            (verify._SEED + 1, 20, 20000)]
+    for args in calls:
+        gp, mp = original(*args)
+        _, want = _all_draws_filtered(*args)
+        for got, ref in zip((gp.z, gp.t, gp.q0, gp.beta, mp.p, mp.phi_p), want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_draws_across_blocks_and_a_filter_that_accepts_too_few():
+    caps = (0.8, 10.0, 0.3, 2.5, 2.0)
+
+    def slow(gp, mp):
+        return mp.p < 0.05  # about 1 draw in 200
+    keep, want = _all_draws_filtered(7, 5, 2000, slow, *caps)
+    assert keep[4] >= 4 * 4 * 5  # the fifth accepted draw lies past the third block
+    gp, mp = verify._accepted_draws(7, 5, 2000, slow, *caps)
+    for got, ref in zip((gp.z, gp.t, gp.q0, gp.beta, mp.p, mp.phi_p), want):
+        assert got.tobytes() == ref.tobytes()
+    keep, _ = _all_draws_filtered(7, 50, 2000, slow, *caps)
+    assert 0 < keep.size < 50
+    with pytest.raises(RuntimeError, match=f"accepted {keep.size} of 2000 draws, not 50"):
+        verify._accepted_draws(7, 50, 2000, slow, *caps)
+    with pytest.raises(RuntimeError, match="accepted 0 of 300 draws, not 5"):
+        verify._accepted_draws(7, 5, 300, lambda gp, mp: np.zeros(mp.p.shape, bool), *caps)
