@@ -49,30 +49,24 @@ __all__ = ["ft_hankel", "ft_direct_2d"]
 # rho R_{n,m}(rho) oscillates at most like J_0(sqrt(8 rho)) at any n (Hilb's
 # formula): a panel this wide holds about six of its zeros near the origin.
 _MAX_PANEL_WIDTH = (6.0 * math.pi) ** 2 / 8.0
-# Bound on the radial tail that the panel range discards (see _cutoff_v).
+# Bound on the radial tail that the panel range discards (see _rho_max).
 _TAIL_TOL = 1e-9
-
-
-def _cutoff_v(n: int, q0: float, tol: float) -> float:
-    """Truncation point of the scaled radial variable v = 2 q0 rho.
-
-    The radial integrand is bounded by poly(v) e^(-v/2) with polynomial
-    degree at most n + 2 and modest coefficients; iterating
-    v = 2 (log(1/tol) + (n+2) log(v+2) + margin) to its fixed point makes
-    the discarded tail a comfortable factor below tol.
-    """
-    margin = math.log(1.0 + 1.0 / (q0 * q0)) + 6.0
-    v = 60.0
-    for _ in range(60):
-        v = 2.0 * (math.log(1.0 / tol) + (n + 2) * math.log(v + 2.0) + margin)
-    return v
 
 
 @lru_cache(maxsize=None)
 def _rho_max(n: int) -> float:
-    """End of the radial range of level n, from ``_cutoff_v`` once per level."""
+    """End of the radial range of level n, where v = 2 q0 rho reaches its cutoff.
+
+    The radial integrand is bounded by poly(v) e^(-v/2), of degree at most n + 2
+    with modest coefficients; iterating v = 2 (log(1/_TAIL_TOL) + (n+2) log(v+2)
+    + margin) to its fixed point leaves the tail a comfortable factor below _TAIL_TOL.
+    """
     q0 = QuantumNumbers(n, 0).q0
-    return _cutoff_v(n, q0, _TAIL_TOL) / (2.0 * q0)
+    margin = math.log(1.0 + 1.0 / (q0 * q0)) + 6.0
+    v = 60.0
+    for _ in range(60):
+        v = 2.0 * (math.log(1.0 / _TAIL_TOL) + (n + 2) * math.log(v + 2.0) + margin)
+    return v / (2.0 * q0)
 
 
 def _panel_count(n: int, p: float, nodes: int) -> int:
@@ -180,8 +174,8 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
         for lo in range(0, rho.size, chunk):
             arg = pk * np.outer(rho[lo:lo + chunk], cosines)
             part = np.empty((arg.shape[0], n + 1), dtype=complex)
-            part[:, 0::2] = np.cos(arg) @ proj[:, 0::2]
-            part[:, 1::2] = -1j * (np.sin(arg, out=arg) @ proj[:, 1::2])
+            part[:, 0::2] = np.einsum("ij,jk->ik", np.cos(arg), proj[:, 0::2])
+            part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg), proj[:, 1::2])
             radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :am_max + 1].T, axis=1)
     return radial[np.abs(ms)] * _turns(ms, phi_p)
 

@@ -45,7 +45,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .momentum import MomentumPoint
-from .polys import _point_arrays, _scalar_or_array
+from .polys import _finite_points, _point_arrays, _scalar_or_array
 
 __all__ = [
     "GenFuncParams",
@@ -75,8 +75,10 @@ class GenFuncParams:
     beta: ArrayLike = 0.0
 
     def __post_init__(self):
-        if np.any(np.abs(self.z) >= 1.0):
-            raise ValueError("generating variable must satisfy |z| < 1")
+        if not np.all(np.abs(self.z) < 1.0):  # NaN fails too
+            raise ValueError("generating variable z must satisfy |z| < 1")
+        for name in ("t", "q0", "beta"):
+            _finite_points(f"GenFuncParams {name}", getattr(self, name))
         if np.any(np.asarray(self.q0) <= 0.0):
             raise ValueError("scale q0 must be > 0")
         if np.any(np.asarray(self.beta) < 0.0):

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _overflow_free, _point_arrays,
-                    _scalar_or_array, gegenbauer, pochhammer)
+from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _overflow_free,
+                    _point_arrays, _scalar_or_array, gegenbauer, pochhammer)
 from .position import QuantumNumbers, _check_polar, normalization
 
 __all__ = [
@@ -72,8 +72,9 @@ def q_of_p(p: ArrayLike, q0: float):
     Where p*p overflows, q takes its limit 1.
     """
     ps, = _point_arrays(p, real=True)
-    if np.any(ps < 0.0):
+    if not np.all(ps >= 0.0):  # NaN fails too
         raise ValueError("q_of_p needs p >= 0")
+    _finite("q_of_p q0", q0)
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
     ps, far = _overflow_free(ps, 2)

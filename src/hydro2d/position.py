@@ -134,6 +134,8 @@ def radial_wavefunction(qn: QuantumNumbers, rho):
     """Radial factor N_{n,m} v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v); 0 where v^|m| overflows."""
     am = abs(qn.m)
     v = 2.0 * qn.q0 * _point_arrays(rho, real=True)[0]
+    if not np.all(v >= 0.0):  # NaN fails too
+        raise ValueError("radial_wavefunction needs rho >= 0")
     near, far = _overflow_free(v, am)
     value = normalization(qn) * near**am * np.exp(-0.5 * v) * laguerre(qn.n - am, 2 * am, v)
     return _scalar_or_array(np.where(far, 0.0, value), rho)
@@ -163,8 +165,8 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
     with step h = 1e-5 * max(rho, 1); an eigenfunction returns ~0.
     """
     r, = _point_arrays(rho, real=True)
-    if np.any(r <= 0.0):
-        raise ValueError("ODE residual needs rho > 0")
+    if not np.all(r > 1e-5):  # below the step, r - h would be negative
+        raise ValueError("ODE residual needs rho > 1e-5")
     q0 = qn.q0
     m = qn.m
     h = 1e-5 * np.maximum(r, 1.0)

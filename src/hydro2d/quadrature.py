@@ -1,39 +1,36 @@
-"""Gauss-Laguerre rules and Gauss-Legendre panels, built with numpy alone."""
+"""Gauss-Laguerre rules and Gauss-Legendre panels, both from one elementwise builder."""
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
 PANEL_ORDER = 16  # points per panel of ``panel_nodes``: exact to degree 31
-_PANEL_X, _PANEL_W = np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
-@lru_cache(maxsize=None)
-def gauss_laguerre(n: int):
-    """Nodes/weights for integral of f(x) exp(-x) on [0, inf).
+def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float):
+    """Nodes/weights of the Jacobi matrix with diagonal a_k = ``diag[k]``, off-diagonal
+    b_k = sqrt(``off2[k]``) (b_0 = 0) and a weight function of integral ``mass``.
 
-    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues
-    of the Jacobi matrix (diagonal 2k+1, off-diagonal k), all in (0, 4n),
-    found by multisection on Sturm counts (Wilkinson 1965, ch. 5): each pass
-    cuts every bracket at about 1024/n points and keeps the piece where the
-    count of negative pivots of the shifted matrix passes the node's rank,
-    until no double lies inside a bracket.  The weights are the Christoffel
-    numbers (Gautschi, Orthogonal Polynomials, 2004, sec. 3.1)
-    w_i = 1 / sum_{k<n} L_k(x_i)^2, sums of squares of L_k rescaled by powers
-    of two, so each is accurate relative to its own size.  Only +, -, *, /
-    and exponent shifts are used: the rule is bit-identical on any BLAS,
-    LAPACK or SIMD level.
+    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues,
+    found by multisection on Sturm counts (Wilkinson 1965, ch. 5) inside the
+    Gershgorin interval: each pass cuts every bracket at about 1024/n points and
+    keeps the piece where the count of negative pivots of the shifted matrix
+    passes the node's rank, until no double lies inside a bracket.  The weights
+    are the Christoffel numbers mass / sum_{k<n} p_k(x)^2 (Gautschi, Orthogonal
+    Polynomials, 2004, sec. 3.1), p_0 = 1, b_k p_k = (x - a_{k-1}) p_{k-1} - b_{k-1}
+    p_{k-2}, each step rescaled by a power of two (exact): every weight is accurate
+    to its own size.  With only +, -, *, /, sqrt and exponent shifts, the rule is
+    bit-identical on any BLAS or SIMD level.
     """
-    if n < 1:
-        raise ValueError("need at least one node")
-    diag = 2.0 * np.arange(n) + 1.0
+    n = diag.size
+    b = np.sqrt(off2)
+    radius = b + np.append(b[1:], 0.0)
     rank = np.arange(n)
     pieces = max(2, 1024 // n)  # per bracket and pass: about 1024 trial points in all
     frac = np.arange(1, pieces) / pieces
-    lo, hi = np.zeros(n), np.full(n, 4.0 * n)
+    lo, hi = np.full(n, np.min(diag - radius)), np.full(n, np.max(diag + radius))
     with np.errstate(divide="ignore", over="ignore"):  # a zero pivot gives -inf: still a count
         while True:
             trial = lo[:, None] + (hi - lo)[:, None] * frac
@@ -41,26 +38,35 @@ def gauss_laguerre(n: int):
                 break
             pivots = diag[:, None] - trial.ravel()  # row k: the k-th pivot at every trial point
             for k in range(1, n):
-                np.subtract(pivots[k], k * k / pivots[k - 1], out=pivots[k])
+                np.subtract(pivots[k], off2[k] / pivots[k - 1], out=pivots[k])
             below = np.count_nonzero(pivots < 0.0, axis=0).reshape(trial.shape)
             piece = np.count_nonzero(below <= rank[:, None], axis=1)
             edges = np.column_stack([lo, trial, hi])
             lo, hi = edges[rank, piece], edges[rank, piece + 1]
     x = 0.5 * (lo + hi)
 
-    prev, cur, total = np.zeros(n), np.ones(n), np.ones(n)
-    expo = np.zeros(n, dtype=int)
-    # A step grows max(|L_k|, |L_{k-1}|) by at most 3 + x: rescale before 2**500, so squares fit.
-    every = max(1, int(500 / math.log2(3.0 + x[-1])))
+    prev, cur, total, expo = np.zeros(n), np.ones(n), np.ones(n), np.zeros(n, dtype=int)
     for k in range(1, n):
-        prev, cur = cur, ((2 * k - 1 - x) * cur - (k - 1) * prev) / k
+        prev, cur = cur, ((x - diag[k - 1]) * cur - b[k - 1] * prev) / b[k]
         total += cur * cur
-        if k % every == 0:
-            _, e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
-            cur, prev, total = np.ldexp(cur, -e), np.ldexp(prev, -e), np.ldexp(total, -2 * e)
-            expo += e
+        _, e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+        cur, prev, total = np.ldexp(cur, -e), np.ldexp(prev, -e), np.ldexp(total, -2 * e)
+        expo += e
     with np.errstate(under="ignore"):
-        return x, np.ldexp(1.0 / total, -2 * expo)
+        return x, np.ldexp(mass / total, -2 * expo)
+
+
+@lru_cache(maxsize=None)
+def gauss_laguerre(n: int):
+    """Nodes/weights for integral of f(x) exp(-x) on [0, inf): a_k = 2k+1, b_k = k, mass 1."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    k = np.arange(n, dtype=float)
+    return _gauss_rule(2.0 * k + 1.0, k * k, 1.0)
+
+
+_k = np.arange(PANEL_ORDER, dtype=float)  # Legendre: a_k = 0, b_k^2 = k^2/(4k^2 - 1), mass 2
+_PANEL_X, _PANEL_W = _gauss_rule(np.zeros(PANEL_ORDER), _k * _k / (4.0 * _k * _k - 1.0), 2.0)
 
 
 def panel_nodes(boundaries: np.ndarray):

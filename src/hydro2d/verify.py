@@ -53,9 +53,9 @@ def _grid_points(p_values: np.ndarray) -> MomentumPoint:
     return MomentumPoint(p_values, np.resize(_PHI_CYCLE, p_values.size))
 
 
-def acceptance_grid(points: int = 20, p_min: float = 0.05, p_max: float = 20.0) -> MomentumPoint:
-    """Log-spaced momentum grid used by the oracle acceptance run, as one array point."""
-    return _grid_points(np.geomspace(p_min, p_max, points))
+def acceptance_grid() -> MomentumPoint:
+    """The oracle acceptance run's 20 log-spaced momenta on [0.05, 20], as one array point."""
+    return _grid_points(np.geomspace(0.05, 20.0, 20))
 
 
 def _states(cap: int, signed: bool) -> Iterator[QuantumNumbers]:
@@ -224,8 +224,8 @@ def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> Verification
 # momentum suite
 # ---------------------------------------------------------------------------
 
-def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
-    """2 pi * integral |psi(p, 0)|^2 p dp on [0, P_max], tail bounded < tail_tol.
+def _parseval_norm(qn: QuantumNumbers) -> float:
+    """2 pi * integral |psi(p, 0)|^2 p dp on [0, P_max], tail bounded < 1e-9.
 
     |psi|^2 <= pref^2 (2 q0)^3 maxP^2 / p^6, so the discarded tail is below
     2 pi pref^2 (2 q0)^3 maxP^2 / (4 P_max^4); P_max is solved from that.
@@ -236,7 +236,7 @@ def _parseval_norm(qn: QuantumNumbers, tail_tol: float = 1e-9) -> float:
     maxp = 1.2 * float(np.max(np.abs(assoc_legendre(qn.n, am, np.linspace(-1, 1, 401)))))
     bound = (2.0 * math.pi * (qn.factorial_ratio / (2.0 * math.pi))
              * (2.0 * q0) ** 3 * maxp * maxp / 4.0)
-    p_max = max(8.0 * q0, (bound / tail_tol) ** 0.25)
+    p_max = max(8.0 * q0, (bound / 1e-9) ** 0.25)
 
     bounds = [0.0, 0.5 * q0]
     while bounds[-1] < p_max:

@@ -21,7 +21,7 @@ import hydro2d
 from hydro2d.genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_legendre_gf,
                              series_coefficients, shifted_laguerre_gf)
 from hydro2d.levicivita import GenFuncParams, gen_func_momentum, quadratic_form_matrix
-from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer
+from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from hydro2d.polys import assoc_legendre, bessel_j, gegenbauer, laguerre, pochhammer
 from hydro2d.position import PolarPoint, QuantumNumbers, psi_position, radial_wavefunction
 
@@ -154,6 +154,33 @@ _NAN = float("nan")
 def test_nan_parameter_raises_naming_it(call, name):
     # Each of these returned NaN (or, for gegenbauer_gf, exactly 1) without a warning.
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call()
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: q_of_p(1.0, _NAN), "q_of_p q0 must be finite"),
+    (lambda: q_of_p(1.0, _INF), "q_of_p q0 must be finite"),
+    (lambda: q_of_p(np.array([1.0, _NAN]), 1.0), "q_of_p needs p >= 0"),
+    (lambda: GenFuncParams(_NAN, 0.1, 1.0), "generating variable z"),
+    (lambda: GenFuncParams(0.2, _NAN, 1.0), "GenFuncParams t must be finite"),
+    (lambda: GenFuncParams(0.2, np.array([0.1, _INF]), 1.0), "GenFuncParams t must be finite"),
+    (lambda: GenFuncParams(0.2, 0.1, _NAN), "GenFuncParams q0 must be finite"),
+    (lambda: GenFuncParams(0.2, 0.1, _INF), "GenFuncParams q0 must be finite"),
+    (lambda: GenFuncParams(0.2, 0.1, 1.0, _NAN), "GenFuncParams beta must be finite"),
+    (lambda: GenFuncParams(0.2, 0.1, 1.0, _INF), "GenFuncParams beta must be finite"),
+    (lambda: radial_wavefunction(QuantumNumbers(1, 0), -1.0), "radial_wavefunction needs rho >= 0"),
+    (lambda: radial_wavefunction(QuantumNumbers(1, 0), np.array([1.0, _NAN])),
+     "radial_wavefunction needs rho >= 0"),
+], ids=["q_of_p-q0-nan", "q_of_p-q0-inf", "q_of_p-p-nan", "genfunc-z-nan", "genfunc-t-nan",
+        "genfunc-t-inf", "genfunc-q0-nan", "genfunc-q0-inf", "genfunc-beta-nan",
+        "genfunc-beta-inf", "radial-negative", "radial-nan"])
+def test_invalid_value_raises_naming_it(call, message):
+    # Each of these returned NaN, 0j (g_beta at beta = inf) or a value at a
+    # negative radius without a warning.
+    with pytest.raises(ValueError, match=f"^{message}"):
         call()
 
 

@@ -166,8 +166,10 @@ def test_ode_residual_examples():
 
 
 def test_ode_residual_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        radial_ode_residual(QuantumNumbers(0, 0), 0.0)
+    # Below the step 1e-5, rho - h would be a negative radius.
+    for rho in (0.0, 1e-6):
+        with pytest.raises(ValueError, match="rho > 1e-5"):
+            radial_ode_residual(QuantumNumbers(0, 0), rho)
 
 
 def test_ode_residual_detects_wrong_energy():

@@ -1,15 +1,18 @@
 """Quadrature rules: moment exactness, large-node stability and stack independence.
 
-The Laguerre rule is built by Sturm-count multisection on its Jacobi matrix with
-Christoffel weights, in elementwise IEEE arithmetic only, instead of the
-library routines, which return NaN weights somewhere above 250 nodes; most
-tests here check that big rules stay finite and accurate, and one that the
-rules keep their bits under other BLAS and SIMD kernels.  The Gauss-Legendre
-panel rule is checked on its moments and on a chain of panels.  The package
-imports numpy only: scipy is a test oracle, and a test here checks that
-importing and using the package never loads it, nor names numpy's linalg.
+Both rules come from one builder: Sturm-count multisection on the Jacobi matrix
+for the nodes and Christoffel sums for the weights, in elementwise IEEE
+arithmetic only.  Library eigensolvers return NaN Laguerre weights somewhere
+above 250 nodes; most tests here check that big Laguerre rules stay finite and
+accurate, and one that the rules keep their bits under other BLAS and SIMD
+kernels.  The 16-point Gauss-Legendre panel rule is checked against numpy's
+``leggauss``, on its moments, its mirror symmetry and a chain of panels.  The
+package imports numpy only: scipy is a test oracle, and tests here check that
+importing and using the package loads neither scipy nor ``numpy.polynomial``,
+and that its source names no linalg, no ``leggauss`` and no matrix product.
 """
 
+import ast
 import hashlib
 import math
 import os
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d.quadrature import _PANEL_W, _PANEL_X, gauss_laguerre, panel_nodes
+from hydro2d.quadrature import _PANEL_W, _PANEL_X, PANEL_ORDER, gauss_laguerre, panel_nodes
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
@@ -81,6 +84,15 @@ def test_gauss_legendre_moments():
         assert float(np.sum(w * x**k)) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_panel_rule_matches_leggauss():
+    # The reference is numpy's eigensolver-based rule; ours is mirror-symmetric bit for bit.
+    x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    assert np.max(np.abs(_PANEL_X - x)) <= 2.3e-16
+    assert np.max(np.abs(_PANEL_W / w - 1.0)) <= 1e-14
+    assert np.array_equal(_PANEL_X, -_PANEL_X[::-1])
+    assert np.array_equal(_PANEL_W, _PANEL_W[::-1])
+
+
 def test_panel_nodes_integrate_sine():
     bounds = np.linspace(0.0, math.pi, 9)
     x, w = panel_nodes(bounds)
@@ -89,23 +101,60 @@ def test_panel_nodes_integrate_sine():
 
 def test_package_never_imports_scipy():
     # Importing the package, building both rules and running a suite leave
-    # sys.modules free of scipy.
+    # sys.modules free of scipy and of numpy.polynomial.
     home = str(pathlib.Path(hydro2d.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {home!r})\n"
             "import numpy as np, hydro2d\n"
             "from hydro2d.quadrature import gauss_laguerre, panel_nodes\n"
             "gauss_laguerre(16); panel_nodes(np.array([0.0, 1.0]))\n"
             "hydro2d.run_suite('position', 2)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print('numpy.polynomial' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "False"]
+
+
+_PRODUCTS = {"dot", "matmul", "tensordot", "inner", "vdot"}
+
+
+def _forbidden(node):
+    """What ``node`` names of LAPACK, numpy.polynomial or BLAS products, or None."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in _PRODUCTS:
+            return f"{name}()"
+    names = {getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None)}
+    if isinstance(node, ast.ImportFrom):
+        names.add(node.module)
+    words = {w for n in names if isinstance(n, str) for w in n.split(".")}
+    if isinstance(node, (ast.Attribute, ast.alias, ast.ImportFrom)) and "polynomial" in words:
+        return "polynomial"
+    return next(iter(words & {"linalg", "leggauss"}), None)
 
 
 def test_package_never_references_linalg():
-    # No LAPACK on the runtime path: every rule is built elementwise.
+    # No LAPACK, numpy.polynomial or BLAS product on the runtime path: every
+    # rule is built and every contraction made elementwise or by einsum.
     package = pathlib.Path(hydro2d.__file__).parent
-    assert [p.name for p in sorted(package.glob("*.py")) if "linalg" in p.read_text()] == []
+    found = [(p.name, node.lineno, what) for p in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text()))
+             if (what := _forbidden(node)) is not None]
+    assert found == []
+
+
+def test_linalg_guard_catches_each_form():
+    # The guard sees each forbidden form, and a decorator is not a matrix product.
+    bad = ["a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "matmul(a, b)", "np.tensordot(a, b)",
+           "np.inner(a, b)", "np.vdot(a, b)", "np.linalg.eigh(a)", "import numpy.linalg",
+           "from numpy import linalg", "np.polynomial.legendre.leggauss(16)",
+           "from numpy.polynomial import legendre", "leggauss(16)"]
+    for src in bad:
+        assert any(_forbidden(node) for node in ast.walk(ast.parse(src))), src
+    good = "@lru_cache(maxsize=None)\ndef f(polynomial):\n    return np.einsum('ij,jk->ik', a, b)"
+    assert not any(_forbidden(node) for node in ast.walk(ast.parse(good)))
 
 
 def _rule_digest(*arrays):
