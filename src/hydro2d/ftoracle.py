@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .momentum import MomentumPoint
-from .polys import NEG_I_POW, _bessel_ladder, _point_arrays, _scalar_or_array
+from .polys import NEG_I_POW, _bessel_ladder, _point_arrays, _scalar_or_array, _turns
 from .position import QuantumNumbers, radial_wavefunction
 from .quadrature import PANEL_ORDER, panel_nodes
 
@@ -90,12 +90,6 @@ def _radial_rules(n: int, am_max: int, ps: np.ndarray, nodes: int) -> list:
     counts = [_panel_count(n, pk, nodes) for pk in ps]
     built = {c: _radial_rule(n, am_max, pk, nodes) for c, pk in dict(zip(counts, ps)).items()}
     return [built[c] for c in counts]
-
-
-def _turns(ms: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
-    """e^(i m phi_p) for m in ``ms`` (rows) and the angles ``phi_p`` (columns)."""
-    turn = np.outer(ms, phi_p)
-    return np.cos(turn) + 1j * np.sin(turn)
 
 
 def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:

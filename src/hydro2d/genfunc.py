@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import _finite, _finite_points, _point_arrays, _scalar_or_array
+from .polys import _finite, _finite_points, _integer, _point_arrays, _scalar_or_array
 from .position import PolarPoint
 
 __all__ = [
@@ -70,6 +70,7 @@ def laguerre_gf(z: ArrayLike, r: float, v: ArrayLike):
 
 def shifted_laguerre_gf(z: ArrayLike, m: int, v: ArrayLike):
     """Closed form of sum_{n>=m} z^n L_{n-m}^(2m)(v), the index-shifted series."""
+    m = _integer("shifted_laguerre_gf m", m)
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
@@ -119,6 +120,7 @@ def new_legendre_gf(z: ArrayLike, t: ArrayLike, m: int):
 
     Generates (2n+1)/(2m+1)!! times the associated Legendre functions P_n^m(t), n >= m.
     """
+    m = _integer("new_legendre_gf m", m)
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)

@@ -44,7 +44,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _overflow_free,
-                    _point_arrays, _scalar_or_array, gegenbauer, pochhammer)
+                    _point_arrays, _scalar_or_array, _turns, gegenbauer, pochhammer)
 from .position import QuantumNumbers, _check_polar, normalization
 
 __all__ = [
@@ -81,16 +81,6 @@ def q_of_p(p: ArrayLike, q0: float):
     return _scalar_or_array(np.where(far, 1.0, (ps * ps - q0 * q0) / (ps * ps + q0 * q0)), p)
 
 
-def _phase(m: int, phi_p: ArrayLike):
-    """e^(i m phi_p) as cos + i sin, for scalar or array phi_p.
-
-    The one angular factor of both closed forms, and of the check that
-    psi(p, phi_p) = psi(p, 0) e^(i m phi_p) holds bit for bit.
-    """
-    angle = m * np.asarray(phi_p, dtype=float)
-    return np.cos(angle) + 1j * np.sin(angle)
-
-
 def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
     """amplitude(p, q) (-i)^|m| e^(i m phi_p), with the limit 0 where p*p overflows.
 
@@ -100,7 +90,7 @@ def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
     p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
     p, far = _overflow_free(p, 2)
     amp = np.where(far, 0.0, amplitude(p, q_of_p(p, qn.q0)))
-    return _scalar_or_array(amp * NEG_I_POW[abs(qn.m) % 4] * _phase(qn.m, phi_p),
+    return _scalar_or_array(amp * NEG_I_POW[abs(qn.m) % 4] * _turns(qn.m, phi_p),
                             mp.p, mp.phi_p)
 
 

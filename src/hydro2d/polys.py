@@ -17,8 +17,9 @@ Conventions
   generating-function identities are stated most cleanly with that choice.
 * ``bessel_j(m, x)`` is row m of a ladder J_0 ... J_M, 0 <= M <= 160:
   ascending series at small argument, Miller's normalized downward
-  recurrence at moderate argument (one sweep gives every order), and a
-  phase/amplitude expansion at large argument so that oscillatory radial
+  recurrence at moderate argument (one sweep gives every order), and past
+  x = 160 a phase/amplitude expansion of J_0 and J_1 carried to every
+  higher order by the upward recurrence, so that oscillatory radial
   quadratures stay cheap far out on the axis.  Past order 160 the
   recurrence would overflow just above the series range, so larger orders
   raise ``ValueError``.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -56,6 +58,16 @@ __all__ = [
 NEG_I_POW = (1 + 0j, 0 - 1j, -1 + 0j, 0 + 1j)
 
 
+def _turns(m, phi) -> np.ndarray:
+    """e^(i m phi) as cos + i sin: phi's shape for a scalar m, rows m by phi for an array of m.
+
+    The one angular factor of the momentum closed forms, of the Fourier oracle
+    and of the check that psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bit for bit.
+    """
+    turn = np.multiply.outer(m, phi)
+    return np.cos(turn) + 1j * np.sin(turn)
+
+
 def _point_arrays(*fields, real: bool = False):
     """The fields as float arrays of at least one dimension, complex ones complex unless ``real``.
 
@@ -72,6 +84,14 @@ def _scalar_or_array(value: np.ndarray, *fields):
     if all(np.ndim(f) == 0 for f in fields):
         return value[0].item()
     return value
+
+
+def _integer(name: str, value) -> int:
+    """value as an int (numpy integers pass); a ValueError naming ``name`` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _finite(name: str, value: float) -> None:
@@ -103,6 +123,7 @@ def pochhammer(a: float, k: int) -> float:
     Evaluated in floating point: a product past the largest double (around
     k = 150 and up, depending on a) raises a ValueError naming a and k.
     """
+    k = _integer("pochhammer order k", k)
     if k < 0:
         raise ValueError("pochhammer order k must be >= 0")
     _finite("pochhammer a", a)
@@ -116,6 +137,7 @@ def pochhammer(a: float, k: int) -> float:
 
 def double_factorial(k: int) -> int:
     """k!! as an exact integer, with (-1)!! = 0!! = 1."""
+    k = _integer("double factorial k", k)
     if k < -1:
         raise ValueError("double factorial needs k >= -1")
     out = 1
@@ -150,6 +172,7 @@ def laguerre(k: int, alpha: float, x):
 
         (i+1) L_{i+1} = (2i + 1 + alpha - x) L_i - (i + alpha) L_{i-1}
     """
+    k = _integer("laguerre degree k", k)
     if k < 0:
         raise ValueError("laguerre degree k must be >= 0")
     _finite("laguerre alpha", alpha)
@@ -173,6 +196,7 @@ def gegenbauer(k: int, lam: float, q):
     Negative degree returns 0, which is the natural value in the
     difference identities this package verifies.
     """
+    k = _integer("gegenbauer degree k", k)
     _finite("gegenbauer lam", lam)
     qs, = _point_arrays(q, real=True)
     _finite_points("gegenbauer q", qs)
@@ -183,6 +207,7 @@ def gegenbauer(k: int, lam: float, q):
 
 def legendre(n: int, t):
     """Legendre polynomial P_n(t) = C_n^(1/2)(t): the Gegenbauer ladder is then Bonnet's."""
+    n = _integer("legendre degree n", n)
     if n < 0:
         raise ValueError("legendre degree n must be >= 0")
     ts, = _point_arrays(t, real=True)
@@ -212,6 +237,7 @@ def assoc_legendre(n: int, m: int, t):
     The factor (1-t^2)^(m/2) is formed as ((1-t)(1+t))^(m/2), which keeps
     full relative accuracy near the endpoints.
     """
+    n, m = _integer("assoc_legendre degree n", n), _integer("assoc_legendre order m", m)
     if n < 0 or m < 0 or m > n:
         raise ValueError("assoc_legendre needs 0 <= m <= n")
     ts, = _point_arrays(t, real=True)
@@ -298,29 +324,30 @@ def _bessel_asymptotic(m: int, x: np.ndarray) -> np.ndarray:
 def _bessel_ladder(M: int, xs: np.ndarray) -> np.ndarray:
     """J_0(xs) ... J_M(xs) as an (M+1, xs.size) array, for 0 <= M <= 160 and xs >= 0.
 
-    Order m takes the ascending series for x <= max(9, 1.8 sqrt(m+1)), the
-    asymptotic expansion for x >= 160 (20 m^2 past order 12), and between
-    them its row of one Miller sweep over the arguments of every order.
+    Order m takes the ascending series for x <= max(9, 1.8 sqrt(m+1)), its row
+    of one Miller sweep over the arguments of every order up to x = 160, and
+    past that the asymptotic expansion (m <= 1) or the upward recurrence.
     """
     if not 0 <= M <= _BESSEL_MAX_ORDER:
         raise ValueError(f"Bessel order must be in [0, {_BESSEL_MAX_ORDER}]")
     if np.any(xs < 0.0):
         raise ValueError("Bessel argument must be >= 0")
     series_cuts = [max(9.0, 1.8 * math.sqrt(m + 1.0)) for m in range(M + 1)]
-    asym_cuts = [_ASYMPTOTIC_CUT if m <= 12 else 20.0 * m * m for m in range(M + 1)]
     out = np.empty((M + 1, xs.size))
-    middle = (xs > series_cuts[0]) & (xs < asym_cuts[M])
+    middle = (xs > series_cuts[0]) & (xs < _ASYMPTOTIC_CUT)
     if np.any(middle):
         # An argument is needed up to the highest order whose series range ends below it.
         x = xs[middle]
         out[:, middle] = _bessel_miller(np.searchsorted(series_cuts, x) - 1, x, M)
+    far = xs >= _ASYMPTOTIC_CUT
+    x = xs[far]
     for m in range(M + 1):
         sel = xs <= series_cuts[m]
         if np.any(sel):
             out[m, sel] = _bessel_ascending(m, xs[sel])
-        sel = xs >= asym_cuts[m]
-        if np.any(sel):
-            out[m, sel] = _bessel_asymptotic(m, xs[sel])
+        # J_m = (2(m-1)/x) J_(m-1) - J_(m-2) runs upward stably where x >= 160 >= M.
+        out[m, far] = (_bessel_asymptotic(m, x) if m < 2
+                       else (2.0 * (m - 1) / x) * out[m - 1, far] - out[m - 2, far])
     return out
 
 
@@ -331,6 +358,7 @@ def bessel_j(m: int, x):
     orders past 160 raise ``ValueError`` rather than overflow in the Miller
     recurrence.
     """
+    m = _integer("bessel_j order m", m)
     xs, = _point_arrays(x, real=True)
     _finite_points("bessel_j x", xs)
     return _scalar_or_array(_bessel_ladder(m, xs)[m], x)

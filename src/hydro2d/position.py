@@ -34,14 +34,13 @@ scalars or arrays that broadcast together.  Scalar fields give a Python
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import _overflow_free, _point_arrays, _scalar_or_array, laguerre
+from .polys import _integer, _overflow_free, _point_arrays, _scalar_or_array, laguerre
 from .quadrature import gauss_laguerre
 
 __all__ = [
@@ -66,12 +65,8 @@ class QuantumNumbers:
     m: int
 
     def __post_init__(self):
-        for name, value in (("n", self.n), ("m", self.m)):
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"quantum number {name} must be an integer, "
-                                 f"got {value!r}") from None
+        _integer("quantum number n", self.n)
+        _integer("quantum number m", self.m)
         if self.n < 0:
             raise ValueError("principal quantum number n must be >= 0")
         if abs(self.m) > self.n:

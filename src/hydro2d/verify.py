@@ -33,9 +33,10 @@ import numpy as np
 from . import genfunc
 from .ftoracle import _direct_rows, _hankel_rows
 from .levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
-from .momentum import MomentumPoint, _phase, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder, assoc_legendre,
-                    bessel_j, double_factorial, gegenbauer, laguerre, legendre, pochhammer)
+from .momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
+from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder, _turns,
+                    assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre, legendre,
+                    pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
 from .quadrature import _PANEL_X, PANEL_ORDER, gauss_laguerre, panel_nodes
@@ -286,7 +287,7 @@ def check_momentum_phase_structure(n_max: int = 6, tol: float = 0.0) -> Verifica
 
     def mismatch(qn):
         base = psi_momentum(qn, MomentumPoint(ps, 0.0))
-        return np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * _phase(qn.m, phis))
+        return np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * _turns(qn.m, phis))
     return VerificationReport.from_errors(
         "momentum-phase-structure", f"|m| <= n <= {cap}, exact factorized phase",
         ((mismatch(qn), 1.0) for qn in _states(cap, signed=True)),

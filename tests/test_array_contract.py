@@ -22,7 +22,8 @@ from hydro2d.genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_lege
                              series_coefficients, shifted_laguerre_gf)
 from hydro2d.levicivita import GenFuncParams, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from hydro2d.polys import assoc_legendre, bessel_j, gegenbauer, laguerre, pochhammer
+from hydro2d.polys import (assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre,
+                          legendre, pochhammer)
 from hydro2d.position import PolarPoint, QuantumNumbers, psi_position, radial_wavefunction
 
 CASES = (
@@ -182,6 +183,38 @@ def test_invalid_value_raises_naming_it(call, message):
     # negative radius without a warning.
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: double_factorial(3.5), "double factorial k"),
+    (lambda: double_factorial(5.0), "double factorial k"),
+    (lambda: pochhammer(1.0, 2.5), "pochhammer order k"),
+    (lambda: laguerre(2.5, 0.0, 0.3), "laguerre degree k"),
+    (lambda: gegenbauer(2.5, 1.0, 0.3), "gegenbauer degree k"),
+    (lambda: gegenbauer(-1.5, 1.0, 0.3), "gegenbauer degree k"),
+    (lambda: legendre(2.5, 0.3), "legendre degree n"),
+    (lambda: assoc_legendre(3.0, 1, 0.3), "assoc_legendre degree n"),
+    (lambda: assoc_legendre(3, 1.5, 0.3), "assoc_legendre order m"),
+    (lambda: bessel_j(2.5, 1.0), "bessel_j order m"),
+    (lambda: shifted_laguerre_gf(0.2, 1.5, 1.0), "shifted_laguerre_gf m"),
+    (lambda: new_legendre_gf(0.2, 0.3, 1.5), "new_legendre_gf m"),
+    (lambda: QuantumNumbers(2, 1.0), "quantum number m"),
+], ids=["double_factorial", "double_factorial-float", "pochhammer", "laguerre", "gegenbauer",
+        "gegenbauer-negative", "legendre", "assoc_legendre-n", "assoc_legendre-m", "bessel_j",
+        "shifted_laguerre_gf", "new_legendre_gf", "quantum-number"])
+def test_non_integer_degree_raises_naming_it(call, name):
+    # Each of these returned a value (5.25, the float 15.0, 0.0, a generating
+    # function at m = 1.5) or raised a TypeError that named nothing.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_degrees_pass():
+    k = np.int64(5)
+    assert double_factorial(k) == 15 and type(double_factorial(k)) is int
+    assert bessel_j(np.int32(2), 1.0) == bessel_j(2, 1.0)
+    assert assoc_legendre(np.int64(3), np.int8(1), 0.3) == assoc_legendre(3, 1, 0.3)
+    assert new_legendre_gf(0.2, 0.3, np.int64(2)) == new_legendre_gf(0.2, 0.3, 2)
 
 
 def test_only_verify_imports_cmath():

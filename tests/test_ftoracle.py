@@ -92,8 +92,9 @@ def test_node_count_invariance():
 
 @pytest.mark.parametrize("n, m, p", [(13, 13, 2.0), (15, 14, 1.0), (20, 16, 3.0)])
 def test_hankel_large_order(n, m, p):
-    # For |m| >= 13 the Miller range of bessel_j reaches out to p rho = 20 m^2;
-    # the oracle must stay finite and agree with the closed form there too.
+    # Past p rho = 160 the high orders come from the upward recurrence, which
+    # starts there close to its top order; the oracle must stay finite and
+    # agree with the closed form there too.
     qn, mp = QuantumNumbers(n, m), MomentumPoint(p, 0.0)
     val = ft_hankel(qn, mp)
     assert np.isfinite(val.real) and np.isfinite(val.imag)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_gegenbauer, eval_genlaguerre, eval_legendre, jv, lpmv
 
+from hydro2d import polys
 from hydro2d.polys import (
     NEG_I_POW,
     _bessel_ladder,
@@ -167,8 +168,9 @@ def test_bessel_against_scipy_core_range():
 
 
 def test_bessel_against_scipy_large_arguments():
-    # The oscillatory quadratures push J_m far beyond 60; the asymptotic
-    # branch has to stay accurate out there too.
+    # The oscillatory quadratures push J_m far beyond 60; past 160 the
+    # expansion of J_0 and J_1 and the upward recurrence from them have to
+    # stay accurate out there too.
     worst = 0.0
     for m in range(9):
         for x in (80.0, 120.0, 159.0, 161.0, 300.0, 1000.0, 5000.0):
@@ -177,8 +179,9 @@ def test_bessel_against_scipy_large_arguments():
 
 
 def test_bessel_against_scipy_large_orders():
-    # For m >= 13 the Miller range runs out to 20 m^2; every argument there
-    # needs its own seed order, or the small ones overflow to NaN.
+    # Below 160 every argument needs its own Miller seed order, or the small
+    # ones overflow to NaN; past 160 the upward recurrence carries these
+    # orders out to 20 m^2.
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -210,7 +213,8 @@ def test_bessel_ladder_against_scipy_small_top():
 
 
 def test_bessel_ladder_against_scipy_wide_miller_range():
-    # Row 24 stays on the Miller sweep out to 20 * 24^2, rows 0 ... 12 leave it at 160.
+    # Every row leaves the Miller sweep at 160; row 24 then comes from the
+    # upward recurrence out to 20 * 24^2.
     assert _ladder_error(24, np.linspace(0.0, 20.0 * 24 * 24, 4001)) <= 1e-12  # measured 1.6e-14
 
 
@@ -219,6 +223,27 @@ def test_bessel_ladder_against_scipy_top_order():
     assert _ladder_error(160, np.linspace(0.0, 200.0, 2001)) <= 1e-12  # measured 3.8e-14
     with pytest.raises(ValueError):
         _bessel_ladder(161, np.ones(1))
+
+
+def test_bessel_ladder_against_scipy_far_field_top_order():
+    # From 160 on, order 160 is 159 upward steps from J_0 and J_1; the recurrence
+    # is stable there, and its worst error (row 159 near x = 1.2e4) stays small.
+    assert _ladder_error(160, np.geomspace(160.0, 1e5, 5001)) <= 1e-12  # measured 9.9e-14
+
+
+def test_bessel_far_field_expands_only_orders_0_and_1(monkeypatch):
+    # One far-field path: every higher order comes from the upward recurrence,
+    # so the expansion runs twice per ladder, whatever the top order.
+    orders, asymptotic = [], polys._bessel_asymptotic
+
+    def counted(m, x):
+        orders.append(m)
+        return asymptotic(m, x)
+    monkeypatch.setattr(polys, "_bessel_asymptotic", counted)
+    x = np.linspace(0.0, 1e4, 4001)
+    rows = _bessel_ladder(40, x)
+    assert orders == [0, 1]
+    assert np.max(np.abs(rows - jv(np.arange(41)[:, None], x))) <= 1e-12  # measured 1.5e-14
 
 
 def test_bessel_j_is_a_ladder_row():
