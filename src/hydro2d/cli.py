@@ -115,8 +115,8 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.n_max is not None and not 0 <= args.n_max <= 10:
         parser.error("--n-max must lie in [0, 10]")
-    if args.tol is not None and args.tol <= 0.0:
-        parser.error("--tol must be positive")
+    if args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
+        parser.error("--tol must be a positive finite number")
     reports = run_suite(args.suite, args.n_max, args.tol)
     dicts = [r.to_dict() for r in reports]
     if args.stamp:

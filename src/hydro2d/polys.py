@@ -61,7 +61,7 @@ NEG_I_POW = (1 + 0j, 0 - 1j, -1 + 0j, 0 + 1j)
 def _turns(m, phi) -> np.ndarray:
     """e^(i m phi) as cos + i sin: phi's shape for a scalar m, rows m by phi for an array of m.
 
-    The one angular factor of the momentum closed forms, of the Fourier oracle
+    The one angular factor of the closed forms in both spaces, of the Fourier oracle
     and of the check that psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bit for bit.
     """
     turn = np.multiply.outer(m, phi)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import _integer, _overflow_free, _point_arrays, _scalar_or_array, laguerre
+from .polys import _integer, _overflow_free, _point_arrays, _scalar_or_array, _turns, laguerre
 from .quadrature import gauss_laguerre
 
 __all__ = [
@@ -139,15 +139,12 @@ def radial_wavefunction(qn: QuantumNumbers, rho):
 def psi_position(qn: QuantumNumbers, pt: PolarPoint):
     """Full wavefunction psi_{n,m} at a polar point (scalar or broadcast arrays).
 
-    The angular factor is assembled from cos(|m| phi) and sin(|m| phi) with
-    the sign of m applied to the imaginary part, so that
-    psi(n, -m) == conjugate(psi(n, m)) holds exactly, not just to rounding.
+    The angular factor is ``_turns(m, phi)`` = cos(m phi) + i sin(m phi); cos is
+    even and sin odd bit for bit, so psi(n, -m) == conjugate(psi(n, m)) holds
+    exactly, not just to rounding.
     """
     rho, phi = _point_arrays(pt.rho, pt.phi, real=True)
-    amp = radial_wavefunction(qn, rho)
-    angle = abs(qn.m) * phi
-    sign = -1.0 if qn.m < 0 else 1.0
-    return _scalar_or_array(amp * (np.cos(angle) + 1j * (sign * np.sin(angle))), pt.rho, pt.phi)
+    return _scalar_or_array(radial_wavefunction(qn, rho) * _turns(qn.m, phi), pt.rho, pt.phi)
 
 
 def radial_ode_residual(qn: QuantumNumbers, rho):

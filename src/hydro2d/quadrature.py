@@ -1,4 +1,4 @@
-"""Gauss-Laguerre rules and Gauss-Legendre panels, both from one elementwise builder."""
+"""Gauss-Laguerre rules, Gauss-Legendre rules and panels, all from one elementwise builder."""
 
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float):
     found by multisection on Sturm counts (Wilkinson 1965, ch. 5) inside the
     Gershgorin interval: each pass cuts every bracket at about 1024/n points and
     keeps the piece where the count of negative pivots of the shifted matrix
-    passes the node's rank, until no double lies inside a bracket.  The weights
-    are the Christoffel numbers mass / sum_{k<n} p_k(x)^2 (Gautschi, Orthogonal
-    Polynomials, 2004, sec. 3.1), p_0 = 1, b_k p_k = (x - a_{k-1}) p_{k-1} - b_{k-1}
-    p_{k-2}, each step rescaled by a power of two (exact): every weight is accurate
-    to its own size.  With only +, -, *, /, sqrt and exponent shifts, the rule is
-    bit-identical on any BLAS or SIMD level.
+    passes the node's rank, until no double lies inside a bracket or it is below
+    eps^2 times the Gershgorin width (a node at 0 would sink into the subnormals).
+    The weights are the Christoffel numbers mass / sum_{k<n} p_k(x)^2 (Gautschi,
+    Orthogonal Polynomials, 2004, sec. 3.1), p_0 = 1, b_k p_k = (x - a_{k-1}) p_{k-1}
+    - b_{k-1} p_{k-2}, each step rescaled by a power of two (exact): every weight is
+    accurate to its own size.  With only +, -, *, /, sqrt and exponent shifts, the
+    rule is bit-identical on any BLAS or SIMD level.
     """
     n = diag.size
     b = np.sqrt(off2)
@@ -31,10 +32,12 @@ def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float):
     pieces = max(2, 1024 // n)  # per bracket and pass: about 1024 trial points in all
     frac = np.arange(1, pieces) / pieces
     lo, hi = np.full(n, np.min(diag - radius)), np.full(n, np.max(diag + radius))
+    tiny = np.finfo(float).eps ** 2 * (hi[0] - lo[0])
     with np.errstate(divide="ignore", over="ignore"):  # a zero pivot gives -inf: still a count
         while True:
             trial = lo[:, None] + (hi - lo)[:, None] * frac
-            if not np.any((lo[:, None] < trial) & (trial < hi[:, None])):
+            inside = (lo[:, None] < trial) & (trial < hi[:, None])
+            if not np.any(inside[hi - lo > tiny]):
                 break
             pivots = diag[:, None] - trial.ravel()  # row k: the k-th pivot at every trial point
             for k in range(1, n):
@@ -65,8 +68,16 @@ def gauss_laguerre(n: int):
     return _gauss_rule(2.0 * k + 1.0, k * k, 1.0)
 
 
-_k = np.arange(PANEL_ORDER, dtype=float)  # Legendre: a_k = 0, b_k^2 = k^2/(4k^2 - 1), mass 2
-_PANEL_X, _PANEL_W = _gauss_rule(np.zeros(PANEL_ORDER), _k * _k / (4.0 * _k * _k - 1.0), 2.0)
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int):
+    """Nodes/weights for integral of f(x) on [-1, 1]: a_k = 0, b_k^2 = k^2/(4k^2 - 1), mass 2."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    k = np.arange(n, dtype=float)
+    return _gauss_rule(np.zeros(n), k * k / (4.0 * k * k - 1.0), 2.0)
+
+
+_PANEL_X, _PANEL_W = gauss_legendre(PANEL_ORDER)
 
 
 def panel_nodes(boundaries: np.ndarray):

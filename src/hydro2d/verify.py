@@ -39,7 +39,7 @@ from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder
                     pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
-from .quadrature import _PANEL_X, PANEL_ORDER, gauss_laguerre, panel_nodes
+from .quadrature import _PANEL_X, PANEL_ORDER, gauss_laguerre, gauss_legendre, panel_nodes
 from .reporting import VerificationReport
 
 _SEED = 20260814
@@ -146,13 +146,13 @@ def check_laguerre_derivative(n_max: int = 10, tol: float = 1e-6) -> Verificatio
 
     def residual(n, alpha):
         fd = (laguerre(n, alpha, vs + h) - laguerre(n, alpha, vs - h)) / (2.0 * h)
-        return np.abs(fd + laguerre(n - 1, alpha + 1.0, vs))
+        rhs = laguerre(n - 1, alpha + 1.0, vs)
+        return np.abs(fd + rhs), np.maximum(1.0, np.maximum(np.abs(fd), np.abs(rhs)))
     return VerificationReport.from_errors(
         "laguerre-derivative",
         f"1 <= n <= {n_max}, alpha in {{0,1,2,4}}, v in [0.1, 10]",
-        ((residual(n, alpha), 1.0)
-         for n in range(1, n_max + 1) for alpha in (0.0, 1.0, 2.0, 4.0)),
-        tol, notes="central difference step 1e-5")
+        (residual(n, alpha) for n in range(1, n_max + 1) for alpha in (0.0, 1.0, 2.0, 4.0)),
+        tol, relative=True, notes="central difference step 1e-5; residual scaled by largest term")
 
 
 def check_polys_determinism(n_max: Optional[int] = None, tol: float = 0.0) -> VerificationReport:
@@ -226,30 +226,21 @@ def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> Verification
 # ---------------------------------------------------------------------------
 
 def _parseval_norm(qn: QuantumNumbers) -> float:
-    """2 pi * integral |psi(p, 0)|^2 p dp on [0, P_max], tail bounded < 1e-9.
+    """2 pi * integral |psi(p, 0)|^2 p dp, exactly, by n + 1 Gauss-Legendre nodes in q.
 
-    |psi|^2 <= pref^2 (2 q0)^3 maxP^2 / p^6, so the discarded tail is below
-    2 pi pref^2 (2 q0)^3 maxP^2 / (4 P_max^4); P_max is solved from that.
-    Panels double dyadically from q0/2, 16-point Gauss-Legendre each.
+    With q = (p^2 - q0^2)/(p^2 + q0^2), p dp = q0^2 dq / (1 - q)^2 and
+    |psi|^2 = pref^2 ((1 - q)/q0)^3 P_n^|m|(q)^2, pref^2 = factorial_ratio / (2 pi),
+    so the integrand is pref^2 (1 - q) P_n^|m|(q)^2 / q0 dq on [-1, 1]: degree 2n + 1.
     """
-    am = abs(qn.m)
-    q0 = qn.q0
-    maxp = 1.2 * float(np.max(np.abs(assoc_legendre(qn.n, am, np.linspace(-1, 1, 401)))))
-    bound = (2.0 * math.pi * (qn.factorial_ratio / (2.0 * math.pi))
-             * (2.0 * q0) ** 3 * maxp * maxp / 4.0)
-    p_max = max(8.0 * q0, (bound / 1e-9) ** 0.25)
-
-    bounds = [0.0, 0.5 * q0]
-    while bounds[-1] < p_max:
-        bounds.append(bounds[-1] * 2.0)
-    nodes, wts = panel_nodes(np.asarray(bounds))
-    dens = np.abs(psi_momentum(qn, MomentumPoint(nodes, 0.0))) ** 2
-    return 2.0 * math.pi * float(np.sum(wts * dens * nodes))
+    q, w = gauss_legendre(qn.n + 1)
+    p = qn.q0 * np.sqrt((1.0 + q) / (1.0 - q))
+    dens = np.abs(psi_momentum(qn, MomentumPoint(p, 0.0))) ** 2
+    return 2.0 * math.pi * float(np.sum(w * dens * (qn.q0 / (1.0 - q)) ** 2))
 
 
 def check_parseval(n_max: int = 6, tol: float = 1e-6) -> VerificationReport:
     return VerificationReport.from_errors(
-        "momentum-parseval", f"|m| <= n <= {n_max}, radial tail bound < 1e-9",
+        "momentum-parseval", f"|m| <= n <= {n_max}, Gauss-Legendre n + 1 nodes in q",
         ((abs(_parseval_norm(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
         tol, notes="unitary 1/(2pi) transform: momentum norm equals position norm")
 

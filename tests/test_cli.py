@@ -228,6 +228,8 @@ def test_verify_csv_format(capsys):
     ["verify", "polys", "--n-max", "11"],
     ["verify", "polys", "--tol", "0"],
     [],
+    ["verify", "levicivita", "--format", "csv", "--tol", "nan"],
+    ["verify", "levicivita", "--format", "csv", "--tol", "inf"],
 ])
 def test_verify_usage_errors(bad):
     with pytest.raises(SystemExit) as exc:

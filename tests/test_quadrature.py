@@ -5,11 +5,12 @@ for the nodes and Christoffel sums for the weights, in elementwise IEEE
 arithmetic only.  Library eigensolvers return NaN Laguerre weights somewhere
 above 250 nodes; most tests here check that big Laguerre rules stay finite and
 accurate, and one that the rules keep their bits under other BLAS and SIMD
-kernels.  The 16-point Gauss-Legendre panel rule is checked against numpy's
-``leggauss``, on its moments, its mirror symmetry and a chain of panels.  The
-package imports numpy only: scipy is a test oracle, and tests here check that
-importing and using the package loads neither scipy nor ``numpy.polynomial``,
-and that its source names no linalg, no ``leggauss`` and no matrix product.
+kernels.  The Gauss-Legendre rules, the 16-point panel rule among them, are
+checked against numpy's ``leggauss``, on their moments, the panel rule's mirror
+symmetry and a chain of panels.  The package imports numpy only: scipy is a
+test oracle, and tests here check that importing and using the package loads
+neither scipy nor ``numpy.polynomial``, and that its source names no linalg,
+no ``leggauss`` and no matrix product.
 """
 
 import ast
@@ -25,7 +26,8 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d.quadrature import _PANEL_W, _PANEL_X, PANEL_ORDER, gauss_laguerre, panel_nodes
+from hydro2d.quadrature import (_PANEL_W, _PANEL_X, PANEL_ORDER, gauss_laguerre, gauss_legendre,
+                                panel_nodes)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
@@ -91,6 +93,25 @@ def test_panel_rule_matches_leggauss():
     assert np.max(np.abs(_PANEL_W / w - 1.0)) <= 1e-14
     assert np.array_equal(_PANEL_X, -_PANEL_X[::-1])
     assert np.array_equal(_PANEL_W, _PANEL_W[::-1])
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_gauss_legendre_matches_leggauss(n):
+    # Every order, odd ones with their node at 0 included: the nodes match
+    # leggauss, the rule is exact to degree 2n - 1 (to 2e-15, about 4 ulp of
+    # the zeroth moment 2; leggauss itself is off by up to 7e-15 here), and the
+    # middle node of an odd rule stops at |x| <= 1e-30, not in the subnormals.
+    x, w = gauss_legendre(n)
+    assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2.3e-16
+    for k in range(2 * n):
+        assert abs(float(np.sum(w * x**k)) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 2e-15
+    if n % 2:
+        assert abs(x[n // 2]) <= 1e-30
+
+
+def test_gauss_legendre_rejects_empty_rule():
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
 
 
 def test_panel_nodes_integrate_sine():

@@ -23,9 +23,11 @@ from hydro2d.verify import (
     check_coefficient_consistency,
     check_coordinate_gf,
     check_gegenbauer_gf,
+    check_laguerre_derivative,
     check_laguerre_gf,
     check_measure_factor,
     check_new_legendre_gf,
+    check_parseval,
     check_position_normalization,
     check_shifted_laguerre_gf,
     check_two_form_equality,
@@ -96,6 +98,29 @@ def test_genfunc_suite_passes():
     names = {r.check_name for r in reports}
     assert "gegenbauer-reindexing-identity" in names
     assert "gegenbauer-chain-consistency" in names
+
+
+def test_identity_suites_pass_at_n_max_20():
+    # Past the default caps: no rule or error measure of these checks loses
+    # accuracy as the degree grows.
+    reports = [r for suite in SUITE_ORDER[:-1] for r in run_suite(suite, n_max=20)]
+    assert [r.check_name for r in reports if not r.passed] == []
+
+
+def test_scaled_momentum_wavefunction_fails_parseval(monkeypatch):
+    original = verify.psi_momentum
+    monkeypatch.setattr(verify, "psi_momentum", lambda qn, mp: (1.0 + 1e-6) * original(qn, mp))
+    assert not check_parseval().passed
+
+
+def test_scaled_derivative_side_fails_laguerre_derivative(monkeypatch):
+    # The right-hand side L_{n-1}^(alpha+1) is the one call on the unshifted grid.
+    original, grid = verify.laguerre, np.linspace(0.1, 10.0, 12)
+
+    def off(n, alpha, v):
+        return original(n, alpha, v) * (1.0 + 1e-5 if np.array_equal(v, grid) else 1.0)
+    monkeypatch.setattr(verify, "laguerre", off)
+    assert not check_laguerre_derivative().passed
 
 
 def test_tolerance_override_forces_failure():
