@@ -27,6 +27,12 @@ panels of ``_radial_rules``), and each public function is one row:
     e^(-iy) = cos y - i sin y.  No Bessel function and no (-i)^|m| table
     enters, which makes the two routes genuinely different derivations.
 
+The rule takes only its panel count from p and the least node count
+``nodes``, so doubling ``nodes`` refines it only where that floor binds, at
+p rho_max / pi < nodes / 16 panels; elsewhere the panel width pi/p sets the
+count and both node counts share one integral, which ``_hankel_rows``
+computes once.
+
 Independence: this module imports only the momentum-plane point type from
 ``momentum`` and touches no closed-form momentum wavefunction at all; the
 comparison against them lives in ``verify.check_oracle_agreement``.
@@ -40,7 +46,8 @@ from functools import lru_cache
 import numpy as np
 
 from .momentum import MomentumPoint
-from .polys import NEG_I_POW, _bessel_ladder, _point_arrays, _scalar_or_array, _turns
+from .polys import (NEG_I_POW, _bessel_ladder, _integer, _point_arrays, _scalar_or_array,
+                    _turns)
 from .position import QuantumNumbers, radial_wavefunction
 from .quadrature import PANEL_ORDER, panel_nodes
 
@@ -69,43 +76,52 @@ def _rho_max(n: int) -> float:
     return v / (2.0 * q0)
 
 
-def _panel_count(n: int, p: float, nodes: int) -> int:
+def _panel_count(n: int, p: float, nodes) -> int:
     """Panels of the radial rule on [0, rho_max]: ``nodes`` points or more, none wider
     than pi/p (half a Bessel period) or ``_MAX_PANEL_WIDTH``."""
+    nodes = _integer("oracle radial nodes", nodes)
     if nodes < 64:
-        raise ValueError("oracle needs at least 64 radial nodes")
+        raise ValueError(f"oracle radial nodes must be at least 64, got {nodes}")
     return max(math.ceil(nodes / PANEL_ORDER),
                math.ceil(_rho_max(n) * max(p / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
 
 
-def _radial_rule(n: int, am_max: int, p: float, nodes: int):
-    """Radial nodes rho and, in row |m| <= am_max, weights times rho R_{n,m}(rho)."""
-    rho, wts = panel_nodes(np.linspace(0.0, _rho_max(n), _panel_count(n, p, nodes) + 1))
+def _radial_rule(n: int, am_max: int, count: int):
+    """Radial nodes rho on ``count`` panels and, in row |m| <= am_max, weights times rho R_{n,m}."""
+    rho, wts = panel_nodes(np.linspace(0.0, _rho_max(n), count + 1))
     return rho, np.array([wts * rho * radial_wavefunction(QuantumNumbers(n, am), rho)
                           for am in range(am_max + 1)])
 
 
-def _radial_rules(n: int, am_max: int, ps: np.ndarray, nodes: int) -> list:
-    """``_radial_rule`` at each of ``ps``, built once per panel count: all it takes from p."""
-    counts = [_panel_count(n, pk, nodes) for pk in ps]
-    built = {c: _radial_rule(n, am_max, pk, nodes) for c, pk in dict(zip(counts, ps)).items()}
-    return [built[c] for c in counts]
+def _radial_rules(n: int, am_max: int, counts: list) -> dict:
+    """``_radial_rule`` for each distinct panel count of ``counts``, keyed by it."""
+    return {c: _radial_rule(n, am_max, c) for c in dict.fromkeys(counts)}
 
 
-def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
+def _level_points(n: int, mp: MomentumPoint, nodes):
+    """p and phi_p of 1-d ``mp`` and each point's panel count, ``nodes`` broadcast against them."""
+    p, phi_p, least = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True),
+                                          np.asarray(nodes))
+    return p, phi_p, [_panel_count(n, pk, nk) for pk, nk in zip(p.tolist(), least.tolist())]
+
+
+def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes) -> np.ndarray:
     """psi_{n,m} for m = -am_max ... am_max (rows) at the points of 1-d ``mp`` (columns).
 
-    One Bessel ladder J_0 ... J_am_max covers the arguments p rho of every
-    distinct p.  Assembled as (radial integral) * (-i)^|m| * e^(i m phi_p),
-    the order of the closed forms, so phase comparisons see no reordering.
+    ``nodes``, the least radial count, may differ from point to point.  Each
+    distinct (p, panel count) pair is integrated once, and one Bessel ladder
+    J_0 ... J_am_max covers all their arguments p rho.  Assembled as (radial
+    integral) * (-i)^|m| * e^(i m phi_p), the order of the closed forms, so
+    phase comparisons see no reordering.
     """
-    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
-    ps, which = np.unique(p, return_inverse=True)
-    rules = _radial_rules(n, am_max, ps, nodes)
-    ladder = _bessel_ladder(am_max, np.concatenate([pk * rho for pk, (rho, _) in zip(ps, rules)]))
-    ends = np.cumsum([rho.size for rho, _ in rules])[:-1]
-    radial = np.array([np.sum(weighted * bessel, axis=1) for (_, weighted), bessel
-                       in zip(rules, np.split(ladder, ends, axis=1))]).T
+    p, phi_p, counts = _level_points(n, mp, nodes)
+    pairs: dict = {}
+    which = [pairs.setdefault(key, len(pairs)) for key in zip(p.tolist(), counts)]
+    rules = _radial_rules(n, am_max, counts)
+    ladder = _bessel_ladder(am_max, np.concatenate([pk * rules[c][0] for pk, c in pairs]))
+    ends = np.cumsum([rules[c][0].size for _, c in pairs])[:-1]
+    radial = np.array([np.sum(rules[c][1] * bessel, axis=1) for (_, c), bessel
+                       in zip(pairs, np.split(ladder, ends, axis=1))]).T
     ms = np.arange(-am_max, am_max + 1)
     val0 = radial[np.abs(ms)][:, which] * np.array([NEG_I_POW[abs(m) % 4] for m in ms])[:, None]
     return val0 * _turns(ms, phi_p)
@@ -123,7 +139,8 @@ def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):
     """Oracle momentum wavefunction via the angular-reduction route.
 
     Row m of ``_hankel_rows``: a ``complex`` for a scalar point, else an array
-    of the broadcast shape.  ``nodes`` (at least 64) is the least radial count.
+    of the broadcast shape.  ``nodes``, the least radial count, is an integer
+    of at least 64; anything else raises a ``ValueError`` naming it.
     """
     return _row(_hankel_rows, qn, mp, nodes)
 
@@ -155,10 +172,11 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     do not depend on it.
     """
     ms = np.arange(-am_max, am_max + 1)
-    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
+    p, phi_p, counts = _level_points(n, mp, nodes)
     radial = np.zeros((am_max + 1, p.size), dtype=complex)
-    rules = _radial_rules(n, am_max, p, nodes)
-    for j, (pk, (rho, weighted)) in enumerate(zip(p, rules)):
+    rules = _radial_rules(n, am_max, counts)
+    for j, (pk, c) in enumerate(zip(p, counts)):
+        rho, weighted = rules[c]
         n_phi = _phi_count(pk * _rho_max(n))
         theta = 2.0 * math.pi * np.arange(n_phi // 4 + 1) / n_phi
         proj = np.cos(np.outer(theta, np.arange(n + 1))) * (4.0 / n_phi)
@@ -169,7 +187,8 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
             arg = pk * np.outer(rho[lo:lo + chunk], cosines)
             part = np.empty((arg.shape[0], n + 1), dtype=complex)
             part[:, 0::2] = np.einsum("ij,jk->ik", np.cos(arg), proj[:, 0::2])
-            part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg), proj[:, 1::2])
+            if n:  # the odd orders; level 0 has none
+                part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg), proj[:, 1::2])
             radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :am_max + 1].T, axis=1)
     return radial[np.abs(ms)] * _turns(ms, phi_p)
 

@@ -17,11 +17,13 @@ import pytest
 
 import hydro2d.ftoracle
 import hydro2d.verify
-from hydro2d.ftoracle import (_direct_rows, _hankel_rows, _phi_count, _radial_rule, _rho_max,
-                              ft_direct_2d, ft_hankel)
+from hydro2d.ftoracle import (_direct_rows, _hankel_rows, _panel_count, _phi_count, _radial_rule,
+                              _rho_max, ft_direct_2d, ft_hankel)
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import QuantumNumbers
-from hydro2d.verify import SUITES, check_oracle_agreement
+from hydro2d.quadrature import PANEL_ORDER
+from hydro2d.verify import (SUITES, _acceptance_rows, acceptance_grid, check_node_doubling,
+                            check_oracle_agreement)
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -33,6 +35,15 @@ def test_config_validation():
         ft_hankel(qn, mp, nodes=32)
     with pytest.raises(ValueError):
         ft_direct_2d(qn, mp, nodes=32)
+
+
+@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+@pytest.mark.parametrize("nodes", [100.5, math.nan, math.inf, 63, 512.0, "512", None])
+def test_bad_node_count_is_named(oracle, nodes):
+    # A least node count that is not an integer of at least 64 is a named
+    # usage error on both routes, not a silent rule or a conversion error.
+    with pytest.raises(ValueError, match="oracle radial nodes"):
+        oracle(QuantumNumbers(1, 0), MomentumPoint(0.5, 0.0), nodes=nodes)
 
 
 def test_ground_state_at_zero_momentum():
@@ -129,11 +140,10 @@ def test_radial_rule_counts(n):
     # doubling them refines it; at p = 20 the panel width pi/p sets the count
     # alone (as _MAX_PANEL_WIDTH does at small p from n = 13 on).
     for nodes in (512, 1024):
-        rho, weighted = _radial_rule(n, n, 0.05, nodes)
+        rho, weighted = _radial_rule(n, n, _panel_count(n, 0.05, nodes))
         assert rho.size == nodes and weighted.shape == (n + 1, nodes)
-    lo, hi = _radial_rule(n, n, 20.0, 512), _radial_rule(n, n, 20.0, 1024)
-    assert lo[0].size > 1024
-    assert np.array_equal(lo[0], hi[0]) and np.array_equal(lo[1], hi[1])
+    count = _panel_count(n, 20.0, 512)
+    assert count == _panel_count(n, 20.0, 1024) and count * PANEL_ORDER > 1024
 
 
 @pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
@@ -183,6 +193,59 @@ def test_batched_rows_equal_point_calls(n, nodes):
     assert worst_d <= 1e-15  # measured 0
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_acceptance_halves_equal_separate_calls(n):
+    # One call over both node counts integrates each (p, panel count) pair
+    # once; every Bessel value is elementwise in its argument, so each half
+    # is bit for bit the call at its own node count.
+    for half, nodes in zip(_acceptance_rows(n), (512, 1024)):
+        assert np.array_equal(half, _hankel_rows(n, n, acceptance_grid(), nodes))
+
+
+@pytest.mark.parametrize("n", [0, 2, 4])
+def test_mixed_node_counts_equal_per_count_calls(n):
+    # nodes broadcasts against the points; each column is the call at its own count.
+    nodes = np.array([512, 1024, 512, 1024, 1024])
+    mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
+    mixed = _hankel_rows(n, n, mp, nodes)
+    for count in (512, 1024):
+        cols = nodes == count
+        alone = _hankel_rows(n, n, MomentumPoint(mp.p[cols], mp.phi_p[cols]), count)
+        assert np.array_equal(mixed[:, cols], alone)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_node_doubling_refines_where_the_floor_binds(n):
+    # Doubling the least count still refines the rule at 9 or more of the 20
+    # acceptance momenta; the two halves differ there and agree bit for bit
+    # wherever the panel width pi/p sets one count for both.
+    lo, hi = _acceptance_rows(n)
+    refined = np.array([_panel_count(n, p, 1024) > _panel_count(n, p, 512)
+                        for p in acceptance_grid().p])
+    assert refined.sum() >= 9  # measured 18, 14, 12, 10, 9 at n = 0 ... 4
+    assert not np.array_equal(lo[:, refined], hi[:, refined])
+    assert np.array_equal(lo[:, ~refined], hi[:, ~refined])
+
+
+def test_acceptance_passes_integrate_each_panel_once(monkeypatch):
+    # The agreement and node-doubling checks pass PANEL_ORDER Bessel arguments
+    # per panel of each distinct (p, panel count) pair, 325,920 in all where
+    # integrating both passes in full took 552,288.
+    passed = []
+    ladder = hydro2d.ftoracle._bessel_ladder
+    monkeypatch.setattr(hydro2d.ftoracle, "_bessel_ladder",
+                        lambda m, xs: passed.append(xs.size) or ladder(m, xs))
+    _acceptance_rows.cache_clear()
+    try:
+        assert check_oracle_agreement().passed and check_node_doubling().passed
+    finally:
+        _acceptance_rows.cache_clear()
+    panels = sum(count for n in range(5) for _, count in
+                 {(p, _panel_count(n, p, nodes)) for p in acceptance_grid().p.tolist()
+                  for nodes in (512, 1024)})
+    assert sum(passed) == PANEL_ORDER * panels == 325_920
+
+
 def _full_circle_rows(n, p, phi_p, shifted):
     """Every m of level n at one point by the unfolded trapezoid sum over all n_phi angles.
 
@@ -190,7 +253,7 @@ def _full_circle_rows(n, p, phi_p, shifted):
     angular factor e^(i m phi_p) e^(i m theta_k).  Unshifted: nodes
     phi_k = 2 pi k / n_phi, kernel e^(-i p rho cos(phi_k - phi_p)).
     """
-    rho, weighted = _radial_rule(n, n, p, 512)
+    rho, weighted = _radial_rule(n, n, _panel_count(n, p, 512))
     n_phi = _phi_count(p * _rho_max(n))
     angles = 2.0 * math.pi * np.arange(n_phi) / n_phi
     if shifted:
