@@ -39,8 +39,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _csv_field(value: object) -> str:
-    if isinstance(value, float):
-        return repr(value)
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'

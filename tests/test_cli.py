@@ -54,6 +54,10 @@ def test_eigen_json(capsys):
                     {"n": 1, "q0": 2.0 / 3.0, "energy": -(2.0 / 3.0) ** 2}]
 
 
+def test_csv_field_writes_numpy_floats_as_python_floats():
+    assert cli._csv_field(np.float64(0.1)) == "0.1" == cli._csv_field(0.1)
+
+
 @pytest.mark.parametrize("bad", [["eigen", "--n-max", "-3"],
                                  ["eigen", "--n-max", "51"]])
 def test_eigen_usage_errors(bad):

@@ -75,6 +75,11 @@ def test_unit_disk_enforced(bad_z):
         new_legendre_gf(bad_z, 0.3, 1)
 
 
+def test_coordinate_gf_rejects_a_zero_scale():
+    with pytest.raises(ValueError, match="scale q0 must be > 0"):
+        coordinate_gf(0.1, 0.1, 0.0, PolarPoint(1.0, 0.0))
+
+
 def test_cauchy_coefficients_of_exp():
     coeffs = series_coefficients(np.exp, (12,))
     want = np.array([1.0 / math.factorial(k) for k in range(12)])

@@ -94,6 +94,12 @@ def test_gridspec_rejects(bad):
         GridSpec.parse(bad)
 
 
+def test_gridspec_rejects_an_unknown_scale():
+    # parse rejects the suffix first, so only a direct construction reaches this.
+    with pytest.raises(ValueError, match="grid scale must be 'linear' or 'log'"):
+        GridSpec(0.0, 1.0, 3, "cubic")
+
+
 @pytest.mark.parametrize("text, field", [
     ("0:inf:3", "max"), ("nan:5:3", "min"), ("-inf:5:3", "min"), ("1:nan:3:log", "max"),
 ])

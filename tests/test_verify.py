@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from hydro2d import genfunc, verify
-from hydro2d.levicivita import GenFuncParams, GenFuncValues
+from hydro2d.levicivita import GenFuncParams, GenFuncValues, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint
 from hydro2d.position import QuantumNumbers
-from hydro2d.quadrature import PANEL_ORDER, panel_nodes
 from hydro2d.verify import (
     SUITE_ORDER,
     SUITES,
@@ -215,17 +214,38 @@ def test_doubled_momentum_generating_function_fails_coefficient_consistency(monk
     assert rep.max_rel_err == pytest.approx(1.0, rel=1e-9)
 
 
-def test_quadrant_sum_matches_the_dense_unfolded_sum():
-    # The reference sums exp(-P) over every pair of nodes of the mirrored
-    # rule on [-box, box], with exp(-2 a12 u u') formed pointwise.
-    for a11, a12, a22, box, n_nodes, _ in verify._gaussian_cases():
-        u, w = panel_nodes(np.linspace(0.0, box, math.ceil(n_nodes / (2 * PANEL_ORDER)) + 1))
-        u, w = np.concatenate([-u[::-1], u]), np.concatenate([w[::-1], w])
-        assert u.size >= n_nodes
-        ex, ey = np.exp(-a11 * u * u) * w, np.exp(-a22 * u * u) * w
-        dense = np.sum(ex[:, None] * np.exp(-2.0 * a12 * u[:, None] * u[None, :]) * ey[None, :])
-        folded = verify._quadrant_sum(a11, a12, a22, box, n_nodes)
-        assert abs(folded - dense) <= 1e-14 * abs(dense)
+def _gaussian_draws(monkeypatch):
+    # The draws of the Gaussian check, by capturing its _accepted_draws call.
+    calls = []
+    original = verify._accepted_draws
+    monkeypatch.setattr(verify, "_accepted_draws", lambda *args: calls.append(args) or original(*args))
+    verify.check_gaussian_integral()
+    return quadratic_form_matrix(*original(*calls[0]))
+
+
+def test_polar_sum_matches_a_dense_tensor_sum(monkeypatch):
+    # Reference: 64 panels of 16-point Gauss-Legendre per axis on [-8.31, 8.31],
+    # exp(-u^T X u) formed pointwise.  lambda_min(Re X) >= 0.5 bounds the
+    # discarded tail by exp(-0.5 * 8.31^2) ~ 1e-15.
+    x = _gaussian_draws(monkeypatch)
+    re_x = np.moveaxis(np.array([[x.a11, x.a12], [x.a12, x.a22]]).real, -1, 0)
+    assert np.linalg.eigvalsh(re_x)[:, 0].min() >= 0.5
+    xg, wg = np.polynomial.legendre.leggauss(16)
+    half = 8.31 / 64
+    u = (-8.31 + half * (2 * np.arange(64) + 1)[:, None] + half * xg).ravel()
+    w = np.tile(half * wg, 64)
+    assert u.size == 1024
+    polar = verify._polar_sum(x, 256)
+    for k in range(0, 20, 5):
+        ex, ey = np.exp(-x.a11[k] * u * u) * w, np.exp(-x.a22[k] * u * u) * w
+        dense = np.sum(ex[:, None] * np.exp(-2.0 * x.a12[k] * np.outer(u, u)) * ey[None, :])
+        assert abs(polar[k] - dense) <= 1e-13  # measured <= 4.6e-15 on all 20 draws
+
+
+def test_polar_sum_has_converged_at_128_angles(monkeypatch):
+    x = _gaussian_draws(monkeypatch)
+    assert x.a11.shape == (20,)
+    assert np.max(np.abs(verify._polar_sum(x, 128) - verify._polar_sum(x, 256))) <= 1e-14
 
 
 def test_scaled_gaussian_closed_form_fails(monkeypatch):
@@ -255,8 +275,8 @@ def test_lazy_draws_are_the_first_accepted_of_all_draws(monkeypatch):
     monkeypatch.setattr(verify, "_accepted_draws", lambda *args: calls.append(args) or original(*args))
     verify.check_det_identity()
     verify.check_gaussian_integral()
-    assert [args[:3] for args in calls] == [(verify._SEED, 100, 10000),
-                                            (verify._SEED + 1, 20, 20000)]
+    assert [args[:3] for args in calls] == [(verify._SEED, 100, 400),
+                                            (verify._SEED + 1, 20, 80)]
     for args in calls:
         gp, mp = original(*args)
         _, want = _all_draws_filtered(*args)
@@ -264,16 +284,11 @@ def test_lazy_draws_are_the_first_accepted_of_all_draws(monkeypatch):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
-def test_draws_across_blocks_and_a_filter_that_accepts_too_few():
+def test_a_filter_that_accepts_too_few_raises():
     caps = (0.8, 10.0, 0.3, 2.5, 2.0)
 
     def slow(gp, mp):
         return mp.p < 0.05  # about 1 draw in 200
-    keep, want = _all_draws_filtered(7, 5, 2000, slow, *caps)
-    assert keep[4] >= 4 * 4 * 5  # the fifth accepted draw lies past the third block
-    gp, mp = verify._accepted_draws(7, 5, 2000, slow, *caps)
-    for got, ref in zip((gp.z, gp.t, gp.q0, gp.beta, mp.p, mp.phi_p), want):
-        assert got.tobytes() == ref.tobytes()
     keep, _ = _all_draws_filtered(7, 50, 2000, slow, *caps)
     assert 0 < keep.size < 50
     with pytest.raises(RuntimeError, match=f"accepted {keep.size} of 2000 draws, not 50"):
