@@ -100,7 +100,7 @@ def _radial_rules(n: int, am_max: int, counts: list) -> dict:
 
 def _level_points(n: int, mp: MomentumPoint, nodes):
     """p and phi_p of 1-d ``mp`` and each point's panel count, ``nodes`` broadcast against them."""
-    p, phi_p, least = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True),
+    p, phi_p, least = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real="momentum point"),
                                           np.asarray(nodes))
     return p, phi_p, [_panel_count(n, pk, nk) for pk, nk in zip(p.tolist(), least.tolist())]
 
@@ -130,7 +130,7 @@ def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes) -> np.ndarray:
 def _row(rows, qn: QuantumNumbers, mp: MomentumPoint, nodes: int):
     """Row m of the level core ``rows`` over the broadcast shape of ``mp``; complex if scalar."""
     am = abs(qn.m)
-    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real=True))
+    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real="momentum point"))
     row = rows(qn.n, am, MomentumPoint(p.ravel(), phi_p.ravel()), nodes)[qn.m + am]
     return _scalar_or_array(row.reshape(p.shape), mp.p, mp.phi_p)
 

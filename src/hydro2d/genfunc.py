@@ -1,4 +1,4 @@
-"""Generating functions in closed form, and Taylor coefficients by Cauchy quadrature.
+"""Generating functions in closed form.
 
 Closed forms implemented here:
 
@@ -12,30 +12,18 @@ Closed forms implemented here:
 The last identity holds with the associated Legendre functions defined
 without the Condon-Shortley sign (as in ``polys``); the sum starts at n = m
 since P_n^m vanishes for n < m.  The verification suites check each closed
-form one way: its Taylor coefficients from ``series_coefficients`` against
-the rows of the polynomial ladder that defines its series.
-
-Taylor coefficients of arbitrary analytic functions are recovered by
-trapezoid quadrature of the Cauchy integral on a circle (one circle per
-variable), which is exact up to aliasing: with N nodes on radius r the
-error in c_n is the sum over j >= 1 of c_{n+jN} r^{jN}, which falls like
-(r/R)^N when the nearest singularity lies at radius R.  R, not the unit
-disk, sets the node count: the momentum generating function at q0 = 1,
-p = 0.7 is singular at |t| = 0.75 for |z| = 0.5, so 64 nodes on r = 0.5
-leave a relative error of 2.5e-10 in its coefficients, and 128 nodes
-leave rounding (1.1e-14).  That rounding comes back multiplied by r^-n in
-c_n, so the radius trades aliasing against the highest degree wanted.
+form one way: its Taylor coefficients from ``quadrature.series_coefficients``
+(re-exported here) against the rows of the polynomial ladder of its series.
 """
 
 from __future__ import annotations
-
-from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .polys import _finite, _finite_points, _integer, _point_arrays, _scalar_or_array
 from .position import PolarPoint
+from .quadrature import series_coefficients
 
 __all__ = [
     "laguerre_gf",
@@ -129,28 +117,3 @@ def new_legendre_gf(z: ArrayLike, t: ArrayLike, m: int):
     value = ((1.0 - ts * ts) ** (0.5 * m) * (1.0 - zs * zs) * zs**m
              / (1.0 - 2.0 * zs * ts + zs * zs) ** (m + 1.5))
     return _scalar_or_array(value.astype(complex), z, t)
-
-
-def series_coefficients(fn: Callable[..., ArrayLike], counts: Sequence[int],
-                        radius: float = 0.5, nodes: int = 128) -> np.ndarray:
-    """Taylor coefficients c[k_1, ..., k_d] of fn by Cauchy quadrature.
-
-    fn takes d complex arguments, one per entry of ``counts``, and must be
-    analytic on the polydisk of the given radius.  It is called once, on
-    the ``np.ix_`` grid of one circle of ``nodes`` points per argument, and
-    returns an array whose first d axes are those node axes; any axes it
-    adds after them are batch axes and come back unchanged after the
-    coefficient axes, whose lengths are ``counts``.  The radius must be
-    finite and nonzero, since the coefficients divide by its powers.
-    """
-    if not counts or not all(0 < c <= nodes for c in counts):
-        raise ValueError("need 0 < count <= nodes on every axis")
-    if radius == 0.0 or not np.isfinite(radius):
-        raise ValueError(f"Cauchy radius must be finite and nonzero, got {radius!r}")
-    d = len(counts)
-    circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    samples = np.asarray(fn(*np.ix_(*[circle] * d)), dtype=complex)
-    hat = np.fft.fftn(samples, axes=range(d)) / nodes**d
-    degree = sum(np.ix_(*[np.arange(c) for c in counts]))
-    powers = (radius ** degree).reshape(degree.shape + (1,) * (hat.ndim - d))
-    return hat[tuple(slice(c) for c in counts)] / powers

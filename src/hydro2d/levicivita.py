@@ -77,6 +77,9 @@ class GenFuncParams:
     def __post_init__(self):
         if not np.all(np.abs(self.z) < 1.0):  # NaN fails too
             raise ValueError("generating variable z must satisfy |z| < 1")
+        for name in ("q0", "beta"):  # z and t may be complex
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"GenFuncParams {name} must be real")
         for name in ("t", "q0", "beta"):
             _finite_points(f"GenFuncParams {name}", getattr(self, name))
         if np.any(np.asarray(self.q0) <= 0.0):

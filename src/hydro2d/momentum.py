@@ -71,7 +71,7 @@ def q_of_p(p: ArrayLike, q0: float):
 
     Where p*p overflows, q takes its limit 1.
     """
-    ps, = _point_arrays(p, real=True)
+    ps, = _point_arrays(p, real="q_of_p p")
     if not np.all(ps >= 0.0):  # NaN fails too
         raise ValueError("q_of_p needs p >= 0")
     _finite("q_of_p q0", q0)
@@ -87,7 +87,7 @@ def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
     Built this way, the phase relation psi(p, phi_p) = psi(p, 0) e^(i m phi_p)
     holds exactly and the modulus is independent of the sign of m.
     """
-    p, phi_p = _point_arrays(mp.p, mp.phi_p, real=True)
+    p, phi_p = _point_arrays(mp.p, mp.phi_p, real="momentum point")
     p, far = _overflow_free(p, 2)
     amp = np.where(far, 0.0, amplitude(p, q_of_p(p, qn.q0)))
     return _scalar_or_array(amp * NEG_I_POW[abs(qn.m) % 4] * _turns(qn.m, phi_p),

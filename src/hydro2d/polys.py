@@ -68,15 +68,18 @@ def _turns(m, phi) -> np.ndarray:
     return np.cos(turn) + 1j * np.sin(turn)
 
 
-def _point_arrays(*fields, real: bool = False):
-    """The fields as float arrays of at least one dimension, complex ones complex unless ``real``.
+def _point_arrays(*fields, real: str = ""):
+    """The fields as float arrays of at least one dimension, complex ones complex unless
+    ``real`` names them: then a complex field is a ValueError with that name.
 
     Scalars then run through the same numpy array loops as arrays: numpy's
     0-d ``**`` rounds differently from its array loop, so 0-d arithmetic
     would make a scalar call differ in the last bits from an array call.
     """
-    return [np.atleast_1d(np.asarray(f, dtype=complex if np.iscomplexobj(f) and not real
-                                     else float)) for f in fields]
+    if real and any(np.iscomplexobj(f) for f in fields):
+        raise ValueError(f"{real} must be real")
+    return [np.atleast_1d(np.asarray(f, dtype=complex if np.iscomplexobj(f) else float))
+            for f in fields]
 
 
 def _scalar_or_array(value: np.ndarray, *fields):
@@ -95,7 +98,9 @@ def _integer(name: str, value) -> int:
 
 
 def _finite(name: str, value: float) -> None:
-    """A ValueError naming the scalar parameter ``name`` if it is NaN or infinite."""
+    """A ValueError naming the scalar parameter ``name`` if it is complex, NaN or infinite."""
+    if np.iscomplexobj(value):
+        raise ValueError(f"{name} must be real, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -176,7 +181,7 @@ def laguerre(k: int, alpha: float, x):
     if k < 0:
         raise ValueError("laguerre degree k must be >= 0")
     _finite("laguerre alpha", alpha)
-    xs, = _point_arrays(x, real=True)
+    xs, = _point_arrays(x, real="laguerre x")
     _finite_points("laguerre x", xs)
     return _scalar_or_array(_degree(_laguerre_ladder(alpha, xs), k, f"laguerre k={k}"), x)
 
@@ -198,7 +203,7 @@ def gegenbauer(k: int, lam: float, q):
     """
     k = _integer("gegenbauer degree k", k)
     _finite("gegenbauer lam", lam)
-    qs, = _point_arrays(q, real=True)
+    qs, = _point_arrays(q, real="gegenbauer q")
     _finite_points("gegenbauer q", qs)
     if k < 0:
         return _scalar_or_array(np.zeros_like(qs), q)
@@ -210,7 +215,7 @@ def legendre(n: int, t):
     n = _integer("legendre degree n", n)
     if n < 0:
         raise ValueError("legendre degree n must be >= 0")
-    ts, = _point_arrays(t, real=True)
+    ts, = _point_arrays(t, real="legendre t")
     _finite_points("legendre t", ts)
     return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n, f"legendre n={n}"), t)
 
@@ -240,7 +245,7 @@ def assoc_legendre(n: int, m: int, t):
     n, m = _integer("assoc_legendre degree n", n), _integer("assoc_legendre order m", m)
     if n < 0 or m < 0 or m > n:
         raise ValueError("assoc_legendre needs 0 <= m <= n")
-    ts, = _point_arrays(t, real=True)
+    ts, = _point_arrays(t, real="assoc_legendre t")
     if not np.all(np.abs(ts) <= 1.0):  # NaN fails too
         raise ValueError("assoc_legendre needs |t| <= 1")
     return _scalar_or_array(_degree(_assoc_legendre_ladder(m, ts), n - m,
@@ -359,6 +364,6 @@ def bessel_j(m: int, x):
     recurrence.
     """
     m = _integer("bessel_j order m", m)
-    xs, = _point_arrays(x, real=True)
+    xs, = _point_arrays(x, real="bessel_j x")
     _finite_points("bessel_j x", xs)
     return _scalar_or_array(_bessel_ladder(m, xs)[m], x)

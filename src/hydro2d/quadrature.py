@@ -1,10 +1,14 @@
-"""Gauss-Laguerre rules, Gauss-Legendre rules and panels, all from one elementwise builder."""
+"""Gauss rules and panels from one elementwise builder; Taylor coefficients by Cauchy's rule."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
+
+from .polys import _integer
 
 PANEL_ORDER = 16  # points per panel of ``panel_nodes``: exact to degree 31
 
@@ -91,3 +95,40 @@ def panel_nodes(boundaries: np.ndarray):
     nodes = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
     weights = (half[:, None] * _PANEL_W[None, :]).ravel()
     return nodes, weights
+
+
+def series_coefficients(fn: Callable[..., ArrayLike], counts: Sequence[int],
+                        radius: float = 0.5, nodes: int = 128) -> np.ndarray:
+    """Taylor coefficients c[k_1, ..., k_d] of fn by Cauchy quadrature.
+
+    fn takes d complex arguments, one per entry of ``counts``, and must be
+    analytic on the polydisk of the given radius.  It is called once, on
+    the ``np.ix_`` grid of one circle of ``nodes`` points per argument, and
+    returns an array whose first d axes are those node axes; any axes it
+    adds after them are batch axes and come back unchanged after the
+    coefficient axes, whose lengths are ``counts``.  The radius must be
+    finite and nonzero, since the coefficients divide by its powers.
+
+    The trapezoid rule on the circle is exact up to aliasing: with N nodes
+    on radius r the error in c_n is the sum over j >= 1 of c_{n+jN} r^{jN},
+    which falls like (r/R)^N when the nearest singularity lies at radius R.
+    R, not the unit disk, sets the node count: the momentum generating
+    function at q0 = 1, p = 0.7 is singular at |t| = 0.75 for |z| = 0.5, so
+    64 nodes on r = 0.5 leave a relative error of 2.5e-10 in its
+    coefficients, and 128 nodes leave rounding (1.1e-14).  That rounding
+    comes back multiplied by r^-n in c_n, so the radius trades aliasing
+    against the highest degree wanted.
+    """
+    nodes = _integer("series_coefficients nodes", nodes)
+    counts = [_integer("series_coefficients count", c) for c in counts]
+    if not counts or not all(0 < c <= nodes for c in counts):
+        raise ValueError("need 0 < count <= nodes on every axis")
+    if radius == 0.0 or not np.isfinite(radius):
+        raise ValueError(f"Cauchy radius must be finite and nonzero, got {radius!r}")
+    d = len(counts)
+    circle = radius * np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    samples = np.asarray(fn(*np.ix_(*[circle] * d)), dtype=complex)
+    hat = np.fft.fftn(samples, axes=range(d)) / nodes**d
+    degree = sum(np.ix_(*[np.arange(c) for c in counts]))
+    powers = (radius ** degree).reshape(degree.shape + (1,) * (hat.ndim - d))
+    return hat[tuple(slice(c) for c in counts)] / powers

@@ -32,15 +32,15 @@ import numpy as np
 
 from . import genfunc
 from .ftoracle import _direct_rows, _hankel_rows
-from .levicivita import (GenFuncParams, QuadraticFormMatrix, det_x, gen_func_momentum,
-                         quadratic_form_matrix)
+from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s_invariant,
+                         det_x, gen_func_momentum, quadratic_form_matrix)
 from .momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder, _turns,
                     assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre, legendre,
                     pochhammer)
 from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
                        psi_position, radial_ode_residual)
-from .quadrature import gauss_laguerre, gauss_legendre, panel_nodes
+from .quadrature import gauss_laguerre, gauss_legendre, panel_nodes, series_coefficients
 from .reporting import VerificationReport
 
 _SEED = 20260814
@@ -91,7 +91,7 @@ def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> Veri
 
     def pairs():
         for lam in (0.5, 1.5, 2.5, 3.5):
-            coeffs = genfunc.series_coefficients(
+            coeffs = series_coefficients(
                 lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam), (n_max + 1,))
             yield _ladder_errors(coeffs, _gegenbauer_ladder(lam, qs))
     return VerificationReport.from_errors(
@@ -141,19 +141,22 @@ def check_legendre_connection(n_max: int = 12, tol: float = 1e-10) -> Verificati
 
 
 def check_laguerre_derivative(n_max: int = 10, tol: float = 1e-6) -> VerificationReport:
-    """d/dv L_n^(a)(v) = -L_{n-1}^(a+1)(v) by central differences."""
+    """v L_n^(a)'(v) = -v L_{n-1}^(a+1)(v): row n of c[1] of h -> L_n^(a)(v (1 + h)) is v L_n'."""
     vs = np.linspace(0.1, 10.0, 12)
-    h = 1e-5
 
-    def residual(n, alpha):
-        fd = (laguerre(n, alpha, vs + h) - laguerre(n, alpha, vs - h)) / (2.0 * h)
-        rhs = laguerre(n - 1, alpha + 1.0, vs)
-        return np.abs(fd + rhs), np.maximum(1.0, np.maximum(np.abs(fd), np.abs(rhs)))
+    def pairs():
+        for alpha in (0.0, 1.0, 2.0, 4.0):
+            def degrees(h):  # L_0 ... L_{n_max} at v (1 + h), the node axis first
+                ladder = _laguerre_ladder(alpha, np.multiply.outer(1.0 + h, vs))
+                return np.stack(list(itertools.islice(ladder, n_max + 1)), axis=1)
+            coeffs = series_coefficients(degrees, (2,), radius=0.5, nodes=64)
+            want = (-vs * laguerre(n - 1, alpha + 1.0, vs) for n in range(1, n_max + 1))
+            yield _ladder_errors(coeffs[1, 1:], want)
     return VerificationReport.from_errors(
         "laguerre-derivative",
         f"1 <= n <= {n_max}, alpha in {{0,1,2,4}}, v in [0.1, 10]",
-        (residual(n, alpha) for n in range(1, n_max + 1) for alpha in (0.0, 1.0, 2.0, 4.0)),
-        tol, relative=True, notes="central difference step 1e-5; residual scaled by largest term")
+        pairs(), tol, relative=True,
+        notes="v L_n' by Cauchy coefficients on |h| = 1/2, 64 nodes; scaled by largest term")
 
 
 def check_polys_determinism(n_max: Optional[int] = None, tol: float = 0.0) -> VerificationReport:
@@ -206,7 +209,7 @@ def check_ode_residual(n_max: int = 6, tol: float = 1e-4) -> VerificationReport:
     return VerificationReport.from_errors(
         "radial-ode-residual", f"n <= {cap}, |m| <= n, rho in {rhos}",
         ((np.abs(radial_ode_residual(qn, rhos)), 1.0) for qn in _states(cap, signed=True)),
-        tol, notes="central differences, step 1e-5 max(rho, 1)")
+        tol, notes="R' and R'' by Cauchy coefficients on |h| = 1/2, 64 nodes")
 
 
 def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> VerificationReport:
@@ -390,20 +393,20 @@ def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> Veri
 
 
 def check_beta_derivative(n_max: Optional[int] = None, tol: float = 1e-6) -> VerificationReport:
-    """Finite-difference -dG/dbeta vs the analytic reduced generating function."""
+    """-c_1 of beta -> S(beta)^(-1/2) vs the reduced g (GenFuncParams keeps beta real)."""
     z = np.array([0.3, 0.25 + 0.2j, -0.4, 0.1 + 0.3j])
     t = np.array([0.2, -0.3 + 0.1j, 0.5, 0.4 - 0.2j])
     q0 = np.array([1.5, 1.2, 2.0, 1.8])
     mp = MomentumPoint(np.array([2.0, 3.0, 1.5, 2.5]), np.array([0.4, 1.8, 0.0, 4.0]))
-    h = 5e-7
-    g0 = gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp)
-    g2 = gen_func_momentum(GenFuncParams(z, t, q0, 2.0 * h), mp)
-    fd = (g0.g_beta - g2.g_beta) / (2.0 * h)
+    g = gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g
+    coeffs = series_coefficients(
+        lambda beta: 1.0 / _principal_sqrt(_s_invariant(z, t, q0, beta[:, None], mp.p, mp.phi_p)),
+        (2,), radius=0.1, nodes=64)
     return VerificationReport.from_errors(
         "genfunc-beta-derivative",
-        "central difference across beta in [0, 1e-6], 4 parameter sets",
-        [(np.abs(fd - g0.g), np.abs(g0.g))], tol, relative=True,
-        notes="reduced form (1-z^2) q0 S^(-3/2) vs numerical -dG/dbeta")
+        "Cauchy circle |beta| = 0.1, 64 nodes, 4 parameter sets",
+        [(np.abs(-coeffs[1] - g), np.abs(g))], tol, relative=True,
+        notes="reduced form (1-z^2) q0 S^(-3/2) vs -dG/dbeta by Cauchy coefficients")
 
 
 def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> VerificationReport:
@@ -421,7 +424,7 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     cap = min(n_max, 8)
     q0 = 1.0
     mp = MomentumPoint(0.7, 0.3)
-    coeffs = genfunc.series_coefficients(
+    coeffs = series_coefficients(
         lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
     q = q_of_p(mp.p, q0)
     denom = (mp.p**2 + q0**2)
@@ -458,7 +461,7 @@ def check_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> Verifi
     def pairs():
         for r, v in ((2.0, 1.5), (0.0, 0.0), (4.5, 3.0), (1.0, 2.0)):
             vs = np.array([v])
-            coeffs = genfunc.series_coefficients(
+            coeffs = series_coefficients(
                 lambda z: genfunc.laguerre_gf(z[:, None], r, vs), (31,), **_GF_CIRCLE)
             yield _ladder_errors(coeffs, _laguerre_ladder(r, vs))
     return VerificationReport.from_errors(
@@ -470,7 +473,7 @@ def check_shifted_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -
     def pairs():
         for m, v in ((0, 1.0), (2, 1.0), (1, 2.5), (4, 0.5)):
             vs = np.array([v])
-            coeffs = genfunc.series_coefficients(
+            coeffs = series_coefficients(
                 lambda z: genfunc.shifted_laguerre_gf(z[:, None], m, vs), (31,), **_GF_CIRCLE)
             yield _ladder_errors(coeffs, _laguerre_ladder(2 * m, vs), shift=m)
     return VerificationReport.from_errors(
@@ -486,7 +489,7 @@ def check_coordinate_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> Verif
     """
     def pairs():
         for q0, rho, phi in ((1.0, 1.5, 0.7), (0.8, 0.6, 2.0), (1.3, 3.0, 4.2)):
-            coeffs = genfunc.series_coefficients(
+            coeffs = series_coefficients(
                 lambda z, t: genfunc.coordinate_gf(z, t, q0, PolarPoint(rho, phi)), (11, 11))
             v = np.array([2.0 * q0 * rho])
             for m in range(11):
@@ -505,7 +508,7 @@ def check_gegenbauer_gf(n_max: Optional[int] = None, tol: float = 1e-9) -> Verif
     def pairs():
         for q, alpha in ((0.3, 2.5), (1.0, 1.5), (-0.8, 0.5)):
             qs = np.array([q])
-            coeffs = genfunc.series_coefficients(
+            coeffs = series_coefficients(
                 lambda z: genfunc.gegenbauer_gf(z[:, None], qs, alpha), (31,), **_GF_CIRCLE)
             yield _ladder_errors(coeffs, _gegenbauer_ladder(alpha, qs))
     return VerificationReport.from_errors(
@@ -517,7 +520,7 @@ def check_new_legendre_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> Ver
     def pairs():
         for t, m in ((0.3, 0), (0.3, 2), (-0.6, 1), (0.0, 3)):
             ts = np.array([t])
-            coeffs = genfunc.series_coefficients(
+            coeffs = series_coefficients(
                 lambda z: genfunc.new_legendre_gf(z[:, None], ts, m), (31,), **_GF_CIRCLE)
             dfact = double_factorial(2 * m + 1)
             weighted = ((2 * n + 1) / dfact * p
@@ -539,7 +542,7 @@ def _reindexing_coefficients(cap: int) -> Iterator[Tuple[int, np.ndarray]]:
     for m in range(5):
         # radius 0.8 keeps the 1/r^n amplification of the circle samples'
         # rounding below 1e-10 out to n = 30 (r = 0.5 would amplify 2^30)
-        yield m, genfunc.series_coefficients(
+        yield m, series_coefficients(
             lambda z: ((1.0 - z * z) * z**m)[:, None]
             * genfunc.gegenbauer_gf(z[:, None], _REINDEX_QS, m + 1.5),
             (cap + 1,), radius=0.8, nodes=256)

@@ -10,6 +10,7 @@ so only ``verify`` may import ``cmath``.
 """
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,8 @@ from hydro2d.levicivita import GenFuncParams, gen_func_momentum, quadratic_form_
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from hydro2d.polys import (assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre,
                           legendre, pochhammer)
-from hydro2d.position import PolarPoint, QuantumNumbers, psi_position, radial_wavefunction
+from hydro2d.position import (PolarPoint, QuantumNumbers, psi_position, radial_ode_residual,
+                              radial_wavefunction)
 
 CASES = (
     (psi_position, PolarPoint, 40.0),
@@ -156,6 +158,55 @@ def test_nan_parameter_raises_naming_it(call, name):
     # Each of these returned NaN (or, for gegenbauer_gf, exactly 1) without a warning.
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call()
+
+
+@pytest.mark.parametrize("value", [np.array([0.3, 0.5 + 0.5j]), 0.5 + 0.5j],
+                         ids=["array", "scalar"])
+@pytest.mark.parametrize("call, name", [
+    (lambda x: laguerre(2, 0.0, x), "laguerre x"),
+    (lambda x: gegenbauer(2, 1.5, x), "gegenbauer q"),
+    (lambda x: legendre(2, x), "legendre t"),
+    (lambda x: assoc_legendre(2, 1, x), "assoc_legendre t"),
+    (lambda x: bessel_j(1, x), "bessel_j x"),
+    (lambda x: q_of_p(x, 1.0), "q_of_p p"),
+    (lambda x: radial_wavefunction(QuantumNumbers(2, 1), x), "radial_wavefunction rho"),
+    (lambda x: radial_ode_residual(QuantumNumbers(2, 1), x), "radial_ode_residual rho"),
+    (lambda x: PolarPoint(x, 0.3), "radial coordinate rho"),
+    (lambda x: PolarPoint(1.0, x), "azimuth phi"),
+    (lambda x: MomentumPoint(x, 0.3), "radial momentum p"),
+    (lambda x: MomentumPoint(1.0, x), "momentum azimuth phi_p"),
+], ids=["laguerre", "gegenbauer", "legendre", "assoc_legendre", "bessel_j", "q_of_p",
+        "radial_wavefunction", "radial_ode_residual", "polar-rho", "polar-phi", "momentum-p",
+        "momentum-phi_p"])
+def test_complex_point_raises_naming_it(call, name, value):
+    # An array returned a value from its real part with only a ComplexWarning,
+    # and a point constructed; a scalar raised a TypeError that named nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            call(value)
+
+
+@pytest.mark.parametrize("value", [1.5 + 0.5j, np.complex128(1.5 + 0.5j)],
+                         ids=["complex", "numpy-complex"])
+@pytest.mark.parametrize("call, name", [
+    (lambda c: pochhammer(c, 3), "pochhammer a"),
+    (lambda c: laguerre(2, c, 0.5), "laguerre alpha"),
+    (lambda c: gegenbauer(2, c, 0.5), "gegenbauer lam"),
+    (lambda c: q_of_p(1.0, c), "q_of_p q0"),
+    (lambda c: laguerre_gf(0.2, c, 0.5), "laguerre_gf r"),
+    (lambda c: coordinate_gf(0.2, 0.1, c, PolarPoint(1.0, 0.0)), "coordinate_gf q0"),
+    (lambda c: gegenbauer_gf(0.2, 0.1, c), "gegenbauer_gf alpha"),
+    (lambda c: GenFuncParams(0.3, 0.2, c), "GenFuncParams q0"),
+    (lambda c: GenFuncParams(0.3, 0.2, 1.5, c - 1.5), "GenFuncParams beta"),
+], ids=["pochhammer", "laguerre", "gegenbauer", "q_of_p", "laguerre_gf", "coordinate_gf",
+        "gegenbauer_gf", "genfunc-q0", "genfunc-beta"])
+def test_complex_parameter_raises_naming_it(call, name, value):
+    # The scalar checks raised a TypeError, and GenFuncParams constructed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            call(value)
 
 
 _INF = float("inf")

@@ -12,6 +12,8 @@ import math
 import numpy as np
 import pytest
 
+import hydro2d
+from hydro2d import quadrature
 from hydro2d.genfunc import (
     coordinate_gf,
     gegenbauer_gf,
@@ -109,3 +111,17 @@ def test_cauchy_argument_validation():
     for radius in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="radius"):
             series_coefficients(np.exp, (4,), radius=radius)
+
+
+def test_cauchy_node_and_count_values_are_integers():
+    # nodes=8.5 read c0 = 1.097 - 0.009i for exp; a float count died in slicing.
+    with pytest.raises(ValueError, match="^series_coefficients nodes must be an integer"):
+        series_coefficients(np.exp, (3,), nodes=8.5)
+    with pytest.raises(ValueError, match="^series_coefficients count must be an integer"):
+        series_coefficients(np.exp, (3.0,))
+    np.testing.assert_array_equal(series_coefficients(np.exp, (np.int64(3),), nodes=np.int32(8)),
+                                  series_coefficients(np.exp, (3,), nodes=8))
+
+
+def test_series_coefficients_lives_in_quadrature():
+    assert hydro2d.series_coefficients is series_coefficients is quadrature.series_coefficients

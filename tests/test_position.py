@@ -158,30 +158,30 @@ def test_psi_position_is_zero_where_v_to_the_m_overflows():
 
 
 def test_ode_residual_examples():
-    # The closed forms are exact solutions; the residual is limited only by
-    # the finite-difference truncation of the second derivative.
-    assert abs(radial_ode_residual(QuantumNumbers(0, 0), 1.0)) <= 1e-5
-    assert abs(radial_ode_residual(QuantumNumbers(3, 2), 0.5)) <= 1e-4
-    assert abs(radial_ode_residual(QuantumNumbers(1, 0), 10.0)) <= 1e-5
+    assert abs(radial_ode_residual(QuantumNumbers(0, 0), 1.0)) <= 1e-12
+    assert abs(radial_ode_residual(QuantumNumbers(3, 2), 0.5)) <= 1e-12
+    assert abs(radial_ode_residual(QuantumNumbers(1, 0), 10.0)) <= 1e-12
+    assert abs(radial_ode_residual(QuantumNumbers(2, 1), 1e-3)) <= 1e-12
 
 
 def test_ode_residual_rejects_nonpositive_radius():
-    # Below the step 1e-5, rho - h would be a negative radius.
-    for rho in (0.0, 1e-6):
-        with pytest.raises(ValueError, match="rho > 1e-5"):
+    for rho in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="rho > 0"):
             radial_ode_residual(QuantumNumbers(0, 0), rho)
+    assert abs(radial_ode_residual(QuantumNumbers(0, 0), 1e-6)) <= 1e-3  # eps |R|/rho^2
 
 
-def test_ode_residual_detects_wrong_energy():
-    # Sanity check that the residual is not trivially zero: a deliberately
-    # detuned radial profile must leave a visible residual.  Evaluate the
-    # n=0 profile against the operator while pretending it solves n=1.
-    r0 = radial_wavefunction(QuantumNumbers(0, 0), 1.0)
-    q0_wrong = 1.0 / (1 + 0.5)
-    h = 1e-5
-    rm = radial_wavefunction(QuantumNumbers(0, 0), 1.0 - h)
-    rp = radial_wavefunction(QuantumNumbers(0, 0), 1.0 + h)
-    d2 = (rp - 2.0 * r0 + rm) / (h * h)
-    d1 = (rp - rm) / (2.0 * h)
-    res = d2 + d1 + (2.0 - q0_wrong**2) * r0
-    assert abs(res) > 1e-2
+def test_ode_residual_detects_wrong_energy(monkeypatch):
+    # q0 off by 1e-6 in both the closed form and the equation.  The residual is
+    # absolute, and R itself is below 1e-3 for n = |m| = 6 at these radii, so each
+    # state's residual is measured against its largest |R| there (2.0e-7 at the
+    # least, 2.0e-5 at the most; 2.6e-5 absolute at the most).
+    rhos = np.array([0.1, 0.5, 1.0, 2.0, 5.0, 10.0])  # the radii of radial-ode-residual
+    states = [QuantumNumbers(n, m) for n in range(7) for m in range(-n, n + 1)]
+    scale = {qn: np.max(np.abs(radial_wavefunction(qn, rhos))) for qn in states}
+    for qn in states:
+        assert np.max(np.abs(radial_ode_residual(qn, rhos))) <= 1e-12
+    true_q0 = QuantumNumbers.q0.fget
+    monkeypatch.setattr(QuantumNumbers, "q0", property(lambda qn: true_q0(qn) * (1.0 + 1e-6)))
+    for qn in states:
+        assert np.max(np.abs(radial_ode_residual(qn, rhos))) >= 1e-7 * scale[qn]
