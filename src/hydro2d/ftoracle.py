@@ -124,7 +124,7 @@ def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes) -> np.ndarray:
                        in zip(pairs, np.split(ladder, ends, axis=1))]).T
     ms = np.arange(-am_max, am_max + 1)
     val0 = radial[np.abs(ms)][:, which] * np.array([NEG_I_POW[abs(m) % 4] for m in ms])[:, None]
-    return val0 * _turns(ms, phi_p)
+    return val0 * _turns(ms[:, None], phi_p)
 
 
 def _row(rows, qn: QuantumNumbers, mp: MomentumPoint, nodes: int):
@@ -190,7 +190,7 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
             if n:  # the odd orders; level 0 has none
                 part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg), proj[:, 1::2])
             radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :am_max + 1].T, axis=1)
-    return radial[np.abs(ms)] * _turns(ms, phi_p)
+    return radial[np.abs(ms)] * _turns(ms[:, None], phi_p)
 
 
 def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):

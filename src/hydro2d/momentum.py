@@ -43,9 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _overflow_free,
-                    _point_arrays, _scalar_or_array, _turns, gegenbauer, pochhammer)
-from .position import QuantumNumbers, _check_polar, normalization
+from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _gegenbauer_ladder,
+                    _overflow_free, _point_arrays, _power, _scalar_or_array, _turns, pochhammer)
+from .position import QuantumNumbers, _check_polar, _column, _per_state, _q0, normalization
 
 __all__ = [
     "MomentumPoint",
@@ -81,17 +81,44 @@ def q_of_p(p: ArrayLike, q0: float):
     return _scalar_or_array(np.where(far, 1.0, (ps * ps - q0 * q0) / (ps * ps + q0 * q0)), p)
 
 
-def _closed_form(qn: QuantumNumbers, mp: MomentumPoint, amplitude):
-    """amplitude(p, q) (-i)^|m| e^(i m phi_p), with the limit 0 where p*p overflows.
-
-    Built this way, the phase relation psi(p, phi_p) = psi(p, 0) e^(i m phi_p)
-    holds exactly and the modulus is independent of the sign of m.
+def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray, amplitude):
+    """amplitude(n, |m|, q0, p, q) (-i)^|m| e^(i m phi_p) of the states (n, m), one per row of
+    the broadcast points' leading axis (of length 1 where they share the points); 0 where
+    p*p overflows.  So psi(p, phi_p) = psi(p, 0) e^(i m phi_p) holds exactly and the
+    modulus is independent of the sign of m.
     """
-    p, phi_p = _point_arrays(mp.p, mp.phi_p, real="momentum point")
+    p, phi_p = np.broadcast_arrays(p, phi_p)
+    am, q0 = _column(np.abs(m), p), _column(_q0(n, m), p)
     p, far = _overflow_free(p, 2)
-    amp = np.where(far, 0.0, amplitude(p, q_of_p(p, qn.q0)))
-    return _scalar_or_array(amp * NEG_I_POW[abs(qn.m) % 4] * _turns(qn.m, phi_p),
-                            mp.p, mp.phi_p)
+    amp = np.where(far, 0.0, amplitude(_column(n, p), am, q0, p,
+                                       (p * p - q0 * q0) / (p * p + q0 * q0)))
+    return amp * np.array(NEG_I_POW)[am % 4] * _turns(_column(m, p), phi_p)
+
+
+def _psi_momentum(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
+    """``psi_momentum`` of the states (n, m) laid out as for ``_closed_form``: one
+    associated-Legendre ladder for all the rows."""
+    return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
+        _per_state(lambda qn: math.sqrt(qn.factorial_ratio / (2.0 * math.pi)), n, am)
+        * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
+        * _degree(_assoc_legendre_ladder(am, q, 2.0 * p * q0 / (p * p + q0 * q0)), n - am,
+                  f"assoc_legendre n={np.max(n)}, m={np.max(am)}")))
+
+
+def _psi_momentum_gegenbauer(n: np.ndarray, m: np.ndarray, p: np.ndarray,
+                             phi_p: np.ndarray) -> np.ndarray:
+    """``psi_momentum_gegenbauer`` of the states (n, m), laid out as for ``_psi_momentum``."""
+    return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
+        _per_state(lambda qn: normalization(qn) * ((qn.n + 0.5) / (qn.m + 0.5)) * (4.0**qn.m)
+                   * qn.q0 ** (qn.m + 1) * pochhammer(1.5, qn.m), n, am)
+        * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
+        * _power(p, am) / _power(p * p + q0 * q0, am + 1.5)))
+
+
+def _one_state(core, qn: QuantumNumbers, mp: MomentumPoint):
+    """``core`` of the one state qn at mp: a complex for scalar fields, else an ndarray."""
+    p, phi_p = _point_arrays(mp.p, mp.phi_p, real="momentum point")
+    return _scalar_or_array(core(qn.n, qn.m, p[None], phi_p[None])[0], mp.p, mp.phi_p)
 
 
 def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
@@ -103,27 +130,9 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     Scalar fields of ``mp`` give a complex, array fields a complex ndarray of
     their broadcast shape; where p*p overflows the value is its limit 0.
     """
-    am = abs(qn.m)
-    q0 = qn.q0
-    return _closed_form(qn, mp, lambda p, q: (
-        math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
-        * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
-        * _degree(_assoc_legendre_ladder(am, q, 2.0 * p * q0 / (p * p + q0 * q0)),
-                  qn.n - am, f"assoc_legendre n={qn.n}, m={am}")
-    ))
+    return _one_state(_psi_momentum, qn, mp)
 
 
 def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the Gegenbauer form; equals ``psi_momentum``."""
-    am = abs(qn.m)
-    q0 = qn.q0
-    return _closed_form(qn, mp, lambda p, q: (
-        normalization(qn)
-        * ((qn.n + 0.5) / (am + 0.5))
-        * (4.0**am)
-        * q0 ** (am + 1)
-        * pochhammer(1.5, am)
-        * gegenbauer(qn.n - am, am + 0.5, q)
-        * p**am
-        / (p * p + q0 * q0) ** (am + 1.5)
-    ))
+    return _one_state(_psi_momentum_gegenbauer, qn, mp)

@@ -59,12 +59,12 @@ NEG_I_POW = (1 + 0j, 0 - 1j, -1 + 0j, 0 + 1j)
 
 
 def _turns(m, phi) -> np.ndarray:
-    """e^(i m phi) as cos + i sin: phi's shape for a scalar m, rows m by phi for an array of m.
+    """e^(i m phi) as cos + i sin, m and phi broadcast together (a column of m: one row each).
 
     The one angular factor of the closed forms in both spaces, of the Fourier oracle
     and of the check that psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bit for bit.
     """
-    turn = np.multiply.outer(m, phi)
+    turn = np.multiply(m, phi)
     return np.cos(turn) + 1j * np.sin(turn)
 
 
@@ -118,8 +118,24 @@ def _overflow_free(xs: np.ndarray, power: int):
     overflows; callers evaluate at the masked copy and put 0 back with np.where.
     """
     with np.errstate(over="ignore"):
-        far = np.isinf(xs**power)
+        far = np.isinf(_power(xs, power))
     return np.where(far, 0.0, xs), far
+
+
+def _power(xs: np.ndarray, k):
+    """xs ** k for a scalar k or a column of one k per row of xs's leading axis.
+
+    Each row takes its k as a Python scalar, so it rounds as a one-state call does:
+    numpy makes x ** 2 a square and x ** 0.5 a sqrt, which pow need not match.
+    """
+    ks = np.ravel(k)
+    if len(set(ks.tolist())) == 1:
+        return xs ** ks.tolist()[0]
+    out = np.empty(np.broadcast_shapes(xs.shape, np.shape(k)), dtype=np.result_type(xs, 1.0))
+    xs = np.broadcast_to(xs, out.shape)
+    for value in set(ks.tolist()):
+        out[ks == value] = xs[ks == value] ** value
+    return out
 
 
 def pochhammer(a: float, k: int) -> float:
@@ -152,13 +168,27 @@ def double_factorial(k: int) -> int:
     return out
 
 
-def _degree(ladder: Iterator[np.ndarray], k: int, what: str) -> np.ndarray:
-    """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return next(itertools.islice(ladder, k, None))
-    except (FloatingPointError, OverflowError):  # a float64 step, or an integer seed
-        raise ValueError(f"{what} overflows float64") from None
+def _degree(ladder: Iterator[np.ndarray], k, what: str) -> np.ndarray:
+    """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows.
+
+    For a column k of several rows, one per row of the ladder's leading axis, row r
+    of the result is row r of item k[r] (0 where k[r] < 0): the ladder runs to the
+    largest degree, and only the items taken must stay finite.
+    """
+    if np.size(k) > 1:
+        out = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, item in zip(range(int(np.max(k, initial=0)) + 1), ladder):
+                out = np.where(k == j, item, out)
+        if np.isfinite(out).all():
+            return out
+    else:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return next(itertools.islice(ladder, int(np.ravel(k)[0]), None))
+        except (FloatingPointError, OverflowError):  # a float64 step, or an integer seed
+            pass
+    raise ValueError(f"{what} overflows float64")
 
 
 def _laguerre_ladder(alpha: float, xs: np.ndarray) -> Iterator[np.ndarray]:
@@ -220,17 +250,20 @@ def legendre(n: int, t):
     return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n, f"legendre n={n}"), t)
 
 
-def _assoc_legendre_ladder(m: int, ts: np.ndarray, sine=None) -> Iterator[np.ndarray]:
+def _assoc_legendre_ladder(m, ts: np.ndarray, sine=None) -> Iterator[np.ndarray]:
     """P_m^m(ts), P_{m+1}^m(ts), ...: the diagonal seed, then one recurrence step per degree.
 
-    A caller that knows sqrt(1 - ts^2) better than the rounded ts does passes it as ``sine``.
+    ``m`` is an order, or a column of orders, one per row of ts's leading axis.  A
+    caller that knows sqrt(1 - ts^2) better than the rounded ts does passes it as ``sine``.
     """
-    seed = ((1.0 - ts) * (1.0 + ts)) ** (0.5 * m) if sine is None else sine**m
-    pmm = float(double_factorial(2 * m - 1)) * seed
+    seed = _power((1.0 - ts) * (1.0 + ts), 0.5 * m) if sine is None else _power(sine, m)
+    pmm = np.reshape([float(double_factorial(2 * k - 1)) for k in np.ravel(m).tolist()],
+                     np.shape(m)) * seed
     pm1 = (2.0 * m + 1.0) * ts * pmm
     yield pmm
-    for i in itertools.count(m + 1):
+    for j in itertools.count(1):
         yield pm1
+        i = m + j
         pmm, pm1 = pm1, ((2.0 * i + 1.0) * ts * pm1 - (i + m) * pmm) / (i - m + 1.0)
 
 

@@ -41,8 +41,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .polys import (_degree, _integer, _laguerre_ladder, _overflow_free, _point_arrays,
-                    _scalar_or_array, _turns)
-from .quadrature import gauss_laguerre, series_coefficients
+                    _power, _scalar_or_array, _turns)
+from .quadrature import _row_sums, _rule_rows, gauss_laguerre, series_coefficients
 
 __all__ = [
     "QuantumNumbers",
@@ -130,12 +130,30 @@ def normalization(qn: QuantumNumbers) -> float:
     return math.sqrt(qn.q0**3 * qn.factorial_ratio / math.pi)
 
 
-def _radial(qn: QuantumNumbers, v: np.ndarray) -> np.ndarray:
-    """N v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v) at a real or complex array v; 0 if v^|m| overflows."""
-    am = abs(qn.m)
+def _per_state(fn, n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """fn(QuantumNumbers(n, m)) for each state of the arrays n, m (each distinct one once)."""
+    states = list(zip(np.ravel(n).tolist(), np.ravel(m).tolist()))
+    value = {state: fn(QuantumNumbers(*state)) for state in set(states)}
+    return np.reshape([value[state] for state in states], np.shape(n))
+
+
+def _q0(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """QuantumNumbers.q0 of each state: the batched cores read q0, like N, from one place."""
+    return _per_state(lambda qn: qn.q0, n, m)
+
+
+def _column(values, points: np.ndarray) -> np.ndarray:
+    """One value per state as a column against ``points``, whose leading axis is the states'."""
+    return np.reshape(values, (-1,) + (1,) * (points.ndim - 1))
+
+
+def _radial(n: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """N v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v) of the states (n, m), one per row of a real or
+    complex v, from one Laguerre ladder; 0 where v^|m| overflows."""
+    am, deg = _column(np.abs(m), v), _column(n - np.abs(m), v)
     near, far = _overflow_free(v, am)
-    value = (normalization(qn) * near**am * np.exp(-0.5 * v)
-             * _degree(_laguerre_ladder(2 * am, v), qn.n - am, f"laguerre k={qn.n - am}"))
+    value = (_column(_per_state(normalization, n, m), v) * _power(near, am) * np.exp(-0.5 * v)
+             * _degree(_laguerre_ladder(2 * am, v), deg, f"laguerre k={np.max(deg)}"))
     return np.where(far, 0.0, value)
 
 
@@ -144,7 +162,14 @@ def radial_wavefunction(qn: QuantumNumbers, rho):
     r, = _point_arrays(rho, real="radial_wavefunction rho")
     if not np.all(np.isfinite(r) & (r >= 0.0)):  # NaN fails too
         raise ValueError("radial_wavefunction needs rho >= 0 and finite")
-    return _scalar_or_array(_radial(qn, 2.0 * qn.q0 * r), rho)
+    return _scalar_or_array(_radial(qn.n, qn.m, 2.0 * qn.q0 * r[None])[0], rho)
+
+
+def _psi_position(n: np.ndarray, m: np.ndarray, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """psi of the states (n, m), one per row of the broadcast points' leading axis (of
+    length 1 where the states share the points)."""
+    rho, phi = np.broadcast_arrays(rho, phi)
+    return _radial(n, m, 2.0 * _column(_q0(n, m), rho) * rho) * _turns(_column(m, phi), phi)
 
 
 def psi_position(qn: QuantumNumbers, pt: PolarPoint):
@@ -155,7 +180,17 @@ def psi_position(qn: QuantumNumbers, pt: PolarPoint):
     exactly, not just to rounding.
     """
     rho, phi = _point_arrays(pt.rho, pt.phi, real="polar point")
-    return _scalar_or_array(radial_wavefunction(qn, rho) * _turns(qn.m, phi), pt.rho, pt.phi)
+    return _scalar_or_array(_psi_position(qn.n, qn.m, rho[None], phi[None])[0], pt.rho, pt.phi)
+
+
+def _ode_residual(n: np.ndarray, m: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``radial_ode_residual`` of the states (n, m), one per row of r's leading axis."""
+    q0 = _column(_q0(n, m), r)
+    v = 2.0 * q0 * r
+    c0, c1, c2 = series_coefficients(  # the circle's node axis first, then the states'
+        lambda h: np.moveaxis(_radial(n, m, v[:, None] * (1.0 + h)[:, None]), 1, 0),
+        (3,), radius=0.5, nodes=64).real
+    return (2.0 * c2 + c1) / (r * r) + (2.0 / r - q0 * q0 - _column(m * m, r) / (r * r)) * c0
 
 
 def radial_ode_residual(qn: QuantumNumbers, rho):
@@ -169,12 +204,7 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
     r, = _point_arrays(rho, real="radial_ode_residual rho")
     if not np.all(np.isfinite(r) & (r > 0.0)):  # NaN fails too
         raise ValueError("ODE residual needs finite rho > 0")
-    v = 2.0 * qn.q0 * r
-    c0, c1, c2 = series_coefficients(lambda h: _radial(qn, np.multiply.outer(1.0 + h, v)),
-                                     (3,), radius=0.5, nodes=64).real
-    q0, m = qn.q0, qn.m
-    residual = (2.0 * c2 + c1) / (r * r) + (2.0 / r - q0 * q0 - (m * m) / (r * r)) * c0
-    return _scalar_or_array(residual, rho)
+    return _scalar_or_array(_ode_residual(qn.n, qn.m, r[None])[0], rho)
 
 
 def norm_squared(qn: QuantumNumbers) -> float:
@@ -182,24 +212,35 @@ def norm_squared(qn: QuantumNumbers) -> float:
     return overlap(qn, qn).real
 
 
-def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers) -> complex:
-    """2-d overlap <psi_1 | psi_2> by product quadrature, for n1 + n2 <= 254.
+def _overlaps(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """2-d overlap <psi_1 | psi_2> of each pair of states by product quadrature, n1 + n2 <= 254.
 
-    The angular integral uses the periodic trapezoid rule; the radial one
-    runs in s = (q0_1 + q0_2) rho where the joint integrand is a polynomial
-    of degree n1 + n2 + 1 times e^(-s).  The two radial factors supply that
-    e^(-s) themselves, so the sum takes the weights w e^s of the rule, and
-    ceil((n1 + n2)/2) + 1 nodes integrate it exactly.  Larger n1 + n2 would
-    reach nodes above ~709, where the weights underflow: ValueError.
+    The angular integral is the periodic trapezoid rule on 256 angles over conj(``_turns``
+    (m1, phi)) ``_turns``(m2, phi), as ``psi_position`` has them, once per distinct (m1, m2).
+    The radial one runs in s = (q0_1 + q0_2) rho where the joint integrand is a polynomial
+    of degree n1 + n2 + 1 times e^(-s).  The two radial factors supply that e^(-s)
+    themselves, so the sum takes the weights w e^s of the rule, and ceil((n1 + n2)/2) + 1
+    nodes integrate it exactly: each pair keeps that rule, padded with zero weights.
+    Larger n1 + n2 would reach nodes above ~709, where the weights underflow: ValueError.
     """
-    if qn1.n + qn2.n > 254:
+    if np.any(n1 + n2 > 254):
         raise ValueError("overlap is exact only for n1 + n2 <= 254: larger rules underflow")
+    if not n1.size:
+        return np.zeros(0, dtype=complex)
     phi = 2.0 * math.pi * np.arange(256) / 256  # exact while |m1 - m2| < 256
-    ang = np.mean(np.exp(1j * (qn2.m - qn1.m) * phi)) * 2.0 * math.pi
+    ms, pair = np.unique(np.stack([m1, m2]), axis=1, return_inverse=True)
+    ang = (2.0 * math.pi / 256) * np.sum(np.conj(_turns(ms[:1].T, phi)) * _turns(ms[1:].T, phi),
+                                         axis=-1)
+    q01, q02 = _q0(n1, m1)[:, None], _q0(n2, m2)[:, None]
+    counts = (n1 + n2 + 1) // 2 + 1
+    s, w = _rule_rows(gauss_laguerre, counts)
+    rho = s / (q01 + q02)
+    r1, r2 = np.split(_radial(np.concatenate([n1, n2]), np.concatenate([m1, m2]),
+                              np.concatenate([2.0 * q01 * rho, 2.0 * q02 * rho])), 2)
+    return ang[pair.ravel()] * (_row_sums(w * np.exp(s) * rho * r1 * r2, counts)
+                                / (q01 + q02)[:, 0])
 
-    a = qn1.q0 + qn2.q0
-    s, w = gauss_laguerre((qn1.n + qn2.n + 1) // 2 + 1)
-    rho = s / a
-    radial = np.sum(w * np.exp(s) * rho * _radial(qn1, 2.0 * qn1.q0 * rho)
-                    * _radial(qn2, 2.0 * qn2.q0 * rho)) / a
-    return complex(ang * radial)
+
+def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers) -> complex:
+    """2-d overlap <psi_1 | psi_2> for n1 + n2 <= 254: the one pair of ``_overlaps``."""
+    return complex(_overlaps(*np.array([[qn1.n], [qn1.m], [qn2.n], [qn2.m]]))[0])

@@ -84,6 +84,22 @@ def gauss_legendre(n: int):
 _PANEL_X, _PANEL_W = gauss_legendre(PANEL_ORDER)
 
 
+def _rule_rows(rule: Callable[[int], tuple], counts: np.ndarray):
+    """Nodes and weights of rule(counts[r]) in row r, padded with zeros to the largest count."""
+    nodes, weights = np.zeros((2, counts.size, int(np.max(counts, initial=1))))
+    for count in set(counts.tolist()):
+        nodes[counts == count, :count], weights[counts == count, :count] = rule(count)
+    return nodes, weights
+
+
+def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row r of terms summed over its first counts[r] entries, in np.sum's order for as many."""
+    out = np.empty(counts.size, dtype=terms.dtype)
+    for count in set(counts.tolist()):
+        out[counts == count] = np.sum(terms[counts == count, :count], axis=-1)
+    return out
+
+
 def panel_nodes(boundaries: np.ndarray):
     """Gauss-Legendre nodes/weights for a chain of contiguous panels.
 

@@ -7,11 +7,13 @@ module contracts) and its default tolerance; ``run_suite`` passes on only
 the overrides that are set.  Checks on fixed parameter sets accept n_max
 and ignore it.
 
-Most checks sweep (n, m) with ``_states``.  Every check hands its (error,
-scale) pairs to ``VerificationReport.from_errors``, the one reduction to a
-verdict: the largest error is max_abs_err, the largest error/scale is
-max_rel_err, a NaN error fails the check and so does a sweep that compared
-nothing.  Checks about an absolute error use scale 1, so the two agree.
+Most checks take every (n, m) from ``_states`` as two arrays: a state axis
+that the batched cores of ``position`` and ``momentum`` evaluate with one
+ladder pass.  Every check hands its (error, scale) pairs to
+``VerificationReport.from_errors``, the one reduction to a verdict: the
+largest error is max_abs_err, the largest error/scale is max_rel_err, a NaN
+error fails the check and so does a sweep that compared nothing.  Checks
+about an absolute error use scale 1, so the two agree.
 
 A recurring pattern here is the *scaled* residual: polynomial identities at
 degree 20 involve terms of magnitude 1e15, where float64 cannot do better
@@ -34,13 +36,15 @@ from . import genfunc
 from .ftoracle import _direct_rows, _hankel_rows
 from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s_invariant,
                          det_x, gen_func_momentum, quadratic_form_matrix)
-from .momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from .polys import (_assoc_legendre_ladder, _gegenbauer_ladder, _laguerre_ladder, _turns,
-                    assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre, legendre,
-                    pochhammer)
-from .position import (PolarPoint, QuantumNumbers, norm_squared, overlap,
-                       psi_position, radial_ode_residual)
-from .quadrature import gauss_laguerre, gauss_legendre, panel_nodes, series_coefficients
+from .momentum import (MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, psi_momentum,
+                       q_of_p)
+from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
+                    _power, _turns, assoc_legendre, bessel_j, double_factorial, gegenbauer,
+                    laguerre, legendre, pochhammer)
+from .position import (PolarPoint, QuantumNumbers, _ode_residual, _overlaps, _per_state,
+                       _psi_position, _q0)
+from .quadrature import (_row_sums, _rule_rows, gauss_laguerre, gauss_legendre, panel_nodes,
+                         series_coefficients)
 from .reporting import VerificationReport
 
 _SEED = 20260814
@@ -60,11 +64,10 @@ def acceptance_grid() -> MomentumPoint:
     return _grid_points(np.geomspace(0.05, 20.0, 20))
 
 
-def _states(cap: int, signed: bool) -> Iterator[QuantumNumbers]:
-    """Every (n, m) with n <= cap: m in [-n, n] when signed, else in [0, n]."""
-    for n in range(cap + 1):
-        for m in range(-n if signed else 0, n + 1):
-            yield QuantumNumbers(n, m)
+def _states(cap: int, signed: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrays n, m of every state with n <= cap: m in [-n, n] when signed, else in [0, n]."""
+    return tuple(np.array([(n, m) for n in range(cap + 1)
+                           for m in range(-n if signed else 0, n + 1)]).T)
 
 
 # ---------------------------------------------------------------------------
@@ -103,39 +106,34 @@ def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> Veri
 
 def check_gegenbauer_recurrence(n_max: int = 20, tol: float = 1e-10) -> VerificationReport:
     """(n+1/2) C_{n-m}^(m+1/2) = (m+1/2)[C_{n-m}^(m+3/2) - C_{n-m-2}^(m+3/2)]."""
-    qs = np.linspace(-1.0, 1.0, 21)
-
-    def pairs():
-        for qn in _states(n_max, signed=False):
-            n, m = qn.n, qn.m
-            lhs = (n + 0.5) * gegenbauer(n - m, m + 0.5, qs)
-            hi = (m + 0.5) * gegenbauer(n - m, m + 1.5, qs)
-            lo = (m + 0.5) * gegenbauer(n - m - 2, m + 1.5, qs)
-            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(hi), np.abs(lo))))
-            yield np.abs(lhs - (hi - lo)), scale
+    qs = np.linspace(-1.0, 1.0, 21)[None]
+    n, m = (a[:, None] for a in _states(n_max, signed=False))
+    # C_(n-m)^(m+1/2), C_(n-m)^(m+3/2) and C_(n-m-2)^(m+3/2) as the rows of one ladder
+    ladder = _gegenbauer_ladder(np.concatenate([m + 0.5, m + 1.5, m + 1.5]), qs)
+    c, hi, lo = np.split(_degree(ladder, np.concatenate([n - m, n - m, n - m - 2]), "gegenbauer"),
+                         3)
+    lhs, hi, lo = (n + 0.5) * c, (m + 0.5) * hi, (m + 0.5) * lo
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(hi), np.abs(lo))))
     return VerificationReport.from_errors(
         "gegenbauer-difference-recurrence",
         f"0 <= m <= n <= {n_max}, q on 21-point grid of [-1,1]",
-        pairs(), tol, relative=True,
+        [(np.abs(lhs - (hi - lo)), scale)], tol, relative=True,
         notes="residual scaled by largest term; raw magnitudes reach ~1e15 at n=20")
 
 
 def check_legendre_connection(n_max: int = 12, tol: float = 1e-10) -> VerificationReport:
     """(2m-1)!! C_{n-m}^(m+1/2)(t) (1-t^2)^(m/2) = P_n^m(t), no Condon-Shortley."""
-    ts = np.linspace(-0.99, 0.99, 21)
-
-    def pairs():
-        for qn in _states(n_max, signed=False):
-            n, m = qn.n, qn.m
-            lhs = (float(double_factorial(2 * m - 1))
-                   * gegenbauer(n - m, m + 0.5, ts)
-                   * ((1.0 - ts) * (1.0 + ts)) ** (0.5 * m))
-            rhs = assoc_legendre(n, m, ts)
-            yield np.abs(lhs - rhs), np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    ts = np.linspace(-0.99, 0.99, 21)[None]
+    n, m = (a[:, None] for a in _states(n_max, signed=False))
+    lhs = (np.array([float(double_factorial(2 * k - 1)) for k in m.ravel().tolist()])[:, None]
+           * _degree(_gegenbauer_ladder(m + 0.5, ts), n - m, "gegenbauer")
+           * _power((1.0 - ts) * (1.0 + ts), 0.5 * m))
+    rhs = _degree(_assoc_legendre_ladder(m, ts), n - m, "assoc_legendre")
     return VerificationReport.from_errors(
         "gegenbauer-legendre-connection",
         f"0 <= m <= n <= {n_max}, |t| <= 0.99 on 21-point grid",
-        pairs(), tol, relative=True,
+        [(np.abs(lhs - rhs), np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs))))],
+        tol, relative=True,
         notes="both sides use the convention without the Condon-Shortley sign; "
               "residual scaled by largest term")
 
@@ -178,10 +176,18 @@ def check_polys_determinism(n_max: Optional[int] = None, tol: float = 0.0) -> Ve
 # position suite
 # ---------------------------------------------------------------------------
 
+def _pair_overlaps(cap: int, partner: Callable[[int, int], Iterator]) -> np.ndarray:
+    """|overlap| of each state with n <= cap and each of its partners (n2, m2)."""
+    overlaps = _overlaps(*np.array([(n, m, n2, m2) for n, m in zip(*_states(cap, signed=True))
+                                    for n2, m2 in partner(n, m)]).reshape(-1, 4).T)
+    return np.hypot(overlaps.real, overlaps.imag)  # abs() of a complex; np.abs may round apart
+
+
 def check_position_normalization(n_max: int = 10, tol: float = 1e-8) -> VerificationReport:
+    n, m = _states(n_max, signed=True)
     return VerificationReport.from_errors(
         "position-normalization", f"|m| <= n <= {n_max}, Gauss-Laguerre n + 1 nodes",
-        ((abs(norm_squared(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
+        [(np.abs(_overlaps(n, m, n, m).real - 1.0), 1.0)],
         tol, notes="integrand is polynomial x e^(-v): rule is exact")
 
 
@@ -189,8 +195,7 @@ def check_position_orthogonality(n_max: int = 6, tol: float = 1e-7) -> Verificat
     cap = min(n_max, 10)
     return VerificationReport.from_errors(
         "position-orthogonality-same-m", f"n < n' <= {cap}, shared m",
-        ((abs(overlap(qn, QuantumNumbers(n2, qn.m))), 1.0)
-         for qn in _states(cap, signed=True) for n2 in range(qn.n + 1, cap + 1)),
+        [(_pair_overlaps(cap, lambda n, m: ((n2, m) for n2 in range(n + 1, cap + 1))), 1.0)],
         tol, notes="distinct eigenvalues of one Hamiltonian")
 
 
@@ -198,8 +203,7 @@ def check_angular_orthogonality(n_max: int = 6, tol: float = 1e-12) -> Verificat
     cap = min(n_max, 10)
     return VerificationReport.from_errors(
         "position-orthogonality-same-n", f"n <= {cap}, distinct m",
-        ((abs(overlap(qn, QuantumNumbers(qn.n, m2))), 1.0)
-         for qn in _states(cap, signed=True) for m2 in range(qn.m + 1, qn.n + 1)),
+        [(_pair_overlaps(cap, lambda n, m: ((n, m2) for m2 in range(m + 1, n + 1))), 1.0)],
         tol, notes="angular integral vanishes identically")
 
 
@@ -208,20 +212,19 @@ def check_ode_residual(n_max: int = 6, tol: float = 1e-4) -> VerificationReport:
     rhos = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
     return VerificationReport.from_errors(
         "radial-ode-residual", f"n <= {cap}, |m| <= n, rho in {rhos}",
-        ((np.abs(radial_ode_residual(qn, rhos)), 1.0) for qn in _states(cap, signed=True)),
+        [(np.abs(_ode_residual(*_states(cap, signed=True), np.array([rhos]))), 1.0)],
         tol, notes="R' and R'' by Cauchy coefficients on |h| = 1/2, 64 nodes")
 
 
 def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> VerificationReport:
     cap = min(n_max, 10)
-    pt = PolarPoint(np.array([[0.3], [1.0], [4.0]]), np.array([0.35, 2.1, 5.0]))
-
-    def mismatch(qn):
-        flipped = psi_position(QuantumNumbers(qn.n, -qn.m), pt)
-        return np.abs(flipped - np.conj(psi_position(qn, pt)))
+    n, m = _states(cap, signed=False)
+    psi = _psi_position(np.tile(n, 2), np.concatenate([m, -m]),
+                        np.array([[[0.3], [1.0], [4.0]]]), np.array([[0.35, 2.1, 5.0]]))
+    plus, minus = np.split(psi, 2)
     return VerificationReport.from_errors(
         "position-conjugation", f"n <= {cap}, bitwise psi(n,-m) == conj(psi(n,m))",
-        ((mismatch(qn), 1.0) for qn in _states(cap, signed=False)),
+        [(np.abs(minus - np.conj(plus)), 1.0)],
         tol, notes="exact by construction of the angular factor")
 
 
@@ -229,23 +232,23 @@ def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> Verification
 # momentum suite
 # ---------------------------------------------------------------------------
 
-def _parseval_norm(qn: QuantumNumbers) -> float:
-    """2 pi * integral |psi(p, 0)|^2 p dp, exactly, by n + 1 Gauss-Legendre nodes in q.
+def _parseval_norms(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """2 pi * integral |psi(p, 0)|^2 p dp per state, exactly, by n + 1 Gauss-Legendre nodes in q.
 
     With q = (p^2 - q0^2)/(p^2 + q0^2), p dp = q0^2 dq / (1 - q)^2 and
     |psi|^2 = pref^2 ((1 - q)/q0)^3 P_n^|m|(q)^2, pref^2 = factorial_ratio / (2 pi),
     so the integrand is pref^2 (1 - q) P_n^|m|(q)^2 / q0 dq on [-1, 1]: degree 2n + 1.
     """
-    q, w = gauss_legendre(qn.n + 1)
-    p = qn.q0 * np.sqrt((1.0 + q) / (1.0 - q))
-    dens = np.abs(psi_momentum(qn, MomentumPoint(p, 0.0))) ** 2
-    return 2.0 * math.pi * float(np.sum(w * dens * (qn.q0 / (1.0 - q)) ** 2))
+    q, w = _rule_rows(gauss_legendre, n + 1)
+    q0 = _q0(n, m)[:, None]
+    dens = np.abs(_psi_momentum(n, m, q0 * np.sqrt((1.0 + q) / (1.0 - q)), 0.0)) ** 2
+    return 2.0 * math.pi * _row_sums(w * dens * (q0 / (1.0 - q)) ** 2, n + 1)
 
 
 def check_parseval(n_max: int = 6, tol: float = 1e-6) -> VerificationReport:
     return VerificationReport.from_errors(
         "momentum-parseval", f"|m| <= n <= {n_max}, Gauss-Legendre n + 1 nodes in q",
-        ((abs(_parseval_norm(qn) - 1.0), 1.0) for qn in _states(n_max, signed=True)),
+        [(np.abs(_parseval_norms(*_states(n_max, signed=True)) - 1.0), 1.0)],
         tol, notes="unitary 1/(2pi) transform: momentum norm equals position norm")
 
 
@@ -257,36 +260,34 @@ def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationR
     below p = 1), the size of the cancelling terms next to a node.
     """
     p = np.geomspace(0.05, 1e4, 20)
-    mp = MomentumPoint(p[:, None], np.array([0.0, math.pi / 3.0, math.pi]))
-
-    def pairs():
-        for qn in _states(n_max, signed=True):
-            am, q0, q = abs(qn.m), qn.q0, q_of_p(p, qn.q0)
-            ladder = np.max(np.abs(list(itertools.islice(_assoc_legendre_ladder(am, q),
-                                                         qn.n - am + 1))), 0)
-            scale = (math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
-                     * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * ladder)
-            yield np.abs(psi_momentum(qn, mp) - psi_momentum_gegenbauer(qn, mp)), scale[:, None]
+    n, m = _states(n_max, signed=True)
+    am, q0 = np.abs(m)[:, None], _q0(n, m)[:, None]
+    largest = 0.0
+    ladder = _assoc_legendre_ladder(am, (p * p - q0 * q0) / (p * p + q0 * q0))
+    for k, row in zip(range(n_max + 1), ladder):
+        largest = np.where(k <= n[:, None] - am, np.maximum(largest, np.abs(row)), largest)
+    scale = (_per_state(lambda qn: math.sqrt(qn.factorial_ratio / (2.0 * math.pi)), n, m)[:, None]
+             * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * largest)
+    point = (p[None, :, None], np.array([[0.0, math.pi / 3.0, math.pi]]))
     return VerificationReport.from_errors(
         "momentum-two-form-equality",
         f"|m| <= n <= {n_max}, 20-point log p-grid on [0.05, 1e4], 3 azimuths",
-        pairs(), tol, relative=True,
+        [(np.abs(_psi_momentum(n, m, *point) - _psi_momentum_gegenbauer(n, m, *point)),
+          scale[..., None])], tol, relative=True,
         notes="Gegenbauer-form denominator read as (p^2 + q0^2)^(|m|+3/2); the "
               "variant with unsquared q0 is dimensionally inconsistent (typo)")
 
 
 def check_momentum_phase_structure(n_max: int = 6, tol: float = 0.0) -> VerificationReport:
     cap = min(n_max, 10)
-    ps = np.array([[0.3], [1.7]])
+    ps = np.array([[[0.3], [1.7]]])
     phis = np.array([0.9, -2.3, 4.4])
-
-    def mismatch(qn):
-        base = psi_momentum(qn, MomentumPoint(ps, 0.0))
-        return np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * _turns(qn.m, phis))
+    n, m = _states(cap, signed=True)
+    base = _psi_momentum(n, m, ps, 0.0)
     return VerificationReport.from_errors(
         "momentum-phase-structure", f"|m| <= n <= {cap}, exact factorized phase",
-        ((mismatch(qn), 1.0) for qn in _states(cap, signed=True)),
-        tol, notes="psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bitwise")
+        [(np.abs(_psi_momentum(n, m, ps, phis[None]) - base * _turns(m[:, None, None], phis)),
+          1.0)], tol, notes="psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bitwise")
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +430,7 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     q = q_of_p(mp.p, q0)
     denom = (mp.p**2 + q0**2)
     refs = np.zeros_like(coeffs)
-    for qn in _states(cap, signed=False):
-        n, m = qn.n, qn.m
+    for n, m in zip(*(a.tolist() for a in _states(cap, signed=False))):
         amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
                * gegenbauer(n - m, m + 0.5, q) * mp.p**m
                / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))

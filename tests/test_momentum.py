@@ -15,6 +15,8 @@ import pytest
 
 from hydro2d.momentum import (
     MomentumPoint,
+    _psi_momentum,
+    _psi_momentum_gegenbauer,
     psi_momentum,
     psi_momentum_gegenbauer,
     q_of_p,
@@ -164,3 +166,21 @@ def test_underflowing_normalization_raises(psi):
     # (n-|m|)!/(n+|m|)! = 1/184! at (92, 92) is not a double; no silent 0j.
     with pytest.raises(ValueError, match="smallest normal double"):
         psi(QuantumNumbers(92, 92), MomentumPoint(1.0, 0.0))
+
+
+@pytest.mark.parametrize("core, psi", [(_psi_momentum, psi_momentum),
+                                       (_psi_momentum_gegenbauer, psi_momentum_gegenbauer)])
+def test_batched_cores_equal_the_public_functions_bit_for_bit(core, psi):
+    # Every state with n <= 10 in one call, on shared points and on points of
+    # their own (the layout of momentum-parseval); p = 1e160 is overflow-masked.
+    states = [QuantumNumbers(n, m) for n in range(11) for m in range(-n, n + 1)]
+    n, m = np.array([(qn.n, qn.m) for qn in states]).T
+    q0 = np.array([qn.q0 for qn in states])[:, None]
+    p = np.concatenate([np.geomspace(0.05, 1e4, 30), [1e160]])
+    phi = np.array([0.0, 0.9, -2.3, 4.4])
+    shared = core(n, m, p[None, :, None], phi[None, None, :])
+    own = core(n, m, q0 * p[None, :-1], 0.0)
+    for i, qn in enumerate(states):
+        assert shared[i].tobytes() == psi(qn, MomentumPoint(p[:, None], phi)).tobytes()
+        assert own[i].tobytes() == psi(qn, MomentumPoint(qn.q0 * p[:-1], 0.0)).tobytes()
+    assert not np.any(shared[:, -1])

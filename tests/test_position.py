@@ -8,6 +8,10 @@ import pytest
 
 from hydro2d.position import (
     PolarPoint,
+    _ode_residual,
+    _overlaps,
+    _psi_position,
+    _radial,
     QuantumNumbers,
     make_bound_state,
     norm_squared,
@@ -185,3 +189,29 @@ def test_ode_residual_detects_wrong_energy(monkeypatch):
     monkeypatch.setattr(QuantumNumbers, "q0", property(lambda qn: true_q0(qn) * (1.0 + 1e-6)))
     for qn in states:
         assert np.max(np.abs(radial_ode_residual(qn, rhos))) >= 1e-7 * scale[qn]
+
+
+def test_batched_cores_equal_the_public_functions_bit_for_bit():
+    # Every state with n <= 10 in one call of each core: a row must not depend on
+    # the rows beside it, or the checks would judge values that table never prints.
+    states = [QuantumNumbers(n, m) for n in range(11) for m in range(-n, n + 1)]
+    n, m = np.array([(qn.n, qn.m) for qn in states]).T
+    q0 = np.array([qn.q0 for qn in states])[:, None]
+    rho = np.concatenate([[0.0], np.geomspace(1e-3, 200.0, 40)])
+    phi = np.array([0.0, 0.7, -2.9, 5.5])
+    radial = _radial(n, m, 2.0 * q0 * rho)
+    psi = _psi_position(n, m, rho[None, :, None], phi[None, None, :])
+    residual = _ode_residual(n, m, rho[None, 1::4])
+    for i, qn in enumerate(states):
+        assert radial[i].tobytes() == radial_wavefunction(qn, rho).tobytes()
+        assert psi[i].tobytes() == psi_position(qn, PolarPoint(rho[:, None], phi)).tobytes()
+        assert residual[i].tobytes() == radial_ode_residual(qn, rho[1::4]).tobytes()
+    # At rho = 1e200 v^|m| overflows for m != 0 and the rows take the limit 0; n = |m|
+    # keeps the Laguerre degree 0, which cannot overflow.
+    top = n == np.abs(m)
+    assert not np.any(_radial(n[top], m[top], 2.0 * q0[top] * 1e200))
+    # Pairs of rule sizes 1 ... 11 in one batch: each must be summed as on its own.
+    pairs = np.array([(a.n, a.m, b.n, b.m) for a in states[::6] for b in states]).T
+    batched = _overlaps(*pairs)
+    for value, (n1, m1, n2, m2) in zip(batched, pairs.T.tolist()):
+        assert value == overlap(QuantumNumbers(n1, m1), QuantumNumbers(n2, m2))

@@ -6,15 +6,20 @@ the contract-level properties (names, note strings, tolerance plumbing) are
 pinned down.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
-from hydro2d import genfunc, verify
+from hydro2d import genfunc, momentum, polys, position, verify
 from hydro2d.levicivita import GenFuncParams, GenFuncValues, quadratic_form_matrix
-from hydro2d.momentum import MomentumPoint
-from hydro2d.position import QuantumNumbers
+from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
+from hydro2d.polys import assoc_legendre, double_factorial, gegenbauer
+from hydro2d.position import (PolarPoint, QuantumNumbers, norm_squared, overlap, psi_position,
+                              radial_ode_residual)
+from hydro2d.quadrature import gauss_legendre
+from hydro2d.reporting import VerificationReport
 from hydro2d.verify import (
     SUITE_ORDER,
     SUITES,
@@ -107,8 +112,8 @@ def test_identity_suites_pass_at_n_max_20():
 
 
 def test_scaled_momentum_wavefunction_fails_parseval(monkeypatch):
-    original = verify.psi_momentum
-    monkeypatch.setattr(verify, "psi_momentum", lambda qn, mp: (1.0 + 1e-6) * original(qn, mp))
+    original = verify._psi_momentum
+    monkeypatch.setattr(verify, "_psi_momentum", lambda *args: (1.0 + 1e-6) * original(*args))
     assert not check_parseval().passed
 
 
@@ -158,20 +163,22 @@ def _assert_nan_fails(rep):
 
 
 def test_nan_at_first_point_fails_two_form_equality(monkeypatch):
-    original = verify.psi_momentum_gegenbauer
+    original = verify._psi_momentum_gegenbauer
 
-    def first_point_nan(qn, mp):
-        value = np.array(original(qn, mp))
+    def first_point_nan(*args):
+        value = np.array(original(*args))
         value.flat[0] = np.nan
         return value
-    monkeypatch.setattr(verify, "psi_momentum_gegenbauer", first_point_nan)
+    monkeypatch.setattr(verify, "_psi_momentum_gegenbauer", first_point_nan)
     _assert_nan_fails(check_two_form_equality(n_max=3))
 
 
 def test_nan_norm_fails_position_normalization(monkeypatch):
-    original = verify.norm_squared
-    monkeypatch.setattr(verify, "norm_squared",
-                        lambda qn: math.nan if qn == QuantumNumbers(3, 1) else original(qn))
+    original = verify._overlaps
+
+    def nan_at_3_1(n1, m1, n2, m2):
+        return np.where((n1 == 3) & (m1 == 1), math.nan, original(n1, m1, n2, m2))
+    monkeypatch.setattr(verify, "_overlaps", nan_at_3_1)
     _assert_nan_fails(check_position_normalization())
 
 
@@ -295,3 +302,138 @@ def test_a_filter_that_accepts_too_few_raises():
         verify._accepted_draws(7, 50, 2000, slow, *caps)
     with pytest.raises(RuntimeError, match="accepted 0 of 300 draws, not 5"):
         verify._accepted_draws(7, 5, 300, lambda gp, mp: np.zeros(mp.p.shape, bool), *caps)
+
+
+# The per-state loops that the batched checks replaced, written through the
+# public functions.  overlap and norm_squared take the same _turns angular
+# factor as the batched core, so every field must agree bit for bit.
+
+def _each_state(cap, signed):
+    return [QuantumNumbers(n, m) for n in range(cap + 1) for m in range(-n if signed else 0, n + 1)]
+
+
+def _loop_recurrence(cap):
+    qs = np.linspace(-1.0, 1.0, 21)
+    for qn in _each_state(cap, signed=False):
+        n, m = qn.n, qn.m
+        lhs = (n + 0.5) * gegenbauer(n - m, m + 0.5, qs)
+        hi = (m + 0.5) * gegenbauer(n - m, m + 1.5, qs)
+        lo = (m + 0.5) * gegenbauer(n - m - 2, m + 1.5, qs)
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.maximum(np.abs(hi), np.abs(lo))))
+        yield np.abs(lhs - (hi - lo)), scale
+
+
+def _loop_connection(cap):
+    ts = np.linspace(-0.99, 0.99, 21)
+    for qn in _each_state(cap, signed=False):
+        n, m = qn.n, qn.m
+        lhs = (float(double_factorial(2 * m - 1)) * gegenbauer(n - m, m + 0.5, ts)
+               * ((1.0 - ts) * (1.0 + ts)) ** (0.5 * m))
+        rhs = assoc_legendre(n, m, ts)
+        yield np.abs(lhs - rhs), np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+
+
+def _loop_normalization(cap):
+    return ((abs(norm_squared(qn) - 1.0), 1.0) for qn in _each_state(cap, signed=True))
+
+
+def _loop_same_m(cap):
+    return ((abs(overlap(qn, QuantumNumbers(n2, qn.m))), 1.0)
+            for qn in _each_state(cap, signed=True) for n2 in range(qn.n + 1, cap + 1))
+
+
+def _loop_same_n(cap):
+    return ((abs(overlap(qn, QuantumNumbers(qn.n, m2))), 1.0)
+            for qn in _each_state(cap, signed=True) for m2 in range(qn.m + 1, qn.n + 1))
+
+
+def _loop_ode(cap):
+    rhos = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+    return ((np.abs(radial_ode_residual(qn, rhos)), 1.0) for qn in _each_state(cap, signed=True))
+
+
+def _loop_conjugation(cap):
+    pt = PolarPoint(np.array([[0.3], [1.0], [4.0]]), np.array([0.35, 2.1, 5.0]))
+    return ((np.abs(psi_position(QuantumNumbers(qn.n, -qn.m), pt) - np.conj(psi_position(qn, pt))),
+             1.0) for qn in _each_state(cap, signed=False))
+
+
+def _loop_parseval(cap):
+    for qn in _each_state(cap, signed=True):
+        q, w = gauss_legendre(qn.n + 1)
+        p = qn.q0 * np.sqrt((1.0 + q) / (1.0 - q))
+        dens = np.abs(psi_momentum(qn, MomentumPoint(p, 0.0))) ** 2
+        yield abs(2.0 * math.pi * float(np.sum(w * dens * (qn.q0 / (1.0 - q)) ** 2)) - 1.0), 1.0
+
+
+def _loop_two_form(cap):
+    p = np.geomspace(0.05, 1e4, 20)
+    mp = MomentumPoint(p[:, None], np.array([0.0, math.pi / 3.0, math.pi]))
+    for qn in _each_state(cap, signed=True):
+        am, q0, q = abs(qn.m), qn.q0, q_of_p(p, qn.q0)
+        largest = np.max([np.abs(assoc_legendre(k, am, q)) for k in range(am, qn.n + 1)], 0)
+        scale = (math.sqrt(qn.factorial_ratio / (2.0 * math.pi))
+                 * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * largest)
+        yield np.abs(psi_momentum(qn, mp) - psi_momentum_gegenbauer(qn, mp)), scale[:, None]
+
+
+def _loop_phase(cap):
+    ps, phis = np.array([[0.3], [1.7]]), np.array([0.9, -2.3, 4.4])
+    for qn in _each_state(cap, signed=True):
+        base = psi_momentum(qn, MomentumPoint(ps, 0.0))
+        turns = np.cos(qn.m * phis) + 1j * np.sin(qn.m * phis)
+        yield np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * turns), 1.0
+
+
+_LOOPS = {
+    "gegenbauer-difference-recurrence": (verify.check_gegenbauer_recurrence, _loop_recurrence),
+    "gegenbauer-legendre-connection": (verify.check_legendre_connection, _loop_connection),
+    "position-normalization": (check_position_normalization, _loop_normalization),
+    "position-orthogonality-same-m": (verify.check_position_orthogonality, _loop_same_m),
+    "position-orthogonality-same-n": (verify.check_angular_orthogonality, _loop_same_n),
+    "radial-ode-residual": (verify.check_ode_residual, _loop_ode),
+    "position-conjugation": (verify.check_position_conjugation, _loop_conjugation),
+    "momentum-parseval": (check_parseval, _loop_parseval),
+    "momentum-two-form-equality": (check_two_form_equality, _loop_two_form),
+    "momentum-phase-structure": (verify.check_momentum_phase_structure, _loop_phase),
+}
+
+
+@pytest.mark.parametrize("name", list(_LOOPS))
+def test_batched_check_equals_its_per_state_loop(name):
+    check, loop = _LOOPS[name]
+    default = inspect.signature(check).parameters["n_max"].default
+    for n_max in sorted({1, 3, 10, default}):
+        rep = check(n_max=n_max)
+        want = VerificationReport.from_errors(
+            name, "", loop(n_max), rep.tolerance,
+            relative=name.startswith(("gegenbauer", "momentum-two")))
+        assert rep.check_name == name
+        assert (rep.max_abs_err, rep.max_rel_err, rep.passed) == \
+            (want.max_abs_err, want.max_rel_err, want.passed), n_max
+
+
+_LADDERS = ("_laguerre_ladder", "_assoc_legendre_ladder", "_gegenbauer_ladder")
+
+
+@pytest.mark.parametrize("name", list(_LOOPS))
+def test_batched_check_starts_as_many_ladders_at_any_cap(monkeypatch, name):
+    # A per-state loop starts ladders in proportion to the states; a batched
+    # check starts the same few at n_max 3 as at 10.  Counted, not timed.
+    started = []
+    for ladder in _LADDERS:
+        original = getattr(polys, ladder)
+
+        def counted(*args, _ladder=ladder, _original=original, **kwargs):
+            started.append(_ladder)
+            return _original(*args, **kwargs)
+        for module in (polys, position, momentum, verify):
+            if hasattr(module, ladder):
+                monkeypatch.setattr(module, ladder, counted)
+    counts = []
+    for n_max in (3, 10):
+        started.clear()
+        _LOOPS[name][0](n_max=n_max)
+        counts.append(sorted(started))
+    assert counts[0] == counts[1]
+    assert 1 <= len(counts[0]) <= 3
