@@ -45,7 +45,8 @@ from numpy.typing import ArrayLike
 
 from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _gegenbauer_ladder,
                     _overflow_free, _point_arrays, _power, _scalar_or_array, _turns, pochhammer)
-from .position import QuantumNumbers, _check_polar, _column, _per_state, _q0, normalization
+from .position import (QuantumNumbers, _check_polar, _column, _one_state, _per_state,
+                       normalization)
 
 __all__ = [
     "MomentumPoint",
@@ -88,7 +89,7 @@ def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
     modulus is independent of the sign of m.
     """
     p, phi_p = np.broadcast_arrays(p, phi_p)
-    am, q0 = _column(np.abs(m), p), _column(_q0(n, m), p)
+    am, q0 = _column(np.abs(m), p), _column(_per_state(lambda qn: qn.q0, n, m), p)
     p, far = _overflow_free(p, 2)
     amp = np.where(far, 0.0, amplitude(_column(n, p), am, q0, p,
                                        (p * p - q0 * q0) / (p * p + q0 * q0)))
@@ -115,12 +116,6 @@ def _psi_momentum_gegenbauer(n: np.ndarray, m: np.ndarray, p: np.ndarray,
         * _power(p, am) / _power(p * p + q0 * q0, am + 1.5)))
 
 
-def _one_state(core, qn: QuantumNumbers, mp: MomentumPoint):
-    """``core`` of the one state qn at mp: a complex for scalar fields, else an ndarray."""
-    p, phi_p = _point_arrays(mp.p, mp.phi_p, real="momentum point")
-    return _scalar_or_array(core(qn.n, qn.m, p[None], phi_p[None])[0], mp.p, mp.phi_p)
-
-
 def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the associated-Legendre form.
 
@@ -130,9 +125,9 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     Scalar fields of ``mp`` give a complex, array fields a complex ndarray of
     their broadcast shape; where p*p overflows the value is its limit 0.
     """
-    return _one_state(_psi_momentum, qn, mp)
+    return _one_state(_psi_momentum, qn, mp.p, mp.phi_p)
 
 
 def psi_momentum_gegenbauer(qn: QuantumNumbers, mp: MomentumPoint):
     """Momentum wavefunction in the Gegenbauer form; equals ``psi_momentum``."""
-    return _one_state(_psi_momentum_gegenbauer, qn, mp)
+    return _one_state(_psi_momentum_gegenbauer, qn, mp.p, mp.phi_p)

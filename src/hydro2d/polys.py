@@ -171,23 +171,21 @@ def double_factorial(k: int) -> int:
 def _degree(ladder: Iterator[np.ndarray], k, what: str) -> np.ndarray:
     """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows.
 
-    For a column k of several rows, one per row of the ladder's leading axis, row r
-    of the result is row r of item k[r] (0 where k[r] < 0): the ladder runs to the
+    k may also be a column, one degree per row of the ladder's leading axis: row r of
+    the result is then row r of item k[r] (0 where k[r] < 0).  The ladder runs to the
     largest degree, and only the items taken must stay finite.
     """
-    if np.size(k) > 1:
-        out = 0.0
+    out = 0.0
+    try:
         with np.errstate(over="ignore", invalid="ignore"):
             for j, item in zip(range(int(np.max(k, initial=0)) + 1), ladder):
-                out = np.where(k == j, item, out)
+                if np.any(k == j):
+                    out = np.where(k == j, item, out)
+    except OverflowError:  # an integer seed too large for a float
+        pass
+    else:
         if np.isfinite(out).all():
             return out
-    else:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                return next(itertools.islice(ladder, int(np.ravel(k)[0]), None))
-        except (FloatingPointError, OverflowError):  # a float64 step, or an integer seed
-            pass
     raise ValueError(f"{what} overflows float64")
 
 
@@ -250,6 +248,12 @@ def legendre(n: int, t):
     return _scalar_or_array(_degree(_gegenbauer_ladder(0.5, ts), n, f"legendre n={n}"), t)
 
 
+def _odd_factorials(m) -> np.ndarray:
+    """(2m-1)!! as a float for each order in m, an int or an array of them, in m's shape."""
+    return np.reshape([float(double_factorial(2 * k - 1)) for k in np.ravel(m).tolist()],
+                      np.shape(m))
+
+
 def _assoc_legendre_ladder(m, ts: np.ndarray, sine=None) -> Iterator[np.ndarray]:
     """P_m^m(ts), P_{m+1}^m(ts), ...: the diagonal seed, then one recurrence step per degree.
 
@@ -257,8 +261,7 @@ def _assoc_legendre_ladder(m, ts: np.ndarray, sine=None) -> Iterator[np.ndarray]
     caller that knows sqrt(1 - ts^2) better than the rounded ts does passes it as ``sine``.
     """
     seed = _power((1.0 - ts) * (1.0 + ts), 0.5 * m) if sine is None else _power(sine, m)
-    pmm = np.reshape([float(double_factorial(2 * k - 1)) for k in np.ravel(m).tolist()],
-                     np.shape(m)) * seed
+    pmm = _odd_factorials(m) * seed
     pm1 = (2.0 * m + 1.0) * ts * pmm
     yield pmm
     for j in itertools.count(1):

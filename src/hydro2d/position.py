@@ -137,9 +137,11 @@ def _per_state(fn, n: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.reshape([value[state] for state in states], np.shape(n))
 
 
-def _q0(n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """QuantumNumbers.q0 of each state: the batched cores read q0, like N, from one place."""
-    return _per_state(lambda qn: qn.q0, n, m)
+def _one_state(core, qn: QuantumNumbers, *fields):
+    """core(n, m, *points) of the one state qn at the fields as one row of points: a Python
+    scalar where every field is a scalar, else an ndarray of their broadcast shape."""
+    points = _point_arrays(*fields)
+    return _scalar_or_array(core(qn.n, qn.m, *(x[None] for x in points))[0], *fields)
 
 
 def _column(values, points: np.ndarray) -> np.ndarray:
@@ -162,14 +164,15 @@ def radial_wavefunction(qn: QuantumNumbers, rho):
     r, = _point_arrays(rho, real="radial_wavefunction rho")
     if not np.all(np.isfinite(r) & (r >= 0.0)):  # NaN fails too
         raise ValueError("radial_wavefunction needs rho >= 0 and finite")
-    return _scalar_or_array(_radial(qn.n, qn.m, 2.0 * qn.q0 * r[None])[0], rho)
+    return _one_state(lambda n, m, r: _radial(n, m, 2.0 * qn.q0 * r), qn, rho)
 
 
 def _psi_position(n: np.ndarray, m: np.ndarray, rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """psi of the states (n, m), one per row of the broadcast points' leading axis (of
     length 1 where the states share the points)."""
     rho, phi = np.broadcast_arrays(rho, phi)
-    return _radial(n, m, 2.0 * _column(_q0(n, m), rho) * rho) * _turns(_column(m, phi), phi)
+    q0 = _column(_per_state(lambda qn: qn.q0, n, m), rho)
+    return _radial(n, m, 2.0 * q0 * rho) * _turns(_column(m, phi), phi)
 
 
 def psi_position(qn: QuantumNumbers, pt: PolarPoint):
@@ -179,16 +182,15 @@ def psi_position(qn: QuantumNumbers, pt: PolarPoint):
     even and sin odd bit for bit, so psi(n, -m) == conjugate(psi(n, m)) holds
     exactly, not just to rounding.
     """
-    rho, phi = _point_arrays(pt.rho, pt.phi, real="polar point")
-    return _scalar_or_array(_psi_position(qn.n, qn.m, rho[None], phi[None])[0], pt.rho, pt.phi)
+    return _one_state(_psi_position, qn, pt.rho, pt.phi)
 
 
 def _ode_residual(n: np.ndarray, m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``radial_ode_residual`` of the states (n, m), one per row of r's leading axis."""
-    q0 = _column(_q0(n, m), r)
+    q0 = _column(_per_state(lambda qn: qn.q0, n, m), r)
     v = 2.0 * q0 * r
-    c0, c1, c2 = series_coefficients(  # the circle's node axis first, then the states'
-        lambda h: np.moveaxis(_radial(n, m, v[:, None] * (1.0 + h)[:, None]), 1, 0),
+    c0, c1, c2 = series_coefficients(  # the circle's nodes as a last axis, moved first
+        lambda h: np.moveaxis(_radial(n, m, v[..., None] * (1.0 + h)), -1, 0),
         (3,), radius=0.5, nodes=64).real
     return (2.0 * c2 + c1) / (r * r) + (2.0 / r - q0 * q0 - _column(m * m, r) / (r * r)) * c0
 
@@ -204,7 +206,7 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
     r, = _point_arrays(rho, real="radial_ode_residual rho")
     if not np.all(np.isfinite(r) & (r > 0.0)):  # NaN fails too
         raise ValueError("ODE residual needs finite rho > 0")
-    return _scalar_or_array(_ode_residual(qn.n, qn.m, r[None])[0], rho)
+    return _one_state(_ode_residual, qn, rho)
 
 
 def norm_squared(qn: QuantumNumbers) -> float:
@@ -231,7 +233,7 @@ def _overlaps(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray) ->
     ms, pair = np.unique(np.stack([m1, m2]), axis=1, return_inverse=True)
     ang = (2.0 * math.pi / 256) * np.sum(np.conj(_turns(ms[:1].T, phi)) * _turns(ms[1:].T, phi),
                                          axis=-1)
-    q01, q02 = _q0(n1, m1)[:, None], _q0(n2, m2)[:, None]
+    q01, q02 = (_per_state(lambda qn: qn.q0, n, m)[:, None] for n, m in ((n1, m1), (n2, m2)))
     counts = (n1 + n2 + 1) // 2 + 1
     s, w = _rule_rows(gauss_laguerre, counts)
     rho = s / (q01 + q02)

@@ -39,10 +39,10 @@ from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s
 from .momentum import (MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, psi_momentum,
                        q_of_p)
 from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
-                    _power, _turns, assoc_legendre, bessel_j, double_factorial, gegenbauer,
-                    laguerre, legendre, pochhammer)
+                    _odd_factorials, _power, _turns, assoc_legendre, bessel_j, double_factorial,
+                    gegenbauer, laguerre, legendre, pochhammer)
 from .position import (PolarPoint, QuantumNumbers, _ode_residual, _overlaps, _per_state,
-                       _psi_position, _q0)
+                       _psi_position)
 from .quadrature import (_row_sums, _rule_rows, gauss_laguerre, gauss_legendre, panel_nodes,
                          series_coefficients)
 from .reporting import VerificationReport
@@ -125,8 +125,7 @@ def check_legendre_connection(n_max: int = 12, tol: float = 1e-10) -> Verificati
     """(2m-1)!! C_{n-m}^(m+1/2)(t) (1-t^2)^(m/2) = P_n^m(t), no Condon-Shortley."""
     ts = np.linspace(-0.99, 0.99, 21)[None]
     n, m = (a[:, None] for a in _states(n_max, signed=False))
-    lhs = (np.array([float(double_factorial(2 * k - 1)) for k in m.ravel().tolist()])[:, None]
-           * _degree(_gegenbauer_ladder(m + 0.5, ts), n - m, "gegenbauer")
+    lhs = (_odd_factorials(m) * _degree(_gegenbauer_ladder(m + 0.5, ts), n - m, "gegenbauer")
            * _power((1.0 - ts) * (1.0 + ts), 0.5 * m))
     rhs = _degree(_assoc_legendre_ladder(m, ts), n - m, "assoc_legendre")
     return VerificationReport.from_errors(
@@ -240,7 +239,7 @@ def _parseval_norms(n: np.ndarray, m: np.ndarray) -> np.ndarray:
     so the integrand is pref^2 (1 - q) P_n^|m|(q)^2 / q0 dq on [-1, 1]: degree 2n + 1.
     """
     q, w = _rule_rows(gauss_legendre, n + 1)
-    q0 = _q0(n, m)[:, None]
+    q0 = _per_state(lambda qn: qn.q0, n, m)[:, None]
     dens = np.abs(_psi_momentum(n, m, q0 * np.sqrt((1.0 + q) / (1.0 - q)), 0.0)) ** 2
     return 2.0 * math.pi * _row_sums(w * dens * (q0 / (1.0 - q)) ** 2, n + 1)
 
@@ -261,7 +260,7 @@ def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationR
     """
     p = np.geomspace(0.05, 1e4, 20)
     n, m = _states(n_max, signed=True)
-    am, q0 = np.abs(m)[:, None], _q0(n, m)[:, None]
+    am, q0 = np.abs(m)[:, None], _per_state(lambda qn: qn.q0, n, m)[:, None]
     largest = 0.0
     ladder = _assoc_legendre_ladder(am, (p * p - q0 * q0) / (p * p + q0 * q0))
     for k, row in zip(range(n_max + 1), ladder):

@@ -88,6 +88,18 @@ def test_special_functions_match_stacked_scalar_calls():
         np.testing.assert_allclose(fn(points), stacked, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (1, 3), (64, 2), (2, 1, 2)])
+def test_radial_functions_take_rho_of_any_shape(shape):
+    # The residual's 64 Cauchy nodes once broadcast against the first rho axis: a
+    # (2, 3) rho raised, and a first axis of length 1 or 64 failed to unpack.
+    rho = np.linspace(0.1, 12.0, int(np.prod(shape))).reshape(shape)
+    for qn in (QuantumNumbers(0, 0), QuantumNumbers(3, -2), QuantumNumbers(6, 1)):
+        for fn in (radial_wavefunction, radial_ode_residual):
+            values = fn(qn, rho)
+            assert values.shape == shape
+            assert values.ravel().tolist() == [fn(qn, x) for x in rho.ravel().tolist()]
+
+
 def _disk(draw, size, r_max):
     return _column(draw, size, 0.0, r_max) * np.exp(1j * _column(draw, size, -7.0, 7.0))
 
