@@ -5,33 +5,30 @@ Implements the unitary transform
     psi(p, phi_p) = (1/2 pi) integral e^(-i p.r) psi(rho, phi) d^2 r
 
 directly from position-space data, so the closed-form momentum expressions
-can be checked against something that never saw their derivation.  Two
-routes are provided.  Each works a level at a time (``_hankel_rows`` and
-``_direct_rows`` give every m at an array of momenta, on the Gauss-Legendre
-panels of ``_radial_rules``), and each public function is one row:
+can be checked against something that never saw their derivation.  The level
+core ``_level`` gives every m of a level at an array of momenta: it integrates
+each distinct (p, panel count) pair once, on one Gauss-Legendre radial rule
+per panel count, through a route's kernel, and applies e^(i m phi_p).  Empty
+momenta give an empty level; a level above ``_NODE_ROW_BUDGET`` radial nodes
+times rows is a ValueError.  Each public function is one row of a route:
 
 ``ft_hankel``
     reduces the angular integral with the plane-wave harmonic expansion,
-    leaving (-i)^|m| e^(i m phi_p) times the radial integral
+    leaving (-i)^|m| times the radial integral
     integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho.
 
 ``ft_direct_2d``
-    brute-force polar quadrature of the double integral, trapezoid in phi
-    times the same radial rule.  The integrand is periodic in phi, so the
-    trapezoid rule is spectrally exact on any shifted grid: the nodes are
-    phi_p + 2 pi k / n_phi, where the kernel is e^(-i p rho cos theta_k),
-    and the node count grows with p rho_max to keep the aliased Bessel
-    orders negligible.  The symmetries of cos theta fold the sum onto a
-    quarter circle in real arithmetic: cos(p rho cos theta) for even |m|,
-    -i sin(p rho cos theta) for odd |m|, the -i being that of
-    e^(-iy) = cos y - i sin y.  No Bessel function and no (-i)^|m| table
-    enters, which makes the two routes genuinely different derivations.
+    brute-force polar quadrature of the double integral: the trapezoid rule
+    in phi, spectrally exact for the periodic integrand on the shifted nodes
+    phi_p + 2 pi k / n_phi and folded onto a quarter circle in real
+    arithmetic, times the same radial rule.  No Bessel function and no
+    (-i)^|m| table enters, which makes the two routes genuinely different
+    derivations.
 
 The rule takes only its panel count from p and the least node count
 ``nodes``, so doubling ``nodes`` refines it only where that floor binds, at
 p rho_max / pi < nodes / 16 panels; elsewhere the panel width pi/p sets the
-count and both node counts share one integral, which ``_hankel_rows``
-computes once.
+count and both node counts share one integral.
 
 Independence: this module imports only the momentum-plane point type from
 ``momentum`` and touches no closed-form momentum wavefunction at all; the
@@ -58,6 +55,8 @@ __all__ = ["ft_hankel", "ft_direct_2d"]
 _MAX_PANEL_WIDTH = (6.0 * math.pi) ** 2 / 8.0
 # Bound on the radial tail that the panel range discards (see _rho_max).
 _TAIL_TOL = 1e-9
+# Radial nodes of a level's pairs times its rows; n = 85 at p = 0.01 needs 1.75e6.
+_NODE_ROW_BUDGET = 1 << 24
 
 
 @lru_cache(maxsize=None)
@@ -93,38 +92,46 @@ def _radial_rule(n: int, am_max: int, count: int):
                           for am in range(am_max + 1)])
 
 
-def _radial_rules(n: int, am_max: int, counts: list) -> dict:
-    """``_radial_rule`` for each distinct panel count of ``counts``, keyed by it."""
-    return {c: _radial_rule(n, am_max, c) for c in dict.fromkeys(counts)}
+def _level(n: int, am_max: int, mp: MomentumPoint, nodes, kernel) -> np.ndarray:
+    """psi_{n,m} for m = -am_max ... am_max (rows) at the points of 1-d ``mp`` (columns).
 
-
-def _level_points(n: int, mp: MomentumPoint, nodes):
-    """p and phi_p of 1-d ``mp`` and each point's panel count, ``nodes`` broadcast against them."""
+    ``nodes``, the least radial count, broadcasts against the points.
+    ``kernel(ps, rules)`` gives row |m| of each distinct (p, panel count) pair's
+    radial integral; a point takes its pair's row |m| times ``_turns(m, phi_p)``.
+    Past ``_NODE_ROW_BUDGET`` it raises before any rule is built.
+    """
     p, phi_p, least = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real="momentum point"),
                                           np.asarray(nodes))
-    return p, phi_p, [_panel_count(n, pk, nk) for pk, nk in zip(p.tolist(), least.tolist())]
+    ms = np.arange(-am_max, am_max + 1)
+    if not p.size:
+        return np.zeros((ms.size, 0), dtype=complex)
+    pairs: dict = {}
+    which = [pairs.setdefault((pk, _panel_count(n, pk, nk)), len(pairs))
+             for pk, nk in zip(p.tolist(), least.tolist())]
+    size = PANEL_ORDER * (am_max + 1) * sum(c for _, c in pairs)
+    if size > _NODE_ROW_BUDGET:
+        raise ValueError(f"oracle level needs {size:,} radial nodes x rows, above its budget of "
+                         f"{_NODE_ROW_BUDGET:,}: split the momenta or lower p")
+    rules = {c: _radial_rule(n, am_max, c) for c in dict.fromkeys(c for _, c in pairs)}
+    radial = kernel([pk for pk, _ in pairs], [rules[c] for _, c in pairs])
+    return radial[np.abs(ms)][:, which] * _turns(ms[:, None], phi_p)
 
 
 def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes) -> np.ndarray:
-    """psi_{n,m} for m = -am_max ... am_max (rows) at the points of 1-d ``mp`` (columns).
+    """``_level`` whose kernel is (-i)^|m| times the radial integral against J_|m|(p rho).
 
-    ``nodes``, the least radial count, may differ from point to point.  Each
-    distinct (p, panel count) pair is integrated once, and one Bessel ladder
-    J_0 ... J_am_max covers all their arguments p rho.  Assembled as (radial
-    integral) * (-i)^|m| * e^(i m phi_p), the order of the closed forms, so
-    phase comparisons see no reordering.
+    One Bessel ladder J_0 ... J_am_max covers the arguments p rho of every
+    pair.  A row is (radial integral) * (-i)^|m| * e^(i m phi_p), the order of
+    the closed forms, so phase comparisons see no reordering.
     """
-    p, phi_p, counts = _level_points(n, mp, nodes)
-    pairs: dict = {}
-    which = [pairs.setdefault(key, len(pairs)) for key in zip(p.tolist(), counts)]
-    rules = _radial_rules(n, am_max, counts)
-    ladder = _bessel_ladder(am_max, np.concatenate([pk * rules[c][0] for pk, c in pairs]))
-    ends = np.cumsum([rules[c][0].size for _, c in pairs])[:-1]
-    radial = np.array([np.sum(rules[c][1] * bessel, axis=1) for (_, c), bessel
-                       in zip(pairs, np.split(ladder, ends, axis=1))]).T
-    ms = np.arange(-am_max, am_max + 1)
-    val0 = radial[np.abs(ms)][:, which] * np.array([NEG_I_POW[abs(m) % 4] for m in ms])[:, None]
-    return val0 * _turns(ms[:, None], phi_p)
+    def kernel(ps, rules):
+        ladder = _bessel_ladder(am_max, np.concatenate([pk * rho for pk, (rho, _)
+                                                        in zip(ps, rules)]))
+        ends = np.cumsum([rho.size for rho, _ in rules])[:-1]
+        radial = np.array([np.sum(weighted * bessel, axis=1) for (_, weighted), bessel
+                           in zip(rules, np.split(ladder, ends, axis=1))]).T
+        return radial * np.array([NEG_I_POW[am % 4] for am in range(am_max + 1)])[:, None]
+    return _level(n, am_max, mp, nodes, kernel)
 
 
 def _row(rows, qn: QuantumNumbers, mp: MomentumPoint, nodes: int):
@@ -159,7 +166,7 @@ def _phi_count(x_osc: float) -> int:
 
 
 def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
-    """As ``_hankel_rows``, by the trapezoid rule in phi on the nodes phi_p + theta_k.
+    """``_level`` whose kernel is the trapezoid rule in phi on the nodes phi_p + theta_k.
 
     With theta_k = 2 pi k / n_phi the kernel is e^(-i p rho cos theta_k) and
     the state's angular factor e^(i m phi_p) e^(i m theta_k).  cos theta is
@@ -171,26 +178,25 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     projected onto every order 0 ... n of the level, whatever am_max, so rows
     do not depend on it.
     """
-    ms = np.arange(-am_max, am_max + 1)
-    p, phi_p, counts = _level_points(n, mp, nodes)
-    radial = np.zeros((am_max + 1, p.size), dtype=complex)
-    rules = _radial_rules(n, am_max, counts)
-    for j, (pk, c) in enumerate(zip(p, counts)):
-        rho, weighted = rules[c]
-        n_phi = _phi_count(pk * _rho_max(n))
-        theta = 2.0 * math.pi * np.arange(n_phi // 4 + 1) / n_phi
-        proj = np.cos(np.outer(theta, np.arange(n + 1))) * (4.0 / n_phi)
-        proj[[0, -1]] *= 0.5
-        cosines = np.cos(theta)
-        chunk = max(1, (1 << 21) // theta.size)
-        for lo in range(0, rho.size, chunk):
-            arg = pk * np.outer(rho[lo:lo + chunk], cosines)
-            part = np.empty((arg.shape[0], n + 1), dtype=complex)
-            part[:, 0::2] = np.einsum("ij,jk->ik", np.cos(arg), proj[:, 0::2])
-            if n:  # the odd orders; level 0 has none
-                part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg), proj[:, 1::2])
-            radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :am_max + 1].T, axis=1)
-    return radial[np.abs(ms)] * _turns(ms[:, None], phi_p)
+    def kernel(ps, rules):
+        radial = np.zeros((am_max + 1, len(ps)), dtype=complex)
+        for j, (pk, (rho, weighted)) in enumerate(zip(ps, rules)):
+            n_phi = _phi_count(pk * _rho_max(n))
+            theta = 2.0 * math.pi * np.arange(n_phi // 4 + 1) / n_phi
+            proj = np.cos(np.outer(theta, np.arange(n + 1))) * (4.0 / n_phi)
+            proj[[0, -1]] *= 0.5
+            cosines = np.cos(theta)
+            chunk = max(1, (1 << 21) // theta.size)
+            for lo in range(0, rho.size, chunk):
+                arg = pk * np.outer(rho[lo:lo + chunk], cosines)
+                part = np.empty((arg.shape[0], n + 1), dtype=complex)
+                part[:, 0::2] = np.einsum("ij,jk->ik", np.cos(arg), proj[:, 0::2])
+                if n:  # the odd orders; level 0 has none
+                    part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg),
+                                                    proj[:, 1::2])
+                radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :am_max + 1].T, axis=1)
+        return radial
+    return _level(n, am_max, mp, nodes, kernel)
 
 
 def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):

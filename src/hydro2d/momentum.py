@@ -70,7 +70,10 @@ class MomentumPoint:
 def q_of_p(p: ArrayLike, q0: float):
     """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p.
 
-    Where p*p overflows, q takes its limit 1.
+    Where p^2 + q0^2 is not a normal double, p and q0 are first scaled by one
+    power of two, exactly, that puts max(p, q0) in [1/2, 1).  So q is finite for
+    every finite p >= 0 and q0 > 0 (-1 at p = 0, 1 where p*p overflows), and
+    elsewhere it is the plain formula, bit for bit.
     """
     ps, = _point_arrays(p, real="q_of_p p")
     if not np.all(ps >= 0.0):  # NaN fails too
@@ -78,8 +81,12 @@ def q_of_p(p: ArrayLike, q0: float):
     _finite("q_of_p q0", q0)
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
-    ps, far = _overflow_free(ps, 2)
-    return _scalar_or_array(np.where(far, 1.0, (ps * ps - q0 * q0) / (ps * ps + q0 * q0)), p)
+    with np.errstate(over="ignore"):
+        sum_sq = ps * ps + q0 * q0
+    e = np.where(np.isfinite(sum_sq) & (sum_sq >= np.finfo(float).tiny), 0,
+                 np.frexp(np.maximum(ps, q0))[1])
+    ps, q0 = np.ldexp(ps, -e), np.ldexp(q0, -e)
+    return _scalar_or_array((ps * ps - q0 * q0) / (ps * ps + q0 * q0), p)
 
 
 def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray, amplitude):

@@ -202,10 +202,12 @@ def radial_ode_residual(qn: QuantumNumbers, rho):
     on |h| = 1/2, so R'' + R'/rho = (2 c2 + c1)/rho^2.  Each c_k rounds to about
     eps max|R|, so the floor is eps times the largest term, eps |R|/rho^2 at small
     rho: over n <= 6 it reads 1.5e-10 at rho = 1e-3 and 1.1e-4 at rho = 1e-6.
+    rho below 1e-150 is a ValueError: there rho^2 leaves the normal doubles and
+    m^2/rho^2 nears overflow, so the residual would read inf - inf.
     """
     r, = _point_arrays(rho, real="radial_ode_residual rho")
-    if not np.all(np.isfinite(r) & (r > 0.0)):  # NaN fails too
-        raise ValueError("ODE residual needs finite rho > 0")
+    if not np.all(np.isfinite(r) & (r >= 1e-150)):  # NaN fails too
+        raise ValueError("ODE residual needs finite rho > 0, at least 1e-150")
     return _one_state(_ode_residual, qn, rho)
 
 

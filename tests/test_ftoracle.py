@@ -160,6 +160,10 @@ def test_array_call_matches_stacked_scalar_calls(oracle):
         assert type(scalar) is complex
         stacked[i, j] = scalar
     np.testing.assert_allclose(values, stacked, rtol=1e-15, atol=0.0)
+    # No momenta give an empty row, as psi_momentum does.
+    for shape in [(0,), (2, 0)]:
+        empty = oracle(qn, MomentumPoint(np.zeros(shape), np.zeros(shape)))
+        assert empty.shape == shape and empty.dtype == complex
 
 
 # At p = 0 and 0.05 every rule has exactly ``nodes`` points.  The panel
@@ -244,6 +248,41 @@ def test_acceptance_passes_integrate_each_panel_once(monkeypatch):
                  {(p, _panel_count(n, p, nodes)) for p in acceptance_grid().p.tolist()
                   for nodes in (512, 1024)})
     assert sum(passed) == PANEL_ORDER * panels == 325_920
+
+
+def test_empty_level_has_every_row():
+    empty = MomentumPoint(np.array([]), np.array([]))
+    for rows in (_hankel_rows, _direct_rows):
+        assert rows(3, 2, empty, 512).shape == (5, 0)
+
+
+@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+def test_node_row_budget_raises_before_any_allocation(oracle, monkeypatch):
+    # (1, 1) at p = 1e6 would need 19,675,984 panels, 3.1e8 radial nodes; the
+    # level core must refuse it before building a rule or a Bessel argument.
+    def unreachable(*args):
+        raise AssertionError("allocated past the budget")
+    monkeypatch.setattr(hydro2d.ftoracle, "panel_nodes", unreachable)
+    monkeypatch.setattr(hydro2d.ftoracle, "_bessel_ladder", unreachable)
+    with pytest.raises(ValueError, match="budget of 16,777,216"):
+        oracle(QuantumNumbers(1, 1), MomentumPoint(1e6, 0.0))
+
+
+def test_direct_route_integrates_each_pair_once(monkeypatch):
+    # A 6-momentum by 8-angle mesh has 6 distinct (p, panel count) pairs, and
+    # the mesh equals its per-point calls bit for bit.
+    calls = []
+    phi_count = hydro2d.ftoracle._phi_count
+    monkeypatch.setattr(hydro2d.ftoracle, "_phi_count",
+                        lambda x: calls.append(x) or phi_count(x))
+    qn = QuantumNumbers(2, -1)
+    p, phi = np.meshgrid([0.0, 0.05, 0.3, 1.0, 2.5, 6.0], np.linspace(-3.0, 3.0, 8),
+                         indexing="ij")
+    mesh = ft_direct_2d(qn, MomentumPoint(p, phi))
+    assert len(calls) == 6
+    points = np.array([ft_direct_2d(qn, MomentumPoint(pk, fk))
+                       for pk, fk in zip(p.ravel().tolist(), phi.ravel().tolist())])
+    assert np.array_equal(mesh, points.reshape(p.shape))
 
 
 def _full_circle_rows(n, p, phi_p, shifted):

@@ -57,6 +57,14 @@ def test_q_of_p_range():
     for p in (0.0, 0.01, 1.0, 7.0, 300.0):
         q = q_of_p(p, 0.4)
         assert -1.0 <= q < 1.0
+    # p^2 + q0^2 outside the normal doubles: finite, not 0/0 or inf/inf.
+    assert q_of_p(0.0, 1e-200) == -1.0
+    assert q_of_p(1e-170, 1e-170) == 0.0
+    assert q_of_p(0.0, 1e200) == -1.0 and q_of_p(1e300, 1.0) == 1.0
+    extremes = [0.0, 5e-324, 1e-170, 1.0, 1e170, 1.7e308]
+    for q0 in extremes[1:]:
+        qs = q_of_p(np.array(extremes), q0)
+        assert np.all(np.abs(qs) <= 1.0) and qs[0] == -1.0
 
 
 def test_ground_state_at_zero_momentum():

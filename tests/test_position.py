@@ -173,6 +173,10 @@ def test_ode_residual_rejects_nonpositive_radius():
         with pytest.raises(ValueError, match="rho > 0"):
             radial_ode_residual(QuantumNumbers(0, 0), rho)
     assert abs(radial_ode_residual(QuantumNumbers(0, 0), 1e-6)) <= 1e-3  # eps |R|/rho^2
+    # Below 1e-150, rho^2 underflows and the residual would read inf - inf.
+    with pytest.raises(ValueError, match="at least 1e-150"):
+        radial_ode_residual(QuantumNumbers(3, 1), 1e-300)
+    assert np.isfinite(radial_ode_residual(QuantumNumbers(85, 85), 1e-150))
 
 
 def test_ode_residual_detects_wrong_energy(monkeypatch):
