@@ -30,10 +30,13 @@ from .reporting import GridSpec
 from .verify import SUITE_ORDER, run_suite
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str], parser: argparse.ArgumentParser) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out {out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -65,7 +68,7 @@ def cmd_eigen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         text = _json([{"n": st.qn.n, "q0": st.q0, "energy": st.energy}
                       for st in states])
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     return 0
 
 
@@ -106,7 +109,7 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     else:
         row = "  {\n" + ",\n".join(f'    "{h}": %r' for h in header) + "\n  }"
         text = "[\n" + ",\n".join([row] * rows) % flat + "\n]\n"
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     return 0
 
 
@@ -126,7 +129,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         text = _csv(keys, ([d[k] for k in keys] for d in dicts))
     else:
         text = _json(dicts)
-    _emit(text, args.out)
+    _emit(text, args.out, parser)
     return 0 if all(r.passed for r in reports) else 1
 
 

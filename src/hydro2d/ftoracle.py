@@ -5,12 +5,11 @@ Implements the unitary transform
     psi(p, phi_p) = (1/2 pi) integral e^(-i p.r) psi(rho, phi) d^2 r
 
 directly from position-space data, so the closed-form momentum expressions
-can be checked against something that never saw their derivation.  The level
-core ``_level`` gives every m of a level at an array of momenta: it integrates
-each distinct (p, panel count) pair once, on one Gauss-Legendre radial rule
-per panel count, through a route's kernel, and applies e^(i m phi_p).  Empty
-momenta give an empty level; a level above ``_NODE_ROW_BUDGET`` radial nodes
-times rows is a ValueError.  Each public function is one row of a route:
+can be checked against something that never saw their derivation.  The core
+``_level`` takes the states (n, m) as arrays at momenta they share; level by
+level it integrates each distinct (p, panel count) pair once, on one
+Gauss-Legendre radial rule per panel count, through a route's kernel, and
+applies e^(i m phi_p).  Each public function is the one-state row of a route:
 
 ``ft_hankel``
     reduces the angular integral with the plane-wave harmonic expansion,
@@ -43,9 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .momentum import MomentumPoint
-from .polys import (NEG_I_POW, _bessel_ladder, _integer, _point_arrays, _scalar_or_array,
-                    _turns)
-from .position import QuantumNumbers, radial_wavefunction
+from .polys import NEG_I_POW, _bessel_ladder, _integer, _turns
+from .position import QuantumNumbers, _one_state, _radial
 from .quadrature import PANEL_ORDER, panel_nodes
 
 __all__ = ["ft_hankel", "ft_direct_2d"]
@@ -85,71 +83,66 @@ def _panel_count(n: int, p: float, nodes) -> int:
                math.ceil(_rho_max(n) * max(p / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
 
 
-def _radial_rule(n: int, am_max: int, count: int):
-    """Radial nodes rho on ``count`` panels and, in row |m| <= am_max, weights times rho R_{n,m}."""
+def _radial_rule(n: int, top: int, count: int):
+    """Radial nodes rho on ``count`` panels and, in row |m| <= top, weights times rho R_{n,m}."""
     rho, wts = panel_nodes(np.linspace(0.0, _rho_max(n), count + 1))
-    return rho, np.array([wts * rho * radial_wavefunction(QuantumNumbers(n, am), rho)
-                          for am in range(am_max + 1)])
+    ams, v = np.arange(top + 1), 2.0 * QuantumNumbers(n, 0).q0 * rho[None]
+    return rho, wts * rho * _radial(np.full_like(ams, n), ams, v)
 
 
-def _level(n: int, am_max: int, mp: MomentumPoint, nodes, kernel) -> np.ndarray:
-    """psi_{n,m} for m = -am_max ... am_max (rows) at the points of 1-d ``mp`` (columns).
+def _level(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray, nodes,
+           kernel) -> np.ndarray:
+    """psi of the states (n, m), one per row, at points every state shares (leading axis 1).
 
-    ``nodes``, the least radial count, broadcasts against the points.
-    ``kernel(ps, rules)`` gives row |m| of each distinct (p, panel count) pair's
-    radial integral; a point takes its pair's row |m| times ``_turns(m, phi_p)``.
-    Past ``_NODE_ROW_BUDGET`` it raises before any rule is built.
+    ``nodes``, the least radial count, broadcasts against the points.  Per
+    level, with top the largest |m| of its states, ``kernel(n, top, ps, rules)``
+    gives rows 0 ... top of each distinct (p, panel count) pair's radial
+    integral; a state takes its pair's row |m| times ``_turns(m, phi_p)``.
+    Past ``_NODE_ROW_BUDGET`` a level raises before it builds any rule.
     """
-    p, phi_p, least = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real="momentum point"),
-                                          np.asarray(nodes))
-    ms = np.arange(-am_max, am_max + 1)
-    if not p.size:
-        return np.zeros((ms.size, 0), dtype=complex)
-    pairs: dict = {}
-    which = [pairs.setdefault((pk, _panel_count(n, pk, nk)), len(pairs))
-             for pk, nk in zip(p.tolist(), least.tolist())]
-    size = PANEL_ORDER * (am_max + 1) * sum(c for _, c in pairs)
-    if size > _NODE_ROW_BUDGET:
-        raise ValueError(f"oracle level needs {size:,} radial nodes x rows, above its budget of "
-                         f"{_NODE_ROW_BUDGET:,}: split the momenta or lower p")
-    rules = {c: _radial_rule(n, am_max, c) for c in dict.fromkeys(c for _, c in pairs)}
-    radial = kernel([pk for pk, _ in pairs], [rules[c] for _, c in pairs])
-    return radial[np.abs(ms)][:, which] * _turns(ms[:, None], phi_p)
+    n, m = np.ravel(n), np.ravel(m)
+    p, phi_p, least = np.broadcast_arrays(p, phi_p, np.asarray(nodes))
+    shape = (n.size,) + p.shape[1:]
+    p, phi_p, least = (a.ravel() for a in (p, phi_p, least))
+    out = np.zeros((n.size, p.size), dtype=complex)
+    for level in sorted(set(n.tolist()) if p.size else ()):
+        at = np.flatnonzero(n == level)
+        am = np.abs(m[at])
+        top = int(am.max())
+        pairs: dict = {}
+        which = [pairs.setdefault((pk, _panel_count(level, pk, nk)), len(pairs))
+                 for pk, nk in zip(p.tolist(), least.tolist())]
+        size = PANEL_ORDER * (top + 1) * sum(c for _, c in pairs)
+        if size > _NODE_ROW_BUDGET:
+            raise ValueError(f"oracle level needs {size:,} radial nodes x rows, above its budget "
+                             f"of {_NODE_ROW_BUDGET:,}: split the momenta or lower p")
+        rules = {c: _radial_rule(level, top, c) for c in dict.fromkeys(c for _, c in pairs)}
+        radial = kernel(level, top, [pk for pk, _ in pairs], [rules[c] for _, c in pairs])
+        out[at] = radial[am][:, which] * _turns(m[at][:, None], phi_p)
+        del rules  # before the next level's: held across its build, they fragment the heap
+    return out.reshape(shape)
 
 
-def _hankel_rows(n: int, am_max: int, mp: MomentumPoint, nodes) -> np.ndarray:
-    """``_level`` whose kernel is (-i)^|m| times the radial integral against J_|m|(p rho).
-
-    One Bessel ladder J_0 ... J_am_max covers the arguments p rho of every
-    pair.  A row is (radial integral) * (-i)^|m| * e^(i m phi_p), the order of
-    the closed forms, so phase comparisons see no reordering.
-    """
-    def kernel(ps, rules):
-        ladder = _bessel_ladder(am_max, np.concatenate([pk * rho for pk, (rho, _)
-                                                        in zip(ps, rules)]))
+def _hankel_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
+                 nodes) -> np.ndarray:
+    """``_level`` whose kernel is (-i)^|m| times the radial integral against J_|m|(p rho),
+    from one Bessel ladder J_0 ... J_top over the arguments p rho of every pair of a level;
+    a row is (radial integral) (-i)^|m| e^(i m phi_p), the closed forms' order of factors."""
+    def kernel(n, top, ps, rules):
+        ladder = _bessel_ladder(top, np.concatenate([pk * rho for pk, (rho, _)
+                                                     in zip(ps, rules)]))
         ends = np.cumsum([rho.size for rho, _ in rules])[:-1]
         radial = np.array([np.sum(weighted * bessel, axis=1) for (_, weighted), bessel
                            in zip(rules, np.split(ladder, ends, axis=1))]).T
-        return radial * np.array([NEG_I_POW[am % 4] for am in range(am_max + 1)])[:, None]
-    return _level(n, am_max, mp, nodes, kernel)
-
-
-def _row(rows, qn: QuantumNumbers, mp: MomentumPoint, nodes: int):
-    """Row m of the level core ``rows`` over the broadcast shape of ``mp``; complex if scalar."""
-    am = abs(qn.m)
-    p, phi_p = np.broadcast_arrays(*_point_arrays(mp.p, mp.phi_p, real="momentum point"))
-    row = rows(qn.n, am, MomentumPoint(p.ravel(), phi_p.ravel()), nodes)[qn.m + am]
-    return _scalar_or_array(row.reshape(p.shape), mp.p, mp.phi_p)
+        return radial * np.array([NEG_I_POW[am % 4] for am in range(top + 1)])[:, None]
+    return _level(n, m, p, phi_p, nodes, kernel)
 
 
 def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):
-    """Oracle momentum wavefunction via the angular-reduction route.
-
-    Row m of ``_hankel_rows``: a ``complex`` for a scalar point, else an array
-    of the broadcast shape.  ``nodes``, the least radial count, is an integer
-    of at least 64; anything else raises a ``ValueError`` naming it.
-    """
-    return _row(_hankel_rows, qn, mp, nodes)
+    """Oracle momentum wavefunction via the angular-reduction route: the one-state row of
+    ``_hankel_rows``, a ``complex`` for a scalar point, else an array of the broadcast shape.
+    ``nodes``, the least radial count, is an integer of at least 64, or a ValueError names it."""
+    return _one_state(lambda *args: _hankel_rows(*args, nodes), qn, mp.p, mp.phi_p)
 
 
 def _phi_count(x_osc: float) -> int:
@@ -165,7 +158,8 @@ def _phi_count(x_osc: float) -> int:
     return n_phi
 
 
-def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarray:
+def _direct_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
+                 nodes) -> np.ndarray:
     """``_level`` whose kernel is the trapezoid rule in phi on the nodes phi_p + theta_k.
 
     With theta_k = 2 pi k / n_phi the kernel is e^(-i p rho cos theta_k) and
@@ -175,11 +169,11 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
     at the two ends: cos(p rho cos theta_k) cos(|m| theta_k) for even |m|,
     -i sin(p rho cos theta_k) cos(|m| theta_k) for odd |m|, the -i being that
     of e^(-iy) = cos y - i sin y.  Chunks of at most 2^21 kernel elements are
-    projected onto every order 0 ... n of the level, whatever am_max, so rows
-    do not depend on it.
+    projected onto every order 0 ... n of the level, whatever top, so rows do
+    not depend on it.
     """
-    def kernel(ps, rules):
-        radial = np.zeros((am_max + 1, len(ps)), dtype=complex)
+    def kernel(n, top, ps, rules):
+        radial = np.zeros((top + 1, len(ps)), dtype=complex)
         for j, (pk, (rho, weighted)) in enumerate(zip(ps, rules)):
             n_phi = _phi_count(pk * _rho_max(n))
             theta = 2.0 * math.pi * np.arange(n_phi // 4 + 1) / n_phi
@@ -194,14 +188,12 @@ def _direct_rows(n: int, am_max: int, mp: MomentumPoint, nodes: int) -> np.ndarr
                 if n:  # the odd orders; level 0 has none
                     part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg),
                                                     proj[:, 1::2])
-                radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :am_max + 1].T, axis=1)
+                radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :top + 1].T, axis=1)
         return radial
-    return _level(n, am_max, mp, nodes, kernel)
+    return _level(n, m, p, phi_p, nodes, kernel)
 
 
 def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):
-    """Oracle momentum wavefunction via brute-force polar quadrature.
-
-    Row m of ``_direct_rows``; values and ``nodes`` as for ``ft_hankel``.
-    """
-    return _row(_direct_rows, qn, mp, nodes)
+    """Oracle momentum wavefunction via brute-force polar quadrature: the one-state row
+    of ``_direct_rows``; values and ``nodes`` as for ``ft_hankel``."""
+    return _one_state(lambda *args: _direct_rows(*args, nodes), qn, mp.p, mp.phi_p)

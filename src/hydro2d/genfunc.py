@@ -11,8 +11,9 @@ Closed forms implemented here:
 
 The last identity holds with the associated Legendre functions defined
 without the Condon-Shortley sign (as in ``polys``); the sum starts at n = m
-since P_n^m vanishes for n < m.  The verification suites check each closed
-form one way: its Taylor coefficients from ``quadrature.series_coefficients``
+since P_n^m vanishes for n < m.  Each returns a finite value or raises a
+ValueError naming itself.  The verification suites check each closed form
+one way: its Taylor coefficients from ``quadrature.series_coefficients``
 (re-exported here) against the rows of the polynomial ladder of its series.
 """
 
@@ -21,7 +22,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import _finite, _finite_points, _integer, _point_arrays, _scalar_or_array
+from .polys import (_finite, _finite_points, _finite_result, _integer, _point_arrays,
+                    _scalar_or_array)
 from .position import PolarPoint
 from .quadrature import series_coefficients
 
@@ -40,12 +42,7 @@ def _reject_z(z: ArrayLike) -> None:
         raise ValueError("generating variable must satisfy |z| < 1")
 
 
-def _reject_t(t: ArrayLike) -> None:
-    t = np.asarray(t)
-    if not np.all((-1.0 < t) & (t < 1.0)):
-        raise ValueError("argument t must lie in (-1, 1)")
-
-
+@_finite_result
 def laguerre_gf(z: ArrayLike, r: float, v: ArrayLike):
     """Closed form of the generalized Laguerre generating function; z and v broadcast."""
     _reject_z(z)
@@ -56,6 +53,7 @@ def laguerre_gf(z: ArrayLike, r: float, v: ArrayLike):
     return _scalar_or_array(value.astype(complex), z, v)
 
 
+@_finite_result
 def shifted_laguerre_gf(z: ArrayLike, m: int, v: ArrayLike):
     """Closed form of sum_{n>=m} z^n L_{n-m}^(2m)(v), the index-shifted series."""
     m = _integer("shifted_laguerre_gf m", m)
@@ -63,9 +61,12 @@ def shifted_laguerre_gf(z: ArrayLike, m: int, v: ArrayLike):
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
     zs, vs = _point_arrays(z, v)
-    return _scalar_or_array(zs**m * laguerre_gf(zs, 2 * m, vs), z, v)
+    _finite_points("shifted_laguerre_gf v", vs)
+    value = zs**m * ((1.0 - zs) ** (-(2 * m + 1.0)) * np.exp(-zs * vs / (1.0 - zs)))
+    return _scalar_or_array(value.astype(complex), z, v)
 
 
+@_finite_result
 def coordinate_gf(z: ArrayLike, t: ArrayLike, q0: float, pt: PolarPoint):
     """Position-space generating function of the bare scaled basis.
 
@@ -93,6 +94,7 @@ def coordinate_gf(z: ArrayLike, t: ArrayLike, q0: float, pt: PolarPoint):
     return _scalar_or_array(np.exp(expo) / one_minus, *fields)
 
 
+@_finite_result
 def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
     """Closed form (1 - 2qz + z^2)^(-alpha), principal branch; z and q broadcast."""
     _reject_z(z)
@@ -103,6 +105,7 @@ def gegenbauer_gf(z: ArrayLike, q: ArrayLike, alpha: float):
     return _scalar_or_array(value.astype(complex), z, q)
 
 
+@_finite_result
 def new_legendre_gf(z: ArrayLike, t: ArrayLike, m: int):
     """Closed form (1-t^2)^(m/2) (1-z^2) z^m / (1 - 2zt + z^2)^(m+3/2); z and t broadcast.
 
@@ -112,8 +115,9 @@ def new_legendre_gf(z: ArrayLike, t: ArrayLike, m: int):
     if m < 0:
         raise ValueError("angular index m must be >= 0")
     _reject_z(z)
-    _reject_t(t)
     zs, ts = _point_arrays(z, t)
+    if not np.all((-1.0 < ts) & (ts < 1.0)):
+        raise ValueError("argument t must lie in (-1, 1)")
     value = ((1.0 - ts * ts) ** (0.5 * m) * (1.0 - zs * zs) * zs**m
              / (1.0 - 2.0 * zs * ts + zs * zs) ** (m + 1.5))
     return _scalar_or_array(value.astype(complex), z, t)

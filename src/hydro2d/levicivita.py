@@ -45,7 +45,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .momentum import MomentumPoint
-from .polys import _finite_points, _point_arrays, _scalar_or_array
+from .polys import _finite_points, _finite_result, _point_arrays, _scalar_or_array
 
 __all__ = [
     "GenFuncParams",
@@ -134,6 +134,7 @@ def _s_invariant(z, t, q0, beta, p, phi_p) -> np.ndarray:
     return head * head + p * p * one_minus * one_minus + 4j * t * z * q0 * circ
 
 
+@_finite_result
 def det_x(gp: GenFuncParams, p: MomentumPoint):
     """Closed-form determinant of ``quadratic_form_matrix``:  S(beta)/(1-z)^2."""
     fields = (gp.z, gp.t, gp.q0, gp.beta, p.p, p.phi_p)
@@ -151,6 +152,7 @@ def _principal_sqrt(s: np.ndarray) -> np.ndarray:
     return np.sqrt(s)
 
 
+@_finite_result
 def gen_func_momentum(gp: GenFuncParams, p: MomentumPoint) -> GenFuncValues:
     """Momentum-space generating functions (g_beta, g).
 

@@ -34,6 +34,7 @@ generating-function checks take every expected coefficient from one pass.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -109,6 +110,18 @@ def _finite_points(name: str, values: np.ndarray) -> None:
     """A ValueError naming the point ``name`` if any of its values is NaN or infinite."""
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
+
+
+def _finite_result(fn):
+    """fn without numpy's float warnings; a ValueError naming it if it returns NaN or inf."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            value = fn(*args, **kwargs)
+        if not np.isfinite(np.asarray(value)).all():
+            raise ValueError(f"{fn.__name__} is not finite at these arguments")
+        return value
+    return checked
 
 
 def _overflow_free(xs: np.ndarray, power: int):

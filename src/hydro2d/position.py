@@ -138,8 +138,9 @@ def _per_state(fn, n: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _one_state(core, qn: QuantumNumbers, *fields):
-    """core(n, m, *points) of the one state qn at the fields as one row of points: a Python
-    scalar where every field is a scalar, else an ndarray of their broadcast shape."""
+    """core(n, m, *points) of the one state qn at the fields as one row of points, as each of
+    the seven public evaluators of a state takes it: a Python scalar where every field is a
+    scalar, else an ndarray of their broadcast shape."""
     points = _point_arrays(*fields)
     return _scalar_or_array(core(qn.n, qn.m, *(x[None] for x in points))[0], *fields)
 

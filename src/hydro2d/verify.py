@@ -8,8 +8,8 @@ the overrides that are set.  Checks on fixed parameter sets accept n_max
 and ignore it.
 
 Most checks take every (n, m) from ``_states`` as two arrays: a state axis
-that the batched cores of ``position`` and ``momentum`` evaluate with one
-ladder pass.  Every check hands its (error, scale) pairs to
+that the cores of ``position``, ``momentum`` and ``ftoracle`` evaluate in one
+pass.  Every check hands its (error, scale) pairs to
 ``VerificationReport.from_errors``, the one reduction to a verdict: the
 largest error is max_abs_err, the largest error/scale is max_rel_err, a NaN
 error fails the check and so does a sweep that compared nothing.  Checks
@@ -36,13 +36,11 @@ from . import genfunc
 from .ftoracle import _direct_rows, _hankel_rows
 from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s_invariant,
                          det_x, gen_func_momentum, quadratic_form_matrix)
-from .momentum import (MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, psi_momentum,
-                       q_of_p)
+from .momentum import MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, q_of_p
 from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
                     _odd_factorials, _power, _turns, assoc_legendre, bessel_j, double_factorial,
                     gegenbauer, laguerre, legendre, pochhammer)
-from .position import (PolarPoint, QuantumNumbers, _ode_residual, _overlaps, _per_state,
-                       _psi_position)
+from .position import PolarPoint, _ode_residual, _overlaps, _per_state, _psi_position
 from .quadrature import (_row_sums, _rule_rows, gauss_laguerre, gauss_legendre, panel_nodes,
                          series_coefficients)
 from .reporting import VerificationReport
@@ -426,15 +424,16 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     mp = MomentumPoint(0.7, 0.3)
     coeffs = series_coefficients(
         lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
-    q = q_of_p(mp.p, q0)
     denom = (mp.p**2 + q0**2)
+    ns, ms = _states(cap, signed=False)
+    # Every C_{n-m}^(m+1/2)(q) from one ladder; Python-float prefactors (numpy's 0.7**4 differs)
+    gegen = _degree(_gegenbauer_ladder(ms[:, None] + 0.5, np.array([q_of_p(mp.p, q0)])),
+                    (ns - ms)[:, None], "gegenbauer")[:, 0]
     refs = np.zeros_like(coeffs)
-    for n, m in zip(*(a.tolist() for a in _states(cap, signed=False))):
-        amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
-               * gegenbauer(n - m, m + 0.5, q) * mp.p**m
+    for n, m, c in zip(ns.tolist(), ms.tolist(), gegen.tolist()):
+        amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m) * c * mp.p**m
                / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
-        refs[n, m] = (amp * ((-1j) ** (m % 4))
-                      * cmath.exp(1j * m * mp.phi_p))
+        refs[n, m] = amp * ((-1j) ** (m % 4)) * cmath.exp(1j * m * mp.phi_p)
     tri = np.tril(np.ones(refs.shape, dtype=bool))
     return VerificationReport.from_errors(
         "genfunc-coefficient-consistency",
@@ -582,73 +581,58 @@ def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationRe
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _acceptance_rows(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``_hankel_rows`` of level n on the acceptance grid at least 512 and 1,024 radial nodes.
-
-    One call on the grid taken twice integrates each (p, panel count) pair
-    once, so the two halves share every momentum whose count the panel width
-    sets.  Computed once per level; callers only read it.
-    """
+def _acceptance_rows(cap: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``_hankel_rows`` of ``_states(cap, signed=True)`` on the acceptance grid at least 512
+    and 1,024 radial nodes, from one call that integrates each (p, panel count) pair once
+    per level.  Computed once per cap; callers only read it."""
     grid = acceptance_grid()
-    twice = MomentumPoint(np.tile(grid.p, 2), np.tile(grid.phi_p, 2))
-    rows = _hankel_rows(n, n, twice, np.repeat([512, 1024], grid.p.size))
+    rows = _hankel_rows(*_states(cap, signed=True), np.tile(grid.p, 2)[None],
+                        np.tile(grid.phi_p, 2)[None], np.repeat([512, 1024], grid.p.size))
     return rows[:, :grid.p.size], rows[:, grid.p.size:]
 
 
 def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationReport:
     mp = acceptance_grid()
-
-    def pairs():
-        # Relative errors count only where the oracle value exceeds 1e-8.
-        for n in range(n_max + 1):
-            for m, want in zip(range(-n, n + 1), _acceptance_rows(n)[0]):
-                err = np.abs(psi_momentum(QuantumNumbers(n, m), mp) - want)
-                yield err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0)
+    want = _acceptance_rows(n_max)[0]
+    err = np.abs(_psi_momentum(*_states(n_max, signed=True), mp.p[None], mp.phi_p[None]) - want)
+    # Relative errors count only where the oracle value exceeds 1e-8.
     return VerificationReport.from_errors(
         "momentum-vs-ft-oracle", f"|m| <= n <= {n_max}, {mp.p.size} momentum points",
-        pairs(), tol, notes="unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
-                            "oracle method hankel_reduced")
+        [(err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0))], tol,
+        notes="unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
+              "oracle method hankel_reduced")
 
 
 def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
     cap = min(n_max, 3)
     mp = _grid_points(np.geomspace(0.05, 3.0, 10))
+    args = (*_states(cap, signed=True), mp.p[None], mp.phi_p[None], 512)
     return VerificationReport.from_errors(
         "two-oracle-agreement", f"|m| <= n <= {cap}, 10-point log p-grid",
-        ((np.abs(_hankel_rows(n, n, mp, 512) - _direct_rows(n, n, mp, 512)), 1.0)
-         for n in range(cap + 1)),
+        [(np.abs(_hankel_rows(*args) - _direct_rows(*args)), 1.0)],
         tol, notes="angular-reduction route vs brute-force polar quadrature")
 
 
 def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
     cap = min(n_max, 6)
     angles = np.array([0.0, 0.9, -2.4])
-    mp = MomentumPoint(np.repeat([0.5, 2.0], angles.size), np.tile(angles, 2))
-
-    def pairs():
-        # vals[m, p, phi]; points where |psi(p, 0)| <= 1e-6 are skipped.
-        for n in range(cap + 1):
-            vals = _hankel_rows(n, n, mp, 512).reshape(2 * n + 1, 2, angles.size)
-            diff = (np.angle(vals) - np.angle(vals[..., :1])
-                    - np.arange(-n, n + 1)[:, None, None] * angles)
-            wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
-            yield np.where(np.abs(vals[..., :1]) > 1e-6, wrapped, 0.0), 1.0
+    n, m = _states(cap, signed=True)
+    # vals[state, p, phi]; points where |psi(p, 0)| <= 1e-6 are skipped.
+    vals = _hankel_rows(n, m, np.array([[[0.5], [2.0]]]), angles, 512)
+    diff = np.angle(vals) - np.angle(vals[..., :1]) - m[:, None, None] * angles
+    wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
     return VerificationReport.from_errors(
         "oracle-phase-correctness", f"n <= {cap}, angles wrapped mod 2 pi",
-        pairs(), tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
+        [(np.where(np.abs(vals[..., :1]) > 1e-6, wrapped, 0.0), 1.0)],
+        tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
 
 
 def check_node_doubling(n_max: int = 4, tol: float = 1e-9) -> VerificationReport:
-    """The acceptance rows at least 512 against at least 1,024 radial nodes.
-
-    Doubling refines the radial rule only where the node floor binds, at the
-    momenta with p rho_max / pi < nodes / 16 panels; elsewhere the panel width
-    pi/p sets the count and the two passes share one integral.
-    """
+    """The acceptance rows at least 512 against at least 1,024 radial nodes: they differ only
+    where the node floor sets the panel count (see ``ftoracle``)."""
     return VerificationReport.from_errors(
         "oracle-node-doubling", f"|m| <= n <= {n_max}, acceptance grid",
-        ((np.abs(np.subtract(*_acceptance_rows(n))), 1.0)
-         for n in range(n_max + 1)),
+        [(np.abs(np.subtract(*_acceptance_rows(n_max))), 1.0)],
         tol, notes="quadrature already converged at 512 nodes")
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import hydro2d
 from hydro2d.genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_legendre_gf,
                              series_coefficients, shifted_laguerre_gf)
-from hydro2d.levicivita import GenFuncParams, gen_func_momentum, quadratic_form_matrix
+from hydro2d.levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from hydro2d.polys import (assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre,
                           legendre, pochhammer)
@@ -246,6 +246,26 @@ def test_invalid_value_raises_naming_it(call, message):
     # negative radius without a warning.
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: laguerre_gf(0.5, 1e308, 1.0), "laguerre_gf"),
+    (lambda: shifted_laguerre_gf(0.9, 400, 1.0), "shifted_laguerre_gf"),
+    (lambda: coordinate_gf(0.5, 0.9, 1.0, PolarPoint(1e308, 0.0)), "coordinate_gf"),
+    (lambda: det_x(GenFuncParams(0.5, 0.5, 1e200), MomentumPoint(1e200, 0.0)), "det_x"),
+    (lambda: gen_func_momentum(GenFuncParams(0.5, 0.5, 1e200), MomentumPoint(1.0, 0.0)),
+     "gen_func_momentum"),
+    (lambda: gegenbauer_gf(0.99, 1.0, 400.0), "gegenbauer_gf"),
+    (lambda: new_legendre_gf(0.999, 0.999, 300), "new_legendre_gf"),
+    (lambda: gegenbauer_gf(np.array([0.2, 0.5]), 1.25, 1.5), "gegenbauer_gf"),  # 1-2qz+z^2 = 0
+], ids=["laguerre_gf", "shifted_laguerre_gf", "coordinate_gf", "det_x", "gen_func_momentum",
+        "gegenbauer_gf", "new_legendre_gf", "gegenbauer_gf-pole"])
+def test_non_finite_generating_function_raises_naming_it(call, name):
+    # Each returned inf or NaN (inf+nanj, nan+nanj) with at most a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} is not finite"):
+            call()
 
 
 @pytest.mark.parametrize("call, name", [

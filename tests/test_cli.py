@@ -249,6 +249,20 @@ def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     assert target.read_text(encoding="utf-8") == EIGEN_2
 
 
+@pytest.mark.parametrize("argv", [["eigen", "--n-max", "2"],
+                                  ["table", "--n", "1", "--m", "0", "--grid", "0:5:6"],
+                                  ["verify", "polys"]])
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv, where):
+    # A missing directory or a directory as the target: exit 2 naming the path, no traceback.
+    target = str(tmp_path / where)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", target])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot write --out {target}" in err and "Traceback" not in err
+
+
 def _verify_all_in_child(stack):
     # The variables are set for the child only; numpy and OpenBLAS read them at import.
     env = {**os.environ, **stack,

@@ -22,10 +22,16 @@ from hydro2d.ftoracle import (_direct_rows, _hankel_rows, _panel_count, _phi_cou
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import QuantumNumbers
 from hydro2d.quadrature import PANEL_ORDER
+from hydro2d.reporting import VerificationReport
 from hydro2d.verify import (SUITES, _acceptance_rows, acceptance_grid, check_node_doubling,
                             check_oracle_agreement)
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _level_rows(rows, n, mp, nodes):
+    """The core ``rows`` for m = -n ... n of level n at the 1-d momenta of ``mp``."""
+    return rows(np.full(2 * n + 1, n), np.arange(-n, n + 1), mp.p[None], mp.phi_p[None], nodes)
 
 
 def test_config_validation():
@@ -182,9 +188,9 @@ def test_batched_rows_equal_point_calls(n, nodes):
     # quarter-circle angles at n = 4, p = 20, so beyond n = 0 it is compared
     # at p <= 3.
     mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
-    hankel = _hankel_rows(n, n, mp, nodes)
+    hankel = _level_rows(_hankel_rows, n, mp, nodes)
     cols = len(_BATCH_P) if n == 0 else 4
-    direct = _direct_rows(n, n, MomentumPoint(mp.p[:cols], mp.phi_p[:cols]), nodes)
+    direct = _level_rows(_direct_rows, n, MomentumPoint(mp.p[:cols], mp.phi_p[:cols]), nodes)
     worst_h = worst_d = 0.0
     for m in range(-n, n + 1):
         qn = QuantumNumbers(n, m)
@@ -203,7 +209,8 @@ def test_acceptance_halves_equal_separate_calls(n):
     # once; every Bessel value is elementwise in its argument, so each half
     # is bit for bit the call at its own node count.
     for half, nodes in zip(_acceptance_rows(n), (512, 1024)):
-        assert np.array_equal(half, _hankel_rows(n, n, acceptance_grid(), nodes))
+        level = half[-(2 * n + 1):]  # level n is the last 2n + 1 rows of the cap-n states
+        assert np.array_equal(level, _level_rows(_hankel_rows, n, acceptance_grid(), nodes))
 
 
 @pytest.mark.parametrize("n", [0, 2, 4])
@@ -211,10 +218,10 @@ def test_mixed_node_counts_equal_per_count_calls(n):
     # nodes broadcasts against the points; each column is the call at its own count.
     nodes = np.array([512, 1024, 512, 1024, 1024])
     mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
-    mixed = _hankel_rows(n, n, mp, nodes)
+    mixed = _level_rows(_hankel_rows, n, mp, nodes)
     for count in (512, 1024):
         cols = nodes == count
-        alone = _hankel_rows(n, n, MomentumPoint(mp.p[cols], mp.phi_p[cols]), count)
+        alone = _level_rows(_hankel_rows, n, MomentumPoint(mp.p[cols], mp.phi_p[cols]), count)
         assert np.array_equal(mixed[:, cols], alone)
 
 
@@ -223,7 +230,7 @@ def test_node_doubling_refines_where_the_floor_binds(n):
     # Doubling the least count still refines the rule at 9 or more of the 20
     # acceptance momenta; the two halves differ there and agree bit for bit
     # wherever the panel width pi/p sets one count for both.
-    lo, hi = _acceptance_rows(n)
+    lo, hi = (half[-(2 * n + 1):] for half in _acceptance_rows(n))
     refined = np.array([_panel_count(n, p, 1024) > _panel_count(n, p, 512)
                         for p in acceptance_grid().p])
     assert refined.sum() >= 9  # measured 18, 14, 12, 10, 9 at n = 0 ... 4
@@ -250,10 +257,110 @@ def test_acceptance_passes_integrate_each_panel_once(monkeypatch):
     assert sum(passed) == PANEL_ORDER * panels == 325_920
 
 
+@pytest.mark.parametrize("oracle, rows", [(ft_hankel, _hankel_rows), (ft_direct_2d, _direct_rows)])
+def test_public_oracle_is_its_one_state_core_row(oracle, rows):
+    # A scalar point gives the core's one value as a complex, an array point its row.
+    ps, angles = np.array([[0.1, 0.5, 2.0], [0.0, 0.7, 1.3]]), np.array([0.4, -1.1, 2.5])
+    for qn in (QuantumNumbers(0, 0), QuantumNumbers(2, -1), QuantumNumbers(3, 3)):
+        state = np.array([qn.n]), np.array([qn.m])
+        assert np.array_equal(oracle(qn, MomentumPoint(ps, angles), 1024),
+                              rows(*state, ps[None], angles[None], 1024)[0])
+        scalar = oracle(qn, MomentumPoint(0.7, 0.3))
+        assert type(scalar) is complex
+        assert scalar == rows(*state, np.array([[0.7]]), np.array([[0.3]]), 512)[0, 0]
+
+
+@pytest.mark.parametrize("rows", [_hankel_rows, _direct_rows])
+def test_shuffled_states_of_several_levels_equal_per_level_calls(rows):
+    # The core groups the states by level; their order and mix change no bit.
+    n = np.repeat(np.arange(4), 2 * np.arange(4) + 1)
+    m = np.concatenate([np.arange(-k, k + 1) for k in range(4)])
+    order = np.random.default_rng(7).permutation(n.size)
+    mp = MomentumPoint(np.array(_BATCH_P[:4]), np.array(_BATCH_PHI[:4]))
+    mixed = rows(n[order], m[order], mp.p[None], mp.phi_p[None], 512)
+    levels = {k: _level_rows(rows, k, mp, 512) for k in range(4)}
+    for row, k, j in zip(mixed, n[order].tolist(), m[order].tolist()):
+        assert np.array_equal(row, levels[k][j + k])
+
+
+# The per-level loops that the state-axis ft checks replaced.
+
+def _loop_agreement(cap):
+    mp = acceptance_grid()
+    for n in range(cap + 1):
+        for m, want in zip(range(-n, n + 1), _level_rows(_hankel_rows, n, mp, 512)):
+            err = np.abs(psi_momentum(QuantumNumbers(n, m), mp) - want)
+            yield err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0)
+
+
+def _loop_two_oracles(cap):
+    mp = MomentumPoint(np.geomspace(0.05, 3.0, 10), np.resize(hydro2d.verify._PHI_CYCLE, 10))
+    for n in range(min(cap, 3) + 1):
+        hankel, direct = (_level_rows(rows, n, mp, 512) for rows in (_hankel_rows, _direct_rows))
+        yield np.abs(hankel - direct), 1.0
+
+
+def _loop_phase(cap):
+    angles = np.array([0.0, 0.9, -2.4])
+    mp = MomentumPoint(np.repeat([0.5, 2.0], angles.size), np.tile(angles, 2))
+    for n in range(min(cap, 6) + 1):
+        vals = _level_rows(_hankel_rows, n, mp, 512).reshape(2 * n + 1, 2, angles.size)
+        diff = (np.angle(vals) - np.angle(vals[..., :1])
+                - np.arange(-n, n + 1)[:, None, None] * angles)
+        wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
+        yield np.where(np.abs(vals[..., :1]) > 1e-6, wrapped, 0.0), 1.0
+
+
+def _loop_doubling(cap):
+    grid = acceptance_grid()
+    for n in range(cap + 1):
+        yield np.abs(_level_rows(_hankel_rows, n, grid, 512)
+                     - _level_rows(_hankel_rows, n, grid, 1024)), 1.0
+
+
+_FT_LOOPS = {fn.__name__: (fn, loop) for fn, loop in zip(
+    SUITES["ft"], (_loop_agreement, _loop_two_oracles, _loop_phase, _loop_doubling))}
+
+
+@pytest.mark.parametrize("name", list(_FT_LOOPS))
+def test_ft_check_equals_its_per_level_loop(name):
+    check, loop = _FT_LOOPS[name]
+    default = inspect.signature(check).parameters["n_max"].default
+    for n_max in sorted({1, 3, default}):
+        rep = check(n_max=n_max)
+        want = VerificationReport.from_errors(rep.check_name, "", loop(n_max), rep.tolerance)
+        assert (rep.max_abs_err, rep.max_rel_err, rep.passed) == \
+            (want.max_abs_err, want.max_rel_err, want.passed), n_max
+
+
+@pytest.mark.parametrize("name", list(_FT_LOOPS))
+def test_ft_check_calls_the_core_as_often_at_any_cap(monkeypatch, name):
+    # A per-level loop calls the core once per level; a state-axis check calls
+    # it as often at n_max 3 as at its default.  Counted, not timed.
+    calls = []
+    for core in ("_hankel_rows", "_direct_rows"):
+        original = getattr(hydro2d.verify, core)
+        monkeypatch.setattr(hydro2d.verify, core,
+                            lambda *args, _core=core, _original=original:
+                            calls.append(_core) or _original(*args))
+    check = _FT_LOOPS[name][0]
+    counts = []
+    for n_max in (3, inspect.signature(check).parameters["n_max"].default):
+        calls.clear()
+        _acceptance_rows.cache_clear()
+        try:
+            check(n_max=n_max)
+        finally:
+            _acceptance_rows.cache_clear()
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert 1 <= len(counts[0]) <= 2
+
+
 def test_empty_level_has_every_row():
-    empty = MomentumPoint(np.array([]), np.array([]))
+    empty = np.zeros((1, 0))
     for rows in (_hankel_rows, _direct_rows):
-        assert rows(3, 2, empty, 512).shape == (5, 0)
+        assert rows(np.full(5, 3), np.arange(-2, 3), empty, empty, 512).shape == (5, 0)
 
 
 @pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
@@ -312,7 +419,7 @@ def test_quarter_fold_equals_full_circle_sum(n, p, phi_p):
     # The quarter-circle sum in real arithmetic is the full trapezoid sum on
     # the shifted nodes, regrouped; moving the nodes from phi_k = 2 pi k /
     # n_phi to phi_p + 2 pi k / n_phi changes only aliasing-level terms.
-    rows = _direct_rows(n, n, MomentumPoint(np.array([p]), np.array([phi_p])), 512)[:, 0]
+    rows = _level_rows(_direct_rows, n, MomentumPoint(np.array([p]), np.array([phi_p])), 512)[:, 0]
     shifted = _full_circle_rows(n, p, phi_p, shifted=True)
     unshifted = _full_circle_rows(n, p, phi_p, shifted=False)
     assert np.max(np.abs(rows - shifted)) <= 1e-14  # measured 4.6e-16
@@ -322,7 +429,7 @@ def test_quarter_fold_equals_full_circle_sum(n, p, phi_p):
 def test_direct_rows_at_large_momentum():
     # p = 20 at n = 4: 2.6e4 radial nodes by 8192 angles, folded to 2049.
     # Signs and phases of every m come out of the quadrature, not a table.
-    rows = _direct_rows(4, 4, MomentumPoint(np.array([20.0]), np.array([1.3])), 512)[:, 0]
+    rows = _level_rows(_direct_rows, 4, MomentumPoint(np.array([20.0]), np.array([1.3])), 512)[:, 0]
     worst = max(abs(rows[m + 4] - psi_momentum(QuantumNumbers(4, m), MomentumPoint(20.0, 1.3)))
                 for m in range(-4, 5))
     assert worst <= 1e-12  # measured 9.6e-16

@@ -6,19 +6,22 @@ the contract-level properties (names, note strings, tolerance plumbing) are
 pinned down.
 """
 
+import ast
+import cmath
 import inspect
 import math
 
 import numpy as np
 import pytest
 
-from hydro2d import genfunc, momentum, polys, position, verify
-from hydro2d.levicivita import GenFuncParams, GenFuncValues, quadratic_form_matrix
+from hydro2d import ftoracle, genfunc, momentum, polys, position, verify
+from hydro2d.levicivita import (GenFuncParams, GenFuncValues, gen_func_momentum,
+                                quadratic_form_matrix)
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from hydro2d.polys import assoc_legendre, double_factorial, gegenbauer
+from hydro2d.polys import assoc_legendre, double_factorial, gegenbauer, pochhammer
 from hydro2d.position import (PolarPoint, QuantumNumbers, norm_squared, overlap, psi_position,
                               radial_ode_residual)
-from hydro2d.quadrature import gauss_legendre
+from hydro2d.quadrature import gauss_legendre, series_coefficients
 from hydro2d.reporting import VerificationReport
 from hydro2d.verify import (
     SUITE_ORDER,
@@ -385,6 +388,22 @@ def _loop_phase(cap):
         yield np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * turns), 1.0
 
 
+def _loop_coefficients(cap):
+    cap, q0, mp = min(cap, 8), 1.0, MomentumPoint(0.7, 0.3)
+    coeffs = series_coefficients(
+        lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
+    q, denom = q_of_p(mp.p, q0), (mp.p**2 + q0**2)
+    refs = np.zeros_like(coeffs)
+    for qn in _each_state(cap, signed=False):
+        n, m = qn.n, qn.m
+        amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
+               * gegenbauer(n - m, m + 0.5, q) * mp.p**m
+               / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
+        refs[n, m] = amp * ((-1j) ** (m % 4)) * cmath.exp(1j * m * mp.phi_p)
+    tri = np.tril(np.ones(refs.shape, dtype=bool))
+    return [(np.abs(coeffs[tri] - refs[tri]), np.abs(refs[tri]))]
+
+
 _LOOPS = {
     "gegenbauer-difference-recurrence": (verify.check_gegenbauer_recurrence, _loop_recurrence),
     "gegenbauer-legendre-connection": (verify.check_legendre_connection, _loop_connection),
@@ -396,6 +415,7 @@ _LOOPS = {
     "momentum-parseval": (check_parseval, _loop_parseval),
     "momentum-two-form-equality": (check_two_form_equality, _loop_two_form),
     "momentum-phase-structure": (verify.check_momentum_phase_structure, _loop_phase),
+    "genfunc-coefficient-consistency": (check_coefficient_consistency, _loop_coefficients),
 }
 
 
@@ -407,7 +427,7 @@ def test_batched_check_equals_its_per_state_loop(name):
         rep = check(n_max=n_max)
         want = VerificationReport.from_errors(
             name, "", loop(n_max), rep.tolerance,
-            relative=name.startswith(("gegenbauer", "momentum-two")))
+            relative=name.startswith(("gegenbauer", "momentum-two", "genfunc")))
         assert rep.check_name == name
         assert (rep.max_abs_err, rep.max_rel_err, rep.passed) == \
             (want.max_abs_err, want.max_rel_err, want.passed), n_max
@@ -437,3 +457,21 @@ def test_batched_check_starts_as_many_ladders_at_any_cap(monkeypatch, name):
         counts.append(sorted(started))
     assert counts[0] == counts[1]
     assert 1 <= len(counts[0]) <= 3
+
+
+_ONE_STATE = {"QuantumNumbers", "psi_position", "psi_momentum", "psi_momentum_gegenbauer",
+              "radial_wavefunction", "radial_ode_residual", "overlap", "norm_squared",
+              "ft_hankel", "ft_direct_2d"}
+
+
+def _named(module):
+    tree = ast.parse(inspect.getsource(module))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_checks_take_states_only_through_the_state_axis_cores():
+    # verify neither builds one state nor calls a one-state evaluator, and the
+    # oracle takes its radial factor from the state-axis core, not the public one.
+    assert not _named(verify) & _ONE_STATE
+    assert "radial_wavefunction" not in _named(ftoracle)
