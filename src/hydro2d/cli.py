@@ -16,6 +16,7 @@ is passed to ``verify``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest principal quantum number (0..50)")
     eigen.add_argument("--format", choices=("csv", "json"), default="csv")
     eigen.add_argument("--out", default=None, help="write to file instead of stdout")
-    eigen.set_defaults(func=cmd_eigen)
+    eigen.set_defaults(func=functools.partial(cmd_eigen, parser=eigen))
 
     table = sub.add_parser("table", help="tabulate a wavefunction slice")
     table.add_argument("--space", choices=("position", "momentum"),
@@ -161,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "azimuths instead of a single-angle slice")
     table.add_argument("--format", choices=("csv", "json"), default="csv")
     table.add_argument("--out", default=None)
-    table.set_defaults(func=cmd_table)
+    table.set_defaults(func=functools.partial(cmd_table, parser=table))
 
     verify = sub.add_parser("verify", help="run verification suites")
     verify.add_argument("suite", choices=SUITE_ORDER + ("all",))
@@ -173,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", default=None)
     verify.add_argument("--stamp", action="store_true",
                         help="add a UTC timestamp to each report")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(func=functools.partial(cmd_verify, parser=verify))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    return args.func(args)
 
 
 if __name__ == "__main__":

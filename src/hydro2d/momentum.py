@@ -43,8 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _gegenbauer_ladder,
-                    _overflow_free, _point_arrays, _power, _scalar_or_array, _turns, pochhammer)
+from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _finite_points,
+                    _gegenbauer_ladder, _overflow_free, _point_arrays, _power, _scalar_or_array,
+                    _turns, pochhammer)
 from .position import (QuantumNumbers, _check_polar, _column, _one_state, _per_state,
                        normalization)
 
@@ -78,6 +79,7 @@ def q_of_p(p: ArrayLike, q0: float):
     ps, = _point_arrays(p, real="q_of_p p")
     if not np.all(ps >= 0.0):  # NaN fails too
         raise ValueError("q_of_p needs p >= 0")
+    _finite_points("q_of_p p", ps)
     _finite("q_of_p q0", q0)
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
@@ -115,12 +117,17 @@ def _psi_momentum(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray
 
 def _psi_momentum_gegenbauer(n: np.ndarray, m: np.ndarray, p: np.ndarray,
                              phi_p: np.ndarray) -> np.ndarray:
-    """``psi_momentum_gegenbauer`` of the states (n, m), laid out as for ``_psi_momentum``."""
-    return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
-        _per_state(lambda qn: normalization(qn) * ((qn.n + 0.5) / (qn.m + 0.5)) * (4.0**qn.m)
-                   * qn.q0 ** (qn.m + 1) * pochhammer(1.5, qn.m), n, am)
-        * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
-        * _power(p, am) / _power(p * p + q0 * q0, am + 1.5)))
+    """``psi_momentum_gegenbauer`` of the states (n, m), laid out as for ``_psi_momentum``.
+
+    Where (p^2 + q0^2)^(|m|+3/2) overflows the value is its limit 0, and p^|m|, which
+    overflows only there, is taken at p = 0 so that the ratio is 0, not inf/inf.
+    """
+    with np.errstate(over="ignore"):
+        return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
+            _per_state(lambda qn: normalization(qn) * ((qn.n + 0.5) / (qn.m + 0.5)) * (4.0**qn.m)
+                       * qn.q0 ** (qn.m + 1) * pochhammer(1.5, qn.m), n, am)
+            * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
+            * _power(_overflow_free(p, am)[0], am) / _power(p * p + q0 * q0, am + 1.5)))
 
 
 def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):

@@ -184,9 +184,11 @@ def double_factorial(k: int) -> int:
 def _degree(ladder: Iterator[np.ndarray], k, what: str) -> np.ndarray:
     """Item k of a ladder, run to degree k; a ValueError naming ``what`` if it overflows.
 
-    k may also be a column, one degree per row of the ladder's leading axis: row r of
-    the result is then row r of item k[r] (0 where k[r] < 0).  The ladder runs to the
-    largest degree, and only the items taken must stay finite.
+    k may also be an array of degrees that broadcasts against the items: each entry of
+    the result is the same entry of item k there (0 where k < 0).  A column takes row r
+    of item k[r]; a leading axis of degrees, k = arange(count)[:, None] - shift, takes a
+    series' whole table of coefficients.  The ladder runs to the largest degree, and
+    only the items taken must stay finite.
     """
     out = 0.0
     try:

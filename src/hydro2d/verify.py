@@ -9,11 +9,13 @@ and ignore it.
 
 Most checks take every (n, m) from ``_states`` as two arrays: a state axis
 that the cores of ``position``, ``momentum`` and ``ftoracle`` evaluate in one
-pass.  Every check hands its (error, scale) pairs to
-``VerificationReport.from_errors``, the one reduction to a verdict: the
-largest error is max_abs_err, the largest error/scale is max_rel_err, a NaN
-error fails the check and so does a sweep that compared nothing.  Checks
-about an absolute error use scale 1, so the two agree.
+pass.  Each series check samples its closed form in one Cauchy call, its cases
+on a trailing batch axis, and reads every expected coefficient from one
+``_degree`` table of a polynomial ladder.  Every check hands its (error,
+scale) pairs to ``VerificationReport.from_errors``, the one reduction to a
+verdict: the largest error is max_abs_err, the largest error/scale is
+max_rel_err, a NaN error fails the check and so does a sweep that compared
+nothing.  Checks about an absolute error use scale 1, so the two agree.
 
 A recurring pattern here is the *scaled* residual: polynomial identities at
 degree 20 involve terms of magnitude 1e15, where float64 cannot do better
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -38,8 +39,8 @@ from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s
                          det_x, gen_func_momentum, quadratic_form_matrix)
 from .momentum import MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, q_of_p
 from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
-                    _odd_factorials, _power, _turns, assoc_legendre, bessel_j, double_factorial,
-                    gegenbauer, laguerre, legendre, pochhammer)
+                    _odd_factorials, _power, _turns, assoc_legendre, bessel_j, gegenbauer,
+                    laguerre, legendre, pochhammer)
 from .position import PolarPoint, _ode_residual, _overlaps, _per_state, _psi_position
 from .quadrature import (_row_sums, _rule_rows, gauss_laguerre, gauss_legendre, panel_nodes,
                          series_coefficients)
@@ -72,33 +73,26 @@ def _states(cap: int, signed: bool) -> Tuple[np.ndarray, np.ndarray]:
 # polys suite
 # ---------------------------------------------------------------------------
 
-def _ladder_errors(coeffs: np.ndarray, ladder: Iterator[np.ndarray], shift: int = 0
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """(|c - want|, max(1, |want|)) for the Taylor coefficients c[n] of a generating function.
-
-    want[n] is item n - shift of the polynomial ``ladder``, and 0 for n < shift;
-    the rows of c and of the ladder share their trailing axes.  The pair is
-    the one ``VerificationReport.from_errors(relative=True)`` reduces.
+def _ladder_errors(coeffs: np.ndarray, want: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(|c - want|, max(1, |want|)), the pair ``from_errors(relative=True)`` reduces, for the
+    Taylor coefficients c of a generating function and the table ``want`` of its series,
+    read off a ladder by one ``_degree`` pass with a leading axis of degrees n - shift.
     """
-    want = np.zeros_like(coeffs)
-    for n, row in zip(range(shift, len(coeffs)), ladder):
-        want[n] = row
     return np.abs(coeffs - want), np.maximum(1.0, np.abs(want))
 
 
 def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> VerificationReport:
     """Gegenbauer values vs Taylor coefficients of (1-2qz+z^2)^(-lam)."""
-    qs = np.linspace(-1.0, 1.0, 21)
-
-    def pairs():
-        for lam in (0.5, 1.5, 2.5, 3.5):
-            coeffs = series_coefficients(
-                lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam), (n_max + 1,))
-            yield _ladder_errors(coeffs, _gegenbauer_ladder(lam, qs))
+    qs, lams = np.linspace(-1.0, 1.0, 21), (0.5, 1.5, 2.5, 3.5)
+    coeffs = series_coefficients(  # c[k, q, lam]
+        lambda z: np.stack([genfunc.gegenbauer_gf(z[:, None], qs, lam) for lam in lams], -1),
+        (n_max + 1,))
+    want = _degree(_gegenbauer_ladder(np.array(lams), qs[:, None]),
+                   np.arange(n_max + 1)[:, None, None], "gegenbauer")
     return VerificationReport.from_errors(
         "gegenbauer-gf-coefficients",
         f"k <= {n_max}, lam in {{1/2,3/2,5/2,7/2}}, q on 21-point grid of [-1,1]",
-        pairs(), tol, relative=True,
+        [_ladder_errors(coeffs, want)], tol, relative=True,
         notes="coefficients by Cauchy quadrature; errors scaled by max(1, |value|)")
 
 
@@ -137,20 +131,16 @@ def check_legendre_connection(n_max: int = 12, tol: float = 1e-10) -> Verificati
 
 def check_laguerre_derivative(n_max: int = 10, tol: float = 1e-6) -> VerificationReport:
     """v L_n^(a)'(v) = -v L_{n-1}^(a+1)(v): row n of c[1] of h -> L_n^(a)(v (1 + h)) is v L_n'."""
-    vs = np.linspace(0.1, 10.0, 12)
-
-    def pairs():
-        for alpha in (0.0, 1.0, 2.0, 4.0):
-            def degrees(h):  # L_0 ... L_{n_max} at v (1 + h), the node axis first
-                ladder = _laguerre_ladder(alpha, np.multiply.outer(1.0 + h, vs))
-                return np.stack(list(itertools.islice(ladder, n_max + 1)), axis=1)
-            coeffs = series_coefficients(degrees, (2,), radius=0.5, nodes=64)
-            want = (-vs * laguerre(n - 1, alpha + 1.0, vs) for n in range(1, n_max + 1))
-            yield _ladder_errors(coeffs[1, 1:], want)
+    vs, alphas = np.linspace(0.1, 10.0, 12)[:, None], np.array([0.0, 1.0, 2.0, 4.0])
+    degrees = np.arange(n_max + 1)[:, None, None]
+    coeffs = series_coefficients(  # c[j, n, v, alpha]: L_0 ... L_{n_max} at v (1 + h)
+        lambda h: _degree(_laguerre_ladder(alphas, (1.0 + h)[:, None, None, None] * vs),
+                          degrees, "laguerre"), (2,), radius=0.5, nodes=64)
+    want = -vs * _degree(_laguerre_ladder(alphas + 1.0, vs), degrees[:-1], "laguerre")
     return VerificationReport.from_errors(
         "laguerre-derivative",
         f"1 <= n <= {n_max}, alpha in {{0,1,2,4}}, v in [0.1, 10]",
-        pairs(), tol, relative=True,
+        [_ladder_errors(coeffs[1, 1:], want)], tol, relative=True,
         notes="v L_n' by Cauchy coefficients on |h| = 1/2, 64 nodes; scaled by largest term")
 
 
@@ -259,12 +249,11 @@ def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationR
     p = np.geomspace(0.05, 1e4, 20)
     n, m = _states(n_max, signed=True)
     am, q0 = np.abs(m)[:, None], _per_state(lambda qn: qn.q0, n, m)[:, None]
-    largest = 0.0
-    ladder = _assoc_legendre_ladder(am, (p * p - q0 * q0) / (p * p + q0 * q0))
-    for k, row in zip(range(n_max + 1), ladder):
-        largest = np.where(k <= n[:, None] - am, np.maximum(largest, np.abs(row)), largest)
+    k = np.arange(n_max + 1)[:, None, None]  # terms[k]: 0 where k > n - |m|
+    terms = _degree(_assoc_legendre_ladder(am, (p * p - q0 * q0) / (p * p + q0 * q0)),
+                    np.where(k <= n[:, None] - am, k, -1), "assoc_legendre")
     scale = (_per_state(lambda qn: math.sqrt(qn.factorial_ratio / (2.0 * math.pi)), n, m)[:, None]
-             * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * largest)
+             * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * np.max(np.abs(terms), axis=0))
     point = (p[None, :, None], np.array([[0.0, math.pi / 3.0, math.pi]]))
     return VerificationReport.from_errors(
         "momentum-two-form-equality",
@@ -453,30 +442,33 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
 _GF_CIRCLE = {"radius": 0.75, "nodes": 256}
 _GF_NOTES = ("coefficients by Cauchy quadrature, r = 0.75, 256 nodes; "
              "errors scaled by max(1, |value|)")
+_GF_K = np.arange(31)[:, None]  # the coefficient axis k <= 30, against the cases' axis
+
+
+def _gf_coefficients(gf: Callable[..., np.ndarray], cases) -> np.ndarray:
+    """c[k, case], k <= 30, of z -> gf(z, *case): one Cauchy call, the cases on a batch axis."""
+    return series_coefficients(lambda z: np.stack([gf(z, *case) for case in cases], -1), (31,),
+                               **_GF_CIRCLE)
 
 
 def check_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> VerificationReport:
-    def pairs():
-        for r, v in ((2.0, 1.5), (0.0, 0.0), (4.5, 3.0), (1.0, 2.0)):
-            vs = np.array([v])
-            coeffs = series_coefficients(
-                lambda z: genfunc.laguerre_gf(z[:, None], r, vs), (31,), **_GF_CIRCLE)
-            yield _ladder_errors(coeffs, _laguerre_ladder(r, vs))
+    cases = ((2.0, 1.5), (0.0, 0.0), (4.5, 3.0), (1.0, 2.0))
+    r, v = map(np.array, zip(*cases))
     return VerificationReport.from_errors(
         "laguerre-gf", "k <= 30 at (r, v) in {(2, 1.5), (0, 0), (4.5, 3), (1, 2)}",
-        pairs(), tol, relative=True, notes=_GF_NOTES)
+        [_ladder_errors(_gf_coefficients(genfunc.laguerre_gf, cases),
+                        _degree(_laguerre_ladder(r, v), _GF_K, "laguerre"))],
+        tol, relative=True, notes=_GF_NOTES)
 
 
 def check_shifted_laguerre_gf(n_max: Optional[int] = None, tol: float = 1e-10) -> VerificationReport:
-    def pairs():
-        for m, v in ((0, 1.0), (2, 1.0), (1, 2.5), (4, 0.5)):
-            vs = np.array([v])
-            coeffs = series_coefficients(
-                lambda z: genfunc.shifted_laguerre_gf(z[:, None], m, vs), (31,), **_GF_CIRCLE)
-            yield _ladder_errors(coeffs, _laguerre_ladder(2 * m, vs), shift=m)
+    cases = ((0, 1.0), (2, 1.0), (1, 2.5), (4, 0.5))
+    m, v = map(np.array, zip(*cases))
     return VerificationReport.from_errors(
         "shifted-laguerre-gf", "n <= 30 at (m, v) in {(0, 1), (2, 1), (1, 2.5), (4, 0.5)}",
-        pairs(), tol, relative=True, notes=_GF_NOTES + "; index shift starts the sum at n = m")
+        [_ladder_errors(_gf_coefficients(genfunc.shifted_laguerre_gf, cases),
+                        _degree(_laguerre_ladder(2 * m, v), _GF_K - m, "laguerre"))],
+        tol, relative=True, notes=_GF_NOTES + "; index shift starts the sum at n = m")
 
 
 def check_coordinate_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
@@ -485,48 +477,45 @@ def check_coordinate_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> Verif
     On the circle the closed form grows like e^(q0 rho / (1-z)^2): at r = 0.8,
     or at r = 0.5 with n up to 30, the 2-D extraction loses every digit.
     """
-    def pairs():
-        for q0, rho, phi in ((1.0, 1.5, 0.7), (0.8, 0.6, 2.0), (1.3, 3.0, 4.2)):
-            coeffs = series_coefficients(
-                lambda z, t: genfunc.coordinate_gf(z, t, q0, PolarPoint(rho, phi)), (11, 11))
-            v = np.array([2.0 * q0 * rho])
-            for m in range(11):
-                head = v**m * np.exp(-0.5 * v) * cmath.exp(1j * m * phi) / math.factorial(m)
-                yield _ladder_errors(coeffs[:, m, None],
-                                     (head * lag for lag in _laguerre_ladder(2 * m, v)), shift=m)
+    cases = ((1.0, 1.5, 0.7), (0.8, 0.6, 2.0), (1.3, 3.0, 4.2))
+    coeffs = series_coefficients(  # c[n, m, case]
+        lambda z, t: np.stack([genfunc.coordinate_gf(z, t, q0, PolarPoint(rho, phi))
+                               for q0, rho, phi in cases], -1), (11, 11))
+    n, m = np.arange(11)[:, None, None], np.arange(11)[:, None]
+    v = np.array([2.0 * q0 * rho for q0, rho, _ in cases])
+    # head[m, case] = v^m e^(-v/2) e^(i m phi) / m!; phases by cmath (libm), not np.cos / np.sin
+    turns = np.array([[cmath.exp(1j * k * phi) for _, _, phi in cases] for k in range(11)])
+    head = (_power(v, m) * np.exp(-0.5 * v) * turns
+            / np.array([math.factorial(k) for k in range(11)])[:, None])
     return VerificationReport.from_errors(
         "coordinate-gf",
         "m <= n <= 10 at (q0, rho, phi) in {(1, 1.5, 0.7), (0.8, 0.6, 2), (1.3, 3, 4.2)}",
-        pairs(), tol, relative=True,
+        [_ladder_errors(coeffs, head * _degree(_laguerre_ladder(2 * m, v), n - m, "laguerre"))],
+        tol, relative=True,
         notes="2-D coefficients by Cauchy quadrature, r = 0.5, 128 nodes; errors scaled by "
               "max(1, |value|); fixed-q0 scaled basis, not per-level physical q0")
 
 
 def check_gegenbauer_gf(n_max: Optional[int] = None, tol: float = 1e-9) -> VerificationReport:
-    def pairs():
-        for q, alpha in ((0.3, 2.5), (1.0, 1.5), (-0.8, 0.5)):
-            qs = np.array([q])
-            coeffs = series_coefficients(
-                lambda z: genfunc.gegenbauer_gf(z[:, None], qs, alpha), (31,), **_GF_CIRCLE)
-            yield _ladder_errors(coeffs, _gegenbauer_ladder(alpha, qs))
+    cases = ((0.3, 2.5), (1.0, 1.5), (-0.8, 0.5))
+    q, alpha = map(np.array, zip(*cases))
     return VerificationReport.from_errors(
         "gegenbauer-gf", "k <= 30 at (q, alpha) in {(0.3, 2.5), (1, 1.5), (-0.8, 0.5)}",
-        pairs(), tol, relative=True, notes=_GF_NOTES)
+        [_ladder_errors(_gf_coefficients(genfunc.gegenbauer_gf, cases),
+                        _degree(_gegenbauer_ladder(alpha, q), _GF_K, "gegenbauer"))],
+        tol, relative=True, notes=_GF_NOTES)
 
 
 def check_new_legendre_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
-    def pairs():
-        for t, m in ((0.3, 0), (0.3, 2), (-0.6, 1), (0.0, 3)):
-            ts = np.array([t])
-            coeffs = series_coefficients(
-                lambda z: genfunc.new_legendre_gf(z[:, None], ts, m), (31,), **_GF_CIRCLE)
-            dfact = double_factorial(2 * m + 1)
-            weighted = ((2 * n + 1) / dfact * p
-                        for n, p in zip(itertools.count(m), _assoc_legendre_ladder(m, ts)))
-            yield _ladder_errors(coeffs, weighted, shift=m)
+    cases = ((0.3, 0), (0.3, 2), (-0.6, 1), (0.0, 3))
+    t, m = map(np.array, zip(*cases))
+    # (2n+1)/(2m+1)!! P_n^m(t); (2m+1)!! is _odd_factorials(m + 1)
+    want = ((2 * _GF_K + 1) / _odd_factorials(m + 1)
+            * _degree(_assoc_legendre_ladder(m, t), _GF_K - m, "assoc_legendre"))
     return VerificationReport.from_errors(
         "new-legendre-gf", "n <= 30 at (t, m) in {(0.3, 0), (0.3, 2), (-0.6, 1), (0, 3)}",
-        pairs(), tol, relative=True,
+        [_ladder_errors(_gf_coefficients(genfunc.new_legendre_gf, cases), want)],
+        tol, relative=True,
         notes=_GF_NOTES + "; sum over n >= m with (2n+1)/(2m+1)!! weights, "
                           "no (-1)^m in the non-Condon-Shortley convention")
 
@@ -534,45 +523,41 @@ def check_new_legendre_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> Ver
 _REINDEX_QS = np.array([0.3, -0.45, 0.8])
 
 
-def _reindexing_coefficients(cap: int) -> Iterator[Tuple[int, np.ndarray]]:
-    """(m, c): c[n, j] is the z^n Taylor coefficient of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2)
-    at q = _REINDEX_QS[j], for n <= cap."""
-    for m in range(5):
-        # radius 0.8 keeps the 1/r^n amplification of the circle samples'
-        # rounding below 1e-10 out to n = 30 (r = 0.5 would amplify 2^30)
-        yield m, series_coefficients(
-            lambda z: ((1.0 - z * z) * z**m)[:, None]
-            * genfunc.gegenbauer_gf(z[:, None], _REINDEX_QS, m + 1.5),
-            (cap + 1,), radius=0.8, nodes=256)
+def _reindexing_coefficients(cap: int) -> np.ndarray:
+    """c[n, m, j]: the z^n Taylor coefficient of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2) at
+    q = _REINDEX_QS[j], for n <= cap and m <= 4, from one Cauchy call."""
+    # radius 0.8 keeps the 1/r^n amplification of the circle samples'
+    # rounding below 1e-10 out to n = 30 (r = 0.5 would amplify 2^30)
+    return series_coefficients(
+        lambda z: np.stack([((1.0 - z * z) * z**m)[:, None]
+                            * genfunc.gegenbauer_gf(z[:, None], _REINDEX_QS, m + 1.5)
+                            for m in range(5)], 1),
+        (cap + 1,), radius=0.8, nodes=256)
 
 
 def check_reindexing_identity(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:
     """Coefficients of (1-z^2) z^m (1-2qz+z^2)^(-m-3/2) are Gegenbauer differences."""
-    def pairs():
-        for m, coeffs in _reindexing_coefficients(n_max):
-            # C_j - C_{j-2}, the lagged ladder starting from two zero degrees
-            lagged = itertools.chain((0.0, 0.0), _gegenbauer_ladder(m + 1.5, _REINDEX_QS))
-            diffs = (c - b for c, b in zip(_gegenbauer_ladder(m + 1.5, _REINDEX_QS), lagged))
-            yield _ladder_errors(coeffs, diffs, shift=m)
+    n, m = np.arange(n_max + 1)[:, None, None], np.arange(5)[:, None]
+    # C_(n-m) - C_(n-m-2) as the rows of one ladder, zero at negative degrees
+    c, lagged = np.split(_degree(_gegenbauer_ladder(m + 1.5, _REINDEX_QS),
+                                 np.concatenate([n - m, n - m - 2]), "gegenbauer"), 2)
     return VerificationReport.from_errors(
         "gegenbauer-reindexing-identity",
         f"m <= 4, n <= {n_max}, q in {{0.3, -0.45, 0.8}}",
-        pairs(), tol, relative=True,
+        [_ladder_errors(_reindexing_coefficients(n_max), c - lagged)], tol, relative=True,
         notes="negative-degree Gegenbauer terms are zero; errors scaled by max(1, |value|)")
 
 
 def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationReport:
-    """Same coefficients, compared against (2n+1)/(2m+1) C_{n-m}^(m+1/2)(q)."""
-    def pairs():
-        for m, coeffs in _reindexing_coefficients(n_max):
-            ladder = _gegenbauer_ladder(m + 0.5, _REINDEX_QS)
-            weighted = ((2.0 * n + 1.0) / (2.0 * m + 1.0) * c
-                        for n, c in zip(itertools.count(m), ladder))
-            yield _ladder_errors(coeffs[m:], weighted)
+    """Same coefficients, compared against (2n+1)/(2m+1) C_{n-m}^(m+1/2)(q) at n >= m."""
+    n, m = np.arange(n_max + 1)[:, None, None], np.arange(5)[:, None]
+    want = ((2.0 * n + 1.0) / (2.0 * m + 1.0)
+            * _degree(_gegenbauer_ladder(m + 0.5, _REINDEX_QS), n - m, "gegenbauer"))
+    rows = (n >= m)[..., 0]
     return VerificationReport.from_errors(
         "gegenbauer-chain-consistency",
         f"m <= 4, m <= n <= {n_max}, q in {{0.3, -0.45, 0.8}}",
-        pairs(), tol, relative=True,
+        [_ladder_errors(_reindexing_coefficients(n_max)[rows], want[rows])], tol, relative=True,
         notes="links the half-integer-order ladder to the difference form")
 
 

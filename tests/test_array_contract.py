@@ -228,6 +228,8 @@ _INF = float("inf")
     (lambda: q_of_p(1.0, _NAN), "q_of_p q0 must be finite"),
     (lambda: q_of_p(1.0, _INF), "q_of_p q0 must be finite"),
     (lambda: q_of_p(np.array([1.0, _NAN]), 1.0), "q_of_p needs p >= 0"),
+    (lambda: q_of_p(_INF, 1.0), "q_of_p p must be finite"),
+    (lambda: q_of_p(np.array([1.0, _INF]), 1.0), "q_of_p p must be finite"),
     (lambda: GenFuncParams(_NAN, 0.1, 1.0), "generating variable z"),
     (lambda: GenFuncParams(0.2, _NAN, 1.0), "GenFuncParams t must be finite"),
     (lambda: GenFuncParams(0.2, np.array([0.1, _INF]), 1.0), "GenFuncParams t must be finite"),
@@ -238,9 +240,9 @@ _INF = float("inf")
     (lambda: radial_wavefunction(QuantumNumbers(1, 0), -1.0), "radial_wavefunction needs rho >= 0"),
     (lambda: radial_wavefunction(QuantumNumbers(1, 0), np.array([1.0, _NAN])),
      "radial_wavefunction needs rho >= 0"),
-], ids=["q_of_p-q0-nan", "q_of_p-q0-inf", "q_of_p-p-nan", "genfunc-z-nan", "genfunc-t-nan",
-        "genfunc-t-inf", "genfunc-q0-nan", "genfunc-q0-inf", "genfunc-beta-nan",
-        "genfunc-beta-inf", "radial-negative", "radial-nan"])
+], ids=["q_of_p-q0-nan", "q_of_p-q0-inf", "q_of_p-p-nan", "q_of_p-p-inf", "q_of_p-p-inf-array",
+        "genfunc-z-nan", "genfunc-t-nan", "genfunc-t-inf", "genfunc-q0-nan", "genfunc-q0-inf",
+        "genfunc-beta-nan", "genfunc-beta-inf", "radial-negative", "radial-nan"])
 def test_invalid_value_raises_naming_it(call, message):
     # Each of these returned NaN, 0j (g_beta at beta = inf) or a value at a
     # negative radius without a warning.

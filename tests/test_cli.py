@@ -241,6 +241,21 @@ def test_verify_usage_errors(bad):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["eigen", "--n-max", "51"], "--n-max must lie in [0, 50]"),
+    (["table", "--n", "1", "--m", "0", "--grid", "0:5:6", "--mesh", "1"],
+     "--mesh needs at least 2 angles"),
+    (["verify", "all", "--n-max", "11"], "--n-max must lie in [0, 10]"),
+], ids=["eigen", "table", "verify"])
+def test_usage_error_prints_the_subcommand_usage(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith(f"usage: hydro2d {argv[0]} [-h]")
+    assert err.endswith(f"hydro2d {argv[0]}: error: {message}\n")
+
+
 def test_out_flag_writes_identical_bytes(tmp_path, capsys):
     target = tmp_path / "spectrum.csv"
     code = main(["eigen", "--n-max", "2", "--out", str(target)])

@@ -159,6 +159,19 @@ def test_limit_zero_where_p_squared_overflows(psi, m):
     assert q_of_p(1e160, qn.q0) == 1.0
 
 
+def test_both_forms_finite_and_agree_out_to_p_1e160():
+    # From |m| = 3 on, p^|m| overflows before p*p does (from p = 5.6e102 at |m| = 3); the
+    # Gegenbauer form read inf/inf there, and now returns its limit 0 like the Legendre form.
+    p = np.concatenate([[0.0], np.geomspace(1e-3, 1e160, 2000)])
+    for n in range(21):
+        for m in range(-n, n + 1):
+            qn, mp = QuantumNumbers(n, m), MomentumPoint(p, 0.7)
+            a, b = psi_momentum(qn, mp), psi_momentum_gegenbauer(qn, mp)
+            assert np.isfinite(a).all() and np.isfinite(b).all(), (n, m)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), (n, m)  # measured 5.7e-15
+    assert psi_momentum_gegenbauer(QuantumNumbers(3, 3), MomentumPoint(1e150, 0.0)) == 0.0
+
+
 def test_gegenbauer_route_uses_signed_phase_too():
     qn = QuantumNumbers(3, -2)
     mp = MomentumPoint(1.1, 0.6)

@@ -9,6 +9,7 @@ pinned down.
 import ast
 import cmath
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from hydro2d import ftoracle, genfunc, momentum, polys, position, verify
 from hydro2d.levicivita import (GenFuncParams, GenFuncValues, gen_func_momentum,
                                 quadratic_form_matrix)
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
-from hydro2d.polys import assoc_legendre, double_factorial, gegenbauer, pochhammer
+from hydro2d.polys import assoc_legendre, double_factorial, gegenbauer, laguerre, pochhammer
 from hydro2d.position import (PolarPoint, QuantumNumbers, norm_squared, overlap, psi_position,
                               radial_ode_residual)
 from hydro2d.quadrature import gauss_legendre, series_coefficients
@@ -121,12 +122,13 @@ def test_scaled_momentum_wavefunction_fails_parseval(monkeypatch):
 
 
 def test_scaled_derivative_side_fails_laguerre_derivative(monkeypatch):
-    # The right-hand side L_{n-1}^(alpha+1) is the one call on the unshifted grid.
-    original, grid = verify.laguerre, np.linspace(0.1, 10.0, 12)
+    # The right-hand side L_{n-1}^(alpha+1) is the one ladder on the unshifted grid.
+    original, grid = verify._laguerre_ladder, np.linspace(0.1, 10.0, 12)
 
-    def off(n, alpha, v):
-        return original(n, alpha, v) * (1.0 + 1e-5 if np.array_equal(v, grid) else 1.0)
-    monkeypatch.setattr(verify, "laguerre", off)
+    def off(alpha, xs):
+        scale = 1.0 + 1e-5 if np.array_equal(np.ravel(xs), grid) else 1.0
+        return (scale * item for item in original(alpha, xs))
+    monkeypatch.setattr(verify, "_laguerre_ladder", off)
     assert not check_laguerre_derivative().passed
 
 
@@ -404,7 +406,102 @@ def _loop_coefficients(cap):
     return [(np.abs(coeffs[tri] - refs[tri]), np.abs(refs[tri]))]
 
 
+def _series_errors(coeffs, ladder, shift=0):
+    # The series checks' former reading: want[n] is item n - shift of the ladder, taken
+    # one by one, and 0 for n < shift.
+    want = np.zeros_like(coeffs)
+    for n, row in zip(range(shift, len(coeffs)), ladder):
+        want[n] = row
+    return np.abs(coeffs - want), np.maximum(1.0, np.abs(want))
+
+
+def _loop_gegenbauer_gf_coefficients(cap):
+    qs = np.linspace(-1.0, 1.0, 21)
+    for lam in (0.5, 1.5, 2.5, 3.5):
+        coeffs = series_coefficients(lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam),
+                                     (cap + 1,))
+        yield _series_errors(coeffs, polys._gegenbauer_ladder(lam, qs))
+
+
+def _loop_laguerre_derivative(cap):
+    vs = np.linspace(0.1, 10.0, 12)
+    for alpha in (0.0, 1.0, 2.0, 4.0):
+        def degrees(h):
+            ladder = polys._laguerre_ladder(alpha, np.multiply.outer(1.0 + h, vs))
+            return np.stack(list(itertools.islice(ladder, cap + 1)), axis=1)
+        coeffs = series_coefficients(degrees, (2,), radius=0.5, nodes=64)
+        want = (-vs * laguerre(n - 1, alpha + 1.0, vs) for n in range(1, cap + 1))
+        yield _series_errors(coeffs[1, 1:], want)
+
+
+def _gf_case(gf, *params):
+    return series_coefficients(lambda z: gf(z[:, None], *params), (31,), **verify._GF_CIRCLE)
+
+
+def _loop_laguerre_gf(cap):
+    for r, v in ((2.0, 1.5), (0.0, 0.0), (4.5, 3.0), (1.0, 2.0)):
+        vs = np.array([v])
+        yield _series_errors(_gf_case(genfunc.laguerre_gf, r, vs), polys._laguerre_ladder(r, vs))
+
+
+def _loop_shifted_laguerre_gf(cap):
+    for m, v in ((0, 1.0), (2, 1.0), (1, 2.5), (4, 0.5)):
+        vs = np.array([v])
+        yield _series_errors(_gf_case(genfunc.shifted_laguerre_gf, m, vs),
+                             polys._laguerre_ladder(2 * m, vs), shift=m)
+
+
+def _loop_coordinate_gf(cap):
+    for q0, rho, phi in ((1.0, 1.5, 0.7), (0.8, 0.6, 2.0), (1.3, 3.0, 4.2)):
+        coeffs = series_coefficients(
+            lambda z, t: genfunc.coordinate_gf(z, t, q0, PolarPoint(rho, phi)), (11, 11))
+        v = np.array([2.0 * q0 * rho])
+        for m in range(11):
+            head = v**m * np.exp(-0.5 * v) * cmath.exp(1j * m * phi) / math.factorial(m)
+            yield _series_errors(coeffs[:, m, None],
+                                 (head * lag for lag in polys._laguerre_ladder(2 * m, v)), shift=m)
+
+
+def _loop_gegenbauer_gf(cap):
+    for q, alpha in ((0.3, 2.5), (1.0, 1.5), (-0.8, 0.5)):
+        qs = np.array([q])
+        yield _series_errors(_gf_case(genfunc.gegenbauer_gf, qs, alpha),
+                             polys._gegenbauer_ladder(alpha, qs))
+
+
+def _loop_new_legendre_gf(cap):
+    for t, m in ((0.3, 0), (0.3, 2), (-0.6, 1), (0.0, 3)):
+        ts = np.array([t])
+        weighted = ((2 * n + 1) / double_factorial(2 * m + 1) * p
+                    for n, p in zip(itertools.count(m), polys._assoc_legendre_ladder(m, ts)))
+        yield _series_errors(_gf_case(genfunc.new_legendre_gf, ts, m), weighted, shift=m)
+
+
+def _reindexing_cases(cap):
+    for m in range(5):
+        yield m, series_coefficients(
+            lambda z: ((1.0 - z * z) * z**m)[:, None]
+            * genfunc.gegenbauer_gf(z[:, None], verify._REINDEX_QS, m + 1.5),
+            (cap + 1,), radius=0.8, nodes=256)
+
+
+def _loop_reindexing(cap):
+    for m, coeffs in _reindexing_cases(cap):
+        ladder = polys._gegenbauer_ladder(m + 1.5, verify._REINDEX_QS)
+        lagged = itertools.chain((0.0, 0.0), polys._gegenbauer_ladder(m + 1.5, verify._REINDEX_QS))
+        yield _series_errors(coeffs, (c - b for c, b in zip(ladder, lagged)), shift=m)
+
+
+def _loop_chain(cap):
+    for m, coeffs in _reindexing_cases(cap):
+        ladder = polys._gegenbauer_ladder(m + 0.5, verify._REINDEX_QS)
+        yield _series_errors(coeffs[m:], ((2.0 * n + 1.0) / (2.0 * m + 1.0) * c
+                                          for n, c in zip(itertools.count(m), ladder)))
+
+
 _LOOPS = {
+    "gegenbauer-gf-coefficients": (verify.check_gegenbauer_gf_coefficients,
+                                   _loop_gegenbauer_gf_coefficients),
     "gegenbauer-difference-recurrence": (verify.check_gegenbauer_recurrence, _loop_recurrence),
     "gegenbauer-legendre-connection": (verify.check_legendre_connection, _loop_connection),
     "position-normalization": (check_position_normalization, _loop_normalization),
@@ -416,18 +513,27 @@ _LOOPS = {
     "momentum-two-form-equality": (check_two_form_equality, _loop_two_form),
     "momentum-phase-structure": (verify.check_momentum_phase_structure, _loop_phase),
     "genfunc-coefficient-consistency": (check_coefficient_consistency, _loop_coefficients),
+    "laguerre-derivative": (check_laguerre_derivative, _loop_laguerre_derivative),
+    "laguerre-gf": (check_laguerre_gf, _loop_laguerre_gf),
+    "shifted-laguerre-gf": (check_shifted_laguerre_gf, _loop_shifted_laguerre_gf),
+    "coordinate-gf": (check_coordinate_gf, _loop_coordinate_gf),
+    "gegenbauer-gf": (check_gegenbauer_gf, _loop_gegenbauer_gf),
+    "new-legendre-gf": (check_new_legendre_gf, _loop_new_legendre_gf),
+    "gegenbauer-reindexing-identity": (verify.check_reindexing_identity, _loop_reindexing),
+    "gegenbauer-chain-consistency": (verify.check_reindexing_chain, _loop_chain),
 }
+# The checks among them that judge the absolute error; the rest judge the relative one.
+_ABSOLUTE = ("position", "radial", "momentum-parseval", "momentum-phase")
 
 
 @pytest.mark.parametrize("name", list(_LOOPS))
 def test_batched_check_equals_its_per_state_loop(name):
     check, loop = _LOOPS[name]
     default = inspect.signature(check).parameters["n_max"].default
-    for n_max in sorted({1, 3, 10, default}):
+    for n_max in dict.fromkeys((1, 3, 10, default)):  # a default of None: a fixed case set
         rep = check(n_max=n_max)
-        want = VerificationReport.from_errors(
-            name, "", loop(n_max), rep.tolerance,
-            relative=name.startswith(("gegenbauer", "momentum-two", "genfunc")))
+        want = VerificationReport.from_errors(name, "", loop(n_max), rep.tolerance,
+                                              relative=not name.startswith(_ABSOLUTE))
         assert rep.check_name == name
         assert (rep.max_abs_err, rep.max_rel_err, rep.passed) == \
             (want.max_abs_err, want.max_rel_err, want.passed), n_max
@@ -475,3 +581,40 @@ def test_checks_take_states_only_through_the_state_axis_cores():
     # oracle takes its radial factor from the state-axis core, not the public one.
     assert not _named(verify) & _ONE_STATE
     assert "radial_wavefunction" not in _named(ftoracle)
+
+
+def test_series_checks_make_one_cauchy_call_each(monkeypatch):
+    calls = []
+    original = verify.series_coefficients
+    monkeypatch.setattr(verify, "series_coefficients",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    counts = {}
+    for check in SUITES["polys"] + SUITES["genfunc"]:
+        calls.clear()
+        name = check().check_name
+        counts[name] = len(calls)
+    assert sum(counts.values()) == 9 and set(counts.values()) == {0, 1}, counts
+    assert counts["laguerre-derivative"] == counts["gegenbauer-chain-consistency"] == 1
+
+
+def _is_ladder_call(node):
+    name = getattr(node, "func", None)
+    name = getattr(name, "id", None) or getattr(name, "attr", "")
+    return isinstance(node, ast.Call) and name.startswith("_") and name.endswith("_ladder")
+
+
+def test_verify_reads_every_ladder_through_degree():
+    # No ladder is consumed item by item in verify: no itertools, and no for loop,
+    # comprehension or zip iterates a _*_ladder(...) call.
+    tree = ast.parse(inspect.getsource(verify))
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "itertools" not in modules
+    iterated = [node.iter for node in ast.walk(tree)
+                if isinstance(node, (ast.For, ast.comprehension))]
+    iterated += [arg for node in ast.walk(tree)
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "zip"
+                 for arg in node.args]
+    assert iterated
+    assert [ast.unparse(node) for node in iterated if _is_ladder_call(node)] == []
