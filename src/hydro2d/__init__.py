@@ -6,7 +6,7 @@ momentum closed forms, and verification suites that check every identity
 against independent numerical oracles.
 """
 
-from .ftoracle import ft_direct_2d, ft_hankel
+from .ftoracle import ft_hankel
 from .genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_legendre_gf,
                       series_coefficients, shifted_laguerre_gf)
 from .levicivita import (GenFuncParams, GenFuncValues, QuadraticFormMatrix, det_x,
@@ -26,7 +26,7 @@ __all__ = [
     "BoundState", "GenFuncParams", "GenFuncValues", "GridSpec", "MomentumPoint",
     "PolarPoint", "QuadraticFormMatrix", "QuantumNumbers", "SUITES", "SUITE_ORDER",
     "VerificationReport", "assoc_legendre", "bessel_j", "coordinate_gf", "det_x",
-    "double_factorial", "ft_direct_2d", "ft_hankel", "gegenbauer", "gegenbauer_gf",
+    "double_factorial", "ft_hankel", "gegenbauer", "gegenbauer_gf",
     "gen_func_momentum", "laguerre", "laguerre_gf", "legendre", "make_bound_state",
     "new_legendre_gf", "norm_squared", "normalization", "overlap", "pochhammer",
     "psi_momentum", "psi_momentum_gegenbauer", "psi_position", "q_of_p",

@@ -5,29 +5,25 @@ Implements the unitary transform
     psi(p, phi_p) = (1/2 pi) integral e^(-i p.r) psi(rho, phi) d^2 r
 
 directly from position-space data, so the closed-form momentum expressions
-can be checked against something that never saw their derivation.  The core
-``_level`` takes the states (n, m) as arrays at momenta they share; level by
-level it integrates each distinct (p, panel count) pair once, on one
-Gauss-Legendre radial rule per panel count, through a route's kernel, and
-applies e^(i m phi_p).  Each public function is the one-state row of a route:
+can be checked against something that never saw their derivation.  Both
+routes take the states (n, m) as arrays at momenta they share; ``_level``
+hands each level's states to a route's per-level function, one pass per
+level.
 
-``ft_hankel``
+``_hankel_rows`` (public row: ``ft_hankel``)
     reduces the angular integral with the plane-wave harmonic expansion,
-    leaving (-i)^|m| times the radial integral
-    integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho.
+    leaving (-i)^|m| e^(i m phi_p) times the radial integral
+    integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho, on Gauss-Legendre
+    panels of at least 512 radial nodes, none wider than pi/p.
 
-``ft_direct_2d``
-    brute-force polar quadrature of the double integral: the trapezoid rule
-    in phi, spectrally exact for the periodic integrand on the shifted nodes
-    phi_p + 2 pi k / n_phi and folded onto a quarter circle in real
-    arithmetic, times the same radial rule.  No Bessel function and no
-    (-i)^|m| table enters, which makes the two routes genuinely different
-    derivations.
-
-The rule takes only its panel count from p and the least node count
-``nodes``, so doubling ``nodes`` refines it only where that floor binds, at
-p rho_max / pi < nodes / 16 panels; elsewhere the panel width pi/p sets the
-count and both node counts share one integral.
+``_levi_civita_rows``
+    the paper's own route: the Levi-Civita map r = u^2 with measure
+    2 |u|^2 d^2u and the rotation u = R(phi_p/2) w make p.r = p (w1^2 - w2^2),
+    rho = |w|^2 and v^|m| e^(i m phi) = (2 q0)^|m| (u1 +- i u2)^(2|m|), the sign
+    that of m.  With a = q0 + i p the contours w1 = s1/sqrt(a), w2 = s2/sqrt(conj a)
+    leave e^(-s1^2 - s2^2) times a polynomial of degree 2n + 2, so n + 2
+    Gauss-Hermite nodes per axis are exact: no radial range, no panel and no
+    Bessel function, and the azimuth enters through the rotated nodes.
 
 Independence: this module imports only the momentum-plane point type from
 ``momentum`` and touches no closed-form momentum wavefunction at all; the
@@ -42,19 +38,25 @@ from functools import lru_cache
 import numpy as np
 
 from .momentum import MomentumPoint
-from .polys import NEG_I_POW, _bessel_ladder, _integer, _turns
-from .position import QuantumNumbers, _one_state, _radial
-from .quadrature import PANEL_ORDER, panel_nodes
+from .polys import NEG_I_POW, _bessel_ladder, _degree, _laguerre_ladder, _power, _turns
+from .position import QuantumNumbers, _one_state, _per_state, _radial, normalization
+from .quadrature import PANEL_ORDER, gauss_hermite, panel_nodes
 
-__all__ = ["ft_hankel", "ft_direct_2d"]
+__all__ = ["ft_hankel"]
 
 # rho R_{n,m}(rho) oscillates at most like J_0(sqrt(8 rho)) at any n (Hilb's
 # formula): a panel this wide holds about six of its zeros near the origin.
 _MAX_PANEL_WIDTH = (6.0 * math.pi) ** 2 / 8.0
 # Bound on the radial tail that the panel range discards (see _rho_max).
 _TAIL_TOL = 1e-9
-# Radial nodes of a level's pairs times its rows; n = 85 at p = 0.01 needs 1.75e6.
+# Panels of the Hankel route's radial rule at the least: 512 nodes.
+_MIN_PANELS = 512 // PANEL_ORDER
+# Radial nodes of a level's momenta times its rows; n = 85 at p = 0.01 needs 1.75e6.
 _NODE_ROW_BUDGET = 1 << 24
+# Highest level of the Levi-Civita route: its sum cancels to 7.7e-12 of the peak at n = 30.
+_LEVI_CIVITA_MAX_N = 30
+# Terms (states x momenta x nodes^2) of one block of its sum: 4 MB per complex array.
+_TERM_BLOCK = 1 << 18
 
 
 @lru_cache(maxsize=None)
@@ -73,13 +75,10 @@ def _rho_max(n: int) -> float:
     return v / (2.0 * q0)
 
 
-def _panel_count(n: int, p: float, nodes) -> int:
-    """Panels of the radial rule on [0, rho_max]: ``nodes`` points or more, none wider
-    than pi/p (half a Bessel period) or ``_MAX_PANEL_WIDTH``."""
-    nodes = _integer("oracle radial nodes", nodes)
-    if nodes < 64:
-        raise ValueError(f"oracle radial nodes must be at least 64, got {nodes}")
-    return max(math.ceil(nodes / PANEL_ORDER),
+def _panel_count(n: int, p: float) -> int:
+    """Panels of the radial rule on [0, rho_max]: ``_MIN_PANELS`` or more, none wider than
+    pi/p (half a Bessel period) or ``_MAX_PANEL_WIDTH``."""
+    return max(_MIN_PANELS,
                math.ceil(_rho_max(n) * max(p / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
 
 
@@ -90,110 +89,93 @@ def _radial_rule(n: int, top: int, count: int):
     return rho, wts * rho * _radial(np.full_like(ams, n), ams, v)
 
 
-def _level(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray, nodes,
-           kernel) -> np.ndarray:
-    """psi of the states (n, m), one per row, at points every state shares (leading axis 1).
-
-    ``nodes``, the least radial count, broadcasts against the points.  Per
-    level, with top the largest |m| of its states, ``kernel(n, top, ps, rules)``
-    gives rows 0 ... top of each distinct (p, panel count) pair's radial
-    integral; a state takes its pair's row |m| times ``_turns(m, phi_p)``.
-    Past ``_NODE_ROW_BUDGET`` a level raises before it builds any rule.
-    """
+def _level(rows, n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
+    """psi of the states (n, m), one per row, at points every state shares (leading axis 1):
+    ``rows(level, m, p, phi_p)`` of each level's states at the flattened points."""
     n, m = np.ravel(n), np.ravel(m)
-    p, phi_p, least = np.broadcast_arrays(p, phi_p, np.asarray(nodes))
+    p, phi_p = np.broadcast_arrays(p, phi_p)
     shape = (n.size,) + p.shape[1:]
-    p, phi_p, least = (a.ravel() for a in (p, phi_p, least))
+    p, phi_p = p.ravel(), phi_p.ravel()
     out = np.zeros((n.size, p.size), dtype=complex)
     for level in sorted(set(n.tolist()) if p.size else ()):
         at = np.flatnonzero(n == level)
-        am = np.abs(m[at])
-        top = int(am.max())
-        pairs: dict = {}
-        which = [pairs.setdefault((pk, _panel_count(level, pk, nk)), len(pairs))
-                 for pk, nk in zip(p.tolist(), least.tolist())]
-        size = PANEL_ORDER * (top + 1) * sum(c for _, c in pairs)
-        if size > _NODE_ROW_BUDGET:
-            raise ValueError(f"oracle level needs {size:,} radial nodes x rows, above its budget "
-                             f"of {_NODE_ROW_BUDGET:,}: split the momenta or lower p")
-        rules = {c: _radial_rule(level, top, c) for c in dict.fromkeys(c for _, c in pairs)}
-        radial = kernel(level, top, [pk for pk, _ in pairs], [rules[c] for _, c in pairs])
-        out[at] = radial[am][:, which] * _turns(m[at][:, None], phi_p)
-        del rules  # before the next level's: held across its build, they fragment the heap
+        out[at] = rows(level, m[at], p, phi_p)
     return out.reshape(shape)
 
 
-def _hankel_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
-                 nodes) -> np.ndarray:
-    """``_level`` whose kernel is (-i)^|m| times the radial integral against J_|m|(p rho),
-    from one Bessel ladder J_0 ... J_top over the arguments p rho of every pair of a level;
-    a row is (radial integral) (-i)^|m| e^(i m phi_p), the closed forms' order of factors."""
-    def kernel(n, top, ps, rules):
-        ladder = _bessel_ladder(top, np.concatenate([pk * rho for pk, (rho, _)
-                                                     in zip(ps, rules)]))
-        ends = np.cumsum([rho.size for rho, _ in rules])[:-1]
-        radial = np.array([np.sum(weighted * bessel, axis=1) for (_, weighted), bessel
-                           in zip(rules, np.split(ladder, ends, axis=1))]).T
-        return radial * np.array([NEG_I_POW[am % 4] for am in range(top + 1)])[:, None]
-    return _level(n, m, p, phi_p, nodes, kernel)
+def _hankel_level(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
+    """Rows of level n by the Hankel route: each distinct momentum's radial integral against
+    J_0 ... J_top, from one Bessel ladder over the arguments p rho of them all, on one rule
+    per panel count; a row is (radial integral) (-i)^|m| e^(i m phi_p), the closed forms'
+    order of factors.  Past ``_NODE_ROW_BUDGET`` it raises before it builds any rule."""
+    am = np.abs(m)
+    top = int(am.max())
+    ps, which = np.unique(p, return_inverse=True)
+    counts = [_panel_count(n, pk) for pk in ps.tolist()]
+    size = PANEL_ORDER * (top + 1) * sum(counts)
+    if size > _NODE_ROW_BUDGET:
+        raise ValueError(f"oracle level needs {size:,} radial nodes x rows, above its budget "
+                         f"of {_NODE_ROW_BUDGET:,}: split the momenta or lower p")
+    rules = {c: _radial_rule(n, top, c) for c in dict.fromkeys(counts)}
+    rhos, weighted = zip(*(rules[c] for c in counts))
+    ladder = _bessel_ladder(top, np.concatenate([pk * rho for pk, rho in zip(ps, rhos)]))
+    ends = np.cumsum([rho.size for rho in rhos])[:-1]
+    radial = np.array([np.sum(wt * bessel, axis=1)
+                       for wt, bessel in zip(weighted, np.split(ladder, ends, axis=1))]).T
+    radial = radial * np.array([NEG_I_POW[k % 4] for k in range(top + 1)])[:, None]
+    return radial[am][:, which] * _turns(m[:, None], phi_p)
 
 
-def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):
+def _hankel_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
+    """``_level`` of the Hankel route (``_hankel_level``)."""
+    return _level(_hankel_level, n, m, p, phi_p)
+
+
+def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint):
     """Oracle momentum wavefunction via the angular-reduction route: the one-state row of
-    ``_hankel_rows``, a ``complex`` for a scalar point, else an array of the broadcast shape.
-    ``nodes``, the least radial count, is an integer of at least 64, or a ValueError names it."""
-    return _one_state(lambda *args: _hankel_rows(*args, nodes), qn, mp.p, mp.phi_p)
+    ``_hankel_rows``, a ``complex`` for a scalar point, else an array of the broadcast shape."""
+    return _one_state(_hankel_rows, qn, mp.p, mp.phi_p)
 
 
-def _phi_count(x_osc: float) -> int:
-    """Number of trapezoid angles needed at p rho_max = x_osc.
+def _levi_civita_block(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
+                       refine: int) -> np.ndarray:
+    """Rows of level n at the momenta p, phi_p by the Levi-Civita route (``_levi_civita_rows``)."""
+    s, w = gauss_hermite(refine * (n + 2))
+    q0, am = 1.0 / (n + 0.5), np.abs(m)[:, None, None, None]
+    a = q0 + 1j * p
+    root = np.sqrt(a)[:, None, None]
+    w1, w2 = s[:, None] / root, s / np.conj(root)
+    half = 0.5 * phi_p[:, None, None]
+    u1 = np.cos(half) * w1 - np.sin(half) * w2
+    u2 = np.sin(half) * w1 + np.cos(half) * w2
+    rho = u1 * u1 + u2 * u2
+    turned = u1 + 1j * np.where(m < 0, -1.0, 1.0)[:, None, None, None] * u2
+    terms = (_power(turned, 2 * am) * rho
+             * _degree(_laguerre_ladder(2 * am, 2.0 * q0 * rho), n - am, f"laguerre k={n}"))
+    scale = _per_state(normalization, np.full_like(m, n), m) * (2.0 * q0) ** np.abs(m)
+    return (scale[:, None] / (math.pi * np.abs(a))
+            * np.sum(terms * (w[:, None] * w), axis=(-2, -1)))
 
-    Aliasing leaks the Bessel orders k = n_phi - |m|, n_phi + |m|, ... into
-    the angular sum; n_phi >= 1.25 x_osc + 64 (floored at 256) keeps them
-    in the superexponentially small regime J_k(x) with k/x >= 1.25.
+
+def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
+                      refine: int = 1) -> np.ndarray:
+    """``_level`` of the Levi-Civita route on refine (n + 2) Gauss-Hermite nodes per axis.
+
+    Per level, with q0 = 1/(n + 1/2), a = q0 + i p and u = R(phi_p/2) w at
+    w1 = s1/sqrt(a), w2 = s2/sqrt(conj a) on the product rule, a row is
+    N (2 q0)^|m| / (pi |a|) times the weighted sum of
+    (u1 +- i u2)^(2|m|) L_{n-|m|}^(2|m|)(2 q0 rho) rho, rho = u1^2 + u2^2: one
+    Laguerre ladder for every state of the level, over blocks of momenta of at
+    most ``_TERM_BLOCK`` terms.  ``refine`` = 2 is the node-doubling check's;
+    past n = ``_LEVI_CIVITA_MAX_N`` the sum loses its digits to cancellation,
+    so that is a ValueError.
     """
-    n_phi = 256
-    while n_phi < 1.25 * x_osc + 64.0:
-        n_phi *= 2
-    return n_phi
+    if np.size(n) and np.max(n) > _LEVI_CIVITA_MAX_N:
+        raise ValueError(f"the Levi-Civita oracle covers n <= {_LEVI_CIVITA_MAX_N}, "
+                         f"got n = {np.max(n)}")
 
-
-def _direct_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
-                 nodes) -> np.ndarray:
-    """``_level`` whose kernel is the trapezoid rule in phi on the nodes phi_p + theta_k.
-
-    With theta_k = 2 pi k / n_phi the kernel is e^(-i p rho cos theta_k) and
-    the state's angular factor e^(i m phi_p) e^(i m theta_k).  cos theta is
-    even in theta and odd about pi/2, so the sum over all n_phi nodes (a
-    multiple of 4) is one over k = 0 ... n_phi/4 with weights 4/n_phi, 2/n_phi
-    at the two ends: cos(p rho cos theta_k) cos(|m| theta_k) for even |m|,
-    -i sin(p rho cos theta_k) cos(|m| theta_k) for odd |m|, the -i being that
-    of e^(-iy) = cos y - i sin y.  Chunks of at most 2^21 kernel elements are
-    projected onto every order 0 ... n of the level, whatever top, so rows do
-    not depend on it.
-    """
-    def kernel(n, top, ps, rules):
-        radial = np.zeros((top + 1, len(ps)), dtype=complex)
-        for j, (pk, (rho, weighted)) in enumerate(zip(ps, rules)):
-            n_phi = _phi_count(pk * _rho_max(n))
-            theta = 2.0 * math.pi * np.arange(n_phi // 4 + 1) / n_phi
-            proj = np.cos(np.outer(theta, np.arange(n + 1))) * (4.0 / n_phi)
-            proj[[0, -1]] *= 0.5
-            cosines = np.cos(theta)
-            chunk = max(1, (1 << 21) // theta.size)
-            for lo in range(0, rho.size, chunk):
-                arg = pk * np.outer(rho[lo:lo + chunk], cosines)
-                part = np.empty((arg.shape[0], n + 1), dtype=complex)
-                part[:, 0::2] = np.einsum("ij,jk->ik", np.cos(arg), proj[:, 0::2])
-                if n:  # the odd orders; level 0 has none
-                    part[:, 1::2] = -1j * np.einsum("ij,jk->ik", np.sin(arg, out=arg),
-                                                    proj[:, 1::2])
-                radial[:, j] += np.sum(weighted[:, lo:lo + chunk] * part[:, :top + 1].T, axis=1)
-        return radial
-    return _level(n, m, p, phi_p, nodes, kernel)
-
-
-def ft_direct_2d(qn: QuantumNumbers, mp: MomentumPoint, nodes: int = 512):
-    """Oracle momentum wavefunction via brute-force polar quadrature: the one-state row
-    of ``_direct_rows``; values and ``nodes`` as for ``ft_hankel``."""
-    return _one_state(lambda *args: _direct_rows(*args, nodes), qn, mp.p, mp.phi_p)
+    def rows(n, m, p, phi_p):
+        step = max(1, _TERM_BLOCK // (m.size * (refine * (n + 2)) ** 2))
+        return np.concatenate([_levi_civita_block(n, m, p[j:j + step], phi_p[j:j + step], refine)
+                               for j in range(0, p.size, step)], axis=1)
+    return _level(rows, n, m, p, phi_p)

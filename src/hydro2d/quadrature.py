@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -79,6 +80,16 @@ def gauss_legendre(n: int):
         raise ValueError("need at least one node")
     k = np.arange(n, dtype=float)
     return _gauss_rule(np.zeros(n), k * k / (4.0 * k * k - 1.0), 2.0)
+
+
+@lru_cache(maxsize=None)
+def gauss_hermite(n: int):
+    """Nodes/weights for integral of f(x) exp(-x^2) on the real line: a_k = 0, b_k^2 = k/2,
+    mass sqrt(pi)."""
+    if n < 1:
+        raise ValueError("need at least one node")
+    k = np.arange(n, dtype=float)
+    return _gauss_rule(np.zeros(n), k / 2.0, math.sqrt(math.pi))
 
 
 _PANEL_X, _PANEL_W = gauss_legendre(PANEL_ORDER)

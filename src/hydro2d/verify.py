@@ -27,14 +27,13 @@ say so in the notes; the raw residual is still recorded as max_abs_err.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from . import genfunc
-from .ftoracle import _direct_rows, _hankel_rows
+from .ftoracle import _hankel_rows, _levi_civita_rows
 from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s_invariant,
                          det_x, gen_func_momentum, quadratic_form_matrix)
 from .momentum import MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, q_of_p
@@ -565,37 +564,27 @@ def check_reindexing_chain(n_max: int = 30, tol: float = 1e-9) -> VerificationRe
 # ft suite
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _acceptance_rows(cap: int) -> Tuple[np.ndarray, np.ndarray]:
-    """``_hankel_rows`` of ``_states(cap, signed=True)`` on the acceptance grid at least 512
-    and 1,024 radial nodes, from one call that integrates each (p, panel count) pair once
-    per level.  Computed once per cap; callers only read it."""
-    grid = acceptance_grid()
-    rows = _hankel_rows(*_states(cap, signed=True), np.tile(grid.p, 2)[None],
-                        np.tile(grid.phi_p, 2)[None], np.repeat([512, 1024], grid.p.size))
-    return rows[:, :grid.p.size], rows[:, grid.p.size:]
-
-
 def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationReport:
     mp = acceptance_grid()
-    want = _acceptance_rows(n_max)[0]
-    err = np.abs(_psi_momentum(*_states(n_max, signed=True), mp.p[None], mp.phi_p[None]) - want)
+    n, m = _states(n_max, signed=True)
+    want = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
+    err = np.abs(_psi_momentum(n, m, mp.p[None], mp.phi_p[None]) - want)
     # Relative errors count only where the oracle value exceeds 1e-8.
     return VerificationReport.from_errors(
         "momentum-vs-ft-oracle", f"|m| <= n <= {n_max}, {mp.p.size} momentum points",
         [(err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0))], tol,
         notes="unitary 1/(2pi) transform; closed form carries (-i)^|m|, "
-              "oracle method hankel_reduced")
+              "oracle method levi_civita_hermite")
 
 
 def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
     cap = min(n_max, 3)
     mp = _grid_points(np.geomspace(0.05, 3.0, 10))
-    args = (*_states(cap, signed=True), mp.p[None], mp.phi_p[None], 512)
+    args = (*_states(cap, signed=True), mp.p[None], mp.phi_p[None])
     return VerificationReport.from_errors(
         "two-oracle-agreement", f"|m| <= n <= {cap}, 10-point log p-grid",
-        [(np.abs(_hankel_rows(*args) - _direct_rows(*args)), 1.0)],
-        tol, notes="angular-reduction route vs brute-force polar quadrature")
+        [(np.abs(_hankel_rows(*args) - _levi_civita_rows(*args)), 1.0)],
+        tol, notes="angular-reduction route vs Levi-Civita Gauss-Hermite route")
 
 
 def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
@@ -603,7 +592,7 @@ def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
     angles = np.array([0.0, 0.9, -2.4])
     n, m = _states(cap, signed=True)
     # vals[state, p, phi]; points where |psi(p, 0)| <= 1e-6 are skipped.
-    vals = _hankel_rows(n, m, np.array([[[0.5], [2.0]]]), angles, 512)
+    vals = _levi_civita_rows(n, m, np.array([[[0.5], [2.0]]]), angles)
     diff = np.angle(vals) - np.angle(vals[..., :1]) - m[:, None, None] * angles
     wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
     return VerificationReport.from_errors(
@@ -613,12 +602,14 @@ def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
 
 
 def check_node_doubling(n_max: int = 4, tol: float = 1e-9) -> VerificationReport:
-    """The acceptance rows at least 512 against at least 1,024 radial nodes: they differ only
-    where the node floor sets the panel count (see ``ftoracle``)."""
+    """The Levi-Civita rows on n + 2 against 2 (n + 2) Gauss-Hermite nodes per axis: the
+    smaller rule is already exact, so they differ by rounding only."""
+    mp = acceptance_grid()
+    args = (*_states(n_max, signed=True), mp.p[None], mp.phi_p[None])
     return VerificationReport.from_errors(
         "oracle-node-doubling", f"|m| <= n <= {n_max}, acceptance grid",
-        [(np.abs(np.subtract(*_acceptance_rows(n_max))), 1.0)],
-        tol, notes="quadrature already converged at 512 nodes")
+        [(np.abs(_levi_civita_rows(*args) - _levi_civita_rows(*args, refine=2)), 1.0)],
+        tol, notes="quadrature already exact at n + 2 Hermite nodes per axis")
 
 
 # ---------------------------------------------------------------------------

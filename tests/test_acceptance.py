@@ -89,7 +89,7 @@ def test_criterion_3_ode_residual():
 def test_criterion_4_fourier_oracle():
     t0 = time.perf_counter()
     main_rep = check_oracle_agreement()   # n <= 4, 20 log-spaced p in [0.05, 20]
-    cross_rep = check_two_oracles()       # n <= 3, hankel vs direct 2d
+    cross_rep = check_two_oracles()       # n <= 3, hankel vs Levi-Civita
     ok = (main_rep.passed and main_rep.max_abs_err <= 1e-6
           and cross_rep.passed and cross_rep.max_abs_err <= 1e-7)
     _finish(4, "closed forms match the FT oracle (1e-6) and the two oracles "

@@ -17,39 +17,27 @@ import pytest
 
 import hydro2d.ftoracle
 import hydro2d.verify
-from hydro2d.ftoracle import (_direct_rows, _hankel_rows, _panel_count, _phi_count, _radial_rule,
-                              _rho_max, ft_direct_2d, ft_hankel)
-from hydro2d.momentum import MomentumPoint, psi_momentum
+from hydro2d.ftoracle import (_MIN_PANELS, _hankel_rows, _levi_civita_rows, _panel_count,
+                              _radial_rule, ft_hankel)
+from hydro2d.momentum import MomentumPoint, _psi_momentum, psi_momentum
+from hydro2d.polys import _turns
 from hydro2d.position import QuantumNumbers
 from hydro2d.quadrature import PANEL_ORDER
 from hydro2d.reporting import VerificationReport
-from hydro2d.verify import (SUITES, _acceptance_rows, acceptance_grid, check_node_doubling,
-                            check_oracle_agreement)
+from hydro2d.verify import SUITES, _states, acceptance_grid, check_oracle_agreement, run_suite
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def _level_rows(rows, n, mp, nodes):
+def _level_rows(rows, n, mp, **kwargs):
     """The core ``rows`` for m = -n ... n of level n at the 1-d momenta of ``mp``."""
-    return rows(np.full(2 * n + 1, n), np.arange(-n, n + 1), mp.p[None], mp.phi_p[None], nodes)
+    return rows(np.full(2 * n + 1, n), np.arange(-n, n + 1), mp.p[None], mp.phi_p[None], **kwargs)
 
 
-def test_config_validation():
-    qn, mp = QuantumNumbers(1, 0), MomentumPoint(0.5, 0.0)
-    ft_hankel(qn, mp, nodes=64)
-    with pytest.raises(ValueError):
-        ft_hankel(qn, mp, nodes=32)
-    with pytest.raises(ValueError):
-        ft_direct_2d(qn, mp, nodes=32)
-
-
-@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
-@pytest.mark.parametrize("nodes", [100.5, math.nan, math.inf, 63, 512.0, "512", None])
-def test_bad_node_count_is_named(oracle, nodes):
-    # A least node count that is not an integer of at least 64 is a named
-    # usage error on both routes, not a silent rule or a conversion error.
-    with pytest.raises(ValueError, match="oracle radial nodes"):
-        oracle(QuantumNumbers(1, 0), MomentumPoint(0.5, 0.0), nodes=nodes)
+def _levi_civita(qn, mp):
+    """The Levi-Civita route's one row for the state qn at the momenta of ``mp``."""
+    return _levi_civita_rows(np.array([qn.n]), np.array([qn.m]),
+                             np.atleast_1d(mp.p)[None], np.atleast_1d(mp.phi_p)[None])[0]
 
 
 def test_ground_state_at_zero_momentum():
@@ -73,7 +61,7 @@ def test_hankel_matches_closed_form_at_recorded_point():
 
 def test_two_oracles_agree():
     qn, mp = QuantumNumbers(0, 0), MomentumPoint(0.5, 0.0)
-    assert abs(ft_direct_2d(qn, mp) - ft_hankel(qn, mp)) <= 1e-7  # measured 5.6e-17
+    assert abs(_levi_civita(qn, mp)[0] - ft_hankel(qn, mp)) <= 1e-7  # measured 6.7e-16
 
 
 def test_hankel_symmetry_under_m_flip():
@@ -83,28 +71,78 @@ def test_hankel_symmetry_under_m_flip():
     assert a == b
 
 
-def test_direct_symmetry_under_m_flip():
-    a = ft_direct_2d(QuantumNumbers(1, -1), MomentumPoint(0.5, 1.0))
-    b = ft_direct_2d(QuantumNumbers(1, 1), MomentumPoint(0.5, -1.0))
-    c = ft_direct_2d(QuantumNumbers(1, 1), MomentumPoint(0.5, 1.0))
-    assert abs(a - b) <= 1e-12
-    assert abs(a + c.conjugate()) <= 1e-12  # psi(n,-m) = (-1)^|m| conj(psi(n,m))
+def test_levi_civita_symmetry_under_m_flip():
+    a = _levi_civita(QuantumNumbers(1, -1), MomentumPoint(0.5, 1.0))[0]
+    b = _levi_civita(QuantumNumbers(1, 1), MomentumPoint(0.5, -1.0))[0]
+    c = _levi_civita(QuantumNumbers(1, 1), MomentumPoint(0.5, 1.0))[0]
+    assert abs(a - b) <= 1e-12  # measured 5.6e-17
+    assert abs(a + c.conjugate()) <= 1e-12  # psi(n,-m) = (-1)^|m| conj(psi(n,m)); 5.6e-17
 
 
-def test_direct_large_momentum_tail():
-    # Far tail must both be tiny (p^-3 envelope) and still match the closed
-    # form; this exercises the oscillatory panel quadrature.
-    qn, mp = QuantumNumbers(1, 0), MomentumPoint(50.0, 0.0)
-    val = ft_direct_2d(qn, mp)
-    assert 0.0 < abs(val) <= 1e-4
-    assert abs(val - psi_momentum(qn, mp)) <= 1e-8
+_WIDE_P = np.concatenate([acceptance_grid().p, [50.0, 1e3]])
+_WIDE_PHI = np.concatenate([acceptance_grid().phi_p, [0.3, -1.1]])
+
+
+def test_levi_civita_rows_match_closed_form_and_hankel():
+    # n <= 6 on the acceptance grid and at p = 50 and 1e3: the route is exact
+    # up to rounding, absolutely and relative to the closed form.  The Hankel
+    # route is compared up to p = 50; at 1e3 its levels exceed the node budget.
+    n, m = _states(6, signed=True)
+    rows = _levi_civita_rows(n, m, _WIDE_P[None], _WIDE_PHI[None])
+    want = _psi_momentum(n, m, _WIDE_P[None], _WIDE_PHI[None])
+    err = np.abs(rows - want)
+    assert err.max() <= 1e-13  # measured 1.8e-14
+    assert np.max(err / np.abs(want), where=np.abs(want) > 1e-8, initial=0.0) <= 1e-11  # 8.4e-13
+    hankel = _hankel_rows(n, m, _WIDE_P[None, :-1], _WIDE_PHI[None, :-1])
+    assert np.max(np.abs(rows[:, :-1] - hankel)) <= 1e-13  # measured 3.0e-14
 
 
 def test_node_count_invariance():
-    qn, mp = QuantumNumbers(3, 2), MomentumPoint(0.7, 0.4)
-    lo = ft_hankel(qn, mp, nodes=512)
-    hi = ft_hankel(qn, mp, nodes=1024)
-    assert abs(lo - hi) <= 1e-12
+    # n + 2 Gauss-Hermite nodes per axis are exact, so twice as many change
+    # rounding only, up to n = 10.
+    n, m = _states(10, signed=True)
+    mp = acceptance_grid()
+    exact = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
+    doubled = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None], refine=2)
+    assert np.max(np.abs(exact - doubled)) <= 1e-12  # measured 1.0e-13
+
+
+def test_one_node_short_is_off(monkeypatch):
+    # n + 1 nodes per axis integrate only to degree 2n + 1 < 2n + 2: the
+    # exactness is sharp, so the node-doubling check can fail.
+    n, m = _states(4, signed=True)
+    mp = acceptance_grid()
+    exact = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
+    rule = hydro2d.ftoracle.gauss_hermite
+    monkeypatch.setattr(hydro2d.ftoracle, "gauss_hermite", lambda count: rule(count - 1))
+    short = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
+    for level in range(5):
+        assert np.max(np.abs(short - exact)[n == level]) > 1e-3  # measured 0.40 ... 4.1
+
+
+def test_levi_civita_phase_comes_from_the_nodes():
+    # The azimuth enters through the rotated nodes, not a factored e^(i m phi_p):
+    # the rows at phi_p are those at 0 times _turns(m, phi_p) to rounding, and
+    # not bit for bit, so oracle-phase-correctness judges the oracle's numerics.
+    n, m = _states(6, signed=True)
+    p = np.array([[0.5, 2.0]])
+    at_zero = _levi_civita_rows(n, m, p, np.zeros_like(p))
+    for angle in (0.9, -2.4):
+        rows = _levi_civita_rows(n, m, p, np.full_like(p, angle))
+        turned = at_zero * _turns(m[:, None], angle)
+        assert np.max(np.abs(rows - turned)) <= 1e-13  # measured 4.0e-16
+        assert np.any(rows != turned)
+
+
+def test_levi_civita_range_guard():
+    # Past n = 30 the sum cancels (7.7e-12 of the peak at n = 30, 7.9e-11 at
+    # 40): a ValueError names the limit, also through run_suite.
+    mp = acceptance_grid()
+    _levi_civita_rows(np.array([30]), np.array([-3]), mp.p[None, :1], mp.phi_p[None, :1])
+    with pytest.raises(ValueError, match="n <= 30, got n = 31"):
+        _levi_civita_rows(np.array([2, 31]), np.array([0, 1]), mp.p[None], mp.phi_p[None])
+    with pytest.raises(ValueError, match="n <= 30"):
+        run_suite("ft", n_max=31)
 
 
 @pytest.mark.parametrize("n, m, p", [(13, 13, 2.0), (15, 14, 1.0), (20, 16, 3.0)])
@@ -118,7 +156,7 @@ def test_hankel_large_order(n, m, p):
     assert abs(val - psi_momentum(qn, mp)) <= 1e-12  # measured 1.2e-14
 
 
-@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+@pytest.mark.parametrize("oracle", [ft_hankel])
 @pytest.mark.parametrize("n, m, p", [(85, 85, 0.01), (85, 0, 0.0), (85, 0, 0.01),
                                      (40, 0, 0.0), (40, 0, 0.01)])
 def test_largest_order_matches_closed_form(oracle, n, m, p):
@@ -131,7 +169,7 @@ def test_largest_order_matches_closed_form(oracle, n, m, p):
     assert abs(oracle(qn, mp) - want) <= 1e-10 * abs(want)
 
 
-@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+@pytest.mark.parametrize("oracle", [ft_hankel])
 def test_past_largest_order_raises_like_closed_form(oracle):
     qn, mp = QuantumNumbers(95, 95), MomentumPoint(0.01, 0.0)
     with pytest.raises(ValueError, match="smallest normal double"):
@@ -142,20 +180,18 @@ def test_past_largest_order_raises_like_closed_form(oracle):
 
 @pytest.mark.parametrize("n", [0, 4])
 def test_radial_rule_counts(n):
-    # At small p and n <= 12 the rule has exactly ``nodes`` points, so
-    # doubling them refines it; at p = 20 the panel width pi/p sets the count
-    # alone (as _MAX_PANEL_WIDTH does at small p from n = 13 on).
-    for nodes in (512, 1024):
-        rho, weighted = _radial_rule(n, n, _panel_count(n, 0.05, nodes))
-        assert rho.size == nodes and weighted.shape == (n + 1, nodes)
-    count = _panel_count(n, 20.0, 512)
-    assert count == _panel_count(n, 20.0, 1024) and count * PANEL_ORDER > 1024
+    # At small p and n <= 12 the rule has exactly 512 points; at p = 20 the
+    # panel width pi/p sets the count alone (as _MAX_PANEL_WIDTH does at small
+    # p from n = 13 on).
+    rho, weighted = _radial_rule(n, n, _panel_count(n, 0.05))
+    assert rho.size == PANEL_ORDER * _MIN_PANELS == 512 and weighted.shape == (n + 1, 512)
+    assert _panel_count(n, 20.0) * PANEL_ORDER > 1024
 
 
-@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+@pytest.mark.parametrize("oracle", [ft_hankel])
 def test_array_call_matches_stacked_scalar_calls(oracle):
     # Like psi_momentum: an array point gives the row over its broadcast
-    # shape (tests/test_array_contract.py; too slow there for the direct route).
+    # shape (tests/test_array_contract.py).
     qn = QuantumNumbers(2, -1)
     ps, angles = np.array([[0.1, 0.5, 2.0], [0.0, 0.7, 1.3]]), np.array([0.4, -1.1, 2.5])
     values = oracle(qn, MomentumPoint(ps, angles))
@@ -172,115 +208,78 @@ def test_array_call_matches_stacked_scalar_calls(oracle):
         assert empty.shape == shape and empty.dtype == complex
 
 
-# At p = 0 and 0.05 every rule has exactly ``nodes`` points.  The panel
-# width pi/p adds panels (p rho_max / pi > nodes / 16) at p = 0.7 from n = 3
-# on at 512 nodes, at p = 3 from n = 1 on (n = 2 at 1024) and at p = 20 always.
 _BATCH_P = (0.0, 0.05, 0.7, 3.0, 20.0)
 _BATCH_PHI = (0.0, 0.9, 2.2, -1.4, 1.3)
 
 
-@pytest.mark.parametrize("nodes", [512, 1024])
 @pytest.mark.parametrize("n", range(5))
-def test_batched_rows_equal_point_calls(n, nodes):
+def test_batched_rows_equal_point_calls(n):
     # The checks read every (m, p) of a level from one batched call; the
-    # public one-point functions must give the same values.  The direct
-    # route's kernel grows with p rho_max, to 2.6e4 radial nodes times 2049
-    # quarter-circle angles at n = 4, p = 20, so beyond n = 0 it is compared
-    # at p <= 3.
+    # one-point calls must give the same values on both routes.
     mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
-    hankel = _level_rows(_hankel_rows, n, mp, nodes)
-    cols = len(_BATCH_P) if n == 0 else 4
-    direct = _level_rows(_direct_rows, n, MomentumPoint(mp.p[:cols], mp.phi_p[:cols]), nodes)
-    worst_h = worst_d = 0.0
+    hankel, levi_civita = (_level_rows(rows, n, mp) for rows in (_hankel_rows, _levi_civita_rows))
+    worst_h = worst_lc = 0.0
     for m in range(-n, n + 1):
         qn = QuantumNumbers(n, m)
         for j, point in enumerate(zip(_BATCH_P, _BATCH_PHI)):
             one = MomentumPoint(*point)
-            worst_h = max(worst_h, abs(hankel[m + n, j] - ft_hankel(qn, one, nodes)))
-            if j < cols:
-                worst_d = max(worst_d, abs(direct[m + n, j] - ft_direct_2d(qn, one, nodes)))
+            worst_h = max(worst_h, abs(hankel[m + n, j] - ft_hankel(qn, one)))
+            worst_lc = max(worst_lc, abs(levi_civita[m + n, j] - _levi_civita(qn, one)[0]))
     assert worst_h <= 1e-15  # measured 1.4e-16: one Bessel sweep seeded at |m|, one at n
-    assert worst_d <= 1e-15  # measured 0
+    assert worst_lc <= 1e-15  # measured 0
 
 
-@pytest.mark.parametrize("n", range(5))
-def test_acceptance_halves_equal_separate_calls(n):
-    # One call over both node counts integrates each (p, panel count) pair
-    # once; every Bessel value is elementwise in its argument, so each half
-    # is bit for bit the call at its own node count.
-    for half, nodes in zip(_acceptance_rows(n), (512, 1024)):
-        level = half[-(2 * n + 1):]  # level n is the last 2n + 1 rows of the cap-n states
-        assert np.array_equal(level, _level_rows(_hankel_rows, n, acceptance_grid(), nodes))
-
-
-@pytest.mark.parametrize("n", [0, 2, 4])
-def test_mixed_node_counts_equal_per_count_calls(n):
-    # nodes broadcasts against the points; each column is the call at its own count.
-    nodes = np.array([512, 1024, 512, 1024, 1024])
-    mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
-    mixed = _level_rows(_hankel_rows, n, mp, nodes)
-    for count in (512, 1024):
-        cols = nodes == count
-        alone = _level_rows(_hankel_rows, n, MomentumPoint(mp.p[cols], mp.phi_p[cols]), count)
-        assert np.array_equal(mixed[:, cols], alone)
-
-
-@pytest.mark.parametrize("n", range(5))
-def test_node_doubling_refines_where_the_floor_binds(n):
-    # Doubling the least count still refines the rule at 9 or more of the 20
-    # acceptance momenta; the two halves differ there and agree bit for bit
-    # wherever the panel width pi/p sets one count for both.
-    lo, hi = (half[-(2 * n + 1):] for half in _acceptance_rows(n))
-    refined = np.array([_panel_count(n, p, 1024) > _panel_count(n, p, 512)
-                        for p in acceptance_grid().p])
-    assert refined.sum() >= 9  # measured 18, 14, 12, 10, 9 at n = 0 ... 4
-    assert not np.array_equal(lo[:, refined], hi[:, refined])
-    assert np.array_equal(lo[:, ~refined], hi[:, ~refined])
-
-
-def test_acceptance_passes_integrate_each_panel_once(monkeypatch):
-    # The agreement and node-doubling checks pass PANEL_ORDER Bessel arguments
-    # per panel of each distinct (p, panel count) pair, 325,920 in all where
-    # integrating both passes in full took 552,288.
+def test_hankel_route_integrates_each_momentum_once(monkeypatch):
+    # A 6-momentum by 8-angle mesh passes PANEL_ORDER Bessel arguments per
+    # panel of each distinct momentum, once, and equals its per-point calls
+    # bit for bit.
     passed = []
     ladder = hydro2d.ftoracle._bessel_ladder
     monkeypatch.setattr(hydro2d.ftoracle, "_bessel_ladder",
                         lambda m, xs: passed.append(xs.size) or ladder(m, xs))
-    _acceptance_rows.cache_clear()
-    try:
-        assert check_oracle_agreement().passed and check_node_doubling().passed
-    finally:
-        _acceptance_rows.cache_clear()
-    panels = sum(count for n in range(5) for _, count in
-                 {(p, _panel_count(n, p, nodes)) for p in acceptance_grid().p.tolist()
-                  for nodes in (512, 1024)})
-    assert sum(passed) == PANEL_ORDER * panels == 325_920
+    qn, ps = QuantumNumbers(2, -1), [0.0, 0.05, 0.3, 1.0, 2.5, 6.0]
+    p, phi = np.meshgrid(ps, np.linspace(-3.0, 3.0, 8), indexing="ij")
+    mesh = ft_hankel(qn, MomentumPoint(p, phi))
+    assert passed == [PANEL_ORDER * sum(_panel_count(2, pk) for pk in ps)]
+    points = np.array([ft_hankel(qn, MomentumPoint(pk, fk))
+                       for pk, fk in zip(p.ravel().tolist(), phi.ravel().tolist())])
+    assert np.array_equal(mesh, points.reshape(p.shape))
 
 
-@pytest.mark.parametrize("oracle, rows", [(ft_hankel, _hankel_rows), (ft_direct_2d, _direct_rows)])
+@pytest.mark.parametrize("oracle, rows", [(ft_hankel, _hankel_rows)])
 def test_public_oracle_is_its_one_state_core_row(oracle, rows):
     # A scalar point gives the core's one value as a complex, an array point its row.
     ps, angles = np.array([[0.1, 0.5, 2.0], [0.0, 0.7, 1.3]]), np.array([0.4, -1.1, 2.5])
     for qn in (QuantumNumbers(0, 0), QuantumNumbers(2, -1), QuantumNumbers(3, 3)):
         state = np.array([qn.n]), np.array([qn.m])
-        assert np.array_equal(oracle(qn, MomentumPoint(ps, angles), 1024),
-                              rows(*state, ps[None], angles[None], 1024)[0])
+        assert np.array_equal(oracle(qn, MomentumPoint(ps, angles)),
+                              rows(*state, ps[None], angles[None])[0])
         scalar = oracle(qn, MomentumPoint(0.7, 0.3))
         assert type(scalar) is complex
-        assert scalar == rows(*state, np.array([[0.7]]), np.array([[0.3]]), 512)[0, 0]
+        assert scalar == rows(*state, np.array([[0.7]]), np.array([[0.3]]))[0, 0]
 
 
-@pytest.mark.parametrize("rows", [_hankel_rows, _direct_rows])
+@pytest.mark.parametrize("rows", [_hankel_rows, _levi_civita_rows])
 def test_shuffled_states_of_several_levels_equal_per_level_calls(rows):
     # The core groups the states by level; their order and mix change no bit.
     n = np.repeat(np.arange(4), 2 * np.arange(4) + 1)
     m = np.concatenate([np.arange(-k, k + 1) for k in range(4)])
     order = np.random.default_rng(7).permutation(n.size)
     mp = MomentumPoint(np.array(_BATCH_P[:4]), np.array(_BATCH_PHI[:4]))
-    mixed = rows(n[order], m[order], mp.p[None], mp.phi_p[None], 512)
-    levels = {k: _level_rows(rows, k, mp, 512) for k in range(4)}
+    mixed = rows(n[order], m[order], mp.p[None], mp.phi_p[None])
+    levels = {k: _level_rows(rows, k, mp) for k in range(4)}
     for row, k, j in zip(mixed, n[order].tolist(), m[order].tolist()):
         assert np.array_equal(row, levels[k][j + k])
+
+
+def test_levi_civita_blocks_change_no_bit(monkeypatch):
+    # A level's momenta are summed in blocks of at most _TERM_BLOCK terms; the
+    # blocks split the momenta only, so one momentum per block gives the same bits.
+    n, m = _states(4, signed=True)
+    mp = acceptance_grid()
+    whole = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
+    monkeypatch.setattr(hydro2d.ftoracle, "_TERM_BLOCK", 1)
+    assert np.array_equal(_levi_civita_rows(n, m, mp.p[None], mp.phi_p[None]), whole)
 
 
 # The per-level loops that the state-axis ft checks replaced.
@@ -288,7 +287,7 @@ def test_shuffled_states_of_several_levels_equal_per_level_calls(rows):
 def _loop_agreement(cap):
     mp = acceptance_grid()
     for n in range(cap + 1):
-        for m, want in zip(range(-n, n + 1), _level_rows(_hankel_rows, n, mp, 512)):
+        for m, want in zip(range(-n, n + 1), _level_rows(_levi_civita_rows, n, mp)):
             err = np.abs(psi_momentum(QuantumNumbers(n, m), mp) - want)
             yield err, np.where(np.abs(want) > 1e-8, np.abs(want), 0.0)
 
@@ -296,15 +295,16 @@ def _loop_agreement(cap):
 def _loop_two_oracles(cap):
     mp = MomentumPoint(np.geomspace(0.05, 3.0, 10), np.resize(hydro2d.verify._PHI_CYCLE, 10))
     for n in range(min(cap, 3) + 1):
-        hankel, direct = (_level_rows(rows, n, mp, 512) for rows in (_hankel_rows, _direct_rows))
-        yield np.abs(hankel - direct), 1.0
+        hankel, levi_civita = (_level_rows(rows, n, mp)
+                               for rows in (_hankel_rows, _levi_civita_rows))
+        yield np.abs(hankel - levi_civita), 1.0
 
 
 def _loop_phase(cap):
     angles = np.array([0.0, 0.9, -2.4])
     mp = MomentumPoint(np.repeat([0.5, 2.0], angles.size), np.tile(angles, 2))
     for n in range(min(cap, 6) + 1):
-        vals = _level_rows(_hankel_rows, n, mp, 512).reshape(2 * n + 1, 2, angles.size)
+        vals = _level_rows(_levi_civita_rows, n, mp).reshape(2 * n + 1, 2, angles.size)
         diff = (np.angle(vals) - np.angle(vals[..., :1])
                 - np.arange(-n, n + 1)[:, None, None] * angles)
         wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
@@ -314,8 +314,8 @@ def _loop_phase(cap):
 def _loop_doubling(cap):
     grid = acceptance_grid()
     for n in range(cap + 1):
-        yield np.abs(_level_rows(_hankel_rows, n, grid, 512)
-                     - _level_rows(_hankel_rows, n, grid, 1024)), 1.0
+        yield np.abs(_level_rows(_levi_civita_rows, n, grid)
+                     - _level_rows(_levi_civita_rows, n, grid, refine=2)), 1.0
 
 
 _FT_LOOPS = {fn.__name__: (fn, loop) for fn, loop in zip(
@@ -338,20 +338,16 @@ def test_ft_check_calls_the_core_as_often_at_any_cap(monkeypatch, name):
     # A per-level loop calls the core once per level; a state-axis check calls
     # it as often at n_max 3 as at its default.  Counted, not timed.
     calls = []
-    for core in ("_hankel_rows", "_direct_rows"):
+    for core in ("_hankel_rows", "_levi_civita_rows"):
         original = getattr(hydro2d.verify, core)
         monkeypatch.setattr(hydro2d.verify, core,
-                            lambda *args, _core=core, _original=original:
-                            calls.append(_core) or _original(*args))
+                            lambda *args, _core=core, _original=original, **kwargs:
+                            calls.append(_core) or _original(*args, **kwargs))
     check = _FT_LOOPS[name][0]
     counts = []
     for n_max in (3, inspect.signature(check).parameters["n_max"].default):
         calls.clear()
-        _acceptance_rows.cache_clear()
-        try:
-            check(n_max=n_max)
-        finally:
-            _acceptance_rows.cache_clear()
+        check(n_max=n_max)
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
     assert 1 <= len(counts[0]) <= 2
@@ -359,11 +355,11 @@ def test_ft_check_calls_the_core_as_often_at_any_cap(monkeypatch, name):
 
 def test_empty_level_has_every_row():
     empty = np.zeros((1, 0))
-    for rows in (_hankel_rows, _direct_rows):
-        assert rows(np.full(5, 3), np.arange(-2, 3), empty, empty, 512).shape == (5, 0)
+    for rows in (_hankel_rows, _levi_civita_rows):
+        assert rows(np.full(5, 3), np.arange(-2, 3), empty, empty).shape == (5, 0)
 
 
-@pytest.mark.parametrize("oracle", [ft_hankel, ft_direct_2d])
+@pytest.mark.parametrize("oracle", [ft_hankel])
 def test_node_row_budget_raises_before_any_allocation(oracle, monkeypatch):
     # (1, 1) at p = 1e6 would need 19,675,984 panels, 3.1e8 radial nodes; the
     # level core must refuse it before building a rule or a Bessel argument.
@@ -373,66 +369,6 @@ def test_node_row_budget_raises_before_any_allocation(oracle, monkeypatch):
     monkeypatch.setattr(hydro2d.ftoracle, "_bessel_ladder", unreachable)
     with pytest.raises(ValueError, match="budget of 16,777,216"):
         oracle(QuantumNumbers(1, 1), MomentumPoint(1e6, 0.0))
-
-
-def test_direct_route_integrates_each_pair_once(monkeypatch):
-    # A 6-momentum by 8-angle mesh has 6 distinct (p, panel count) pairs, and
-    # the mesh equals its per-point calls bit for bit.
-    calls = []
-    phi_count = hydro2d.ftoracle._phi_count
-    monkeypatch.setattr(hydro2d.ftoracle, "_phi_count",
-                        lambda x: calls.append(x) or phi_count(x))
-    qn = QuantumNumbers(2, -1)
-    p, phi = np.meshgrid([0.0, 0.05, 0.3, 1.0, 2.5, 6.0], np.linspace(-3.0, 3.0, 8),
-                         indexing="ij")
-    mesh = ft_direct_2d(qn, MomentumPoint(p, phi))
-    assert len(calls) == 6
-    points = np.array([ft_direct_2d(qn, MomentumPoint(pk, fk))
-                       for pk, fk in zip(p.ravel().tolist(), phi.ravel().tolist())])
-    assert np.array_equal(mesh, points.reshape(p.shape))
-
-
-def _full_circle_rows(n, p, phi_p, shifted):
-    """Every m of level n at one point by the unfolded trapezoid sum over all n_phi angles.
-
-    Shifted: nodes phi_p + theta_k, kernel e^(-i p rho cos theta_k) and
-    angular factor e^(i m phi_p) e^(i m theta_k).  Unshifted: nodes
-    phi_k = 2 pi k / n_phi, kernel e^(-i p rho cos(phi_k - phi_p)).
-    """
-    rho, weighted = _radial_rule(n, n, _panel_count(n, p, 512))
-    n_phi = _phi_count(p * _rho_max(n))
-    angles = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    if shifted:
-        kernel = np.exp(-1j * p * np.outer(rho, np.cos(angles)))
-    else:
-        kernel = np.exp(-1j * p * np.outer(rho, np.cos(angles - phi_p)))
-    rows = []
-    for m in range(-n, n + 1):
-        circle = np.exp(1j * m * angles) / n_phi
-        turn = np.exp(1j * m * phi_p) if shifted else 1.0
-        rows.append(turn * (weighted[abs(m)] @ kernel @ circle))
-    return np.array(rows)
-
-
-@pytest.mark.parametrize("n, p, phi_p", [(2, 0.7, 0.9), (3, 3.0, -1.4)])
-def test_quarter_fold_equals_full_circle_sum(n, p, phi_p):
-    # The quarter-circle sum in real arithmetic is the full trapezoid sum on
-    # the shifted nodes, regrouped; moving the nodes from phi_k = 2 pi k /
-    # n_phi to phi_p + 2 pi k / n_phi changes only aliasing-level terms.
-    rows = _level_rows(_direct_rows, n, MomentumPoint(np.array([p]), np.array([phi_p])), 512)[:, 0]
-    shifted = _full_circle_rows(n, p, phi_p, shifted=True)
-    unshifted = _full_circle_rows(n, p, phi_p, shifted=False)
-    assert np.max(np.abs(rows - shifted)) <= 1e-14  # measured 4.6e-16
-    assert np.max(np.abs(rows - unshifted)) <= 1e-13  # measured 7.5e-16
-
-
-def test_direct_rows_at_large_momentum():
-    # p = 20 at n = 4: 2.6e4 radial nodes by 8192 angles, folded to 2049.
-    # Signs and phases of every m come out of the quadrature, not a table.
-    rows = _level_rows(_direct_rows, 4, MomentumPoint(np.array([20.0]), np.array([1.3])), 512)[:, 0]
-    worst = max(abs(rows[m + 4] - psi_momentum(QuantumNumbers(4, m), MomentumPoint(20.0, 1.3)))
-                for m in range(-4, 5))
-    assert worst <= 1e-12  # measured 9.6e-16
 
 
 def test_oracle_report_single_point():
@@ -471,24 +407,23 @@ def _names(node):
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
 
-def test_direct_route_uses_no_bessel_function():
-    # The two oracles stay separate derivations: nothing that ft_direct_2d
-    # reaches, through any chain of module functions, names a Bessel routine
-    # or the Hankel route's phase table.
+def test_levi_civita_route_uses_no_bessel_function():
+    # The two oracles stay separate derivations: nothing that _levi_civita_rows
+    # reaches, through any chain of module functions, names a Bessel routine,
+    # the Hankel route's phase table or azimuthal factor, or its radial rule.
     tree = ast.parse(inspect.getsource(hydro2d.ftoracle))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["ft_direct_2d"]
+    reached, todo = set(), ["_levi_civita_rows"]
     while todo:
         name = todo.pop()
         if name not in reached:
             reached.add(name)
             todo += sorted(_names(defs[name]) & defs.keys())
-    assert {"_direct_rows", "_radial_rule", "_phi_count"} <= reached
+    assert {"_levi_civita_rows", "_levi_civita_block", "_level"} <= reached
     named = set().union(*(_names(defs[name]) for name in reached))
-    assert not named & {"bessel_j", "_bessel_ladder", "jv"}
-    # Nor the Hankel route's (-i)^|m| table: the direct route's phases are numerical.
-    assert "NEG_I_POW" not in named
-    assert "_bessel_ladder" in _names(defs["_hankel_rows"])
+    assert not named & {"_bessel_ladder", "bessel_j", "jv", "NEG_I_POW", "_turns",
+                        "_radial_rule", "panel_nodes"}
+    assert "_bessel_ladder" in _names(defs["_hankel_level"])
 
 
 def test_every_check_returns_through_from_errors():

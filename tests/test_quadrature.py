@@ -1,13 +1,14 @@
 """Quadrature rules: moment exactness, large-node stability and stack independence.
 
-Both rules come from one builder: Sturm-count multisection on the Jacobi matrix
+The rules come from one builder: Sturm-count multisection on the Jacobi matrix
 for the nodes and Christoffel sums for the weights, in elementwise IEEE
 arithmetic only.  Library eigensolvers return NaN Laguerre weights somewhere
 above 250 nodes; most tests here check that big Laguerre rules stay finite and
 accurate, and one that the rules keep their bits under other BLAS and SIMD
 kernels.  The Gauss-Legendre rules, the 16-point panel rule among them, are
 checked against numpy's ``leggauss``, on their moments, the panel rule's mirror
-symmetry and a chain of panels.  The package imports numpy only: scipy is a
+symmetry and a chain of panels, and the Gauss-Hermite rules against
+``hermgauss`` and their moments.  The package imports numpy only: scipy is a
 test oracle, and tests here check that importing and using the package loads
 neither scipy nor ``numpy.polynomial``, and that its source names no linalg,
 no ``leggauss`` and no matrix product.
@@ -26,8 +27,8 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d.quadrature import (_PANEL_W, _PANEL_X, PANEL_ORDER, gauss_laguerre, gauss_legendre,
-                                panel_nodes)
+from hydro2d.quadrature import (_PANEL_W, _PANEL_X, PANEL_ORDER, gauss_hermite, gauss_laguerre,
+                                gauss_legendre, panel_nodes)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
@@ -112,6 +113,25 @@ def test_gauss_legendre_matches_leggauss(n):
 def test_gauss_legendre_rejects_empty_rule():
     with pytest.raises(ValueError):
         gauss_legendre(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 33, 64])
+def test_gauss_hermite_matches_hermgauss(n):
+    # Up to the Fourier oracle's largest rule, 2 (30 + 2) nodes: the nodes and
+    # weights match numpy's hermgauss, and the rule is exact to degree 2n - 1:
+    # the moments of x^(2k) e^(-x^2) are Gamma(k + 1/2), to a relative 1e-13.
+    x, w = gauss_hermite(n)
+    want_x, want_w = np.polynomial.hermite.hermgauss(n)
+    assert np.max(np.abs(x - want_x)) <= 1e-14  # measured 1.8e-15 at n = 64
+    assert np.max(np.abs(w - want_w) / want_w) <= 1e-12  # measured 6.0e-14
+    for k in range(n):
+        assert abs(float(np.sum(w * x ** (2 * k))) / math.gamma(k + 0.5) - 1.0) <= 1e-13
+    assert abs(float(np.sum(w * x))) <= 1e-15
+
+
+def test_gauss_hermite_rejects_empty_rule():
+    with pytest.raises(ValueError):
+        gauss_hermite(0)
 
 
 def test_panel_nodes_integrate_sine():

@@ -567,7 +567,7 @@ def test_batched_check_starts_as_many_ladders_at_any_cap(monkeypatch, name):
 
 _ONE_STATE = {"QuantumNumbers", "psi_position", "psi_momentum", "psi_momentum_gegenbauer",
               "radial_wavefunction", "radial_ode_residual", "overlap", "norm_squared",
-              "ft_hankel", "ft_direct_2d"}
+              "ft_hankel"}
 
 
 def _named(module):
