@@ -71,12 +71,32 @@ def test_hankel_symmetry_under_m_flip():
     assert a == b
 
 
-def test_levi_civita_symmetry_under_m_flip():
+def test_direct_symmetry_under_m_flip():
+    # The Levi-Civita route is the direct 2-d transform: flipping m flips phi_p
+    # and conjugates, from the rotated nodes alone.
     a = _levi_civita(QuantumNumbers(1, -1), MomentumPoint(0.5, 1.0))[0]
     b = _levi_civita(QuantumNumbers(1, 1), MomentumPoint(0.5, -1.0))[0]
     c = _levi_civita(QuantumNumbers(1, 1), MomentumPoint(0.5, 1.0))[0]
     assert abs(a - b) <= 1e-12  # measured 5.6e-17
     assert abs(a + c.conjugate()) <= 1e-12  # psi(n,-m) = (-1)^|m| conj(psi(n,m)); 5.6e-17
+
+
+def test_direct_large_momentum_tail():
+    # Far tail must both be tiny (p^-3 envelope) and still match the closed
+    # form; the contours w = s/sqrt(a) carry the oscillation, not a panel rule.
+    qn, mp = QuantumNumbers(1, 0), MomentumPoint(50.0, 0.0)
+    val = _levi_civita(qn, mp)[0]
+    assert 0.0 < abs(val) <= 1e-4  # measured 4.9e-6
+    assert abs(val - psi_momentum(qn, mp)) <= 1e-8  # measured 3.6e-20
+
+
+def test_direct_rows_at_large_momentum():
+    # p = 20 at n = 4: signs and phases of every m come out of the rotated
+    # nodes, not a table.
+    rows = _level_rows(_levi_civita_rows, 4, MomentumPoint(np.array([20.0]), np.array([1.3])))[:, 0]
+    worst = max(abs(rows[m + 4] - psi_momentum(QuantumNumbers(4, m), MomentumPoint(20.0, 1.3)))
+                for m in range(-4, 5))
+    assert worst <= 1e-12  # measured 6.9e-20
 
 
 _WIDE_P = np.concatenate([acceptance_grid().p, [50.0, 1e3]])
@@ -105,6 +125,19 @@ def test_node_count_invariance():
     exact = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
     doubled = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None], refine=2)
     assert np.max(np.abs(exact - doubled)) <= 1e-12  # measured 1.0e-13
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_node_doubling_refines_where_the_floor_binds(n):
+    # oracle-node-doubling compares the n + 2 node floor with a second rule of
+    # 2 (n + 2) nodes: the two sums differ at 19 or more of the 20 acceptance
+    # momenta of every level, so the check never compares a sum with itself,
+    # and by rounding only.
+    grid = acceptance_grid()
+    lo = _level_rows(_levi_civita_rows, n, grid)
+    hi = _level_rows(_levi_civita_rows, n, grid, refine=2)
+    assert np.sum(np.any(lo != hi, axis=0)) >= 19  # measured 19, 20, 20, 20, 20 at n = 0 ... 4
+    assert np.max(np.abs(lo - hi)) <= 1e-13  # measured 3.3e-16 ... 8.5e-15
 
 
 def test_one_node_short_is_off(monkeypatch):
@@ -272,6 +305,24 @@ def test_shuffled_states_of_several_levels_equal_per_level_calls(rows):
         assert np.array_equal(row, levels[k][j + k])
 
 
+def test_direct_route_integrates_each_pair_once(monkeypatch):
+    # A 6-momentum by 8-angle mesh passes each of its 48 (p, phi_p) pairs to
+    # the Levi-Civita sum once, and equals its per-point calls bit for bit.
+    seen = []
+    block = hydro2d.ftoracle._levi_civita_block
+    monkeypatch.setattr(hydro2d.ftoracle, "_levi_civita_block",
+                        lambda n, m, p, phi_p, refine: seen.extend(zip(p, phi_p))
+                        or block(n, m, p, phi_p, refine))
+    qn = QuantumNumbers(2, -1)
+    p, phi = np.meshgrid([0.0, 0.05, 0.3, 1.0, 2.5, 6.0], np.linspace(-3.0, 3.0, 8),
+                         indexing="ij")
+    mesh = _levi_civita(qn, MomentumPoint(p.ravel(), phi.ravel()))
+    assert sorted(seen) == sorted(zip(p.ravel().tolist(), phi.ravel().tolist()))
+    points = np.array([_levi_civita(qn, MomentumPoint(pk, fk))[0]
+                       for pk, fk in zip(p.ravel().tolist(), phi.ravel().tolist())])
+    assert np.array_equal(mesh, points)
+
+
 def test_levi_civita_blocks_change_no_bit(monkeypatch):
     # A level's momenta are summed in blocks of at most _TERM_BLOCK terms; the
     # blocks split the momenta only, so one momentum per block gives the same bits.
@@ -407,10 +458,11 @@ def _names(node):
             | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
 
 
-def test_levi_civita_route_uses_no_bessel_function():
-    # The two oracles stay separate derivations: nothing that _levi_civita_rows
-    # reaches, through any chain of module functions, names a Bessel routine,
-    # the Hankel route's phase table or azimuthal factor, or its radial rule.
+def test_direct_route_uses_no_bessel_function():
+    # The two oracles stay separate derivations: nothing that the direct 2-d
+    # route, _levi_civita_rows, reaches through any chain of module functions
+    # names a Bessel routine, the Hankel route's phase table or azimuthal
+    # factor, or its radial rule.
     tree = ast.parse(inspect.getsource(hydro2d.ftoracle))
     defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     reached, todo = set(), ["_levi_civita_rows"]
