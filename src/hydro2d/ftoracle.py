@@ -141,7 +141,7 @@ def _levi_civita_block(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
                        refine: int) -> np.ndarray:
     """Rows of level n at the momenta p, phi_p by the Levi-Civita route (``_levi_civita_rows``)."""
     s, w = gauss_hermite(refine * (n + 2))
-    q0, am = 1.0 / (n + 0.5), np.abs(m)[:, None, None, None]
+    q0, am = 1.0 / (n + 0.5), np.abs(m)
     a = q0 + 1j * p
     root = np.sqrt(a)[:, None, None]
     w1, w2 = s[:, None] / root, s / np.conj(root)
@@ -150,9 +150,12 @@ def _levi_civita_block(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
     u2 = np.sin(half) * w1 + np.cos(half) * w2
     rho = u1 * u1 + u2 * u2
     turned = u1 + 1j * np.where(m < 0, -1.0, 1.0)[:, None, None, None] * u2
-    terms = (_power(turned, 2 * am) * rho
-             * _degree(_laguerre_ladder(2 * am, 2.0 * q0 * rho), n - am, f"laguerre k={n}"))
-    scale = _per_state(normalization, np.full_like(m, n), m) * (2.0 * q0) ** np.abs(m)
+    # m and -m share L_(n-|m|)^(2|m|)(2 q0 rho): one ladder over the distinct |m|.
+    ams, back = np.unique(am, return_inverse=True)
+    ams = ams[:, None, None, None]
+    terms = _power(turned, 2 * am[:, None, None, None]) * rho
+    terms *= _degree(_laguerre_ladder(2 * ams, 2.0 * q0 * rho), n - ams, f"laguerre k={n}")[back]
+    scale = _per_state(normalization, np.full_like(m, n), m) * (2.0 * q0) ** am
     return (scale[:, None] / (math.pi * np.abs(a))
             * np.sum(terms * (w[:, None] * w), axis=(-2, -1)))
 
@@ -165,7 +168,7 @@ def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.nda
     w1 = s1/sqrt(a), w2 = s2/sqrt(conj a) on the product rule, a row is
     N (2 q0)^|m| / (pi |a|) times the weighted sum of
     (u1 +- i u2)^(2|m|) L_{n-|m|}^(2|m|)(2 q0 rho) rho, rho = u1^2 + u2^2: one
-    Laguerre ladder for every state of the level, over blocks of momenta of at
+    Laguerre ladder over the distinct |m| of the level, over blocks of momenta of at
     most ``_TERM_BLOCK`` terms.  ``refine`` = 2 is the node-doubling check's;
     past n = ``_LEVI_CIVITA_MAX_N`` the sum loses its digits to cancellation,
     so that is a ValueError.

@@ -188,14 +188,21 @@ def _degree(ladder: Iterator[np.ndarray], k, what: str) -> np.ndarray:
     the result is the same entry of item k there (0 where k < 0).  A column takes row r
     of item k[r]; a leading axis of degrees, k = arange(count)[:, None] - shift, takes a
     series' whole table of coefficients.  The ladder runs to the largest degree, and
-    only the items taken must stay finite.
+    only the items taken must stay finite.  Each degree's entries are written in place
+    into one output of the broadcast shape of k and the items taken so far; an item
+    wider than that (item 0, ``ones_like`` of the points, is narrower than items that
+    broadcast with a column of parameters) costs one widening copy.
     """
-    out = 0.0
+    out = np.zeros(())
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for j, item in zip(range(int(np.max(k, initial=0)) + 1), ladder):
-                if np.any(k == j):
-                    out = np.where(k == j, item, out)
+                at = k == j
+                if np.any(at):
+                    shape = np.broadcast_shapes(out.shape, np.shape(at), np.shape(item))
+                    if out.shape != shape or out.dtype != np.result_type(out, item):
+                        out = np.broadcast_to(out, shape).astype(np.result_type(out, item))
+                    np.copyto(out, item, where=at)
     except OverflowError:  # an integer seed too large for a float
         pass
     else:

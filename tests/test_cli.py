@@ -6,12 +6,14 @@ invocations, so several tests compare full strings rather than parsed
 values.
 """
 
+import errno
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +151,24 @@ def test_table_non_finite_value_is_a_usage_error(monkeypatch, capsys):
     assert "non-finite im" in capsys.readouterr().err
 
 
+# Tables at or above cli._SPLIT_ROWS, with odd row counts (4,001 and 1,001 x 7), so that
+# table formats their second half in a forked child where two CPUs are usable.
+SPLIT_SLICE = ["--grid", "0:40:4001", "--angle", "1.1"]
+SPLIT_MESH = ["--grid", "0:9:1001", "--mesh", "7"]
+SPLIT_TABLE = ["table", "--n", "4", "--m", "-3", "--format", "json", *SPLIT_SLICE]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the host has, so a large table takes the forked path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("space, extra", [
     ("position", ["--grid", "0:7:9", "--angle", "0.4"]),
@@ -156,9 +176,12 @@ def test_table_non_finite_value_is_a_usage_error(monkeypatch, capsys):
     ("position", ["--grid", "0:7:5", "--mesh", "3"]),
     ("momentum", ["--grid", "0:3:4", "--mesh", "5"]),
     ("momentum", ["--grid", "0.5:1:2", "--angle", "0.0"]),
+    ("position", SPLIT_SLICE),
+    ("momentum", SPLIT_MESH),
 ])
-def test_table_writer_matches_generic_writers(capsys, space, extra, fmt):
-    # The one-template writer must give the bytes of _csv and _json on the same columns.
+def test_table_writer_matches_generic_writers(capsys, two_cpus, space, extra, fmt):
+    # The one-template writer, split or not, must give the bytes of _csv and _json on the
+    # same columns.
     argv = ["table", "--space", space, "--n", "4", "--m", "-3", "--format", fmt, *extra]
     code, out = run_cli(capsys, argv)
     assert code == 0
@@ -178,6 +201,94 @@ def test_table_writer_matches_generic_writers(capsys, space, extra, fmt):
     want = (cli._csv(header, rows) if fmt == "csv"
             else cli._json([dict(zip(header, r)) for r in rows]))
     assert out == want
+
+
+@pytest.mark.parametrize("extra", [SPLIT_SLICE, SPLIT_MESH])
+def test_table_split_forks_one_child_and_reaps_it(monkeypatch, capsys, two_cpus, extra):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    code, _ = run_cli(capsys, ["table", "--n", "4", "--m", "-3", *extra])
+    assert code == 0
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+
+
+def test_table_split_child_failure_gives_the_same_bytes(monkeypatch, capsys, two_cpus):
+    _, want = run_cli(capsys, SPLIT_TABLE)
+    parent, fill = os.getpid(), cli._fill
+
+    def fails_in_child(block, row, sep):
+        if os.getpid() != parent:
+            raise RuntimeError("child formatter fault")
+        return fill(block, row, sep)
+    monkeypatch.setattr(cli, "_fill", fails_in_child)
+    code, out = run_cli(capsys, SPLIT_TABLE)
+    assert code == 0
+    assert out == want
+    assert_no_child_left()
+
+
+def test_table_split_reaps_child_when_parent_formatting_raises(monkeypatch, two_cpus):
+    parent, fill = os.getpid(), cli._fill
+
+    def fails_in_parent(block, row, sep):
+        if os.getpid() == parent:
+            raise RuntimeError("parent formatter fault")
+        return fill(block, row, sep)
+    monkeypatch.setattr(cli, "_fill", fails_in_parent)
+    with pytest.raises(RuntimeError, match="parent formatter fault"):
+        main(SPLIT_TABLE)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus, error", [
+    ({0}, AssertionError("table forked with one usable CPU")),
+    ({0, 1}, BlockingIOError(errno.EAGAIN, "no process to spare")),
+], ids=["one-cpu", "fork-fails"])
+def test_table_without_a_child_gives_the_same_bytes(monkeypatch, capsys, two_cpus, cpus, error):
+    _, want = run_cli(capsys, SPLIT_TABLE)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+    def no_fork():
+        raise error
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out = run_cli(capsys, SPLIT_TABLE)
+    assert code == 0
+    assert out == want
+
+
+def test_table_split_fork_warning_stays_quiet(monkeypatch, capsys, two_cpus):
+    # Python 3.12+ warns when a process with other threads forks; the table must
+    # neither fail nor print it, even with warnings made errors.
+    _, want = run_cli(capsys, SPLIT_TABLE)
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn("this process is multi-threaded", DeprecationWarning)
+        return pid
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(SPLIT_TABLE)
+    captured = capsys.readouterr()
+    assert code == 0 and captured.out == want and captured.err == ""
+    assert_no_child_left()
+
+
+def test_table_split_out_matches_stdout(tmp_path, capsys, two_cpus):
+    _, want = run_cli(capsys, SPLIT_TABLE)
+    target = tmp_path / "table.json"
+    code, out = run_cli(capsys, [*SPLIT_TABLE, "--out", str(target)])
+    assert code == 0 and out == ""
+    assert target.read_bytes() == want.encode("ascii")
+    assert_no_child_left()
 
 
 def test_verify_polys_json(capsys):

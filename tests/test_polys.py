@@ -151,6 +151,23 @@ def test_overflow_raises_naming_the_limit(call, limit):
         call()
 
 
+def test_degree_matches_a_where_per_degree():
+    # Items that widen (item 0 narrower than the rest) and turn complex, degrees below 0
+    # and past an item that overflows where it is not taken: the in-place writes must
+    # give what one np.where per degree gives.
+    items = [np.arange(3.0), np.full((2, 3), 2.0), np.full((2, 3), np.inf),
+             np.full((2, 3), 3.0 - 1j)]
+    k = np.array([[[0], [3]], [[-1], [1]]])
+    want = 0.0
+    for j, item in enumerate(items):
+        want = np.where(k == j, item, want)
+    got = polys._degree(iter(items), k, "test ladder")
+    assert got.shape == want.shape == (2, 2, 3) and got.dtype == want.dtype == complex
+    assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="test ladder overflows float64"):
+        polys._degree(iter(items), 2, "test ladder")
+
+
 def test_bessel_trivial_values():
     assert bessel_j(0, 0.0) == 1.0
     assert bessel_j(3, 0.0) == 0.0
