@@ -39,7 +39,7 @@ import numpy as np
 
 from .momentum import MomentumPoint
 from .polys import NEG_I_POW, _bessel_ladder, _degree, _laguerre_ladder, _power, _turns
-from .position import QuantumNumbers, _one_state, _per_state, _radial, normalization
+from .position import QuantumNumbers, _norms, _one_state, _q0, _radial
 from .quadrature import PANEL_ORDER, gauss_hermite, panel_nodes
 
 __all__ = ["ft_hankel"]
@@ -67,7 +67,7 @@ def _rho_max(n: int) -> float:
     with modest coefficients; iterating v = 2 (log(1/_TAIL_TOL) + (n+2) log(v+2)
     + margin) to its fixed point leaves the tail a comfortable factor below _TAIL_TOL.
     """
-    q0 = QuantumNumbers(n, 0).q0
+    q0 = _q0(n)
     margin = math.log(1.0 + 1.0 / (q0 * q0)) + 6.0
     v = 60.0
     for _ in range(60):
@@ -85,7 +85,7 @@ def _panel_count(n: int, p: float) -> int:
 def _radial_rule(n: int, top: int, count: int):
     """Radial nodes rho on ``count`` panels and, in row |m| <= top, weights times rho R_{n,m}."""
     rho, wts = panel_nodes(np.linspace(0.0, _rho_max(n), count + 1))
-    ams, v = np.arange(top + 1), 2.0 * QuantumNumbers(n, 0).q0 * rho[None]
+    ams, v = np.arange(top + 1), 2.0 * _q0(n) * rho[None]
     return rho, wts * rho * _radial(np.full_like(ams, n), ams, v)
 
 
@@ -141,7 +141,7 @@ def _levi_civita_block(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
                        refine: int) -> np.ndarray:
     """Rows of level n at the momenta p, phi_p by the Levi-Civita route (``_levi_civita_rows``)."""
     s, w = gauss_hermite(refine * (n + 2))
-    q0, am = 1.0 / (n + 0.5), np.abs(m)
+    q0, am = _q0(n), np.abs(m)
     a = q0 + 1j * p
     root = np.sqrt(a)[:, None, None]
     w1, w2 = s[:, None] / root, s / np.conj(root)
@@ -155,8 +155,7 @@ def _levi_civita_block(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
     ams = ams[:, None, None, None]
     terms = _power(turned, 2 * am[:, None, None, None]) * rho
     terms *= _degree(_laguerre_ladder(2 * ams, 2.0 * q0 * rho), n - ams, f"laguerre k={n}")[back]
-    scale = _per_state(normalization, np.full_like(m, n), m) * (2.0 * q0) ** am
-    return (scale[:, None] / (math.pi * np.abs(a))
+    return ((_norms(n, m)[1] * (2.0 * q0) ** am)[:, None] / (math.pi * np.abs(a))
             * np.sum(terms * (w[:, None] * w), axis=(-2, -1)))
 
 

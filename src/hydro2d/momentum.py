@@ -46,8 +46,7 @@ from numpy.typing import ArrayLike
 from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _finite_points,
                     _gegenbauer_ladder, _overflow_free, _point_arrays, _power, _scalar_or_array,
                     _turns, pochhammer)
-from .position import (QuantumNumbers, _check_polar, _column, _one_state, _per_state,
-                       normalization)
+from .position import QuantumNumbers, _check_polar, _column, _norms, _one_state, _q0
 
 __all__ = [
     "MomentumPoint",
@@ -98,7 +97,7 @@ def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
     modulus is independent of the sign of m.
     """
     p, phi_p = np.broadcast_arrays(p, phi_p)
-    am, q0 = _column(np.abs(m), p), _column(_per_state(lambda qn: qn.q0, n, m), p)
+    am, q0 = _column(np.abs(m), p), _column(_q0(n), p)
     p, far = _overflow_free(p, 2)
     amp = np.where(far, 0.0, amplitude(_column(n, p), am, q0, p,
                                        (p * p - q0 * q0) / (p * p + q0 * q0)))
@@ -109,8 +108,7 @@ def _psi_momentum(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray
     """``psi_momentum`` of the states (n, m) laid out as for ``_closed_form``: one
     associated-Legendre ladder for all the rows."""
     return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
-        _per_state(lambda qn: math.sqrt(qn.factorial_ratio / (2.0 * math.pi)), n, am)
-        * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
+        np.sqrt(_norms(n, am)[0] / (2.0 * math.pi)) * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
         * _degree(_assoc_legendre_ladder(am, q, 2.0 * p * q0 / (p * p + q0 * q0)), n - am,
                   f"assoc_legendre n={np.max(n)}, m={np.max(am)}")))
 
@@ -119,15 +117,15 @@ def _psi_momentum_gegenbauer(n: np.ndarray, m: np.ndarray, p: np.ndarray,
                              phi_p: np.ndarray) -> np.ndarray:
     """``psi_momentum_gegenbauer`` of the states (n, m), laid out as for ``_psi_momentum``.
 
-    Where (p^2 + q0^2)^(|m|+3/2) overflows the value is its limit 0, and p^|m|, which
-    overflows only there, is taken at p = 0 so that the ratio is 0, not inf/inf.
+    p^|m| / (p^2 + q0^2)^(|m|+3/2) is (p/(p^2 + q0^2))^|m| (p^2 + q0^2)^(-3/2): finite where
+    either power alone is not (|m| >= 83); past p ~ 1e102 the value is its limit 0.
     """
     with np.errstate(over="ignore"):
         return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
-            _per_state(lambda qn: normalization(qn) * ((qn.n + 0.5) / (qn.m + 0.5)) * (4.0**qn.m)
-                       * qn.q0 ** (qn.m + 1) * pochhammer(1.5, qn.m), n, am)
+            _norms(n, am)[1] * ((n + 0.5) / (am + 0.5)) * 4.0**am * _power(q0, am + 1)
+            * np.array([pochhammer(1.5, k) for k in range(np.max(am) + 1)])[am]
             * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
-            * _power(_overflow_free(p, am)[0], am) / _power(p * p + q0 * q0, am + 1.5)))
+            * _power(p / (p * p + q0 * q0), am) / _power(p * p + q0 * q0, 1.5)))
 
 
 def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):

@@ -22,8 +22,8 @@ q0 (a Sturmian basis function rather than an eigenfunction) carries
 
     sqrt( 2 q0^2 (n-|m|)! / (pi (2n+1) (n+|m|)!) )
 
-which reduces to N_{n,m} at the physical q0; ``normalization`` returns the
-physical form, and the test suite checks that the two agree.
+which reduces to N_{n,m} at the physical q0, as the tests check.  ``_q0`` and
+``_norms`` hold q0, (n-|m|)!/(n+|m|)! and N_{n,m} for every core, on arrays.
 
 The wavefunctions are array-first: the fields of a ``PolarPoint`` may be
 scalars or arrays that broadcast together.  Scalar fields give a Python
@@ -76,16 +76,12 @@ class QuantumNumbers:
     @property
     def q0(self) -> float:
         """Spectral scale of the level, q0 = 1/(n + 1/2); E_n = -q0^2."""
-        return 1.0 / (self.n + 0.5)
+        return _q0(self.n)
 
     @property
     def factorial_ratio(self) -> float:
         """(n-|m|)!/(n+|m|)!; ValueError where that is below a normal double (n = |m| >= 86)."""
-        ratio = math.factorial(self.n - abs(self.m)) / math.factorial(self.n + abs(self.m))
-        if ratio < sys.float_info.min:
-            raise ValueError(f"(n-|m|)!/(n+|m|)! at (n, m) = ({self.n}, {self.m}) is below "
-                             f"the smallest normal double {sys.float_info.min:.4g}")
-        return ratio
+        return float(_norms(self.n, self.m)[0])
 
 
 @dataclass(frozen=True)
@@ -125,16 +121,28 @@ def make_bound_state(qn: QuantumNumbers) -> BoundState:
     return BoundState(qn=qn, q0=q0, energy=-(q0 * q0))
 
 
+def _q0(n):
+    """q0 = 1/(n + 1/2) of the level n, an int or an int array: the one definition of q0."""
+    return 1.0 / (n + 0.5)
+
+
+def _norms(n, m) -> np.ndarray:
+    """(n-|m|)!/(n+|m|)! and N_{n,m}, stacked, of the states n, m: Python floats once per
+    distinct (n, |m|), as one state rounds them; ValueError below the smallest normal double."""
+    n, am = np.broadcast_arrays(n, np.abs(m))
+    states, table = list(zip(n.ravel().tolist(), am.ravel().tolist())), {}
+    for k, a in dict.fromkeys(states):
+        ratio = math.factorial(k - a) / math.factorial(k + a)
+        if ratio < sys.float_info.min:
+            raise ValueError(f"(n-|m|)!/(n+|m|)! at (n, |m|) = ({k}, {a}) is below "
+                             f"the smallest normal double {sys.float_info.min:.4g}")
+        table[k, a] = ratio, math.sqrt(_q0(k) ** 3 * ratio / math.pi)
+    return np.reshape(np.array([table[s] for s in states]).T, (2,) + n.shape)
+
+
 def normalization(qn: QuantumNumbers) -> float:
     """N_{n,m} at the physical q0 of the level."""
-    return math.sqrt(qn.q0**3 * qn.factorial_ratio / math.pi)
-
-
-def _per_state(fn, n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """fn(QuantumNumbers(n, m)) for each state of the arrays n, m (each distinct one once)."""
-    states = list(zip(np.ravel(n).tolist(), np.ravel(m).tolist()))
-    value = {state: fn(QuantumNumbers(*state)) for state in set(states)}
-    return np.reshape([value[state] for state in states], np.shape(n))
+    return float(_norms(qn.n, qn.m)[1])
 
 
 def _one_state(core, qn: QuantumNumbers, *fields):
@@ -155,7 +163,7 @@ def _radial(n: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     complex v, from one Laguerre ladder; 0 where v^|m| overflows."""
     am, deg = _column(np.abs(m), v), _column(n - np.abs(m), v)
     near, far = _overflow_free(v, am)
-    value = (_column(_per_state(normalization, n, m), v) * _power(near, am) * np.exp(-0.5 * v)
+    value = (_column(_norms(n, m)[1], v) * _power(near, am) * np.exp(-0.5 * v)
              * _degree(_laguerre_ladder(2 * am, v), deg, f"laguerre k={np.max(deg)}"))
     return np.where(far, 0.0, value)
 
@@ -172,8 +180,7 @@ def _psi_position(n: np.ndarray, m: np.ndarray, rho: np.ndarray, phi: np.ndarray
     """psi of the states (n, m), one per row of the broadcast points' leading axis (of
     length 1 where the states share the points)."""
     rho, phi = np.broadcast_arrays(rho, phi)
-    q0 = _column(_per_state(lambda qn: qn.q0, n, m), rho)
-    return _radial(n, m, 2.0 * q0 * rho) * _turns(_column(m, phi), phi)
+    return _radial(n, m, 2.0 * _column(_q0(n), rho) * rho) * _turns(_column(m, phi), phi)
 
 
 def psi_position(qn: QuantumNumbers, pt: PolarPoint):
@@ -188,7 +195,7 @@ def psi_position(qn: QuantumNumbers, pt: PolarPoint):
 
 def _ode_residual(n: np.ndarray, m: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``radial_ode_residual`` of the states (n, m), one per row of r's leading axis."""
-    q0 = _column(_per_state(lambda qn: qn.q0, n, m), r)
+    q0 = _column(_q0(n), r)
     v = 2.0 * q0 * r
     c0, c1, c2 = series_coefficients(  # the circle's nodes as a last axis, moved first
         lambda h: np.moveaxis(_radial(n, m, v[..., None] * (1.0 + h)), -1, 0),
@@ -236,7 +243,7 @@ def _overlaps(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray) ->
     ms, pair = np.unique(np.stack([m1, m2]), axis=1, return_inverse=True)
     ang = (2.0 * math.pi / 256) * np.sum(np.conj(_turns(ms[:1].T, phi)) * _turns(ms[1:].T, phi),
                                          axis=-1)
-    q01, q02 = (_per_state(lambda qn: qn.q0, n, m)[:, None] for n, m in ((n1, m1), (n2, m2)))
+    q01, q02 = _q0(n1)[:, None], _q0(n2)[:, None]
     counts = (n1 + n2 + 1) // 2 + 1
     s, w = _rule_rows(gauss_laguerre, counts)
     rho = s / (q01 + q02)

@@ -31,6 +31,8 @@ def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float):
     rule is bit-identical on any BLAS or SIMD level.
     """
     n = diag.size
+    if n < 1:
+        raise ValueError("need at least one node")
     b = np.sqrt(off2)
     radius = b + np.append(b[1:], 0.0)
     rank = np.arange(n)
@@ -67,8 +69,6 @@ def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float):
 @lru_cache(maxsize=None)
 def gauss_laguerre(n: int):
     """Nodes/weights for integral of f(x) exp(-x) on [0, inf): a_k = 2k+1, b_k = k, mass 1."""
-    if n < 1:
-        raise ValueError("need at least one node")
     k = np.arange(n, dtype=float)
     return _gauss_rule(2.0 * k + 1.0, k * k, 1.0)
 
@@ -76,8 +76,6 @@ def gauss_laguerre(n: int):
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     """Nodes/weights for integral of f(x) on [-1, 1]: a_k = 0, b_k^2 = k^2/(4k^2 - 1), mass 2."""
-    if n < 1:
-        raise ValueError("need at least one node")
     k = np.arange(n, dtype=float)
     return _gauss_rule(np.zeros(n), k * k / (4.0 * k * k - 1.0), 2.0)
 
@@ -86,8 +84,6 @@ def gauss_legendre(n: int):
 def gauss_hermite(n: int):
     """Nodes/weights for integral of f(x) exp(-x^2) on the real line: a_k = 0, b_k^2 = k/2,
     mass sqrt(pi)."""
-    if n < 1:
-        raise ValueError("need at least one node")
     k = np.arange(n, dtype=float)
     return _gauss_rule(np.zeros(n), k / 2.0, math.sqrt(math.pi))
 

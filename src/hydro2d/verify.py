@@ -40,7 +40,7 @@ from .momentum import MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, q_
 from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
                     _odd_factorials, _power, _turns, assoc_legendre, bessel_j, gegenbauer,
                     laguerre, legendre, pochhammer)
-from .position import PolarPoint, _ode_residual, _overlaps, _per_state, _psi_position
+from .position import PolarPoint, _norms, _ode_residual, _overlaps, _psi_position, _q0
 from .quadrature import (_row_sums, _rule_rows, gauss_laguerre, gauss_legendre, panel_nodes,
                          series_coefficients)
 from .reporting import VerificationReport
@@ -226,7 +226,7 @@ def _parseval_norms(n: np.ndarray, m: np.ndarray) -> np.ndarray:
     so the integrand is pref^2 (1 - q) P_n^|m|(q)^2 / q0 dq on [-1, 1]: degree 2n + 1.
     """
     q, w = _rule_rows(gauss_legendre, n + 1)
-    q0 = _per_state(lambda qn: qn.q0, n, m)[:, None]
+    q0 = _q0(n)[:, None]
     dens = np.abs(_psi_momentum(n, m, q0 * np.sqrt((1.0 + q) / (1.0 - q)), 0.0)) ** 2
     return 2.0 * math.pi * _row_sums(w * dens * (q0 / (1.0 - q)) ** 2, n + 1)
 
@@ -247,11 +247,11 @@ def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationR
     """
     p = np.geomspace(0.05, 1e4, 20)
     n, m = _states(n_max, signed=True)
-    am, q0 = np.abs(m)[:, None], _per_state(lambda qn: qn.q0, n, m)[:, None]
+    am, q0 = np.abs(m)[:, None], _q0(n)[:, None]
     k = np.arange(n_max + 1)[:, None, None]  # terms[k]: 0 where k > n - |m|
     terms = _degree(_assoc_legendre_ladder(am, (p * p - q0 * q0) / (p * p + q0 * q0)),
                     np.where(k <= n[:, None] - am, k, -1), "assoc_legendre")
-    scale = (_per_state(lambda qn: math.sqrt(qn.factorial_ratio / (2.0 * math.pi)), n, m)[:, None]
+    scale = (np.sqrt(_norms(n, m)[0] / (2.0 * math.pi))[:, None]
              * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * np.max(np.abs(terms), axis=0))
     point = (p[None, :, None], np.array([[0.0, math.pi / 3.0, math.pi]]))
     return VerificationReport.from_errors(

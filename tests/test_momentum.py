@@ -9,6 +9,7 @@ test_ftoracle and the verification suites.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,17 @@ def test_both_forms_finite_and_agree_out_to_p_1e160():
             assert np.isfinite(a).all() and np.isfinite(b).all(), (n, m)
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), (n, m)  # measured 5.7e-15
     assert psi_momentum_gegenbauer(QuantumNumbers(3, 3), MomentumPoint(1e150, 0.0)) == 0.0
+    # From |m| = 83 on p^|m| and (p^2 + q0^2)^(|m|+3/2) each leave the doubles where their
+    # ratio does not: the Gegenbauer form read 0/0 at p = 1e-3, and 0 at p = 1e3 where
+    # the Legendre form is 9.3e-282 at (60, 60).  Pointwise now, 0 where both underflow.
+    mp = MomentumPoint(np.array([1e-3, 1e3]), 0.7)
+    for n, m in [(60, 60), (80, -80)] + [(n, s * am) for n in (83, 84, 85)
+                                         for am in range(83, n + 1) for s in (1, -1)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, b = psi_momentum(QuantumNumbers(n, m), mp), psi_momentum_gegenbauer(
+                QuantumNumbers(n, m), mp)
+        assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a)), (n, m)  # measured 6.7e-12
 
 
 def test_gegenbauer_route_uses_signed_phase_too():
@@ -192,9 +204,12 @@ def test_underflowing_normalization_raises(psi):
 @pytest.mark.parametrize("core, psi", [(_psi_momentum, psi_momentum),
                                        (_psi_momentum_gegenbauer, psi_momentum_gegenbauer)])
 def test_batched_cores_equal_the_public_functions_bit_for_bit(core, psi):
-    # Every state with n <= 10 in one call, on shared points and on points of
-    # their own (the layout of momentum-parseval); p = 1e160 is overflow-masked.
+    # Every state with n <= 10 in one call, and a few past it, on shared points and on
+    # points of their own (the layout of momentum-parseval); p = 1e160 is overflow-masked.
+    # From n = 12 on numpy's array ** rounds q0^3 apart from Python's.
     states = [QuantumNumbers(n, m) for n in range(11) for m in range(-n, n + 1)]
+    states += [QuantumNumbers(n, m) for n, m in ((12, 0), (12, 7), (12, -12), (40, -20),
+                                                  (40, 40), (85, 1), (85, -60))]
     n, m = np.array([(qn.n, qn.m) for qn in states]).T
     q0 = np.array([qn.q0 for qn in states])[:, None]
     p = np.concatenate([np.geomspace(0.05, 1e4, 30), [1e160]])

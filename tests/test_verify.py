@@ -11,6 +11,7 @@ import cmath
 import inspect
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -581,6 +582,59 @@ def test_checks_take_states_only_through_the_state_axis_cores():
     # oracle takes its radial factor from the state-axis core, not the public one.
     assert not _named(verify) & _ONE_STATE
     assert "radial_wavefunction" not in _named(ftoracle)
+
+
+def test_checks_build_no_quantum_numbers(monkeypatch):
+    # The cores take q0 and N from position._q0 and position._norms, not from a validated
+    # QuantumNumbers per distinct state (1,707 of them in one run of all, 2,804 in the
+    # five identity suites at n_max = 10 when a per-state helper built them).
+    built = []
+    original = QuantumNumbers.__post_init__
+
+    def counted(qn):
+        built.append((qn.n, qn.m))
+        original(qn)
+    monkeypatch.setattr(QuantumNumbers, "__post_init__", counted)
+    QuantumNumbers(2, 1)  # the counter sees a build
+    assert built == [(2, 1)]
+    built.clear()
+    run_suite("all")
+    assert built == []
+    for suite in SUITE_ORDER[:-1]:  # every suite but ft
+        run_suite(suite, n_max=10)
+    assert built == []
+
+
+def test_one_q0_moves_every_consumer(monkeypatch):
+    # q0 = 1/(n + 1/2) has one definition, position._q0.  Detuned in every module that
+    # binds it, every consumer moves, and the two Fourier oracles still agree: each takes
+    # the detuned q0 for its own nodes and contour, not only through N.
+    n, m, p, phi = 3, -2, 0.6, 0.4
+    qn, mp = QuantumNumbers(n, m), MomentumPoint(p, phi)
+    rows = (np.array([n]), np.array([m]), np.array([[p]]), np.array([[phi]]))
+
+    def values():
+        return {"q0": qn.q0, "psi_position": psi_position(qn, PolarPoint(1.3, phi)),
+                "radial_ode_residual": radial_ode_residual(qn, 1.3),
+                "psi_momentum": psi_momentum(qn, mp),
+                "psi_momentum_gegenbauer": psi_momentum_gegenbauer(qn, mp),
+                "ft_hankel": ftoracle.ft_hankel(qn, mp),
+                "levi_civita": complex(ftoracle._levi_civita_rows(*rows)[0, 0])}
+    before = values()
+    true_q0 = position._q0
+    binders = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("hydro2d.") and getattr(module, "_q0", None) is true_q0]
+    assert {position, momentum, ftoracle, verify} <= set(binders)
+    for module in binders:
+        monkeypatch.setattr(module, "_q0", lambda n: true_q0(n) * (1.0 + 1e-6))
+    ftoracle._rho_max.cache_clear()  # it caches each level's range, which q0 sets
+    try:
+        after = values()
+    finally:
+        monkeypatch.undo()
+        ftoracle._rho_max.cache_clear()
+    assert [name for name in before if after[name] == before[name]] == []
+    assert abs(after["ft_hankel"] - after["levi_civita"]) <= 1e-9 * abs(after["levi_civita"])
 
 
 def test_series_checks_make_one_cauchy_call_each(monkeypatch):
