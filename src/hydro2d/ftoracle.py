@@ -40,7 +40,7 @@ import numpy as np
 from .momentum import MomentumPoint
 from .polys import NEG_I_POW, _bessel_ladder, _degree, _laguerre_ladder, _power, _turns
 from .position import QuantumNumbers, _norms, _one_state, _q0, _radial
-from .quadrature import PANEL_ORDER, gauss_hermite, panel_nodes
+from .quadrature import PANEL_ORDER, _gauss_rules, gauss_hermite, panel_nodes
 
 __all__ = ["ft_hankel"]
 
@@ -168,7 +168,8 @@ def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.nda
     N (2 q0)^|m| / (pi |a|) times the weighted sum of
     (u1 +- i u2)^(2|m|) L_{n-|m|}^(2|m|)(2 q0 rho) rho, rho = u1^2 + u2^2: one
     Laguerre ladder over the distinct |m| of the level, over blocks of momenta of at
-    most ``_TERM_BLOCK`` terms.  ``refine`` = 2 is the node-doubling check's;
+    most ``_TERM_BLOCK`` terms.  The rules of all levels are built together, before the
+    first level runs.  ``refine`` = 2 is the node-doubling check's;
     past n = ``_LEVI_CIVITA_MAX_N`` the sum loses its digits to cancellation,
     so that is a ValueError.
     """
@@ -180,4 +181,5 @@ def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.nda
         step = max(1, _TERM_BLOCK // (m.size * (refine * (n + 2)) ** 2))
         return np.concatenate([_levi_civita_block(n, m, p[j:j + step], phi_p[j:j + step], refine)
                                for j in range(0, p.size, step)], axis=1)
+    _gauss_rules("hermite", [refine * (level + 2) for level in set(np.ravel(n).tolist())])
     return _level(rows, n, m, p, phi_p)

@@ -42,7 +42,7 @@ from numpy.typing import ArrayLike
 
 from .polys import (_degree, _integer, _laguerre_ladder, _overflow_free, _point_arrays,
                     _power, _scalar_or_array, _turns)
-from .quadrature import _row_sums, _rule_rows, gauss_laguerre, series_coefficients
+from .quadrature import _row_sums, _rule_rows, series_coefficients
 
 __all__ = [
     "QuantumNumbers",
@@ -240,17 +240,19 @@ def _overlaps(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray) ->
     if not n1.size:
         return np.zeros(0, dtype=complex)
     phi = 2.0 * math.pi * np.arange(256) / 256  # exact while |m1 - m2| < 256
-    ms, pair = np.unique(np.stack([m1, m2]), axis=1, return_inverse=True)
+    pairs = {}  # distinct (m1, m2): its row of ang
+    pair = np.array([pairs.setdefault(mm, len(pairs)) for mm in zip(m1.tolist(), m2.tolist())])
+    ms = np.array(list(pairs)).T
     ang = (2.0 * math.pi / 256) * np.sum(np.conj(_turns(ms[:1].T, phi)) * _turns(ms[1:].T, phi),
                                          axis=-1)
     q01, q02 = _q0(n1)[:, None], _q0(n2)[:, None]
     counts = (n1 + n2 + 1) // 2 + 1
-    s, w = _rule_rows(gauss_laguerre, counts)
+    s, w = _rule_rows("laguerre", counts)
     rho = s / (q01 + q02)
     r1, r2 = np.split(_radial(np.concatenate([n1, n2]), np.concatenate([m1, m2]),
                               np.concatenate([2.0 * q01 * rho, 2.0 * q02 * rho])), 2)
-    return ang[pair.ravel()] * (_row_sums(w * np.exp(s) * rho * r1 * r2, counts)
-                                / (q01 + q02)[:, 0])
+    return ang[pair] * (_row_sums(w * np.exp(s) * rho * r1 * r2, counts)
+                        / (q01 + q02)[:, 0])
 
 
 def overlap(qn1: QuantumNumbers, qn2: QuantumNumbers) -> complex:

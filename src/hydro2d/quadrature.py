@@ -14,88 +14,131 @@ from .polys import _integer
 PANEL_ORDER = 16  # points per panel of ``panel_nodes``: exact to degree 31
 
 
-def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float):
-    """Nodes/weights of the Jacobi matrix with diagonal a_k = ``diag[k]``, off-diagonal
-    b_k = sqrt(``off2[k]``) (b_0 = 0) and a weight function of integral ``mass``.
+def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float, sizes: Sequence[int]):
+    """Nodes/weights of the leading s x s block of the Jacobi matrix with diagonal
+    a_k = ``diag[k]``, off-diagonal b_k = sqrt(``off2[k]``) (b_0 = 0) and a weight function
+    of integral ``mass``, one (x, w) pair per size s in ``sizes``, in their order.
 
-    Golub-Welsch (Math. Comp. 23 (1969) 221): the nodes are the eigenvalues,
-    found by multisection on Sturm counts (Wilkinson 1965, ch. 5) inside the
-    Gershgorin interval: each pass cuts every bracket at about 1024/n points and
-    keeps the piece where the count of negative pivots of the shifted matrix
-    passes the node's rank, until no double lies inside a bracket or it is below
-    eps^2 times the Gershgorin width (a node at 0 would sink into the subnormals).
-    The weights are the Christoffel numbers mass / sum_{k<n} p_k(x)^2 (Gautschi,
+    A family's size-s matrix is the leading block of its largest one, since a_k and b_k
+    do not depend on s, so one pass builds every size.  Golub-Welsch (Math. Comp. 23
+    (1969) 221): the nodes are the eigenvalues, found by multisection on Sturm counts
+    (Wilkinson 1965, ch. 5) inside the largest matrix's Gershgorin interval, which holds
+    the eigenvalues of each leading block too (Cauchy interlacing).  The brackets of all
+    sizes lie in one array, largest size first, so step k of the pivot recurrence
+    d_k = (a_k - t) - b_k^2 / d_(k-1) runs on the prefix of brackets whose size is above k,
+    and a bracket of size s counts the negative ones among its own s pivots.  Each pass
+    cuts every bracket at about 1024 trial points in all and keeps the piece where that
+    count passes the node's rank, until no double lies inside a bracket or it is below
+    eps^2 times the Gershgorin width W.  The count is monotone in t in IEEE arithmetic
+    (Kahan 1966; Demmel, Dhillon and Ren, ETNA 3 (1995) 116), so a bracket ends on the
+    one pair of adjacent doubles where its count passes the rank, whichever trial points
+    led there: each rule has the same bits built alone or beside any other sizes.  The
+    eps^2 W floor keeps a node at 0 out of the subnormals; a bracket below it holds a node
+    below eps W in size, the middle node of an odd symmetric rule, at 0 to rounding, and
+    where in it the bracket stopped depends on the trial points, so that node is 0.0.
+    The weights are the Christoffel numbers mass / sum_{k<s} p_k(x)^2 (Gautschi,
     Orthogonal Polynomials, 2004, sec. 3.1), p_0 = 1, b_k p_k = (x - a_{k-1}) p_{k-1}
-    - b_{k-1} p_{k-2}, each step rescaled by a power of two (exact): every weight is
-    accurate to its own size.  With only +, -, *, /, sqrt and exponent shifts, the
-    rule is bit-identical on any BLAS or SIMD level.
+    - b_{k-1} p_{k-2}, on the same prefixes, each step rescaled by a power of two
+    (exact): every weight is accurate to its own size.  With only +, -, *, /, sqrt and
+    exponent shifts, the rules are bit-identical on any BLAS or SIMD level.
     """
-    n = diag.size
-    if n < 1:
+    if not len(sizes) or min(sizes) < 1:
         raise ValueError("need at least one node")
+    size = np.array(sorted(sizes, reverse=True))
+    n = int(size[0])
+    diag, off2 = diag[:n], off2[:n]
     b = np.sqrt(off2)
     radius = b + np.append(b[1:], 0.0)
-    rank = np.arange(n)
-    pieces = max(2, 1024 // n)  # per bracket and pass: about 1024 trial points in all
+    rank = np.concatenate([np.arange(s) for s in size.tolist()])
+    bracket_size = np.repeat(size, size)
+    active = np.searchsorted(-bracket_size, -np.arange(n)).tolist()  # brackets of size > k
+    pieces = max(2, 1024 // rank.size)  # per bracket and pass: about 1024 trial points in all
     frac = np.arange(1, pieces) / pieces
-    lo, hi = np.full(n, np.min(diag - radius)), np.full(n, np.max(diag + radius))
+    lo, hi = np.full(rank.size, np.min(diag - radius)), np.full(rank.size, np.max(diag + radius))
     tiny = np.finfo(float).eps ** 2 * (hi[0] - lo[0])
+    at = np.arange(rank.size)
     with np.errstate(divide="ignore", over="ignore"):  # a zero pivot gives -inf: still a count
         while True:
             trial = lo[:, None] + (hi - lo)[:, None] * frac
             inside = (lo[:, None] < trial) & (trial < hi[:, None])
-            if not np.any(inside[hi - lo > tiny]):
+            if not np.any(inside[hi - lo >= tiny]):
                 break
-            pivots = diag[:, None] - trial.ravel()  # row k: the k-th pivot at every trial point
-            for k in range(1, n):
-                np.subtract(pivots[k], off2[k] / pivots[k - 1], out=pivots[k])
-            below = np.count_nonzero(pivots < 0.0, axis=0).reshape(trial.shape)
+            t = trial.ravel()
+            pivot = diag[0] - t
+            below = (pivot < 0.0).astype(int)
+            for k in range(1, n):  # the pivots of brackets of size above k: a prefix
+                d = pivot[:active[k] * (pieces - 1)]
+                np.subtract(diag[k] - t[:d.size], np.divide(off2[k], d, out=d), out=d)
+                below[:d.size] += d < 0.0
+            below = below.reshape(trial.shape)
             piece = np.count_nonzero(below <= rank[:, None], axis=1)
             edges = np.column_stack([lo, trial, hi])
-            lo, hi = edges[rank, piece], edges[rank, piece + 1]
-    x = 0.5 * (lo + hi)
+            lo, hi = edges[at, piece], edges[at, piece + 1]
+    x = np.where(hi - lo < tiny, 0.0, 0.5 * (lo + hi))
 
-    prev, cur, total, expo = np.zeros(n), np.ones(n), np.ones(n), np.zeros(n, dtype=int)
+    prev, cur, total = np.zeros(x.size), np.ones(x.size), np.ones(x.size)
+    expo = np.zeros(x.size, dtype=int)
     for k in range(1, n):
-        prev, cur = cur, ((x - diag[k - 1]) * cur - b[k - 1] * prev) / b[k]
-        total += cur * cur
-        _, e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
-        cur, prev, total = np.ldexp(cur, -e), np.ldexp(prev, -e), np.ldexp(total, -2 * e)
-        expo += e
+        j = active[k]
+        step = ((x[:j] - diag[k - 1]) * cur[:j] - b[k - 1] * prev[:j]) / b[k]
+        prev[:j] = cur[:j]
+        total[:j] += step * step
+        _, e = np.frexp(np.maximum(np.abs(step), np.abs(prev[:j])))
+        cur[:j], prev[:j] = np.ldexp(step, -e), np.ldexp(prev[:j], -e)
+        total[:j] = np.ldexp(total[:j], -2 * e)
+        expo[:j] += e
     with np.errstate(under="ignore"):
-        return x, np.ldexp(mass / total, -2 * expo)
+        w = np.ldexp(mass / total, -2 * expo)
+    start = dict(zip(size.tolist(), (np.cumsum(size) - size).tolist()))
+    return [(x[start[s]:start[s] + s], w[start[s]:start[s] + s]) for s in sizes]
+
+
+# Each family's Jacobi matrix at k = 0, 1, ...: diagonal a_k, b_k^2 and the weight's mass.
+_FAMILIES = {
+    "laguerre": lambda k: (2.0 * k + 1.0, k * k, 1.0),
+    "legendre": lambda k: (np.zeros(k.size), k * k / (4.0 * k * k - 1.0), 2.0),
+    "hermite": lambda k: (np.zeros(k.size), k / 2.0, math.sqrt(math.pi)),
+}
+_RULES = {family: {} for family in _FAMILIES}  # family: {size: (nodes, weights)}
+
+
+def _gauss_rules(family: str, sizes: Sequence[int]) -> list:
+    """The rules of ``family`` with ``sizes`` nodes, from its cache: one ``_gauss_rule`` call
+    builds every size the cache lacks."""
+    cache = _RULES[family]
+    todo = sorted(set(sizes) - cache.keys())
+    if todo:
+        diag, off2, mass = _FAMILIES[family](np.arange(todo[-1], dtype=float))
+        cache.update(zip(todo, _gauss_rule(diag, off2, mass, todo)))
+    return [cache[n] for n in sizes]
 
 
 @lru_cache(maxsize=None)
 def gauss_laguerre(n: int):
     """Nodes/weights for integral of f(x) exp(-x) on [0, inf): a_k = 2k+1, b_k = k, mass 1."""
-    k = np.arange(n, dtype=float)
-    return _gauss_rule(2.0 * k + 1.0, k * k, 1.0)
+    return _gauss_rules("laguerre", [n])[0]
 
 
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int):
     """Nodes/weights for integral of f(x) on [-1, 1]: a_k = 0, b_k^2 = k^2/(4k^2 - 1), mass 2."""
-    k = np.arange(n, dtype=float)
-    return _gauss_rule(np.zeros(n), k * k / (4.0 * k * k - 1.0), 2.0)
+    return _gauss_rules("legendre", [n])[0]
 
 
 @lru_cache(maxsize=None)
 def gauss_hermite(n: int):
     """Nodes/weights for integral of f(x) exp(-x^2) on the real line: a_k = 0, b_k^2 = k/2,
     mass sqrt(pi)."""
-    k = np.arange(n, dtype=float)
-    return _gauss_rule(np.zeros(n), k / 2.0, math.sqrt(math.pi))
+    return _gauss_rules("hermite", [n])[0]
 
 
-_PANEL_X, _PANEL_W = gauss_legendre(PANEL_ORDER)
-
-
-def _rule_rows(rule: Callable[[int], tuple], counts: np.ndarray):
-    """Nodes and weights of rule(counts[r]) in row r, padded with zeros to the largest count."""
+def _rule_rows(family: str, counts: np.ndarray):
+    """Nodes and weights of the ``family`` rule of counts[r] nodes in row r, padded with zeros
+    to the largest count; the distinct counts are built together."""
     nodes, weights = np.zeros((2, counts.size, int(np.max(counts, initial=1))))
-    for count in set(counts.tolist()):
-        nodes[counts == count, :count], weights[counts == count, :count] = rule(count)
+    distinct = sorted(set(counts.tolist()))
+    for count, rule in zip(distinct, _gauss_rules(family, distinct)):
+        nodes[counts == count, :count], weights[counts == count, :count] = rule
     return nodes, weights
 
 
@@ -113,10 +156,11 @@ def panel_nodes(boundaries: np.ndarray):
     ``boundaries`` is an increasing 1-d array; each consecutive pair is
     one panel of ``PANEL_ORDER`` points.  Returns flat nodes and weights.
     """
+    x, w = gauss_legendre(PANEL_ORDER)
     half = 0.5 * np.diff(boundaries)
     mid = 0.5 * (boundaries[1:] + boundaries[:-1])
-    nodes = (mid[:, None] + half[:, None] * _PANEL_X[None, :]).ravel()
-    weights = (half[:, None] * _PANEL_W[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
     return nodes, weights
 
 

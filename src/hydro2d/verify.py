@@ -1,7 +1,8 @@
 """Named verification checks, grouped into suites for the CLI.
 
 Every check returns a VerificationReport and is deterministic: random draws
-use a fixed seed, grids are fixed, and nothing depends on wall-clock state.
+come from the stdlib ``random.Random`` at a fixed seed, grids are fixed, and
+nothing depends on wall-clock state.
 Each check's signature carries its default n_max (the cap stated in the
 module contracts) and its default tolerance; ``run_suite`` passes on only
 the overrides that are set.  Checks on fixed parameter sets accept n_max
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -41,8 +43,7 @@ from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguer
                     _odd_factorials, _power, _turns, assoc_legendre, bessel_j, gegenbauer,
                     laguerre, legendre, pochhammer)
 from .position import PolarPoint, _norms, _ode_residual, _overlaps, _psi_position, _q0
-from .quadrature import (_row_sums, _rule_rows, gauss_laguerre, gauss_legendre, panel_nodes,
-                         series_coefficients)
+from .quadrature import _row_sums, _rule_rows, gauss_laguerre, panel_nodes, series_coefficients
 from .reporting import VerificationReport
 
 _SEED = 20260814
@@ -225,7 +226,7 @@ def _parseval_norms(n: np.ndarray, m: np.ndarray) -> np.ndarray:
     |psi|^2 = pref^2 ((1 - q)/q0)^3 P_n^|m|(q)^2, pref^2 = factorial_ratio / (2 pi),
     so the integrand is pref^2 (1 - q) P_n^|m|(q)^2 / q0 dq on [-1, 1]: degree 2n + 1.
     """
-    q, w = _rule_rows(gauss_legendre, n + 1)
+    q, w = _rule_rows("legendre", n + 1)
     q0 = _q0(n)[:, None]
     dens = np.abs(_psi_momentum(n, m, q0 * np.sqrt((1.0 + q) / (1.0 - q)), 0.0)) ** 2
     return 2.0 * math.pi * _row_sums(w * dens * (q0 / (1.0 - q)) ** 2, n + 1)
@@ -285,9 +286,9 @@ def _accepted_draws(seed: int, count: int, limit: int,
                     beta_cap: float) -> Tuple[GenFuncParams, MomentumPoint]:
     """The first ``count`` of ``limit`` seeded draws that ``accept`` keeps, as arrays.
 
-    A draw is eight uniforms, in this order: (|z| / z_cap)^2, arg z, |t|^2,
-    arg t, q0, beta, p, phi_p.  ``accept`` maps draws to a boolean mask, one
-    per draw.
+    A draw is eight uniforms of the stdlib ``random.Random(seed)``, taken draw by draw,
+    in this order: (|z| / z_cap)^2, arg z, |t|^2, arg t, q0, beta, p, phi_p.  ``accept``
+    maps draws to a boolean mask, one per draw.
     """
     two_pi = 2.0 * math.pi
 
@@ -296,7 +297,8 @@ def _accepted_draws(seed: int, count: int, limit: int,
                               t=np.sqrt(u[:, 2]) * np.exp(1j * (two_pi * u[:, 3])),
                               q0=q0_lo + (q0_hi - q0_lo) * u[:, 4], beta=beta_cap * u[:, 5]),
                 MomentumPoint(p_cap * u[:, 6], two_pi * u[:, 7]))
-    u = np.random.default_rng(seed).uniform(size=(limit, 8))
+    draw = random.Random(seed).random
+    u = np.array([draw() for _ in range(8 * limit)]).reshape(limit, 8)
     kept = u[accept(*params(u))]
     if len(kept) < count:
         raise RuntimeError(f"draw filter accepted {len(kept)} of {limit} draws, not {count}")

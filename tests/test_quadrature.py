@@ -2,7 +2,8 @@
 
 The rules come from one builder: Sturm-count multisection on the Jacobi matrix
 for the nodes and Christoffel sums for the weights, in elementwise IEEE
-arithmetic only.  Library eigensolvers return NaN Laguerre weights somewhere
+arithmetic only, for every size a caller needs of one family at once; a rule
+has the same bits built alone or in any batch.  Library eigensolvers return NaN Laguerre weights somewhere
 above 250 nodes; most tests here check that big Laguerre rules stay finite and
 accurate, and one that the rules keep their bits under other BLAS and SIMD
 kernels.  The Gauss-Legendre rules, the 16-point panel rule among them, are
@@ -27,8 +28,8 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d.quadrature import (_PANEL_W, _PANEL_X, PANEL_ORDER, gauss_hermite, gauss_laguerre,
-                                gauss_legendre, panel_nodes)
+from hydro2d.quadrature import (_FAMILIES, PANEL_ORDER, _gauss_rule, gauss_hermite,
+                                gauss_laguerre, gauss_legendre, panel_nodes)
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
@@ -53,14 +54,14 @@ def test_gauss_laguerre_high_moments(n):
 
 
 def test_gauss_laguerre_builds_without_warnings():
-    # Node counts on both sides of the powers of two, up to 1024; the
-    # uncached builder runs so that every rule is built here.
-    build = gauss_laguerre.__wrapped__
+    # Node counts on both sides of the powers of two, up to 1024; the builder
+    # runs past the caches so that every rule is built here.
+    diag, off2, mass = _FAMILIES["laguerre"](np.arange(1024.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (1, 2, 3, 7, 8, 9, 63, 64, 65, 127, 128, 129,
                   255, 256, 257, 511, 512, 513, 1000, 1023, 1024):
-            x, w = build(n)
+            (x, w), = _gauss_rule(diag, off2, mass, [n])
             assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
             assert np.all(w >= 0.0)
 
@@ -90,10 +91,11 @@ def test_gauss_legendre_moments():
 def test_panel_rule_matches_leggauss():
     # The reference is numpy's eigensolver-based rule; ours is mirror-symmetric bit for bit.
     x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    assert np.max(np.abs(_PANEL_X - x)) <= 2.3e-16
-    assert np.max(np.abs(_PANEL_W / w - 1.0)) <= 1e-14
-    assert np.array_equal(_PANEL_X, -_PANEL_X[::-1])
-    assert np.array_equal(_PANEL_W, _PANEL_W[::-1])
+    panel_x, panel_w = gauss_legendre(PANEL_ORDER)
+    assert np.max(np.abs(panel_x - x)) <= 2.3e-16
+    assert np.max(np.abs(panel_w / w - 1.0)) <= 1e-14
+    assert np.array_equal(panel_x, -panel_x[::-1])
+    assert np.array_equal(panel_w, panel_w[::-1])
 
 
 @pytest.mark.parametrize("n", range(1, 41))
@@ -101,13 +103,13 @@ def test_gauss_legendre_matches_leggauss(n):
     # Every order, odd ones with their node at 0 included: the nodes match
     # leggauss, the rule is exact to degree 2n - 1 (to 2e-15, about 4 ulp of
     # the zeroth moment 2; leggauss itself is off by up to 7e-15 here), and the
-    # middle node of an odd rule stops at |x| <= 1e-30, not in the subnormals.
+    # middle node of an odd rule is exactly 0, not a bracket in the subnormals.
     x, w = gauss_legendre(n)
     assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2.3e-16
     for k in range(2 * n):
         assert abs(float(np.sum(w * x**k)) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 2e-15
     if n % 2:
-        assert abs(x[n // 2]) <= 1e-30
+        assert x[n // 2] == 0.0
 
 
 def test_gauss_legendre_rejects_empty_rule():
@@ -134,6 +136,72 @@ def test_gauss_hermite_rejects_empty_rule():
         gauss_hermite(0)
 
 
+_BATCH_SIZES = list(range(1, 25)) + [96, 128]
+_PUBLIC = {"laguerre": gauss_laguerre, "legendre": gauss_legendre, "hermite": gauss_hermite}
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_a_rule_has_the_same_bits_alone_and_in_a_batch(family):
+    # The size-n matrix is the leading block of the largest, and the Sturm count
+    # ends each bracket on one pair of adjacent doubles whatever trial points led
+    # there: a rule built alone, in a mixed batch or through the public cache is
+    # the same bytes.
+    diag, off2, mass = _FAMILIES[family](np.arange(128.0))
+    mixed = _BATCH_SIZES[1::2][::-1] + _BATCH_SIZES[::2]
+    batch = dict(zip(mixed, _gauss_rule(diag, off2, mass, mixed)))
+    for n in _BATCH_SIZES:
+        (x, w), = _gauss_rule(diag, off2, mass, [n])
+        for got in (batch[n], _PUBLIC[family](n)):
+            assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == w.tobytes(), n
+
+
+@pytest.mark.parametrize("family", ["legendre", "hermite"])
+def test_symmetric_rules_have_an_exact_zero_and_mirror(family):
+    # a_k = 0, so the nodes come in pairs +-x and an odd rule's middle node is
+    # 0: its bracket ends below eps^2 times the Gershgorin width, at a point the
+    # trial sequence chose, so it is returned as exactly +0.0 and mirrors itself.
+    # The other pairs mirror to 2 ulp: where a pivot lands on a signed zero at a
+    # node's last bit, the counts at t and -t need not add up to n (Legendre 4
+    # and 13, Hermite 9 and 11 among these sizes), and the weights follow their
+    # nodes to their own accuracy.
+    diag, off2, mass = _FAMILIES[family](np.arange(128.0))
+    for n, (x, w) in zip(_BATCH_SIZES, _gauss_rule(diag, off2, mass, _BATCH_SIZES)):
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+            assert x[n // 2] == -x[::-1][n // 2]
+        assert np.all(np.abs(x + x[::-1]) <= 2.0 * np.spacing(np.abs(x))), n
+        assert np.max(np.abs(w / w[::-1] - 1.0)) <= 1e-13, n  # measured 5.5e-14 at n = 128
+
+
+def _multisections(calls: str):
+    """The sizes of each ``_gauss_rule`` call of a fresh process that runs ``calls``."""
+    home = str(pathlib.Path(hydro2d.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {home!r})\n"
+            "import hydro2d\n"
+            "from hydro2d import quadrature\n"
+            "build, batches = quadrature._gauss_rule, []\n"
+            "def counted(diag, off2, mass, sizes):\n"
+            "    batches.append(list(sizes))\n"
+            "    return build(diag, off2, mass, sizes)\n"
+            "quadrature._gauss_rule = counted\n"
+            f"{calls}\n"
+            "print(batches)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    return ast.literal_eval(out.stdout)
+
+
+def test_verify_builds_each_familys_rules_together():
+    # Each caller asks for every size it needs at once: the position norms and
+    # overlaps for their Laguerre counts, Parseval for its Legendre counts and
+    # each Levi-Civita call for the Hermite rules of all its levels.  The panel
+    # rule is built when first used, by measure-factor-adjudication.
+    assert _multisections("hydro2d.run_suite('all')") == [
+        list(range(1, 12)), list(range(1, 8)), [PANEL_ORDER], [2, 3, 4, 5, 6], [8, 10, 12]]
+    assert _multisections("for suite in hydro2d.SUITE_ORDER[:-1]: hydro2d.run_suite(suite, 10)") \
+        == [list(range(1, 12)), list(range(1, 12)), [PANEL_ORDER]]
+
+
 def test_panel_nodes_integrate_sine():
     bounds = np.linspace(0.0, math.pi, 9)
     x, w = panel_nodes(bounds)
@@ -141,19 +209,21 @@ def test_panel_nodes_integrate_sine():
 
 
 def test_package_never_imports_scipy():
-    # Importing the package, building both rules and running a suite leave
-    # sys.modules free of scipy and of numpy.polynomial.
+    # Importing the package, building both rules and running every suite leave
+    # sys.modules free of scipy, of numpy.polynomial and of numpy.random: the
+    # seeded draws come from the stdlib random module.
     home = str(pathlib.Path(hydro2d.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {home!r})\n"
             "import numpy as np, hydro2d\n"
             "from hydro2d.quadrature import gauss_laguerre, panel_nodes\n"
             "gauss_laguerre(16); panel_nodes(np.array([0.0, 1.0]))\n"
             "hydro2d.run_suite('position', 2)\n"
+            "assert all(report.passed for report in hydro2d.run_suite('all'))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-            "print('numpy.polynomial' in sys.modules)\n")
+            "print('numpy.polynomial' in sys.modules, 'numpy.random' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["[]", "False"]
+    assert out.stdout.split() == ["[]", "False", "False"]
 
 
 _PRODUCTS = {"dot", "matmul", "tensordot", "inner", "vdot"}
@@ -213,11 +283,11 @@ def test_rules_are_bit_identical_on_other_kernels(stack):
     home = str(pathlib.Path(hydro2d.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {home!r})\n"
             "import hashlib\n"
-            "from hydro2d.quadrature import _PANEL_W, _PANEL_X, gauss_laguerre\n"
-            "for rule in (gauss_laguerre(96), gauss_laguerre(128), (_PANEL_X, _PANEL_W)):\n"
+            "from hydro2d.quadrature import PANEL_ORDER, gauss_laguerre, gauss_legendre\n"
+            "for rule in (gauss_laguerre(96), gauss_laguerre(128), gauss_legendre(PANEL_ORDER)):\n"
             "    print(hashlib.sha256(b''.join(a.tobytes() for a in rule)).hexdigest())\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, **stack})
     assert out.stdout.split() == [_rule_digest(*gauss_laguerre(96)),
                                   _rule_digest(*gauss_laguerre(128)),
-                                  _rule_digest(_PANEL_X, _PANEL_W)]
+                                  _rule_digest(*gauss_legendre(PANEL_ORDER))]

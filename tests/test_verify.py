@@ -11,6 +11,7 @@ import cmath
 import inspect
 import itertools
 import math
+import random
 import sys
 
 import numpy as np
@@ -272,7 +273,8 @@ def test_scaled_gaussian_closed_form_fails(monkeypatch):
 
 def _all_draws_filtered(seed, count, limit, accept, z_cap, p_cap, q0_lo, q0_hi, beta_cap):
     # Every one of the limit draws at once, then the first count accepted.
-    u = np.random.default_rng(seed).uniform(size=(limit, 8))
+    rng = random.Random(seed)
+    u = np.array([[rng.random() for _ in range(8)] for _ in range(limit)])
     gp = GenFuncParams(z=z_cap * np.sqrt(u[:, 0]) * np.exp(1j * (2.0 * math.pi * u[:, 1])),
                        t=np.sqrt(u[:, 2]) * np.exp(1j * (2.0 * math.pi * u[:, 3])),
                        q0=q0_lo + (q0_hi - q0_lo) * u[:, 4], beta=beta_cap * u[:, 5])
