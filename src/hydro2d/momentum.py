@@ -90,14 +90,14 @@ def q_of_p(p: ArrayLike, q0: float):
     return _scalar_or_array((ps * ps - q0 * q0) / (ps * ps + q0 * q0), p)
 
 
-def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray, amplitude):
-    """amplitude(n, |m|, q0, p, q) (-i)^|m| e^(i m phi_p) of the states (n, m), one per row of
-    the broadcast points' leading axis (of length 1 where they share the points); 0 where
-    p*p overflows.  So psi(p, phi_p) = psi(p, 0) e^(i m phi_p) holds exactly and the
-    modulus is independent of the sign of m.
+def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray, q0, amplitude):
+    """amplitude(n, |m|, q0, p, q) (-i)^|m| e^(i m phi_p) of the states (n, m) at the scale q0
+    (one per state, or one for all), one per row of the broadcast points' leading axis (of
+    length 1 where they share the points); 0 where p*p overflows.  So psi(p, phi_p) =
+    psi(p, 0) e^(i m phi_p) holds exactly and the modulus is independent of the sign of m.
     """
     p, phi_p = np.broadcast_arrays(p, phi_p)
-    am, q0 = _column(np.abs(m), p), _column(_q0(n), p)
+    am, q0 = _column(np.abs(m), p), _column(q0, p)
     p, far = _overflow_free(p, 2)
     amp = np.where(far, 0.0, amplitude(_column(n, p), am, q0, p,
                                        (p * p - q0 * q0) / (p * p + q0 * q0)))
@@ -107,25 +107,29 @@ def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
 def _psi_momentum(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
     """``psi_momentum`` of the states (n, m) laid out as for ``_closed_form``: one
     associated-Legendre ladder for all the rows."""
-    return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
+    return _closed_form(n, m, p, phi_p, _q0(n), lambda n, am, q0, p, q: (
         np.sqrt(_norms(n, am)[0] / (2.0 * math.pi)) * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
         * _degree(_assoc_legendre_ladder(am, q, 2.0 * p * q0 / (p * p + q0 * q0)), n - am,
                   f"assoc_legendre n={np.max(n)}, m={np.max(am)}")))
 
 
-def _psi_momentum_gegenbauer(n: np.ndarray, m: np.ndarray, p: np.ndarray,
-                             phi_p: np.ndarray) -> np.ndarray:
-    """``psi_momentum_gegenbauer`` of the states (n, m), laid out as for ``_psi_momentum``.
+def _gegenbauer_amplitude(n: np.ndarray, am: np.ndarray, q0, p: np.ndarray, q: np.ndarray):
+    """The Gegenbauer form's amplitude at the scale q0, for ``_closed_form``.
 
     p^|m| / (p^2 + q0^2)^(|m|+3/2) is (p/(p^2 + q0^2))^|m| (p^2 + q0^2)^(-3/2): finite where
     either power alone is not (|m| >= 83); past p ~ 1e102 the value is its limit 0.
     """
     with np.errstate(over="ignore"):
-        return _closed_form(n, m, p, phi_p, lambda n, am, q0, p, q: (
-            _norms(n, am)[1] * ((n + 0.5) / (am + 0.5)) * 4.0**am * _power(q0, am + 1)
-            * np.array([pochhammer(1.5, k) for k in range(np.max(am) + 1)])[am]
-            * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
-            * _power(p / (p * p + q0 * q0), am) / _power(p * p + q0 * q0, 1.5)))
+        return (_norms(n, am)[1] * ((n + 0.5) / (am + 0.5)) * 4.0**am * _power(q0, am + 1)
+                * np.array([pochhammer(1.5, k) for k in range(np.max(am) + 1)])[am]
+                * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
+                * _power(p / (p * p + q0 * q0), am) / _power(p * p + q0 * q0, 1.5))
+
+
+def _psi_momentum_gegenbauer(n: np.ndarray, m: np.ndarray, p: np.ndarray,
+                             phi_p: np.ndarray) -> np.ndarray:
+    """``psi_momentum_gegenbauer`` of the states (n, m), laid out as for ``_psi_momentum``."""
+    return _closed_form(n, m, p, phi_p, _q0(n), _gegenbauer_amplitude)
 
 
 def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):

@@ -128,7 +128,8 @@ def _q0(n):
 
 def _norms(n, m) -> np.ndarray:
     """(n-|m|)!/(n+|m|)! and N_{n,m}, stacked, of the states n, m: Python floats once per
-    distinct (n, |m|), as one state rounds them; ValueError below the smallest normal double."""
+    distinct (n, |m|), as one state rounds them; ValueError below the smallest normal double.
+    N is 2^-100 sqrt(2^200 q0^3 ratio / pi): unscaled, the root's argument is subnormal at 85."""
     n, am = np.broadcast_arrays(n, np.abs(m))
     states, table = list(zip(n.ravel().tolist(), am.ravel().tolist())), {}
     for k, a in dict.fromkeys(states):
@@ -136,7 +137,8 @@ def _norms(n, m) -> np.ndarray:
         if ratio < sys.float_info.min:
             raise ValueError(f"(n-|m|)!/(n+|m|)! at (n, |m|) = ({k}, {a}) is below "
                              f"the smallest normal double {sys.float_info.min:.4g}")
-        table[k, a] = ratio, math.sqrt(_q0(k) ** 3 * ratio / math.pi)
+        scaled = _q0(k) ** 3 * math.ldexp(ratio, 200) / math.pi
+        table[k, a] = ratio, math.ldexp(math.sqrt(scaled), -100)
     return np.reshape(np.array([table[s] for s in states]).T, (2,) + n.shape)
 
 

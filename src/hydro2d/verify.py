@@ -27,7 +27,6 @@ say so in the notes; the raw residual is still recorded as max_abs_err.
 
 from __future__ import annotations
 
-import cmath
 import math
 import random
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -38,12 +37,14 @@ from . import genfunc
 from .ftoracle import _hankel_rows, _levi_civita_rows
 from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s_invariant,
                          det_x, gen_func_momentum, quadratic_form_matrix)
-from .momentum import MomentumPoint, _psi_momentum, _psi_momentum_gegenbauer, q_of_p
+from .momentum import (MomentumPoint, _closed_form, _gegenbauer_amplitude, _psi_momentum,
+                       _psi_momentum_gegenbauer)
 from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
                     _odd_factorials, _power, _turns, assoc_legendre, bessel_j, gegenbauer,
-                    laguerre, legendre, pochhammer)
-from .position import PolarPoint, _norms, _ode_residual, _overlaps, _psi_position, _q0
-from .quadrature import _row_sums, _rule_rows, gauss_laguerre, panel_nodes, series_coefficients
+                    laguerre, legendre)
+from .position import (PolarPoint, _norms, _ode_residual, _overlaps, _psi_position, _q0,
+                       _radial)
+from .quadrature import _row_sums, _rule_rows, series_coefficients
 from .reporting import VerificationReport
 
 _SEED = 20260814
@@ -353,28 +354,17 @@ def check_gaussian_integral(n_max: Optional[int] = None, tol: float = 1e-7) -> V
 
 
 def check_measure_factor(n_max: Optional[int] = None, tol: float = 1e-8) -> VerificationReport:
-    """Measure the constant c in  integral f d^2r = c integral f(u) u^2 d^2u."""
-    x, w = gauss_laguerre(2)  # exact for the x and x^2 moments below
-    # Covering-plane side: 160 Gauss-Legendre nodes in u on [0, 9]; e^(-u^2)
-    # tails beyond are < 1e-35 for both test integrands.
-    u, uw = panel_nodes(np.linspace(0.0, 9.0, 11))
-
-    # f = e^(-rho): integral f d^2r by Gauss-Laguerre in rho against
-    # integral f(u) u^2 d^2u by Gauss-Legendre in u.
-    lhs1 = 2.0 * math.pi * float(np.sum(w * x))
-    rhs1 = 2.0 * math.pi * float(np.sum(uw * u**3 * np.exp(-u * u)))
-    c1 = lhs1 / rhs1
-
-    # f = rho e^(-2 rho), same two routes (substitute s = 2 rho on the left).
-    lhs2 = 2.0 * math.pi * float(np.sum(w * x * x)) / 8.0
-    rhs2 = 2.0 * math.pi * float(np.sum(uw * u**5 * np.exp(-2.0 * u * u)))
-    c2 = lhs2 / rhs2
-
-    measured = 0.5 * (c1 + c2)
+    """Measure the constant c in  integral f d^2r = c integral f(u) u^2 d^2u: the Levi-Civita
+    oracle integrates with c = 2, so c is the least-squares factor that takes half its rows
+    onto the Gegenbauer form, over |m| <= n <= 4 (Hermite rules of 2 to 6 nodes), 5 momenta."""
+    mp = _grid_points(np.geomspace(0.05, 20.0, 5))
+    args = (*_states(4, signed=True), mp.p[None], mp.phi_p[None])
+    half, psi = 0.5 * _levi_civita_rows(*args), _psi_momentum_gegenbauer(*args)
+    measured = np.sum((np.conj(half) * psi).real) / np.sum(half.real**2 + half.imag**2)
     return VerificationReport.from_errors(
         "measure-factor-adjudication",
-        "quadrature ratio for e^(-rho) and rho e^(-2 rho)",
-        [(np.abs([c1 - 2.0, c2 - 2.0]), 1.0)], tol,
+        "c fitted: Gegenbauer form vs half the Levi-Civita oracle, |m| <= n <= 4, 5 momenta",
+        [(np.abs(measured - 2.0), 1.0)], tol,
         notes=f"measured measure factor c = {measured:.10g}; the squaring map "
               "covers the plane twice, so the naive factor 4 from the Jacobian "
               "alone double-counts and the honest constant is 2")
@@ -397,10 +387,16 @@ def check_beta_derivative(n_max: Optional[int] = None, tol: float = 1e-6) -> Ver
         notes="reduced form (1-z^2) q0 S^(-3/2) vs -dG/dbeta by Cauchy coefficients")
 
 
+def _core_scale(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """N_{n,m} m! of the states (n, m >= 0): a state's core over it is the z^n t^m coefficient
+    of its generating function, which has no N and a 1/m!."""
+    return _norms(n, m)[1] * np.array([math.factorial(k) for k in range(np.max(m) + 1)])[m]
+
+
 def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> VerificationReport:
     """Taylor coefficients of the momentum generating function.
 
-    The (n, m) coefficient must equal
+    The (n, m) coefficient must equal the Gegenbauer form at the scale q0 over N_{n,m} m!,
 
         (2n+1) (-4i)^m q0^(m+1) (3/2)_m C_{n-m}^(m+1/2)(q) p^m e^(i m phi_p)
         / ((2m+1) m! (p^2 + q0^2)^(m+3/2))
@@ -414,21 +410,13 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     mp = MomentumPoint(0.7, 0.3)
     coeffs = series_coefficients(
         lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
-    denom = (mp.p**2 + q0**2)
-    ns, ms = _states(cap, signed=False)
-    # Every C_{n-m}^(m+1/2)(q) from one ladder; Python-float prefactors (numpy's 0.7**4 differs)
-    gegen = _degree(_gegenbauer_ladder(ms[:, None] + 0.5, np.array([q_of_p(mp.p, q0)])),
-                    (ns - ms)[:, None], "gegenbauer")[:, 0]
-    refs = np.zeros_like(coeffs)
-    for n, m, c in zip(ns.tolist(), ms.tolist(), gegen.tolist()):
-        amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m) * c * mp.p**m
-               / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
-        refs[n, m] = amp * ((-1j) ** (m % 4)) * cmath.exp(1j * m * mp.phi_p)
-    tri = np.tril(np.ones(refs.shape, dtype=bool))
+    n, m = _states(cap, signed=False)
+    refs = (_closed_form(n, m, np.array([[mp.p]]), np.array([[mp.phi_p]]), q0,
+                         _gegenbauer_amplitude)[:, 0] / _core_scale(n, m))
     return VerificationReport.from_errors(
         "genfunc-coefficient-consistency",
         f"n <= {cap}, m <= n at q0 = 1, p = 0.7",
-        [(np.abs(coeffs[tri] - refs[tri]), np.abs(refs[tri]))], tol, relative=True,
+        [(np.abs(coeffs[n, m] - refs), np.abs(refs))], tol, relative=True,
         notes="constant 1 asserted (unitary anchoring), uniform over n, m")
 
 
@@ -482,16 +470,15 @@ def check_coordinate_gf(n_max: Optional[int] = None, tol: float = 1e-8) -> Verif
     coeffs = series_coefficients(  # c[n, m, case]
         lambda z, t: np.stack([genfunc.coordinate_gf(z, t, q0, PolarPoint(rho, phi))
                                for q0, rho, phi in cases], -1), (11, 11))
-    n, m = np.arange(11)[:, None, None], np.arange(11)[:, None]
-    v = np.array([2.0 * q0 * rho for q0, rho, _ in cases])
-    # head[m, case] = v^m e^(-v/2) e^(i m phi) / m!; phases by cmath (libm), not np.cos / np.sin
-    turns = np.array([[cmath.exp(1j * k * phi) for _, _, phi in cases] for k in range(11)])
-    head = (_power(v, m) * np.exp(-0.5 * v) * turns
-            / np.array([math.factorial(k) for k in range(11)])[:, None])
+    q0, rho, phi = map(np.array, zip(*cases))
+    n, m = _states(10, signed=False)
+    want = np.zeros_like(coeffs)  # 0 where m > n
+    want[n, m] = (_radial(n, m, 2.0 * q0 * rho[None]) * _turns(m[:, None], phi)
+                  / _core_scale(n, m)[:, None])
     return VerificationReport.from_errors(
         "coordinate-gf",
         "m <= n <= 10 at (q0, rho, phi) in {(1, 1.5, 0.7), (0.8, 0.6, 2), (1.3, 3, 4.2)}",
-        [_ladder_errors(coeffs, head * _degree(_laguerre_ladder(2 * m, v), n - m, "laguerre"))],
+        [_ladder_errors(coeffs, want)],
         tol, relative=True,
         notes="2-D coefficients by Cauchy quadrature, r = 0.5, 128 nodes; errors scaled by "
               "max(1, |value|); fixed-q0 scaled basis, not per-level physical q0")

@@ -19,16 +19,17 @@ from hydro2d.polys import bessel_j
 from hydro2d.quadrature import gauss_laguerre
 
 
-def test_measure_factor_by_independent_quadratures():
-    # f = rho e^(-2 rho).  Plane side: 2 pi int rho^2 e^(-2 rho) d rho by
-    # Gauss-Laguerre in s = 2 rho.  Covering side: 2 pi int u^5 e^(-2 u^2) du
-    # truncated at u = 9 (tail < 1e-60) by scipy's Gauss-Legendre, a rule the
+@pytest.mark.parametrize("k, a", [(0, 1.0), (1, 2.0)], ids=["exp-rho", "rho-exp-2rho"])
+def test_measure_factor_by_independent_quadratures(k, a):
+    # f = rho^k e^(-a rho).  Plane side: 2 pi int rho^(k+1) e^(-a rho) d rho by
+    # Gauss-Laguerre in s = a rho.  Covering side: 2 pi int u^(2k+3) e^(-a u^2) du
+    # truncated at u = 9 (tail < 1e-31) by scipy's Gauss-Legendre, a rule the
     # package does not use.  The ratio is the measure factor.
     s, w = gauss_laguerre(128)
-    plane = 2.0 * math.pi * float(np.sum(w * (s / 2.0) ** 2)) / 2.0
+    plane = 2.0 * math.pi * float(np.sum(w * s ** (k + 1))) / a ** (k + 2)
     x, gw = roots_legendre(160)
     u = 4.5 * (x + 1.0)
-    cover = 2.0 * math.pi * float(np.sum(4.5 * gw * u**5 * np.exp(-2.0 * u * u)))
+    cover = 2.0 * math.pi * float(np.sum(4.5 * gw * u ** (2 * k + 3) * np.exp(-a * u * u)))
     assert plane / cover == pytest.approx(2.0, abs=1e-8)
 
 

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -79,6 +80,27 @@ def test_normalization_rejects_underflowing_factorial_ratio():
     assert QuantumNumbers(85, 85).factorial_ratio > 0.0  # 1/170!, still a normal double
     with pytest.raises(ValueError, match="smallest normal double"):
         normalization(QuantumNumbers(92, 92))
+
+
+# pi to 60 digits, for the decimal references below
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def test_every_normalization_matches_a_decimal_reference():
+    # N_{n,m} = sqrt(q0^3 (n-|m|)!/(pi (n+|m|)!)) in 50-digit decimal arithmetic, for every
+    # |m| <= n <= 85, through the state-axis table and one state at a time.  At (85, +-85)
+    # q0^3 ratio / pi is a subnormal double (2.2e-313): taken there, N would be 6.7e-12 off.
+    n, m = (a.ravel() for a in np.tril_indices(86))
+    table = position._norms(n, m)[1].tolist()
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for k, a, got in zip(n.tolist(), m.tolist(), table):
+            want = ((Decimal(2) / (2 * k + 1)) ** 3 * math.factorial(k - a)
+                    / (math.factorial(k + a) * _PI)).sqrt()
+            assert got == normalization(QuantumNumbers(k, -a)), (k, a)
+            worst = max(worst, float(abs(Decimal(got) / want - 1)))
+    assert worst <= 1e-15  # measured 3.1e-16
 
 
 def test_normalization_matches_fixed_scale_form():

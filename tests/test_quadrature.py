@@ -160,10 +160,13 @@ def test_symmetric_rules_have_an_exact_zero_and_mirror(family):
     # a_k = 0, so the nodes come in pairs +-x and an odd rule's middle node is
     # 0: its bracket ends below eps^2 times the Gershgorin width, at a point the
     # trial sequence chose, so it is returned as exactly +0.0 and mirrors itself.
-    # The other pairs mirror to 2 ulp: where a pivot lands on a signed zero at a
-    # node's last bit, the counts at t and -t need not add up to n (Legendre 4
-    # and 13, Hermite 9 and 11 among these sizes), and the weights follow their
-    # nodes to their own accuracy.
+    # The other pairs mirror to 2 ulp (Legendre 4 and 13, Hermite 9 and 11 among
+    # these sizes are off): the pivots at -t are those at t negated, except one
+    # that cancels to exactly 0, which is +0.0 at both, so neither count takes
+    # it and the counts at t and -t need not add up to n.  At Legendre 4 the
+    # last pivot is +0.0 at t = -0.8611363115940526 and at -t; counting
+    # np.signbit would change no rule.  The weights follow their nodes to their
+    # own accuracy.
     diag, off2, mass = _FAMILIES[family](np.arange(128.0))
     for n, (x, w) in zip(_BATCH_SIZES, _gauss_rule(diag, off2, mass, _BATCH_SIZES)):
         if n % 2:
@@ -194,12 +197,13 @@ def _multisections(calls: str):
 def test_verify_builds_each_familys_rules_together():
     # Each caller asks for every size it needs at once: the position norms and
     # overlaps for their Laguerre counts, Parseval for its Legendre counts and
-    # each Levi-Civita call for the Hermite rules of all its levels.  The panel
-    # rule is built when first used, by measure-factor-adjudication.
+    # each Levi-Civita call for the Hermite rules of all its levels, first in
+    # measure-factor-adjudication (n <= 4), which leaves the ft suite only the
+    # panel rule of the Hankel route and the doubled Hermite sizes to build.
     assert _multisections("hydro2d.run_suite('all')") == [
-        list(range(1, 12)), list(range(1, 8)), [PANEL_ORDER], [2, 3, 4, 5, 6], [8, 10, 12]]
+        list(range(1, 12)), list(range(1, 8)), [2, 3, 4, 5, 6], [PANEL_ORDER], [8, 10, 12]]
     assert _multisections("for suite in hydro2d.SUITE_ORDER[:-1]: hydro2d.run_suite(suite, 10)") \
-        == [list(range(1, 12)), list(range(1, 12)), [PANEL_ORDER]]
+        == [list(range(1, 12)), list(range(1, 12)), [2, 3, 4, 5, 6]]
 
 
 def test_panel_nodes_integrate_sine():

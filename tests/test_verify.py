@@ -228,6 +228,32 @@ def test_doubled_momentum_generating_function_fails_coefficient_consistency(monk
     assert rep.max_rel_err == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("core", ["_psi_momentum_gegenbauer", "_levi_civita_rows"])
+def test_scaled_core_fails_measure_factor(monkeypatch, core):
+    # Either side of the fit off by 1e-7 of itself moves c by 2e-7, above the 1e-8 tolerance.
+    original = getattr(verify, core)
+    monkeypatch.setattr(verify, core, lambda *args: (1.0 + 1e-7) * original(*args))
+    rep = check_measure_factor()
+    assert not rep.passed
+    assert rep.max_abs_err == pytest.approx(2e-7, rel=1e-3)
+
+
+def test_doubled_gegenbauer_amplitude_fails_coefficient_consistency(monkeypatch):
+    original = verify._gegenbauer_amplitude
+    monkeypatch.setattr(verify, "_gegenbauer_amplitude", lambda *args: 2.0 * original(*args))
+    rep = check_coefficient_consistency()
+    assert not rep.passed
+    assert rep.max_rel_err == pytest.approx(0.5, rel=1e-9)
+
+
+def test_scaled_radial_factor_fails_coordinate_gf(monkeypatch):
+    original = verify._radial
+    monkeypatch.setattr(verify, "_radial", lambda *args: (1.0 + 1e-7) * original(*args))
+    rep = check_coordinate_gf()
+    assert not rep.passed
+    assert rep.max_rel_err == pytest.approx(1e-7, rel=1e-3)
+
+
 def _gaussian_draws(monkeypatch):
     # The draws of the Gaussian check, by capturing its _accepted_draws call.
     calls = []
@@ -393,20 +419,21 @@ def _loop_phase(cap):
         yield np.abs(psi_momentum(qn, MomentumPoint(ps, phis)) - base * turns), 1.0
 
 
+def _coefficient_reference(n, m, q0, mp):
+    # The coefficient check's reference for one state: the Gegenbauer form at the scale q0
+    # over N m!, as a one-element array.
+    core = momentum._closed_form(np.array([n]), np.array([m]), np.array([[mp.p]]),
+                                 np.array([[mp.phi_p]]), q0, momentum._gegenbauer_amplitude)
+    return core[:, 0] / (position._norms(n, m)[1] * np.array([math.factorial(m)]))
+
+
 def _loop_coefficients(cap):
     cap, q0, mp = min(cap, 8), 1.0, MomentumPoint(0.7, 0.3)
     coeffs = series_coefficients(
         lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
-    q, denom = q_of_p(mp.p, q0), (mp.p**2 + q0**2)
-    refs = np.zeros_like(coeffs)
     for qn in _each_state(cap, signed=False):
-        n, m = qn.n, qn.m
-        amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
-               * gegenbauer(n - m, m + 0.5, q) * mp.p**m
-               / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
-        refs[n, m] = amp * ((-1j) ** (m % 4)) * cmath.exp(1j * m * mp.phi_p)
-    tri = np.tril(np.ones(refs.shape, dtype=bool))
-    return [(np.abs(coeffs[tri] - refs[tri]), np.abs(refs[tri]))]
+        ref = _coefficient_reference(qn.n, qn.m, q0, mp)
+        yield np.abs(coeffs[qn.n, qn.m] - ref), np.abs(ref)
 
 
 def _series_errors(coeffs, ladder, shift=0):
@@ -454,15 +481,56 @@ def _loop_shifted_laguerre_gf(cap):
                              polys._laguerre_ladder(2 * m, vs), shift=m)
 
 
+_COORDINATE_CASES = ((1.0, 1.5, 0.7), (0.8, 0.6, 2.0), (1.3, 3.0, 4.2))
+
+
+def _coordinate_reference(n, m, v, phi):
+    # The coordinate-gf check's reference for one state: the radial factor times the angular
+    # one, over N m!, at the arrays v and phi of the cases.
+    return (position._radial(np.array([n]), np.array([m]), v[None])[0] * polys._turns(m, phi)
+            / (position._norms(n, m)[1] * np.array([math.factorial(m)])))
+
+
 def _loop_coordinate_gf(cap):
-    for q0, rho, phi in ((1.0, 1.5, 0.7), (0.8, 0.6, 2.0), (1.3, 3.0, 4.2)):
+    for q0, rho, phi in _COORDINATE_CASES:
         coeffs = series_coefficients(
             lambda z, t: genfunc.coordinate_gf(z, t, q0, PolarPoint(rho, phi)), (11, 11))
-        v = np.array([2.0 * q0 * rho])
-        for m in range(11):
-            head = v**m * np.exp(-0.5 * v) * cmath.exp(1j * m * phi) / math.factorial(m)
-            yield _series_errors(coeffs[:, m, None],
-                                 (head * lag for lag in polys._laguerre_ladder(2 * m, v)), shift=m)
+        want = np.zeros_like(coeffs)
+        for qn in _each_state(10, signed=False):
+            want[qn.n, qn.m] = _coordinate_reference(qn.n, qn.m, np.array([2.0 * q0 * rho]),
+                                                     np.array([phi]))[0]
+        yield np.abs(coeffs - want), np.maximum(1.0, np.abs(want))
+
+
+def test_gegenbauer_core_is_the_papers_coefficient():
+    # The reference of genfunc-coefficient-consistency against the paper's coefficient
+    # written out term by term in Python floats, with libm phases, at the check's point and
+    # at three more (q0, p, phi_p), q0 a free scale of the Gegenbauer core.
+    for q0, mp in ((1.0, MomentumPoint(0.7, 0.3)), (1.0, MomentumPoint(2.5, -2.0)),
+                   (0.37, MomentumPoint(0.7, 0.3)), (2.2, MomentumPoint(0.15, 5.1))):
+        q, denom = q_of_p(mp.p, q0), mp.p**2 + q0**2
+        for qn in _each_state(8, signed=False):
+            n, m = qn.n, qn.m
+            amp = ((2 * n + 1) * (4.0**m) * q0 ** (m + 1) * pochhammer(1.5, m)
+                   * gegenbauer(n - m, m + 0.5, q) * mp.p**m
+                   / ((2 * m + 1) * math.factorial(m) * denom ** (m + 1.5)))
+            want = amp * ((-1j) ** (m % 4)) * cmath.exp(1j * m * mp.phi_p)
+            got = complex(_coefficient_reference(n, m, q0, mp)[0])
+            assert abs(got - want) <= 1e-14 * abs(want), (q0, mp, n, m)
+
+
+def test_radial_core_is_the_coordinate_basis_term():
+    # The reference of coordinate-gf against v^m e^(-v/2) L_{n-m}^(2m)(v) e^(i m phi) / m!
+    # written out in Python floats, with libm phases.
+    for q0, rho, phi in _COORDINATE_CASES:
+        v = 2.0 * q0 * rho
+        for qn in _each_state(10, signed=False):
+            n, m = qn.n, qn.m
+            want = (v**m * math.exp(-0.5 * v) * cmath.exp(1j * m * phi) / math.factorial(m)
+                    * laguerre(n - m, 2 * m, v))
+            got = complex(_coordinate_reference(n, m, np.array([v]), np.array([phi]))[0])
+            # (L_1^(2)(3) = 3 - 3 is exactly 0 on both sides)
+            assert abs(got - want) <= 1e-14 * abs(want), (q0, rho, phi, n, m)
 
 
 def _loop_gegenbauer_gf(cap):
@@ -584,6 +652,17 @@ def test_checks_take_states_only_through_the_state_axis_cores():
     # oracle takes its radial factor from the state-axis core, not the public one.
     assert not _named(verify) & _ONE_STATE
     assert "radial_wavefunction" not in _named(ftoracle)
+
+
+def test_checks_keep_no_private_formula_or_quadrature():
+    # measure-factor-adjudication, genfunc-coefficient-consistency and coordinate-gf read the
+    # shipped cores, not a toy quadrature or a hand-written copy of a closed form.
+    assert not _named(verify) & {"gauss_laguerre", "panel_nodes", "pochhammer", "q_of_p", "cmath"}
+    reads = {"check_measure_factor": {"_psi_momentum_gegenbauer", "_levi_civita_rows"},
+             "check_coefficient_consistency": {"_closed_form", "_gegenbauer_amplitude"},
+             "check_coordinate_gf": {"_radial", "_turns"}}
+    for name, cores in reads.items():
+        assert cores <= _named(getattr(verify, name)), name
 
 
 def test_checks_build_no_quantum_numbers(monkeypatch):
