@@ -44,8 +44,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .polys import (NEG_I_POW, _assoc_legendre_ladder, _degree, _finite, _finite_points,
-                    _gegenbauer_ladder, _overflow_free, _point_arrays, _power, _scalar_or_array,
-                    _turns, pochhammer)
+                    _gegenbauer_ladder, _point_arrays, _power, _scalar_or_array, _turns,
+                    pochhammer)
 from .position import QuantumNumbers, _check_polar, _column, _norms, _one_state, _q0
 
 __all__ = [
@@ -67,14 +67,27 @@ class MomentumPoint:
         _check_polar(self.p, self.phi_p, "radial momentum p", "momentum azimuth phi_p")
 
 
-def q_of_p(p: ArrayLike, q0: float):
-    """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p.
+def _fock(p: np.ndarray, q0):
+    """Fock's map of p >= 0 at the scale q0 > 0 (a scalar, or a column against p): q =
+    (p^2 - q0^2)/(p^2 + q0^2), its sine 2 p q0/(p^2 + q0^2) and the weight 2 q0/(p^2 + q0^2).
 
-    Where p^2 + q0^2 is not a normal double, p and q0 are first scaled by one
-    power of two, exactly, that puts max(p, q0) in [1/2, 1).  So q is finite for
-    every finite p >= 0 and q0 > 0 (-1 at p = 0, 1 where p*p overflows), and
-    elsewhere it is the plain formula, bit for bit.
+    Where p^2 + q0^2 is not a normal double, p and q0 are first scaled, exactly, by the power
+    of two that puts max(p, q0) in [1/2, 1), and the weight is scaled back; elsewhere all
+    three are the plain formulas, bit for bit.  So each is finite at every finite p, the
+    weight while 2/q0, its value at p = 0, is.
     """
+    with np.errstate(over="ignore"):
+        sum_sq = p * p + q0 * q0
+        e = np.where(np.isfinite(sum_sq) & (sum_sq >= np.finfo(float).tiny), 0,
+                     np.frexp(np.maximum(p, q0))[1])
+        p, q0 = np.ldexp(p, -e), np.ldexp(q0, -e)
+        sum_sq = p * p + q0 * q0
+        return (p * p - q0 * q0) / sum_sq, 2.0 * p * q0 / sum_sq, np.ldexp(2.0 * q0 / sum_sq, -e)
+
+
+def q_of_p(p: ArrayLike, q0: float):
+    """Compact spectral variable q = (p^2 - q0^2)/(p^2 + q0^2), float or ndarray like p: the
+    closed forms' ``_fock``, finite for every finite p >= 0 and q0 > 0 (1 where p*p overflows)."""
     ps, = _point_arrays(p, real="q_of_p p")
     if not np.all(ps >= 0.0):  # NaN fails too
         raise ValueError("q_of_p needs p >= 0")
@@ -82,48 +95,37 @@ def q_of_p(p: ArrayLike, q0: float):
     _finite("q_of_p q0", q0)
     if q0 <= 0.0:
         raise ValueError("q_of_p needs q0 > 0")
-    with np.errstate(over="ignore"):
-        sum_sq = ps * ps + q0 * q0
-    e = np.where(np.isfinite(sum_sq) & (sum_sq >= np.finfo(float).tiny), 0,
-                 np.frexp(np.maximum(ps, q0))[1])
-    ps, q0 = np.ldexp(ps, -e), np.ldexp(q0, -e)
-    return _scalar_or_array((ps * ps - q0 * q0) / (ps * ps + q0 * q0), p)
+    return _scalar_or_array(_fock(ps, q0)[0], p)
 
 
 def _closed_form(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray, q0, amplitude):
-    """amplitude(n, |m|, q0, p, q) (-i)^|m| e^(i m phi_p) of the states (n, m) at the scale q0
-    (one per state, or one for all), one per row of the broadcast points' leading axis (of
-    length 1 where they share the points); 0 where p*p overflows.  So psi(p, phi_p) =
+    """amplitude(n, |m|, q0, Fock's (q, sine, weight)) (-i)^|m| e^(i m phi_p) of the states
+    (n, m) at the scale q0 (one per state, or one for all), one per row of the broadcast
+    points' leading axis (of length 1 where they share the points).  So psi(p, phi_p) =
     psi(p, 0) e^(i m phi_p) holds exactly and the modulus is independent of the sign of m.
     """
     p, phi_p = np.broadcast_arrays(p, phi_p)
     am, q0 = _column(np.abs(m), p), _column(q0, p)
-    p, far = _overflow_free(p, 2)
-    amp = np.where(far, 0.0, amplitude(_column(n, p), am, q0, p,
-                                       (p * p - q0 * q0) / (p * p + q0 * q0)))
+    amp = amplitude(_column(n, p), am, q0, *_fock(p, q0))
     return amp * np.array(NEG_I_POW)[am % 4] * _turns(_column(m, p), phi_p)
 
 
 def _psi_momentum(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
     """``psi_momentum`` of the states (n, m) laid out as for ``_closed_form``: one
     associated-Legendre ladder for all the rows."""
-    return _closed_form(n, m, p, phi_p, _q0(n), lambda n, am, q0, p, q: (
-        np.sqrt(_norms(n, am)[0] / (2.0 * math.pi)) * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5
-        * _degree(_assoc_legendre_ladder(am, q, 2.0 * p * q0 / (p * p + q0 * q0)), n - am,
+    return _closed_form(n, m, p, phi_p, _q0(n), lambda n, am, q0, q, sine, weight: (
+        np.sqrt(_norms(n, am)[0] / (2.0 * math.pi)) * weight ** 1.5
+        * _degree(_assoc_legendre_ladder(am, q, sine), n - am,
                   f"assoc_legendre n={np.max(n)}, m={np.max(am)}")))
 
 
-def _gegenbauer_amplitude(n: np.ndarray, am: np.ndarray, q0, p: np.ndarray, q: np.ndarray):
-    """The Gegenbauer form's amplitude at the scale q0, for ``_closed_form``.
-
-    p^|m| / (p^2 + q0^2)^(|m|+3/2) is (p/(p^2 + q0^2))^|m| (p^2 + q0^2)^(-3/2): finite where
-    either power alone is not (|m| >= 83); past p ~ 1e102 the value is its limit 0.
-    """
-    with np.errstate(over="ignore"):
-        return (_norms(n, am)[1] * ((n + 0.5) / (am + 0.5)) * 4.0**am * _power(q0, am + 1)
-                * np.array([pochhammer(1.5, k) for k in range(np.max(am) + 1)])[am]
-                * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
-                * _power(p / (p * p + q0 * q0), am) / _power(p * p + q0 * q0, 1.5))
+def _gegenbauer_amplitude(n: np.ndarray, am: np.ndarray, q0, q, sine, weight):
+    """The Gegenbauer form's amplitude at the scale q0, for ``_closed_form``: the paper's
+    p^|m| / (p^2 + q0^2)^(|m|+3/2) is (sine/(2 q0))^|m| (weight/(2 q0))^(3/2)."""
+    return (_norms(n, am)[1] * ((n + 0.5) / (am + 0.5)) * 4.0**am * _power(q0, am + 1)
+            * np.array([pochhammer(1.5, k) for k in range(np.max(am) + 1)])[am]
+            * _degree(_gegenbauer_ladder(am + 0.5, q), n - am, f"gegenbauer k={np.max(n - am)}")
+            * _power(sine / (2.0 * q0), am) * (weight / (2.0 * q0)) ** 1.5)
 
 
 def _psi_momentum_gegenbauer(n: np.ndarray, m: np.ndarray, p: np.ndarray,
@@ -139,7 +141,8 @@ def psi_momentum(qn: QuantumNumbers, mp: MomentumPoint):
     keeps full accuracy at large p, where 1 - q^2 of the rounded q cancels.
 
     Scalar fields of ``mp`` give a complex, array fields a complex ndarray of
-    their broadcast shape; where p*p overflows the value is its limit 0.
+    their broadcast shape; it is finite at every finite p >= 0, and its limit 0 where
+    Fock's weight underflows.
     """
     return _one_state(_psi_momentum, qn, mp.p, mp.phi_p)
 

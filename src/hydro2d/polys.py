@@ -124,17 +124,6 @@ def _finite_result(fn):
     return checked
 
 
-def _overflow_free(xs: np.ndarray, power: int):
-    """xs with 0 wherever xs**power overflows float64, and the mask of those points.
-
-    The closed forms damp that power (by p^-3 or e^(-v/2)) to 0 long before it
-    overflows; callers evaluate at the masked copy and put 0 back with np.where.
-    """
-    with np.errstate(over="ignore"):
-        far = np.isinf(_power(xs, power))
-    return np.where(far, 0.0, xs), far
-
-
 def _power(xs: np.ndarray, k):
     """xs ** k for a scalar k or a column of one k per row of xs's leading axis.
 

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .polys import (_degree, _integer, _laguerre_ladder, _overflow_free, _point_arrays,
-                    _power, _scalar_or_array, _turns)
+from .polys import (_degree, _integer, _laguerre_ladder, _point_arrays, _power,
+                    _scalar_or_array, _turns)
 from .quadrature import _row_sums, _rule_rows, series_coefficients
 
 __all__ = [
@@ -164,8 +164,9 @@ def _radial(n: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """N v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v) of the states (n, m), one per row of a real or
     complex v, from one Laguerre ladder; 0 where v^|m| overflows."""
     am, deg = _column(np.abs(m), v), _column(n - np.abs(m), v)
-    near, far = _overflow_free(v, am)
-    value = (_column(_norms(n, m)[1], v) * _power(near, am) * np.exp(-0.5 * v)
+    with np.errstate(over="ignore"):  # where v^|m| overflows, e^(-v/2) is already 0
+        far = np.isinf(_power(v, am))
+    value = (_column(_norms(n, m)[1], v) * _power(np.where(far, 0.0, v), am) * np.exp(-0.5 * v)
              * _degree(_laguerre_ladder(2 * am, v), deg, f"laguerre k={np.max(deg)}"))
     return np.where(far, 0.0, value)
 

@@ -75,6 +75,9 @@ def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float, sizes: Sequence
             edges = np.column_stack([lo, trial, hi])
             lo, hi = edges[at, piece], edges[at, piece + 1]
     x = np.where(hi - lo < tiny, 0.0, 0.5 * (lo + hi))
+    if not np.any(diag):  # a symmetric weight: each rule's lower half mirrors its upper half
+        first = np.repeat(np.cumsum(size) - size, size)
+        x = np.where(2 * rank < bracket_size - 1, -x[first + bracket_size - 1 - rank], x)
 
     prev, cur, total = np.zeros(x.size), np.ones(x.size), np.ones(x.size)
     expo = np.zeros(x.size, dtype=int)

@@ -37,7 +37,7 @@ from . import genfunc
 from .ftoracle import _hankel_rows, _levi_civita_rows
 from .levicivita import (GenFuncParams, QuadraticFormMatrix, _principal_sqrt, _s_invariant,
                          det_x, gen_func_momentum, quadratic_form_matrix)
-from .momentum import (MomentumPoint, _closed_form, _gegenbauer_amplitude, _psi_momentum,
+from .momentum import (MomentumPoint, _closed_form, _fock, _gegenbauer_amplitude, _psi_momentum,
                        _psi_momentum_gegenbauer)
 from .polys import (_assoc_legendre_ladder, _degree, _gegenbauer_ladder, _laguerre_ladder,
                     _odd_factorials, _power, _turns, assoc_legendre, bessel_j, gegenbauer,
@@ -249,12 +249,12 @@ def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationR
     """
     p = np.geomspace(0.05, 1e4, 20)
     n, m = _states(n_max, signed=True)
-    am, q0 = np.abs(m)[:, None], _q0(n)[:, None]
+    am, (q, _, weight) = np.abs(m)[:, None], _fock(p, _q0(n)[:, None])
     k = np.arange(n_max + 1)[:, None, None]  # terms[k]: 0 where k > n - |m|
-    terms = _degree(_assoc_legendre_ladder(am, (p * p - q0 * q0) / (p * p + q0 * q0)),
-                    np.where(k <= n[:, None] - am, k, -1), "assoc_legendre")
-    scale = (np.sqrt(_norms(n, m)[0] / (2.0 * math.pi))[:, None]
-             * (2.0 * q0 / (p * p + q0 * q0)) ** 1.5 * np.max(np.abs(terms), axis=0))
+    terms = _degree(_assoc_legendre_ladder(am, q), np.where(k <= n[:, None] - am, k, -1),
+                    "assoc_legendre")
+    scale = (np.sqrt(_norms(n, m)[0] / (2.0 * math.pi))[:, None] * weight ** 1.5
+             * np.max(np.abs(terms), axis=0))
     point = (p[None, :, None], np.array([[0.0, math.pi / 3.0, math.pi]]))
     return VerificationReport.from_errors(
         "momentum-two-form-equality",

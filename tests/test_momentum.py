@@ -13,9 +13,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydro2d.momentum import (
     MomentumPoint,
+    _fock,
     _psi_momentum,
     _psi_momentum_gegenbauer,
     psi_momentum,
@@ -66,6 +69,40 @@ def test_q_of_p_range():
     for q0 in extremes[1:]:
         qs = q_of_p(np.array(extremes), q0)
         assert np.all(np.abs(qs) <= 1.0) and qs[0] == -1.0
+
+
+@settings(max_examples=200)
+@given(p=st.lists(st.tuples(st.floats(0.0, 1e160), st.floats(0.0, 1e160)), min_size=1,
+                  max_size=8),
+       q0=st.tuples(st.floats(1e-160, 1e160), st.floats(1e-160, 1e160)), column=st.booleans())
+def test_fock_is_the_plain_map_where_the_sum_is_normal(p, q0, column):
+    # Wherever p^2 + q0^2 is a normal double, Fock's map is the three plain formulas bit for
+    # bit, with q0 one scalar for all points or a column of one per row.
+    p = np.array(p).T
+    q0 = np.array(q0)[:, None] if column else q0[0]
+    with np.errstate(all="ignore"):
+        sum_sq = p * p + q0 * q0
+        plain = np.broadcast_arrays((p * p - q0 * q0) / sum_sq, 2.0 * p * q0 / sum_sq,
+                                    2.0 * q0 / sum_sq)
+    normal = np.isfinite(sum_sq) & (sum_sq >= np.finfo(float).tiny)
+    for got, want in zip(_fock(p, q0), plain):
+        assert got.shape == p.shape and got[normal].tobytes() == want[normal].tobytes()
+
+
+def test_fock_is_finite_at_the_extremes():
+    # The extremes of test_q_of_p_range: p^2 + q0^2 underflows or overflows, and the map
+    # scales p and q0 by a power of two instead of reading 0/0 or inf/inf.  Past p = 1.3e154
+    # p*p overflows, the weight underflows to 0, and both momentum forms read their limit 0.
+    extremes = np.array([0.0, 5e-324, 1e-170, 1.0, 1e170, 1.7e308])
+    for q0 in [1e-170, 1.0 / 85.5, 1.0, 2.0, 1e170, 1.7e308]:
+        q, sine, weight = _fock(extremes, q0)
+        assert np.all(np.isfinite(q) & np.isfinite(sine) & np.isfinite(weight)), q0
+        assert np.all(np.abs(q) <= 1.0) and q[0] == -1.0 and sine[0] == 0.0, q0
+        assert np.all(weight >= 0.0) and np.all(weight[1:] <= weight[0]), q0
+    for psi in (psi_momentum, psi_momentum_gegenbauer):
+        for n, m in [(0, 0), (3, 1), (20, -3), (85, 85)]:
+            values = psi(QuantumNumbers(n, m), MomentumPoint(extremes[-2:], 0.3))
+            assert np.all(values == 0.0), (psi.__name__, n, m)
 
 
 def test_ground_state_at_zero_momentum():
@@ -163,13 +200,14 @@ def test_limit_zero_where_p_squared_overflows(psi, m):
 def test_both_forms_finite_and_agree_out_to_p_1e160():
     # From |m| = 3 on, p^|m| overflows before p*p does (from p = 5.6e102 at |m| = 3); the
     # Gegenbauer form read inf/inf there, and now returns its limit 0 like the Legendre form.
-    p = np.concatenate([[0.0], np.geomspace(1e-3, 1e160, 2000)])
+    # Both read Fock's map, so they stay finite out to the largest double, past p*p's overflow.
+    p = np.concatenate([[0.0], np.geomspace(1e-3, 1e160, 2000), np.geomspace(1e160, 1.7e308, 300)])
     for n in range(21):
         for m in range(-n, n + 1):
             qn, mp = QuantumNumbers(n, m), MomentumPoint(p, 0.7)
             a, b = psi_momentum(qn, mp), psi_momentum_gegenbauer(qn, mp)
             assert np.isfinite(a).all() and np.isfinite(b).all(), (n, m)
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), (n, m)  # measured 5.7e-15
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(a)), (n, m)  # measured 4.7e-15
     assert psi_momentum_gegenbauer(QuantumNumbers(3, 3), MomentumPoint(1e150, 0.0)) == 0.0
     # From |m| = 83 on p^|m| and (p^2 + q0^2)^(|m|+3/2) each leave the doubles where their
     # ratio does not: the Gegenbauer form read 0/0 at p = 1e-3, and 0 at p = 1e3 where
@@ -181,7 +219,7 @@ def test_both_forms_finite_and_agree_out_to_p_1e160():
             warnings.simplefilter("error")
             a, b = psi_momentum(QuantumNumbers(n, m), mp), psi_momentum_gegenbauer(
                 QuantumNumbers(n, m), mp)
-        assert np.all(np.abs(a - b) <= 1e-10 * np.abs(a)), (n, m)  # measured 6.7e-12
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(a)), (n, m)  # measured 3.7e-15
 
 
 def test_gegenbauer_route_uses_signed_phase_too():

@@ -160,20 +160,17 @@ def test_symmetric_rules_have_an_exact_zero_and_mirror(family):
     # a_k = 0, so the nodes come in pairs +-x and an odd rule's middle node is
     # 0: its bracket ends below eps^2 times the Gershgorin width, at a point the
     # trial sequence chose, so it is returned as exactly +0.0 and mirrors itself.
-    # The other pairs mirror to 2 ulp (Legendre 4 and 13, Hermite 9 and 11 among
-    # these sizes are off): the pivots at -t are those at t negated, except one
-    # that cancels to exactly 0, which is +0.0 at both, so neither count takes
-    # it and the counts at t and -t need not add up to n.  At Legendre 4 the
-    # last pivot is +0.0 at t = -0.8611363115940526 and at -t; counting
-    # np.signbit would change no rule.  The weights follow their nodes to their
-    # own accuracy.
+    # Multisection alone leaves pairs 2 ulp apart (Legendre 4 and 13, Hermite 9 and
+    # 11 among these sizes): the pivots at -t are those at t negated, except one that
+    # cancels to exactly 0, which is +0.0 at both, so the counts at t and -t need not
+    # add up to n.  So each rule's lower half is taken as its upper half negated, and
+    # the weights, sums of p_k(x)^2 that are even in x when a_k = 0, mirror bit for bit.
     diag, off2, mass = _FAMILIES[family](np.arange(128.0))
     for n, (x, w) in zip(_BATCH_SIZES, _gauss_rule(diag, off2, mass, _BATCH_SIZES)):
         if n % 2:
             assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
-            assert x[n // 2] == -x[::-1][n // 2]
-        assert np.all(np.abs(x + x[::-1]) <= 2.0 * np.spacing(np.abs(x))), n
-        assert np.max(np.abs(w / w[::-1] - 1.0)) <= 1e-13, n  # measured 5.5e-14 at n = 128
+        assert np.array_equal(x, -x[::-1]), n  # -0.0 == +0.0: the middle node is checked above
+        assert w.tobytes() == w[::-1].tobytes(), n
 
 
 def _multisections(calls: str):

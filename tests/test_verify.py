@@ -656,11 +656,13 @@ def test_checks_take_states_only_through_the_state_axis_cores():
 
 def test_checks_keep_no_private_formula_or_quadrature():
     # measure-factor-adjudication, genfunc-coefficient-consistency and coordinate-gf read the
-    # shipped cores, not a toy quadrature or a hand-written copy of a closed form.
+    # shipped cores, not a toy quadrature or a hand-written copy of a closed form, and
+    # momentum-two-form-equality takes its q and weight from Fock's map.
     assert not _named(verify) & {"gauss_laguerre", "panel_nodes", "pochhammer", "q_of_p", "cmath"}
     reads = {"check_measure_factor": {"_psi_momentum_gegenbauer", "_levi_civita_rows"},
              "check_coefficient_consistency": {"_closed_form", "_gegenbauer_amplitude"},
-             "check_coordinate_gf": {"_radial", "_turns"}}
+             "check_coordinate_gf": {"_radial", "_turns"},
+             "check_two_form_equality": {"_fock"}}
     for name, cores in reads.items():
         assert cores <= _named(getattr(verify, name)), name
 
