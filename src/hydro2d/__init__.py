@@ -8,7 +8,7 @@ against independent numerical oracles.
 
 from .ftoracle import ft_hankel
 from .genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_legendre_gf,
-                      series_coefficients, shifted_laguerre_gf)
+                      shifted_laguerre_gf)
 from .levicivita import (GenFuncParams, GenFuncValues, QuadraticFormMatrix, det_x,
                          gen_func_momentum, quadratic_form_matrix)
 from .momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
@@ -17,6 +17,7 @@ from .polys import (assoc_legendre, bessel_j, double_factorial, gegenbauer,
 from .position import (BoundState, PolarPoint, QuantumNumbers, make_bound_state,
                        norm_squared, normalization, overlap, psi_position,
                        radial_ode_residual, radial_wavefunction)
+from .quadrature import series_coefficients
 from .reporting import GridSpec, VerificationReport
 from .verify import SUITES, SUITE_ORDER, run_suite
 

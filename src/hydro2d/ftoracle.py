@@ -40,7 +40,7 @@ import numpy as np
 from .momentum import MomentumPoint
 from .polys import NEG_I_POW, _bessel_ladder, _degree, _laguerre_ladder, _power, _turns
 from .position import QuantumNumbers, _norms, _one_state, _q0, _radial
-from .quadrature import PANEL_ORDER, _gauss_rules, gauss_hermite, panel_nodes
+from .quadrature import PANEL_ORDER, gauss_rules, panel_nodes
 
 __all__ = ["ft_hankel"]
 
@@ -138,9 +138,9 @@ def ft_hankel(qn: QuantumNumbers, mp: MomentumPoint):
 
 
 def _levi_civita_block(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
-                       refine: int) -> np.ndarray:
-    """Rows of level n at the momenta p, phi_p by the Levi-Civita route (``_levi_civita_rows``)."""
-    s, w = gauss_hermite(refine * (n + 2))
+                       s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of level n at the momenta p, phi_p by the Levi-Civita route (``_levi_civita_rows``)
+    on the Gauss-Hermite nodes s and weights w per axis."""
     q0, am = _q0(n), np.abs(m)
     a = q0 + 1j * p
     root = np.sqrt(a)[:, None, None]
@@ -168,8 +168,8 @@ def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.nda
     N (2 q0)^|m| / (pi |a|) times the weighted sum of
     (u1 +- i u2)^(2|m|) L_{n-|m|}^(2|m|)(2 q0 rho) rho, rho = u1^2 + u2^2: one
     Laguerre ladder over the distinct |m| of the level, over blocks of momenta of at
-    most ``_TERM_BLOCK`` terms.  The rules of all levels are built together, before the
-    first level runs.  ``refine`` = 2 is the node-doubling check's;
+    most ``_TERM_BLOCK`` terms.  One ``gauss_rules`` call gives the rules of all levels,
+    before the first level runs.  ``refine`` = 2 is the node-doubling check's;
     past n = ``_LEVI_CIVITA_MAX_N`` the sum loses its digits to cancellation,
     so that is a ValueError.
     """
@@ -177,9 +177,12 @@ def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.nda
         raise ValueError(f"the Levi-Civita oracle covers n <= {_LEVI_CIVITA_MAX_N}, "
                          f"got n = {np.max(n)}")
 
+    levels = sorted(set(np.ravel(n).tolist()))
+    rules = dict(zip(levels, gauss_rules("hermite", [refine * (k + 2) for k in levels])))
+
     def rows(n, m, p, phi_p):
-        step = max(1, _TERM_BLOCK // (m.size * (refine * (n + 2)) ** 2))
-        return np.concatenate([_levi_civita_block(n, m, p[j:j + step], phi_p[j:j + step], refine)
+        s, w = rules[n]
+        step = max(1, _TERM_BLOCK // (m.size * s.size ** 2))
+        return np.concatenate([_levi_civita_block(n, m, p[j:j + step], phi_p[j:j + step], s, w)
                                for j in range(0, p.size, step)], axis=1)
-    _gauss_rules("hermite", [refine * (level + 2) for level in set(np.ravel(n).tolist())])
     return _level(rows, n, m, p, phi_p)

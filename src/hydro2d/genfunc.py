@@ -14,7 +14,7 @@ without the Condon-Shortley sign (as in ``polys``); the sum starts at n = m
 since P_n^m vanishes for n < m.  Each returns a finite value or raises a
 ValueError naming itself.  The verification suites check each closed form
 one way: its Taylor coefficients from ``quadrature.series_coefficients``
-(re-exported here) against the rows of the polynomial ladder of its series.
+against the rows of the polynomial ladder of its series.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from numpy.typing import ArrayLike
 from .polys import (_finite, _finite_points, _finite_result, _integer, _point_arrays,
                     _scalar_or_array)
 from .position import PolarPoint
-from .quadrature import series_coefficients
 
 __all__ = [
     "laguerre_gf",
@@ -33,7 +32,6 @@ __all__ = [
     "coordinate_gf",
     "gegenbauer_gf",
     "new_legendre_gf",
-    "series_coefficients",
 ]
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,16 +97,23 @@ def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float, sizes: Sequence
 
 # Each family's Jacobi matrix at k = 0, 1, ...: diagonal a_k, b_k^2 and the weight's mass.
 _FAMILIES = {
-    "laguerre": lambda k: (2.0 * k + 1.0, k * k, 1.0),
-    "legendre": lambda k: (np.zeros(k.size), k * k / (4.0 * k * k - 1.0), 2.0),
-    "hermite": lambda k: (np.zeros(k.size), k / 2.0, math.sqrt(math.pi)),
+    "laguerre": lambda k: (2.0 * k + 1.0, k * k, 1.0),  # f(x) e^(-x) on [0, inf)
+    "legendre": lambda k: (np.zeros(k.size), k * k / (4.0 * k * k - 1.0), 2.0),  # f(x) on [-1, 1]
+    "hermite": lambda k: (np.zeros(k.size), k / 2.0, math.sqrt(math.pi)),  # f(x) e^(-x^2) on R
 }
 _RULES = {family: {} for family in _FAMILIES}  # family: {size: (nodes, weights)}
 
 
-def _gauss_rules(family: str, sizes: Sequence[int]) -> list:
-    """The rules of ``family`` with ``sizes`` nodes, from its cache: one ``_gauss_rule`` call
-    builds every size the cache lacks."""
+def gauss_rules(family: str, sizes: Sequence[int]) -> list:
+    """The Gauss rules of ``family`` (a key of ``_FAMILIES``) with ``sizes`` nodes, one (nodes,
+    weights) pair per size in their order, from the family's cache: one ``_gauss_rule`` call
+    builds every size it lacks."""
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ValueError(f"gauss_rules family must be one of {', '.join(_FAMILIES)}, "
+                         f"got {family!r}")
+    for n in sizes:
+        if isinstance(n, bool) or _integer("gauss_rules size", n) < 1:
+            raise ValueError(f"gauss_rules size must be a positive integer, got {n!r}")
     cache = _RULES[family]
     todo = sorted(set(sizes) - cache.keys())
     if todo:
@@ -116,31 +122,12 @@ def _gauss_rules(family: str, sizes: Sequence[int]) -> list:
     return [cache[n] for n in sizes]
 
 
-@lru_cache(maxsize=None)
-def gauss_laguerre(n: int):
-    """Nodes/weights for integral of f(x) exp(-x) on [0, inf): a_k = 2k+1, b_k = k, mass 1."""
-    return _gauss_rules("laguerre", [n])[0]
-
-
-@lru_cache(maxsize=None)
-def gauss_legendre(n: int):
-    """Nodes/weights for integral of f(x) on [-1, 1]: a_k = 0, b_k^2 = k^2/(4k^2 - 1), mass 2."""
-    return _gauss_rules("legendre", [n])[0]
-
-
-@lru_cache(maxsize=None)
-def gauss_hermite(n: int):
-    """Nodes/weights for integral of f(x) exp(-x^2) on the real line: a_k = 0, b_k^2 = k/2,
-    mass sqrt(pi)."""
-    return _gauss_rules("hermite", [n])[0]
-
-
 def _rule_rows(family: str, counts: np.ndarray):
     """Nodes and weights of the ``family`` rule of counts[r] nodes in row r, padded with zeros
     to the largest count; the distinct counts are built together."""
     nodes, weights = np.zeros((2, counts.size, int(np.max(counts, initial=1))))
     distinct = sorted(set(counts.tolist()))
-    for count, rule in zip(distinct, _gauss_rules(family, distinct)):
+    for count, rule in zip(distinct, gauss_rules(family, distinct)):
         nodes[counts == count, :count], weights[counts == count, :count] = rule
     return nodes, weights
 
@@ -159,7 +146,7 @@ def panel_nodes(boundaries: np.ndarray):
     ``boundaries`` is an increasing 1-d array; each consecutive pair is
     one panel of ``PANEL_ORDER`` points.  Returns flat nodes and weights.
     """
-    x, w = gauss_legendre(PANEL_ORDER)
+    (x, w), = gauss_rules("legendre", [PANEL_ORDER])
     half = 0.5 * np.diff(boundaries)
     mid = 0.5 * (boundaries[1:] + boundaries[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -92,16 +92,18 @@ class GridSpec:
     @classmethod
     def parse(cls, text: str) -> "GridSpec":
         parts = text.split(":")
-        if len(parts) == 3:
-            lo, hi, pts = parts
-            scale = "linear"
-        elif len(parts) == 4:
-            lo, hi, pts, scale = parts
-            if scale != "log":
-                raise ValueError("grid suffix must be 'log' when present")
-        else:
+        if len(parts) not in (3, 4):
             raise ValueError("grid must look like min:max:points or min:max:points:log")
-        return cls(min=float(lo), max=float(hi), points=int(pts), scale=scale)
+        if parts[3:] not in ([], ["log"]):
+            raise ValueError("grid suffix must be 'log' when present")
+        fields = {"scale": "log" if parts[3:] else "linear"}
+        for name, value, kind, noun in zip(("min", "max", "points"), parts, (float, float, int),
+                                           ("a number", "a number", "an integer")):
+            try:
+                fields[name] = kind(value)
+            except ValueError:
+                raise ValueError(f"grid {name} must be {noun}, got {value!r}") from None
+        return cls(**fields)
 
     def values(self) -> np.ndarray:
         if self.scale == "log":

@@ -20,13 +20,14 @@ from hypothesis import strategies as st
 
 import hydro2d
 from hydro2d.genfunc import (coordinate_gf, gegenbauer_gf, laguerre_gf, new_legendre_gf,
-                             series_coefficients, shifted_laguerre_gf)
+                             shifted_laguerre_gf)
 from hydro2d.levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbauer, q_of_p
 from hydro2d.polys import (assoc_legendre, bessel_j, double_factorial, gegenbauer, laguerre,
                           legendre, pochhammer)
 from hydro2d.position import (PolarPoint, QuantumNumbers, psi_position, radial_ode_residual,
                               radial_wavefunction)
+from hydro2d.quadrature import series_coefficients
 
 CASES = (
     (psi_position, PolarPoint, 40.0),

@@ -146,11 +146,30 @@ def test_one_node_short_is_off(monkeypatch):
     n, m = _states(4, signed=True)
     mp = acceptance_grid()
     exact = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
-    rule = hydro2d.ftoracle.gauss_hermite
-    monkeypatch.setattr(hydro2d.ftoracle, "gauss_hermite", lambda count: rule(count - 1))
+    rules = hydro2d.ftoracle.gauss_rules
+    monkeypatch.setattr(hydro2d.ftoracle, "gauss_rules",
+                        lambda family, sizes: rules(family, [count - 1 for count in sizes]))
     short = _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None])
     for level in range(5):
         assert np.max(np.abs(short - exact)[n == level]) > 1e-3  # measured 0.40 ... 4.1
+
+
+@pytest.mark.parametrize("levels", [0, 1, 3, 6])
+def test_levi_civita_rows_ask_for_their_rules_once(monkeypatch, levels):
+    # One gauss_rules call per _levi_civita_rows call, at any number of levels
+    # and either refinement: the blocks reuse its rules, with no second lookup.
+    calls = []
+    rules = hydro2d.ftoracle.gauss_rules
+    monkeypatch.setattr(hydro2d.ftoracle, "gauss_rules",
+                        lambda family, sizes: calls.append((family, sorted(sizes)))
+                        or rules(family, sizes))
+    monkeypatch.setattr(hydro2d.ftoracle, "_TERM_BLOCK", 1)  # one block per momentum
+    n, m = _states(levels - 1, signed=True) if levels else (np.zeros(0, dtype=int),) * 2
+    mp = acceptance_grid()
+    for refine in (1, 2):
+        calls.clear()
+        _levi_civita_rows(n, m, mp.p[None], mp.phi_p[None], refine=refine)
+        assert calls == [("hermite", [refine * (k + 2) for k in range(levels)])]
 
 
 def test_levi_civita_phase_comes_from_the_nodes():
@@ -311,8 +330,8 @@ def test_direct_route_integrates_each_pair_once(monkeypatch):
     seen = []
     block = hydro2d.ftoracle._levi_civita_block
     monkeypatch.setattr(hydro2d.ftoracle, "_levi_civita_block",
-                        lambda n, m, p, phi_p, refine: seen.extend(zip(p, phi_p))
-                        or block(n, m, p, phi_p, refine))
+                        lambda n, m, p, phi_p, s, w: seen.extend(zip(p, phi_p))
+                        or block(n, m, p, phi_p, s, w))
     qn = QuantumNumbers(2, -1)
     p, phi = np.meshgrid([0.0, 0.05, 0.3, 1.0, 2.5, 6.0], np.linspace(-3.0, 3.0, 8),
                          indexing="ij")

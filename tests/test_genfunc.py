@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d import quadrature
+from hydro2d import genfunc, quadrature
 from hydro2d.genfunc import (
     coordinate_gf,
     gegenbauer_gf,
     laguerre_gf,
     new_legendre_gf,
-    series_coefficients,
     shifted_laguerre_gf,
 )
 from hydro2d.polys import gegenbauer
 from hydro2d.position import PolarPoint
+from hydro2d.quadrature import series_coefficients
 
 
 def test_laguerre_gf_hand_values():
@@ -124,4 +124,7 @@ def test_cauchy_node_and_count_values_are_integers():
 
 
 def test_series_coefficients_lives_in_quadrature():
+    # One home and one route to it: the package takes it from quadrature, and
+    # genfunc neither re-exports nor imports it.
     assert hydro2d.series_coefficients is series_coefficients is quadrature.series_coefficients
+    assert not hasattr(genfunc, "series_coefficients")

@@ -16,7 +16,7 @@ from scipy.special import roots_legendre
 from hydro2d.levicivita import GenFuncParams, det_x, gen_func_momentum, quadratic_form_matrix
 from hydro2d.momentum import MomentumPoint
 from hydro2d.polys import bessel_j
-from hydro2d.quadrature import gauss_laguerre
+from hydro2d.quadrature import gauss_rules
 
 
 @pytest.mark.parametrize("k, a", [(0, 1.0), (1, 2.0)], ids=["exp-rho", "rho-exp-2rho"])
@@ -25,7 +25,7 @@ def test_measure_factor_by_independent_quadratures(k, a):
     # Gauss-Laguerre in s = a rho.  Covering side: 2 pi int u^(2k+3) e^(-a u^2) du
     # truncated at u = 9 (tail < 1e-31) by scipy's Gauss-Legendre, a rule the
     # package does not use.  The ratio is the measure factor.
-    s, w = gauss_laguerre(128)
+    (s, w), = gauss_rules("laguerre", [128])
     plane = 2.0 * math.pi * float(np.sum(w * s ** (k + 1))) / a ** (k + 2)
     x, gw = roots_legendre(160)
     u = 4.5 * (x + 1.0)
@@ -110,7 +110,7 @@ def test_constant_anchor_against_bessel_quadrature():
     # computed here from scratch as int_0^inf e^(-q0 rho) J_0(p rho) rho d rho
     # and matched against both the closed form and g at z = t = 0.
     for q0, p in ((1.3, 0.8), (2.0, 0.3), (0.7, 1.1)):
-        s, w = gauss_laguerre(512)
+        (s, w), = gauss_rules("laguerre", [512])
         by_quadrature = float(np.sum(w * s * bessel_j(0, (p / q0) * s))) / (q0 * q0)
         g = gen_func_momentum(GenFuncParams(z=0.0, t=0.0, q0=q0), MomentumPoint(p, 0.0)).g
         assert by_quadrature == pytest.approx(q0 / (p * p + q0 * q0) ** 1.5, abs=1e-13)

@@ -20,6 +20,7 @@ import hashlib
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -28,13 +29,12 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d.quadrature import (_FAMILIES, PANEL_ORDER, _gauss_rule, gauss_hermite,
-                                gauss_laguerre, gauss_legendre, panel_nodes)
+from hydro2d.quadrature import _FAMILIES, PANEL_ORDER, _gauss_rule, gauss_rules, panel_nodes
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
 def test_gauss_laguerre_moments(n):
-    x, w = gauss_laguerre(n)
+    x, w = gauss_rules("laguerre", [n])[0]
     assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
     assert np.all(x > 0.0)
     for k in range(0, 12, 3):
@@ -47,7 +47,7 @@ def test_gauss_laguerre_high_moments(n):
     # x^21 and x^30 peak near x = k, so they lean on the tail weights far
     # more than the low moments do: every weight must be right relative to
     # its own size, not just to the largest one.
-    x, w = gauss_laguerre(n)
+    x, w = gauss_rules("laguerre", [n])[0]
     for k in (21, 30):
         got = float(np.sum(w * x**k))
         assert got == pytest.approx(math.factorial(k), rel=1e-12)
@@ -69,14 +69,14 @@ def test_gauss_laguerre_builds_without_warnings():
 def test_gauss_laguerre_polynomial_exactness():
     # An n-node rule integrates degree 2n-1 exactly; check right at the edge.
     n = 10
-    x, w = gauss_laguerre(n)
+    x, w = gauss_rules("laguerre", [n])[0]
     k = 2 * n - 1
     assert float(np.sum(w * x**k)) == pytest.approx(math.factorial(k), rel=1e-12)
 
 
 def test_gauss_laguerre_rejects_empty_rule():
     with pytest.raises(ValueError):
-        gauss_laguerre(0)
+        gauss_rules("laguerre", [0])
 
 
 def test_gauss_legendre_moments():
@@ -91,7 +91,7 @@ def test_gauss_legendre_moments():
 def test_panel_rule_matches_leggauss():
     # The reference is numpy's eigensolver-based rule; ours is mirror-symmetric bit for bit.
     x, w = np.polynomial.legendre.leggauss(PANEL_ORDER)
-    panel_x, panel_w = gauss_legendre(PANEL_ORDER)
+    panel_x, panel_w = gauss_rules("legendre", [PANEL_ORDER])[0]
     assert np.max(np.abs(panel_x - x)) <= 2.3e-16
     assert np.max(np.abs(panel_w / w - 1.0)) <= 1e-14
     assert np.array_equal(panel_x, -panel_x[::-1])
@@ -104,7 +104,7 @@ def test_gauss_legendre_matches_leggauss(n):
     # leggauss, the rule is exact to degree 2n - 1 (to 2e-15, about 4 ulp of
     # the zeroth moment 2; leggauss itself is off by up to 7e-15 here), and the
     # middle node of an odd rule is exactly 0, not a bracket in the subnormals.
-    x, w = gauss_legendre(n)
+    x, w = gauss_rules("legendre", [n])[0]
     assert np.max(np.abs(x - np.polynomial.legendre.leggauss(n)[0])) <= 2.3e-16
     for k in range(2 * n):
         assert abs(float(np.sum(w * x**k)) - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) <= 2e-15
@@ -114,7 +114,7 @@ def test_gauss_legendre_matches_leggauss(n):
 
 def test_gauss_legendre_rejects_empty_rule():
     with pytest.raises(ValueError):
-        gauss_legendre(0)
+        gauss_rules("legendre", [0])
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 12, 33, 64])
@@ -122,7 +122,7 @@ def test_gauss_hermite_matches_hermgauss(n):
     # Up to the Fourier oracle's largest rule, 2 (30 + 2) nodes: the nodes and
     # weights match numpy's hermgauss, and the rule is exact to degree 2n - 1:
     # the moments of x^(2k) e^(-x^2) are Gamma(k + 1/2), to a relative 1e-13.
-    x, w = gauss_hermite(n)
+    x, w = gauss_rules("hermite", [n])[0]
     want_x, want_w = np.polynomial.hermite.hermgauss(n)
     assert np.max(np.abs(x - want_x)) <= 1e-14  # measured 1.8e-15 at n = 64
     assert np.max(np.abs(w - want_w) / want_w) <= 1e-12  # measured 6.0e-14
@@ -133,11 +133,39 @@ def test_gauss_hermite_matches_hermgauss(n):
 
 def test_gauss_hermite_rejects_empty_rule():
     with pytest.raises(ValueError):
-        gauss_hermite(0)
+        gauss_rules("hermite", [0])
+
+
+@pytest.mark.parametrize("family, sizes, match", [
+    ("laguerre", [2.5], "size must be an integer, got 2.5"),
+    ("legendre", [True], "size must be a positive integer, got True"),
+    ("hermite", [4, 3.0], "size must be an integer, got 3.0"),
+    ("laguerre", [3, -1], "size must be a positive integer, got -1"),
+    ("laguerre", ["3"], "size must be an integer, got '3'"),
+    ("chebyshev", [3], "family must be one of laguerre, legendre, hermite, got 'chebyshev'"),
+    (None, [3], "family must be one of laguerre, legendre, hermite, got None"),
+])
+def test_gauss_rules_rejects_bad_input(family, sizes, match):
+    # The one public accessor names itself and the limit it enforces.
+    with pytest.raises(ValueError, match="^gauss_rules " + re.escape(match) + "$"):
+        gauss_rules(family, sizes)
+
+
+def test_only_quadrature_builds_or_caches_rules():
+    # Every other module takes its rules through gauss_rules, _rule_rows or
+    # panel_nodes: none names the builder, the family table, the cache or the
+    # private accessor that gauss_rules replaced.
+    package = pathlib.Path(hydro2d.__file__).parent
+    private = {"_gauss_rule", "_gauss_rules", "_RULES", "_FAMILIES"}
+    found = {(path.name, name) for path in sorted(package.glob("*.py"))
+             if path.name != "quadrature.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             for name in {getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "name", None)} & private}
+    assert found == set()
 
 
 _BATCH_SIZES = list(range(1, 25)) + [96, 128]
-_PUBLIC = {"laguerre": gauss_laguerre, "legendre": gauss_legendre, "hermite": gauss_hermite}
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -151,7 +179,7 @@ def test_a_rule_has_the_same_bits_alone_and_in_a_batch(family):
     batch = dict(zip(mixed, _gauss_rule(diag, off2, mass, mixed)))
     for n in _BATCH_SIZES:
         (x, w), = _gauss_rule(diag, off2, mass, [n])
-        for got in (batch[n], _PUBLIC[family](n)):
+        for got in (batch[n], gauss_rules(family, [n])[0]):
             assert got[0].tobytes() == x.tobytes() and got[1].tobytes() == w.tobytes(), n
 
 
@@ -216,8 +244,8 @@ def test_package_never_imports_scipy():
     home = str(pathlib.Path(hydro2d.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {home!r})\n"
             "import numpy as np, hydro2d\n"
-            "from hydro2d.quadrature import gauss_laguerre, panel_nodes\n"
-            "gauss_laguerre(16); panel_nodes(np.array([0.0, 1.0]))\n"
+            "from hydro2d.quadrature import gauss_rules, panel_nodes\n"
+            "gauss_rules('laguerre', [16]); panel_nodes(np.array([0.0, 1.0]))\n"
             "hydro2d.run_suite('position', 2)\n"
             "assert all(report.passed for report in hydro2d.run_suite('all'))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -284,11 +312,11 @@ def test_rules_are_bit_identical_on_other_kernels(stack):
     home = str(pathlib.Path(hydro2d.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {home!r})\n"
             "import hashlib\n"
-            "from hydro2d.quadrature import PANEL_ORDER, gauss_laguerre, gauss_legendre\n"
-            "for rule in (gauss_laguerre(96), gauss_laguerre(128), gauss_legendre(PANEL_ORDER)):\n"
+            "from hydro2d.quadrature import PANEL_ORDER, gauss_rules\n"
+            "for family, n in (('laguerre', 96), ('laguerre', 128), ('legendre', PANEL_ORDER)):\n"
+            "    rule, = gauss_rules(family, [n])\n"
             "    print(hashlib.sha256(b''.join(a.tobytes() for a in rule)).hexdigest())\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, **stack})
-    assert out.stdout.split() == [_rule_digest(*gauss_laguerre(96)),
-                                  _rule_digest(*gauss_laguerre(128)),
-                                  _rule_digest(*gauss_legendre(PANEL_ORDER))]
+    assert out.stdout.split() == [_rule_digest(*gauss_rules(family, [n])[0]) for family, n in
+                                  (("laguerre", 96), ("laguerre", 128), ("legendre", PANEL_ORDER))]

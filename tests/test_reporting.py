@@ -1,5 +1,7 @@
 """Report record and grid parsing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,11 +88,25 @@ def test_gridspec_parse_log():
     assert np.allclose(ratios, ratios[0])
 
 
-@pytest.mark.parametrize("bad", [
-    "1:2", "a:b:c:d:e", "5:1:10", "0:5:1", "0:5:6:cubic", "0:5:6:log", "-1:5:6:log",
-])
+_GRID_ERRORS = {
+    "1:2": "grid must look like min:max:points",
+    "a:b:c:d:e": "grid must look like min:max:points",
+    "5:1:10": "grid needs min < max",
+    "0:5:1": "grid needs at least 2 points",
+    "0:5:6:cubic": "grid suffix must be 'log' when present",
+    "0:5:6:log": "log grid needs min > 0",
+    "-1:5:6:log": "log grid needs min > 0",
+    "a:1:3": "grid min must be a number, got 'a'",
+    "0:1e3x:3": "grid max must be a number, got '1e3x'",
+    "0:1:3.5": "grid points must be an integer, got '3.5'",
+    "0:1:": "grid points must be an integer, got ''",
+}
+
+
+@pytest.mark.parametrize("bad", list(_GRID_ERRORS))
 def test_gridspec_rejects(bad):
-    with pytest.raises(ValueError):
+    # Each error names the field it rejects, not the builtin that failed to parse it.
+    with pytest.raises(ValueError, match="^" + re.escape(_GRID_ERRORS[bad])):
         GridSpec.parse(bad)
 
 

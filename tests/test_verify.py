@@ -24,7 +24,7 @@ from hydro2d.momentum import MomentumPoint, psi_momentum, psi_momentum_gegenbaue
 from hydro2d.polys import assoc_legendre, double_factorial, gegenbauer, laguerre, pochhammer
 from hydro2d.position import (PolarPoint, QuantumNumbers, norm_squared, overlap, psi_position,
                               radial_ode_residual)
-from hydro2d.quadrature import gauss_legendre, series_coefficients
+from hydro2d.quadrature import gauss_rules, series_coefficients
 from hydro2d.reporting import VerificationReport
 from hydro2d.verify import (
     SUITE_ORDER,
@@ -394,7 +394,7 @@ def _loop_conjugation(cap):
 
 def _loop_parseval(cap):
     for qn in _each_state(cap, signed=True):
-        q, w = gauss_legendre(qn.n + 1)
+        (q, w), = gauss_rules("legendre", [qn.n + 1])
         p = qn.q0 * np.sqrt((1.0 + q) / (1.0 - q))
         dens = np.abs(psi_momentum(qn, MomentumPoint(p, 0.0))) ** 2
         yield abs(2.0 * math.pi * float(np.sum(w * dens * (qn.q0 / (1.0 - q)) ** 2)) - 1.0), 1.0
@@ -658,7 +658,7 @@ def test_checks_keep_no_private_formula_or_quadrature():
     # measure-factor-adjudication, genfunc-coefficient-consistency and coordinate-gf read the
     # shipped cores, not a toy quadrature or a hand-written copy of a closed form, and
     # momentum-two-form-equality takes its q and weight from Fock's map.
-    assert not _named(verify) & {"gauss_laguerre", "panel_nodes", "pochhammer", "q_of_p", "cmath"}
+    assert not _named(verify) & {"gauss_rules", "panel_nodes", "pochhammer", "q_of_p", "cmath"}
     reads = {"check_measure_factor": {"_psi_momentum_gegenbauer", "_levi_civita_rows"},
              "check_coefficient_consistency": {"_closed_form", "_gegenbauer_amplitude"},
              "check_coordinate_gf": {"_radial", "_turns"},
