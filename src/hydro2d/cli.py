@@ -12,11 +12,10 @@ is CSV (header row, LF endings, round-trip float formatting via repr) or
 JSON; identical invocations produce byte-identical bytes unless ``--stamp``
 is passed to ``verify``.
 
-``table`` spends its time in ``float.__repr__``.  A table of at least
-``_SPLIT_ROWS`` (4,000) rows is formatted in two halves: on Linux, when the
-process may run on two or more CPUs, a forked child formats the second half
-while this process formats the first.  Below that size the fork (about 3 ms)
-costs more than it saves.  The bytes do not depend on the split.
+With two or more usable CPUs (Linux), a forked child formats the second half of
+a ``table`` of ``_SPLIT_ROWS`` (4,000) rows or more, and runs ``genfunc`` and ``ft``
+for ``verify all``; the bytes are the same either way.  ``verify SUITE`` is not
+split: a suite's checks share Gauss rules, so a split builds them twice.
 """
 
 from __future__ import annotations
@@ -26,10 +25,11 @@ import functools
 import json
 import math
 import os
+import pickle
 import sys
 import warnings
 from datetime import datetime, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -38,10 +38,16 @@ from .position import PolarPoint, QuantumNumbers, make_bound_state, psi_position
 from .reporting import GridSpec
 from .verify import SUITE_ORDER, run_suite
 
+T = TypeVar("T")
 # Rows from which ``table`` formats its second half in a forked child.  On a 2-vCPU
 # VM a fork, pipe and reaping took 2.2-3.3 ms with numpy loaded, as long as formatting
 # 2,000 rows; the split won in 37 of 41 timings at 4,000 rows and about half at 3,000.
 _SPLIT_ROWS = 4000
+# Suites ``verify all`` runs in the child.  Cold, in process, polys took 15-24 ms, position
+# 11-12, momentum 6, levicivita 8, genfunc 11-12, ft 32-36: this cut halves the run; ft alone,
+# or odd and even checks (both sides build the same rules), were slower.  Split, one suite's
+# five ``--n-max 10`` calls took 98-182 ms against 80-99 ms serial, so it is not split.
+_CHILD_SUITES = ("genfunc", "ft")
 
 
 def _emit(text: str, out: Optional[str], parser: argparse.ArgumentParser) -> None:
@@ -77,55 +83,55 @@ def _fill(block: np.ndarray, row: str, sep: str) -> str:
     return sep.join([row] * len(block)) % tuple(block.ravel().tolist())
 
 
-def _format_rows(stacked: np.ndarray, row: str, sep: str) -> str:
-    """``_fill`` of every row of ``stacked``, with the second half in a forked child.
+def _in_two(first: Callable[[], T], second: Callable[[], bytes]) -> Tuple[T, bytes]:
+    """``first()`` and ``second()``, with ``second`` run in a forked child if it can be.
 
-    Below ``_SPLIT_ROWS`` rows, or without two usable CPUs (``os.sched_getaffinity``
-    exists only on Linux), this is ``_fill(stacked, row, sep)``.  Otherwise the child
-    formats rows [half:] and sends the ASCII text through a pipe while this process
-    formats rows [:half]; the child leaves only through ``os._exit``, so it never
-    returns into the caller or flushes inherited stdio.  It is reaped in every case,
-    and if it fails, or the fork does, this process formats its half too.
+    Without two usable CPUs (``os.sched_getaffinity`` exists only on Linux), or if the
+    fork or the child fails, this process runs both.  The child sends the bytes of
+    ``second()`` through a pipe, leaves only through ``os._exit`` (it never returns into
+    the caller or flushes inherited stdio) and is reaped in every case.  The fork is safe
+    only because no BLAS call is on the runtime path, so no BLAS thread is mid-task;
+    ``test_package_never_references_linalg`` keeps it that way.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(stacked) < _SPLIT_ROWS or cpus < 2:
-        return _fill(stacked, row, sep)
-    half = len(stacked) // 2
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return first(), second()
     read_end, write_end = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork while other threads (numpy's BLAS pool) live;
-            # the child only formats Python floats and never calls into BLAS.
+            # Python 3.12+ warns on a fork while other threads (numpy's BLAS pool) live.
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:  # no process to spare
         os.close(read_end)
         os.close(write_end)
-        return _fill(stacked, row, sep)
+        return first(), second()
     if pid == 0:
         code = 1
         try:
             os.close(read_end)
-            data = memoryview(_fill(stacked[half:], row, sep).encode("ascii"))
-            while data:
-                data = data[os.write(write_end, data):]
+            with open(write_end, "wb") as pipe:
+                pipe.write(second())
             code = 0
         finally:
             os._exit(code)
     os.close(write_end)
     try:
-        first = _fill(stacked[:half], row, sep)
-        chunks = []
-        while chunk := os.read(read_end, 1 << 20):
-            chunks.append(chunk)
+        with open(read_end, "rb") as pipe:
+            result = first()
+            data = pipe.read()
     finally:
-        os.close(read_end)
         status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status) == 0:
-        second = b"".join(chunks).decode("ascii")
-    else:
-        second = _fill(stacked[half:], row, sep)
-    return first + sep + second
+    return result, data if os.waitstatus_to_exitcode(status) == 0 else second()
+
+
+def _format_rows(stacked: np.ndarray, row: str, sep: str) -> str:
+    """``_fill`` of every row of ``stacked``; from ``_SPLIT_ROWS`` rows in two halves."""
+    if len(stacked) < _SPLIT_ROWS:
+        return _fill(stacked, row, sep)
+    half = len(stacked) // 2
+    first, second = _in_two(lambda: _fill(stacked[:half], row, sep),
+                            lambda: _fill(stacked[half:], row, sep).encode("ascii"))
+    return first + sep + second.decode("ascii")
 
 
 def cmd_eigen(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -188,7 +194,14 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--n-max must lie in [0, 10]")
     if args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
         parser.error("--tol must be a positive finite number")
-    reports = run_suite(args.suite, args.n_max, args.tol)
+    run = functools.partial(run_suite, n_max=args.n_max, tol=args.tol)
+    if args.suite == "all":
+        here, there = _in_two(lambda: {s: run(s) for s in SUITE_ORDER if s not in _CHILD_SUITES},
+                              lambda: pickle.dumps({s: run(s) for s in _CHILD_SUITES}))
+        by_suite = {**here, **pickle.loads(there)}
+        reports = [r for suite in SUITE_ORDER for r in by_suite[suite]]
+    else:
+        reports = run(args.suite)
     dicts = [r.to_dict() for r in reports]
     if args.stamp:
         stamp = datetime.now(timezone.utc).isoformat()

@@ -6,6 +6,7 @@ invocations, so several tests compare full strings rather than parsed
 values.
 """
 
+import dataclasses
 import errno
 import json
 import math
@@ -24,6 +25,7 @@ from hydro2d.cli import main
 from hydro2d.momentum import MomentumPoint, psi_momentum
 from hydro2d.position import PolarPoint, QuantumNumbers, psi_position
 from hydro2d.reporting import GridSpec
+from hydro2d.verify import SUITE_ORDER, SUITES, run_suite
 
 EIGEN_2 = ("n,q0,energy\n"
            "0,2.0,-4.0\n"
@@ -171,7 +173,7 @@ SPLIT_TABLE = ["table", "--n", "4", "--m", "-3", "--format", "json", *SPLIT_SLIC
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two usable CPUs whatever the host has, so a large table takes the forked path."""
+    """Two usable CPUs whatever the host has, so a large table and verify all fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
@@ -214,69 +216,87 @@ def test_table_writer_matches_generic_writers(capsys, two_cpus, space, extra, fm
     assert out == want
 
 
-@pytest.mark.parametrize("extra", [SPLIT_SLICE, SPLIT_MESH])
-def test_table_split_forks_one_child_and_reaps_it(monkeypatch, capsys, two_cpus, extra):
-    forks = []
-    fork = os.fork
+# The two commands that do half their work in a forked child, each with the cli function
+# a fault is injected through: a table above the split and verify all.
+SPLIT_COMMANDS = [pytest.param(SPLIT_TABLE, "_fill", id="table"),
+                  pytest.param(["verify", "all"], "run_suite", id="verify-all")]
+
+
+def inject_fault(monkeypatch, name, where):
+    """Make ``cli.<name>`` raise in the parent only or in the forked child only."""
+    parent, real = os.getpid(), getattr(cli, name)
+
+    def faulty(*args, **kwargs):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError(f"{where} fault")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, name, faulty)
+
+
+def count_forks(monkeypatch):
+    forks, fork = [], os.fork
 
     def counted():
         forks.append(os.getpid())
         return fork()
     monkeypatch.setattr(os, "fork", counted)
-    code, _ = run_cli(capsys, ["table", "--n", "4", "--m", "-3", *extra])
+    return forks
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--n", "4", "--m", "-3", *SPLIT_SLICE],
+    ["table", "--n", "4", "--m", "-3", *SPLIT_MESH],
+    ["verify", "all"],
+], ids=["table", "table-mesh", "verify-all"])
+def test_split_forks_one_child_and_reaps_it(monkeypatch, capsys, two_cpus, argv):
+    forks = count_forks(monkeypatch)
+    code, _ = run_cli(capsys, argv)
     assert code == 0
     assert forks == [os.getpid()]
     assert_no_child_left()
 
 
-def test_table_split_child_failure_gives_the_same_bytes(monkeypatch, capsys, two_cpus):
-    _, want = run_cli(capsys, SPLIT_TABLE)
-    parent, fill = os.getpid(), cli._fill
-
-    def fails_in_child(block, row, sep):
-        if os.getpid() != parent:
-            raise RuntimeError("child formatter fault")
-        return fill(block, row, sep)
-    monkeypatch.setattr(cli, "_fill", fails_in_child)
-    code, out = run_cli(capsys, SPLIT_TABLE)
+@pytest.mark.parametrize("argv, name", SPLIT_COMMANDS)
+def test_split_child_failure_gives_the_same_bytes(monkeypatch, capsys, two_cpus, argv, name):
+    _, want = run_cli(capsys, argv)
+    inject_fault(monkeypatch, name, "child")
+    code, out = run_cli(capsys, argv)
     assert code == 0
     assert out == want
     assert_no_child_left()
 
 
-def test_table_split_reaps_child_when_parent_formatting_raises(monkeypatch, two_cpus):
-    parent, fill = os.getpid(), cli._fill
-
-    def fails_in_parent(block, row, sep):
-        if os.getpid() == parent:
-            raise RuntimeError("parent formatter fault")
-        return fill(block, row, sep)
-    monkeypatch.setattr(cli, "_fill", fails_in_parent)
-    with pytest.raises(RuntimeError, match="parent formatter fault"):
-        main(SPLIT_TABLE)
+@pytest.mark.parametrize("argv, name", SPLIT_COMMANDS)
+def test_split_reaps_child_when_the_parent_half_raises(monkeypatch, two_cpus, argv, name):
+    inject_fault(monkeypatch, name, "parent")
+    with pytest.raises(RuntimeError, match="parent fault"):
+        main(argv)
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("argv, name", SPLIT_COMMANDS)
 @pytest.mark.parametrize("cpus, error", [
-    ({0}, AssertionError("table forked with one usable CPU")),
+    ({0}, AssertionError("forked with one usable CPU")),
     ({0, 1}, BlockingIOError(errno.EAGAIN, "no process to spare")),
 ], ids=["one-cpu", "fork-fails"])
-def test_table_without_a_child_gives_the_same_bytes(monkeypatch, capsys, two_cpus, cpus, error):
-    _, want = run_cli(capsys, SPLIT_TABLE)
+def test_split_without_a_child_gives_the_same_bytes(monkeypatch, capsys, two_cpus, cpus, error,
+                                                    argv, name):
+    _, want = run_cli(capsys, argv)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
 
     def no_fork():
         raise error
     monkeypatch.setattr(os, "fork", no_fork)
-    code, out = run_cli(capsys, SPLIT_TABLE)
+    code, out = run_cli(capsys, argv)
     assert code == 0
     assert out == want
 
 
-def test_table_split_fork_warning_stays_quiet(monkeypatch, capsys, two_cpus):
-    # Python 3.12+ warns when a process with other threads forks; the table must
+@pytest.mark.parametrize("argv, name", SPLIT_COMMANDS)
+def test_split_fork_warning_stays_quiet(monkeypatch, capsys, two_cpus, argv, name):
+    # Python 3.12+ warns when a process with other threads forks; the command must
     # neither fail nor print it, even with warnings made errors.
-    _, want = run_cli(capsys, SPLIT_TABLE)
+    _, want = run_cli(capsys, argv)
     fork = os.fork
 
     def warning_fork():
@@ -287,19 +307,67 @@ def test_table_split_fork_warning_stays_quiet(monkeypatch, capsys, two_cpus):
     monkeypatch.setattr(os, "fork", warning_fork)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(SPLIT_TABLE)
+        code = main(argv)
     captured = capsys.readouterr()
     assert code == 0 and captured.out == want and captured.err == ""
     assert_no_child_left()
 
 
-def test_table_split_out_matches_stdout(tmp_path, capsys, two_cpus):
-    _, want = run_cli(capsys, SPLIT_TABLE)
-    target = tmp_path / "table.json"
-    code, out = run_cli(capsys, [*SPLIT_TABLE, "--out", str(target)])
+@pytest.mark.parametrize("argv, name", SPLIT_COMMANDS)
+def test_split_out_matches_stdout(tmp_path, capsys, two_cpus, argv, name):
+    _, want = run_cli(capsys, argv)
+    target = tmp_path / "out.json"
+    code, out = run_cli(capsys, [*argv, "--out", str(target)])
     assert code == 0 and out == ""
     assert target.read_bytes() == want.encode("ascii")
     assert_no_child_left()
+
+
+def test_verify_all_split_gives_the_reports_of_run_suite(capsys, two_cpus):
+    code, out = run_cli(capsys, ["verify", "all"])
+    assert code == 0
+    assert out == json.dumps([r.to_dict() for r in run_suite("all")], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("extra", [["--tol", "1e-300"], ["--tol", "1e-300", "--n-max", "0"]],
+                         ids=["tol", "tol-n-max-0"])
+def test_verify_all_split_failures_in_both_halves(monkeypatch, capsys, two_cpus, extra):
+    argv = ["verify", "all", *extra]
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    in_child = [suite in cli._CHILD_SUITES for suite in SUITE_ORDER for _ in SUITES[suite]]
+    reports = json.loads(out)
+    assert len(reports) == len(in_child)
+    assert {child for child, r in zip(in_child, reports) if not r["pass"]} == {False, True}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_cli(capsys, argv) == (1, out)
+
+
+def test_verify_all_split_failure_in_the_child_half_alone(monkeypatch, capsys, two_cpus):
+    # The exit code comes from the joined reports, so one failing check in the child's
+    # half makes it 1.
+    assert "ft" in cli._CHILD_SUITES
+    real = cli.run_suite
+
+    def last_ft_check_fails(suite, **kwargs):
+        reports = real(suite, **kwargs)
+        if suite == "ft":
+            reports[-1] = dataclasses.replace(reports[-1], passed=False)
+        return reports
+    monkeypatch.setattr(cli, "run_suite", last_ft_check_fails)
+    code, out = run_cli(capsys, ["verify", "all"])
+    assert code == 1
+    assert [r["pass"] for r in json.loads(out)].count(False) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert run_cli(capsys, ["verify", "all"]) == (1, out)
+
+
+@pytest.mark.parametrize("suite", SUITE_ORDER)
+def test_single_suite_verify_makes_no_fork(monkeypatch, capsys, two_cpus, suite):
+    forks = count_forks(monkeypatch)
+    code, _ = run_cli(capsys, ["verify", suite])
+    assert code == 0
+    assert forks == []
 
 
 def test_verify_polys_json(capsys):
