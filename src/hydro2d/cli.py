@@ -43,8 +43,8 @@ T = TypeVar("T")
 # VM a fork, pipe and reaping took 2.2-3.3 ms with numpy loaded, as long as formatting
 # 2,000 rows; the split won in 37 of 41 timings at 4,000 rows and about half at 3,000.
 _SPLIT_ROWS = 4000
-# Suites ``verify all`` runs in the child.  Cold, in process, polys took 15-24 ms, position
-# 11-12, momentum 6, levicivita 8, genfunc 11-12, ft 32-36: this cut halves the run; ft alone,
+# Suites ``verify all`` runs in the child.  Cold, in process, polys took 12-15 ms, position
+# 10, momentum 6-7, levicivita 9, genfunc 13-14, ft 25-28: this cut halves the run; ft alone,
 # or odd and even checks (both sides build the same rules), were slower.  Split, one suite's
 # five ``--n-max 10`` calls took 98-182 ms against 80-99 ms serial, so it is not split.
 _CHILD_SUITES = ("genfunc", "ft")

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .momentum import MomentumPoint
-from .polys import NEG_I_POW, _bessel_ladder, _degree, _laguerre_ladder, _power, _turns
+from .polys import NEG_I_POW, _bessel_ladder, _level_rows, _power, _turns
 from .position import QuantumNumbers, _norms, _one_state, _q0, _radial
 from .quadrature import PANEL_ORDER, gauss_rules, panel_nodes
 
@@ -54,7 +54,7 @@ _MIN_PANELS = 512 // PANEL_ORDER
 _NODE_ROW_BUDGET = 1 << 24
 # Highest level of the Levi-Civita route: its sum cancels to 7.7e-12 of the peak at n = 30.
 _LEVI_CIVITA_MAX_N = 30
-# Terms (states x momenta x nodes^2) of one block of its sum: 4 MB per complex array.
+# Terms (states or level rows x momenta x nodes^2) of one block of its sum: 4 MB per complex array.
 _TERM_BLOCK = 1 << 18
 
 
@@ -95,10 +95,10 @@ def _level(rows, n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray)
 
 def _hankel_level(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
     """Rows of level n by the Hankel route: the panels of every distinct momentum end to end
-    as one node array rho, weighted by one ``_radial`` call over it for |m| <= top and summed
-    against one Bessel ladder J_0 ... J_top over the arguments p rho; a row is (radial
-    integral) (-i)^|m| e^(i m phi_p), the closed forms' order of factors.  Past
-    ``_NODE_ROW_BUDGET`` it raises before it builds any rule."""
+    as one node array rho, weighted by one ``_radial`` call over it for |m| <= top on one
+    ``_level_rows`` pass and summed against one Bessel ladder J_0 ... J_top over the arguments
+    p rho; a row is (radial integral) (-i)^|m| e^(i m phi_p), the closed forms' order of
+    factors.  Past ``_NODE_ROW_BUDGET`` it raises before it builds any rule."""
     am = np.abs(m)
     top, rho_max = int(am.max()), _rho_max(n)
     ps, which = np.unique(p, return_inverse=True)
@@ -110,7 +110,8 @@ def _hankel_level(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np
     rho, wts = map(np.concatenate, zip(*(panel_nodes(np.linspace(0.0, rho_max, c + 1))
                                          for c in counts)))
     ams = np.arange(top + 1)
-    weighted = wts * rho * _radial(np.full_like(ams, n), ams, 2.0 * _q0(n) * rho[None])
+    weighted = wts * rho * _radial(np.full_like(ams, n), ams, 2.0 * _q0(n) * rho[None],
+                                   lambda v: _level_rows(n, v[0])[:top + 1])
     sizes = PANEL_ORDER * np.array(counts)
     ladder = _bessel_ladder(top, np.repeat(ps, sizes) * rho)
     ends = np.cumsum(sizes)[:-1]
@@ -144,11 +145,8 @@ def _levi_civita_block(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray,
     u2 = np.sin(half) * w1 + np.cos(half) * w2
     rho = u1 * u1 + u2 * u2
     turned = u1 + 1j * np.where(m < 0, -1.0, 1.0)[:, None, None, None] * u2
-    # m and -m share L_(n-|m|)^(2|m|)(2 q0 rho): one ladder over the distinct |m|.
-    ams, back = np.unique(am, return_inverse=True)
-    ams = ams[:, None, None, None]
     terms = _power(turned, 2 * am[:, None, None, None]) * rho
-    terms *= _degree(_laguerre_ladder(2 * ams, 2.0 * q0 * rho), n - ams, f"laguerre k={n}")[back]
+    terms *= _level_rows(n, 2.0 * q0 * rho)[am]
     return ((_norms(n, m)[1] * (2.0 * q0) ** am)[:, None] / (math.pi * np.abs(a))
             * np.sum(terms * (w[:, None] * w), axis=(-2, -1)))
 
@@ -160,9 +158,9 @@ def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.nda
     Per level, with q0 = 1/(n + 1/2), a = q0 + i p and u = R(phi_p/2) w at
     w1 = s1/sqrt(a), w2 = s2/sqrt(conj a) on the product rule, a row is
     N (2 q0)^|m| / (pi |a|) times the weighted sum of
-    (u1 +- i u2)^(2|m|) L_{n-|m|}^(2|m|)(2 q0 rho) rho, rho = u1^2 + u2^2: one
-    Laguerre ladder over the distinct |m| of the level, over blocks of momenta of at
-    most ``_TERM_BLOCK`` terms.  One ``gauss_rules`` call gives the rules of all levels,
+    (u1 +- i u2)^(2|m|) L_{n-|m|}^(2|m|)(2 q0 rho) rho, rho = u1^2 + u2^2: the Laguerre
+    rows of every |m| of the level from one ``_level_rows`` pass, over blocks of momenta
+    of at most ``_TERM_BLOCK`` terms.  One ``gauss_rules`` call gives the rules of all levels,
     before the first level runs.  ``refine`` = 2 is the node-doubling check's;
     past n = ``_LEVI_CIVITA_MAX_N`` the sum loses its digits to cancellation,
     so that is a ValueError.
@@ -176,7 +174,7 @@ def _levi_civita_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.nda
 
     def rows(n, m, p, phi_p):
         s, w = rules[n]
-        step = max(1, _TERM_BLOCK // (m.size * s.size ** 2))
+        step = max(1, _TERM_BLOCK // (max(m.size, n + 1) * s.size ** 2))
         return np.concatenate([_levi_civita_block(n, m, p[j:j + step], phi_p[j:j + step], s, w)
                                for j in range(0, p.size, step)], axis=1)
     return _level(rows, n, m, p, phi_p)

@@ -1,9 +1,10 @@
 """Orthogonal polynomials and Bessel functions used by the planar Coulomb solver.
 
 Everything is evaluated with upward three-term recurrences in the degree,
-which are stable for these families on their natural domains.  Series
-expansions appear only in the test suite, where they serve as independent
-oracles.
+which are stable for these families on their natural domains; only
+``_level_rows``, every Laguerre row of one level, runs downward in the order.
+Series expansions appear only in the test suite, where they serve as
+independent oracles.
 
 Conventions
 -----------
@@ -17,10 +18,10 @@ Conventions
   generating-function identities are stated most cleanly with that choice.
 * ``bessel_j(m, x)`` is row m of a ladder J_0 ... J_M, 0 <= M <= 160:
   ascending series at small argument, Miller's normalized downward
-  recurrence at moderate argument (one sweep gives every order), and past
-  x = 160 a phase/amplitude expansion of J_0 and J_1 carried to every
-  higher order by the upward recurrence, so that oscillatory radial
-  quadratures stay cheap far out on the axis.  Past order 160 the
+  recurrence at moderate argument (one sweep gives every order), and from
+  x = max(20, M) on a phase/amplitude expansion of J_0 and J_1 carried to
+  every higher order by the upward recurrence, so that oscillatory radial
+  quadratures stay cheap far out on the axis.  Past order 160 the Miller
   recurrence would overflow just above the series range, so larger orders
   raise ``ValueError``.
 
@@ -209,6 +210,24 @@ def _laguerre_ladder(alpha: float, xs: np.ndarray) -> Iterator[np.ndarray]:
         p0, p1 = p1, ((2.0 * i + 1.0 + alpha - xs) * p1 - (i + alpha) * p0) / (i + 1.0)
 
 
+def _level_rows(n: int, x: np.ndarray) -> np.ndarray:
+    """f_a = L_(n-a)^(2a)(x), a = 0 ... n, as an (n + 1,) + x.shape array, x real or complex:
+    from f_n = 1, f_(n-1) = 2n - 1 - x down the contiguous relation in mu of Whittaker's
+    M_(n+1/2, mu) (DLMF 13.15), x^2 f_(a+1) = (2a(2a+1) - 2a(2n+1) x/(2a-1)) f_a
+    - (n-a+1)(n+a)(2a+1)/(2a-1) f_(a-1); upward it loses every digit at small x.  A
+    ValueError if a row overflows (inf or NaN in any row reaches row 0)."""
+    f = np.empty((n + 1,) + x.shape, dtype=np.result_type(x, 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        f[n], f[n - 1:n], square = 1.0, 2.0 * n - 1.0 - x, x * x  # f[-1:0] is empty at n = 0
+        for a in range(n - 1, 0, -1):
+            slope = 2.0 * a * (2.0 * n + 1.0) / (2.0 * a - 1.0)
+            scale = (2.0 * a - 1.0) / ((n - a + 1.0) * (n + a) * (2.0 * a + 1.0))
+            f[a - 1] = ((4.0 * a * a + 2.0 * a - slope * x) * f[a] - square * f[a + 1]) * scale
+    if not np.isfinite(f[0]).all():
+        raise ValueError(f"laguerre k={n} overflows float64")
+    return f
+
+
 def laguerre(k: int, alpha: float, x):
     """Generalized Laguerre polynomial L_k^(alpha)(x).
 
@@ -303,7 +322,6 @@ def assoc_legendre(n: int, m: int, t):
 # Bessel J_m
 # ---------------------------------------------------------------------------
 
-_ASYMPTOTIC_CUT = 160.0
 _BESSEL_MAX_ORDER = 160
 
 
@@ -377,8 +395,8 @@ def _bessel_ladder(M: int, xs: np.ndarray) -> np.ndarray:
     """J_0(xs) ... J_M(xs) as an (M+1, xs.size) array, for 0 <= M <= 160 and xs >= 0.
 
     Order m takes the ascending series for x <= max(9, 1.8 sqrt(m+1)), its row
-    of one Miller sweep over the arguments of every order up to x = 160, and
-    past that the asymptotic expansion (m <= 1) or the upward recurrence.
+    of one Miller sweep over the arguments of every order up to x = max(20, M), and
+    from there on the asymptotic expansion (m <= 1) or the upward recurrence.
     """
     if not 0 <= M <= _BESSEL_MAX_ORDER:
         raise ValueError(f"Bessel order must be in [0, {_BESSEL_MAX_ORDER}]")
@@ -386,18 +404,21 @@ def _bessel_ladder(M: int, xs: np.ndarray) -> np.ndarray:
         raise ValueError("Bessel argument must be >= 0")
     series_cuts = [max(9.0, 1.8 * math.sqrt(m + 1.0)) for m in range(M + 1)]
     out = np.empty((M + 1, xs.size))
-    middle = (xs > series_cuts[0]) & (xs < _ASYMPTOTIC_CUT)
+    # From 20 on the expansion of J_0 and J_1 reads 6.0e-16 (3.2e-15 from 18), and from M on
+    # the upward recurrence to M is stable.
+    cut = max(20.0, M)
+    middle = (xs > series_cuts[0]) & (xs < cut)
     if np.any(middle):
         # An argument is needed up to the highest order whose series range ends below it.
         x = xs[middle]
         out[:, middle] = _bessel_miller(np.searchsorted(series_cuts, x) - 1, x, M)
-    far = xs >= _ASYMPTOTIC_CUT
+    far = xs >= cut
     x = xs[far]
     for m in range(M + 1):
         sel = xs <= series_cuts[m]
         if np.any(sel):
             out[m, sel] = _bessel_ascending(m, xs[sel])
-        # J_m = (2(m-1)/x) J_(m-1) - J_(m-2) runs upward stably where x >= 160 >= M.
+        # J_m = (2(m-1)/x) J_(m-1) - J_(m-2) runs upward stably where x >= max(20, M) >= m.
         out[m, far] = (_bessel_asymptotic(m, x) if m < 2
                        else (2.0 * (m - 1) / x) * out[m - 1, far] - out[m - 2, far])
     return out

@@ -160,15 +160,22 @@ def _column(values, points: np.ndarray) -> np.ndarray:
     return np.reshape(values, (-1,) + (1,) * (points.ndim - 1))
 
 
-def _radial(n: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _distinct(*keys) -> tuple:
+    """first, back: rows fixed by the keys' entries are rows[first][back], one per distinct key."""
+    _, first, back = np.unique(keys, axis=1, return_index=True, return_inverse=True)
+    return first, back.ravel()  # numpy 2.0.1 shapes the inverse for take_along_axis
+
+
+def _radial(n: np.ndarray, m: np.ndarray, v: np.ndarray, laguerre=None) -> np.ndarray:
     """N v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v) of the states (n, m), one per row of a real or
-    complex v, from one Laguerre ladder; the limit 0 wherever e^(-Re v/2) is 0 (Re v > 1490)."""
+    complex v, L from one Laguerre ladder or, given a level's rows, laguerre(v); the limit 0
+    wherever e^(-Re v/2) is 0 (Re v > 1490), where both see v = 0."""
     am, deg = _column(np.abs(m), v), _column(n - np.abs(m), v)
     far = np.exp(-0.5 * np.real(v)) == 0.0
     v = np.where(far, 0.0, v)
-    value = (_column(_norms(n, m)[1], v) * _power(v, am) * np.exp(-0.5 * v)
-             * _degree(_laguerre_ladder(2 * am, v), deg, f"laguerre k={np.max(deg)}"))
-    return np.where(far, 0.0, value)
+    rows = (laguerre(v) if laguerre else
+            _degree(_laguerre_ladder(2 * am, v), deg, f"laguerre k={np.max(deg)}"))
+    return np.where(far, 0.0, _column(_norms(n, m)[1], v) * _power(v, am) * np.exp(-0.5 * v) * rows)
 
 
 def radial_wavefunction(qn: QuantumNumbers, rho):
@@ -199,14 +206,17 @@ def psi_position(qn: QuantumNumbers, pt: PolarPoint):
 
 
 def _ode_residual(n: np.ndarray, m: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``radial_ode_residual`` of the states (n, m), one per row of r's leading axis."""
+    """``radial_ode_residual`` of the states (n, m), one per row of r's leading axis (or all
+    at its one row): Cauchy coefficients once per distinct (n, |m|) and row of r."""
+    n, m = np.atleast_1d(n, m)
     q0 = _column(_q0(n), r)
+    first, back = _distinct(n, np.abs(m), np.arange(n.size) % len(r))
     # Past rho ~ 4e307 v = inf meets the circle as inf + nan i; R reads 0 there, r^2 is inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        v = 2.0 * q0 * r
+        v = (2.0 * q0 * r)[first]
         c0, c1, c2 = series_coefficients(  # the circle's nodes as a last axis, moved first
-            lambda h: np.moveaxis(_radial(n, m, v[..., None] * (1.0 + h)), -1, 0),
-            (3,), radius=0.5, nodes=64).real
+            lambda h: np.moveaxis(_radial(n[first], m[first], v[..., None] * (1.0 + h)), -1, 0),
+            (3,), radius=0.5, nodes=64).real[:, back]
         return (2.0 * c2 + c1) / (r * r) + (2.0 / r - q0 * q0 - _column(m * m, r) / (r * r)) * c0
 
 
@@ -247,17 +257,19 @@ def _overlaps(n1: np.ndarray, m1: np.ndarray, n2: np.ndarray, m2: np.ndarray) ->
     if not n1.size:
         return np.zeros(0, dtype=complex)
     phi = 2.0 * math.pi * np.arange(256) / 256  # exact while |m1 - m2| < 256
-    pairs = {}  # distinct (m1, m2): its row of ang
-    pair = np.array([pairs.setdefault(mm, len(pairs)) for mm in zip(m1.tolist(), m2.tolist())])
-    ms = np.array(list(pairs)).T
-    ang = (2.0 * math.pi / 256) * np.sum(np.conj(_turns(ms[:1].T, phi)) * _turns(ms[1:].T, phi),
-                                         axis=-1)
+    first, pair = _distinct(m1, m2)  # ang once per distinct (m1, m2), _turns once per m
+    ms, at = np.unique(np.concatenate([m1[first], m2[first]]), return_inverse=True)
+    turns, (at1, at2) = _turns(ms[:, None], phi), np.split(at, 2)
+    ang = (2.0 * math.pi / 256) * np.sum(np.conj(turns[at1]) * turns[at2], axis=-1)
     q01, q02 = _q0(n1)[:, None], _q0(n2)[:, None]
     counts = (n1 + n2 + 1) // 2 + 1
     s, w = _rule_rows("laguerre", counts)
     rho = s / (q01 + q02)
-    r1, r2 = np.split(_radial(np.concatenate([n1, n2]), np.concatenate([m1, m2]),
-                              np.concatenate([2.0 * q01 * rho, 2.0 * q02 * rho])), 2)
+    # A radial row is fixed by its state's (n, |m|) and its partner's n, which sets the rule.
+    n, m, partner = np.concatenate([n1, n2]), np.concatenate([m1, m2]), np.concatenate([n2, n1])
+    first, back = _distinct(n, np.abs(m), partner)
+    v = np.concatenate([2.0 * q01 * rho, 2.0 * q02 * rho])[first]
+    r1, r2 = np.split(_radial(n[first], m[first], v)[back], 2)
     return ang[pair] * (_row_sums(w * np.exp(s) * rho * r1 * r2, counts)
                         / (q01 + q02)[:, 0])
 

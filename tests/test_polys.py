@@ -8,6 +8,7 @@ deviation on each grid and padding it by an order of magnitude.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,35 @@ def test_laguerre_against_scipy():
     assert worst <= 1e-11  # measured 1.1e-12
 
 
+def _exact_laguerre(k, alpha, x):
+    """L_k^(alpha)(x) = sum_j (-1)^j C(k + alpha, k - j) x^j / j! in exact rationals at the
+    complex double x, by Horner's rule, rounded once to a complex."""
+    re, im = Fraction(x.real), Fraction(x.imag)
+    total_re = total_im = Fraction(0)
+    for j in range(k, -1, -1):
+        c = Fraction((-1) ** j * math.comb(k + alpha, k - j), math.factorial(j))
+        total_re, total_im = total_re * re - total_im * im + c, total_re * im + total_im * re
+    return complex(float(total_re), float(total_im))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 30, 60])
+def test_level_rows_against_exact_laguerre_sums(n):
+    # Row a is L_(n-a)^(2a), judged against each state's peak of |x|^a e^(-Re x/2) |L| over
+    # the points: on the real axis out to 8n + 20, and on rays off it, as the Levi-Civita
+    # route's rotated contours give.
+    real = np.linspace(0.01, 8.0 * n + 20.0, 16)
+    rays = np.linspace(0.05, 4.0 * n + 10.0, 8) * np.exp(1j * np.linspace(-1.2, 1.2, 8))
+    for x in (real, rays):
+        rows = polys._level_rows(n, x)
+        assert rows.shape == (n + 1, x.size) and rows.dtype == x.dtype
+        for a in range(n + 1):
+            want = np.array([_exact_laguerre(n - a, 2 * a, complex(v)) for v in x.tolist()])
+            envelope = np.abs(x) ** a * np.exp(-0.5 * x.real)
+            peak = np.max(envelope * np.abs(want))
+            assert np.max(envelope * np.abs(rows[a] - want)) <= 4e-14 * peak, (a, x.dtype)
+    # measured 9.1e-16, 3.2e-15 and 1.4e-14 of the peak at n = 10, 30 and 60 (real x)
+
+
 def test_gegenbauer_hand_values():
     assert gegenbauer(0, 1.5, 0.3) == 1.0
     assert gegenbauer(1, 1.5, 0.5) == 1.5  # 2 lambda q
@@ -145,7 +175,9 @@ def test_assoc_legendre_domain_errors():
     (lambda: laguerre(300, 0.0, 5000.0), "laguerre k=300"),
     # (2m-1)!! of the seed is already past the largest double.
     (lambda: assoc_legendre(300, 200, 0.5), "assoc_legendre n=300, m=200"),
-], ids=["assoc_legendre-recurrence", "laguerre-recurrence", "assoc_legendre-seed"])
+    (lambda: polys._level_rows(120, np.array([1.0, 1e6])), "laguerre k=120"),
+], ids=["assoc_legendre-recurrence", "laguerre-recurrence", "assoc_legendre-seed",
+        "level-rows"])
 def test_overflow_raises_naming_the_limit(call, limit):
     with pytest.raises(ValueError, match=f"{limit} overflows float64"):
         call()
@@ -185,9 +217,9 @@ def test_bessel_against_scipy_core_range():
 
 
 def test_bessel_against_scipy_large_arguments():
-    # The oscillatory quadratures push J_m far beyond 60; past 160 the
-    # expansion of J_0 and J_1 and the upward recurrence from them have to
-    # stay accurate out there too.
+    # The oscillatory quadratures push J_m far beyond 60; from max(20, m) on
+    # the expansion of J_0 and J_1 and the upward recurrence from them have
+    # to stay accurate out there too.
     worst = 0.0
     for m in range(9):
         for x in (80.0, 120.0, 159.0, 161.0, 300.0, 1000.0, 5000.0):
@@ -196,22 +228,22 @@ def test_bessel_against_scipy_large_arguments():
 
 
 def test_bessel_against_scipy_large_orders():
-    # Below 160 every argument needs its own Miller seed order, or the small
-    # ones overflow to NaN; past 160 the upward recurrence carries these
-    # orders out to 20 m^2.
+    # Below max(20, m) every argument needs its own Miller seed order, or the
+    # small ones overflow to NaN; from there the upward recurrence carries
+    # these orders out to 20 m^2.
     worst = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for m in range(13, 25):
             x = np.linspace(0.0, 20.0 * m * m, 4001)
             worst = max(worst, float(np.max(np.abs(bessel_j(m, x) - jv(m, x)))))
-    assert worst <= 1e-12  # measured 8.0e-15
+    assert worst <= 1e-12  # measured 6.0e-15
 
 
 def test_bessel_order_limit():
-    # Order 160 is the last one the recurrence carries without overflow.
+    # Order 160 is the last one the Miller recurrence carries without overflow.
     x = np.linspace(0.0, 200.0, 2001)
-    assert np.max(np.abs(bessel_j(160, x) - jv(160, x))) <= 1e-12  # measured 2.9e-15
+    assert np.max(np.abs(bessel_j(160, x) - jv(160, x))) <= 1e-12  # measured 3.3e-15
     with pytest.raises(ValueError):
         bessel_j(161, 1.0)
 
@@ -230,8 +262,8 @@ def test_bessel_ladder_against_scipy_small_top():
 
 
 def test_bessel_ladder_against_scipy_wide_miller_range():
-    # Every row leaves the Miller sweep at 160; row 24 then comes from the
-    # upward recurrence out to 20 * 24^2.
+    # Every row leaves the Miller sweep at max(20, 24) = 24; row 24 then comes
+    # from the upward recurrence out to 20 * 24^2.
     assert _ladder_error(24, np.linspace(0.0, 20.0 * 24 * 24, 4001)) <= 1e-12  # measured 1.6e-14
 
 
@@ -246,6 +278,24 @@ def test_bessel_ladder_against_scipy_far_field_top_order():
     # From 160 on, order 160 is 159 upward steps from J_0 and J_1; the recurrence
     # is stable there, and its worst error (row 159 near x = 1.2e4) stays small.
     assert _ladder_error(160, np.geomspace(160.0, 1e5, 5001)) <= 1e-12  # measured 9.9e-14
+
+
+@pytest.mark.parametrize("top", [0, 1, 3, 20, 50, 100, 160])
+def test_bessel_ladder_far_field_against_mpmath(top):
+    # The far field starts at max(20, M): 16 terms of the expansion of J_0 and
+    # J_1 hold there, and the upward recurrence to order M is stable from M on.
+    # Points crowd both sides of that cut, the Miller sweep's end and the
+    # expansion's weakest start.
+    mpmath = pytest.importorskip("mpmath")
+    lo = max(20.0, top)
+    x = np.concatenate([lo + np.array([-4.0, -2.0, -1.0, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0]),
+                        np.linspace(lo + 8.0, 200.0, 12)])
+    x = x[x <= 200.0]
+    rows = _bessel_ladder(top, x)
+    with mpmath.workdps(40):
+        want = np.array([[float(mpmath.besselj(m, mpmath.mpf(v))) for v in x.tolist()]
+                         for m in range(top + 1)])
+    assert np.max(np.abs(rows - want)) <= 2e-15  # measured 9.3e-16 (M = 160)
 
 
 def test_bessel_far_field_expands_only_orders_0_and_1(monkeypatch):
@@ -267,7 +317,7 @@ def test_bessel_j_is_a_ladder_row():
     x = np.linspace(0.0, 400.0, 4001)
     rows = _bessel_ladder(40, x)
     worst = max(float(np.max(np.abs(bessel_j(m, x) - rows[m]))) for m in range(41))
-    assert worst <= 1e-14  # measured 4.5e-16
+    assert worst <= 1e-14  # measured 1.0e-15
 
 
 def test_bessel_first_zero_by_bisection():

@@ -288,3 +288,30 @@ def test_batched_cores_equal_the_public_functions_bit_for_bit():
     batched = _overlaps(*pairs)
     for value, (n1, m1, n2, m2) in zip(batched, pairs.T.tolist()):
         assert value == overlap(QuantumNumbers(n1, m1), QuantumNumbers(n2, m2))
+
+
+def test_batched_cores_evaluate_each_shared_radial_row_once(monkeypatch):
+    # m and -m, repeated pairs and mixed levels, shuffled: _overlaps evaluates one radial
+    # row per distinct (n, |m|, partner n), _ode_residual one per distinct (n, |m|) at
+    # shared points and one per state at points of its own, and every entry still equals
+    # its one-pair or one-state call bit for bit.
+    rng = np.random.default_rng(11)
+    states = [(n, m) for n in (0, 1, 3, 6, 10) for m in range(-n, n + 1)]
+    pairs = np.array([states[i] + states[j] for i, j in
+                      rng.integers(len(states), size=(60, 2)).tolist()] * 2).T
+    n, m = np.array([states[i] for i in rng.integers(len(states), size=40).tolist()]).T
+    rho, own = np.array([[0.1, 0.5, 2.0, 10.0]]), rng.uniform(0.1, 10.0, size=(n.size, 3))
+    rows, radial = [], position._radial
+    monkeypatch.setattr(position, "_radial", lambda *args: rows.append(args[0].size)
+                        or radial(*args))
+    batched = _overlaps(*pairs)
+    shared, per_state = _ode_residual(n, m, rho), _ode_residual(n, m, own)
+    monkeypatch.undo()
+    n1, m1, n2, m2 = pairs.tolist()
+    assert rows == [len(set(zip(n1 + n2, np.abs(m1 + m2).tolist(), n2 + n1))),
+                    len(set(zip(n.tolist(), np.abs(m).tolist()))), n.size]
+    for value, (a, b, c, d) in zip(batched, pairs.T.tolist()):
+        assert value == overlap(QuantumNumbers(a, b), QuantumNumbers(c, d))
+    for i, qn in enumerate(QuantumNumbers(*s) for s in zip(n.tolist(), m.tolist())):
+        assert shared[i].tobytes() == radial_ode_residual(qn, rho[0]).tobytes()
+        assert per_state[i].tobytes() == radial_ode_residual(qn, own[i]).tobytes()
