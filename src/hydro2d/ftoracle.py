@@ -11,10 +11,11 @@ hands each level's states to a route's per-level function, one pass per
 level.
 
 ``_hankel_rows`` (public row: ``ft_hankel``)
-    reduces the angular integral with the plane-wave harmonic expansion,
-    leaving (-i)^|m| e^(i m phi_p) times the radial integral
-    integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho, on Gauss-Legendre
-    panels of at least 512 radial nodes, none wider than pi/p.
+    reduces the angular integral with the plane-wave expansion (Watson 1944,
+    sec. 2.22), leaving (-i)^|m| e^(i m phi_p) times the radial integral
+    integral_0^inf R_{n,m}(rho) J_|m|(p rho) rho d rho, on Gauss-Legendre panels
+    of at least 512 radial nodes, none wider than pi/p: one radial-factor call
+    and one Bessel ladder per level, over the panels of all its momenta.
 
 ``_levi_civita_rows``
     the paper's own route: the Levi-Civita map r = u^2 with measure
@@ -39,10 +40,11 @@ import numpy as np
 from .momentum import MomentumPoint
 from .polys import NEG_I_POW, _bessel_ladder, _level_rows, _power, _turns
 from .position import QuantumNumbers, _norms, _one_state, _q0, _radial
-from .quadrature import PANEL_ORDER, gauss_rules, panel_nodes
+from .quadrature import gauss_rules
 
 __all__ = ["ft_hankel"]
 
+PANEL_ORDER = 16  # Gauss-Legendre points per panel of the Hankel route: exact to degree 31
 # rho R_{n,m}(rho) oscillates at most like J_0(sqrt(8 rho)) at any n (Hilb's
 # formula): a panel this wide holds about six of its zeros near the origin.
 _MAX_PANEL_WIDTH = (6.0 * math.pi) ** 2 / 8.0
@@ -73,12 +75,6 @@ def _rho_max(n: int) -> float:
     return v / (2.0 * q0)
 
 
-def _panel_count(rho_max: float, p: float) -> int:
-    """Panels of the radial rule on [0, rho_max]: ``_MIN_PANELS`` or more, none wider than
-    pi/p (half a Bessel period) or ``_MAX_PANEL_WIDTH``."""
-    return max(_MIN_PANELS, math.ceil(rho_max * max(p / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
-
-
 def _level(rows, n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
     """psi of the states (n, m), one per row, at points every state shares (leading axis 1):
     ``rows(level, m, p, phi_p)`` of each level's states at the flattened points."""
@@ -94,31 +90,34 @@ def _level(rows, n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray)
 
 
 def _hankel_level(n: int, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:
-    """Rows of level n by the Hankel route: the panels of every distinct momentum end to end
-    as one node array rho, weighted by one ``_radial`` call over it for |m| <= top on one
-    ``_level_rows`` pass and summed against one Bessel ladder J_0 ... J_top over the arguments
-    p rho; a row is (radial integral) (-i)^|m| e^(i m phi_p), the closed forms' order of
-    factors.  Past ``_NODE_ROW_BUDGET`` it raises before it builds any rule."""
-    am = np.abs(m)
-    top, rho_max = int(am.max()), _rho_max(n)
+    """Rows of level n by the Hankel route: per distinct momentum ``_MIN_PANELS`` or more panels,
+    none wider than pi/p or ``_MAX_PANEL_WIDTH``, all in one node array rho; one ``_radial`` call
+    for the distinct |m| and their rows of one Bessel ladder J_0 ... J_top(p rho) give each row,
+    (radial integral) (-i)^|m| e^(i m phi_p).  Past ``_NODE_ROW_BUDGET`` it raises before a rule."""
+    ams, back = np.unique(np.abs(m), return_inverse=True)
+    top, rho_max = int(ams[-1]), _rho_max(n)
     ps, which = np.unique(p, return_inverse=True)
-    counts = [_panel_count(rho_max, pk) for pk in ps.tolist()]
-    size = PANEL_ORDER * (top + 1) * sum(counts)
+    with np.errstate(over="ignore"):  # float counts: inf past p ~ 1e306, over the budget
+        counts = np.maximum(_MIN_PANELS, np.ceil(
+            rho_max * np.maximum(ps / math.pi, 1.0 / _MAX_PANEL_WIDTH)))
+    size = PANEL_ORDER * (top + 1) * np.sum(counts)
     if size > _NODE_ROW_BUDGET:
-        raise ValueError(f"oracle level needs {size:,} radial nodes x rows, above its budget "
+        raise ValueError(f"oracle level needs {size:,.0f} radial nodes x rows, above its budget "
                          f"of {_NODE_ROW_BUDGET:,}: split the momenta or lower p")
-    rho, wts = map(np.concatenate, zip(*(panel_nodes(np.linspace(0.0, rho_max, c + 1))
-                                         for c in counts)))
-    ams = np.arange(top + 1)
-    weighted = wts * rho * _radial(np.full_like(ams, n), ams, 2.0 * _q0(n) * rho[None],
-                                   lambda v: _level_rows(n, v[0])[:top + 1])
-    sizes = PANEL_ORDER * np.array(counts)
-    ladder = _bessel_ladder(top, np.repeat(ps, sizes) * rho)
-    ends = np.cumsum(sizes)[:-1]
-    radial = np.array([np.sum(wt * bessel, axis=1) for wt, bessel
-                       in zip(np.split(weighted, ends, axis=1), np.split(ladder, ends, axis=1))]).T
-    radial = radial * np.array([NEG_I_POW[k % 4] for k in range(top + 1)])[:, None]
-    return radial[am][:, which] * _turns(m[:, None], phi_p)
+    counts = counts.astype(int)
+    (x, w), = gauss_rules("legendre", [PANEL_ORDER])
+    first = np.cumsum(counts) - counts  # each momentum's first panel
+    edge = np.arange(1, counts.sum() + 1) - np.repeat(first, counts)  # 1 ... count per momentum
+    step = np.repeat(rho_max / counts, counts)
+    # Panel edge - 1 to edge: the bounds of np.linspace(0, rho_max, count + 1), bit for bit.
+    lo, hi = (edge - 1) * step, np.where(edge == np.repeat(counts, counts), rho_max, edge * step)
+    half = 0.5 * (hi - lo)[:, None]
+    rho, wts = (0.5 * (hi + lo)[:, None] + half * x).ravel(), (half * w).ravel()
+    weighted = wts * rho * _radial(np.full_like(ams, n), ams, 2.0 * _q0(n) * rho[None])
+    weighted *= _bessel_ladder(top, np.repeat(ps, PANEL_ORDER * counts) * rho)[ams]
+    radial = np.add.reduceat(weighted, PANEL_ORDER * first, axis=1)
+    radial = radial * np.array(NEG_I_POW)[ams % 4][:, None]
+    return radial[back][:, which] * _turns(m[:, None], phi_p)
 
 
 def _hankel_rows(n: np.ndarray, m: np.ndarray, p: np.ndarray, phi_p: np.ndarray) -> np.ndarray:

@@ -92,11 +92,13 @@ def _scalar_or_array(value: np.ndarray, *fields):
 
 
 def _integer(name: str, value) -> int:
-    """value as an int (numpy integers pass); a ValueError naming ``name`` if it is not one."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """value as an int, a numpy integer too but not a bool; else a ValueError naming ``name``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite(name: str, value: float) -> None:

@@ -166,15 +166,13 @@ def _distinct(*keys) -> tuple:
     return first, back.ravel()  # numpy 2.0.1 shapes the inverse for take_along_axis
 
 
-def _radial(n: np.ndarray, m: np.ndarray, v: np.ndarray, laguerre=None) -> np.ndarray:
+def _radial(n: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """N v^|m| e^(-v/2) L_{n-|m|}^(2|m|)(v) of the states (n, m), one per row of a real or
-    complex v, L from one Laguerre ladder or, given a level's rows, laguerre(v); the limit 0
-    wherever e^(-Re v/2) is 0 (Re v > 1490), where both see v = 0."""
+    complex v, from one Laguerre ladder; the limit 0 wherever e^(-Re v/2) is 0 (Re v > 1490)."""
     am, deg = _column(np.abs(m), v), _column(n - np.abs(m), v)
     far = np.exp(-0.5 * np.real(v)) == 0.0
     v = np.where(far, 0.0, v)
-    rows = (laguerre(v) if laguerre else
-            _degree(_laguerre_ladder(2 * am, v), deg, f"laguerre k={np.max(deg)}"))
+    rows = _degree(_laguerre_ladder(2 * am, v), deg, f"laguerre k={np.max(deg)}")
     return np.where(far, 0.0, _column(_norms(n, m)[1], v) * _power(v, am) * np.exp(-0.5 * v) * rows)
 
 

@@ -1,4 +1,4 @@
-"""Gauss rules and panels from one elementwise builder; Taylor coefficients by Cauchy's rule."""
+"""Gauss rules from one elementwise builder; Taylor coefficients by Cauchy's rule."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .polys import _integer
-
-PANEL_ORDER = 16  # points per panel of ``panel_nodes``: exact to degree 31
 
 
 def _gauss_rule(diag: np.ndarray, off2: np.ndarray, mass: float, sizes: Sequence[int]):
@@ -112,7 +110,7 @@ def gauss_rules(family: str, sizes: Sequence[int]) -> list:
         raise ValueError(f"gauss_rules family must be one of {', '.join(_FAMILIES)}, "
                          f"got {family!r}")
     for n in sizes:
-        if isinstance(n, bool) or _integer("gauss_rules size", n) < 1:
+        if _integer("gauss_rules size", n) < 1:
             raise ValueError(f"gauss_rules size must be a positive integer, got {n!r}")
     cache = _RULES[family]
     todo = sorted(set(sizes) - cache.keys())
@@ -138,20 +136,6 @@ def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     for count in set(counts.tolist()):
         out[counts == count] = np.sum(terms[counts == count, :count], axis=-1)
     return out
-
-
-def panel_nodes(boundaries: np.ndarray):
-    """Gauss-Legendre nodes/weights for a chain of contiguous panels.
-
-    ``boundaries`` is an increasing 1-d array; each consecutive pair is
-    one panel of ``PANEL_ORDER`` points.  Returns flat nodes and weights.
-    """
-    (x, w), = gauss_rules("legendre", [PANEL_ORDER])
-    half = 0.5 * np.diff(boundaries)
-    mid = 0.5 * (boundaries[1:] + boundaries[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
 
 
 def series_coefficients(fn: Callable[..., ArrayLike], counts: Sequence[int],

@@ -9,6 +9,8 @@ from typing import Iterable, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .polys import _integer
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -84,7 +86,7 @@ class GridSpec:
             raise ValueError("grid scale must be 'linear' or 'log'")
         if not self.min < self.max:
             raise ValueError("grid needs min < max")
-        if self.points < 2:
+        if _integer("grid points", self.points) < 2:
             raise ValueError("grid needs at least 2 points")
         if self.scale == "log" and self.min <= 0.0:
             raise ValueError("log grid needs min > 0")

@@ -285,12 +285,20 @@ def test_non_finite_generating_function_raises_naming_it(call, name):
     (lambda: shifted_laguerre_gf(0.2, 1.5, 1.0), "shifted_laguerre_gf m"),
     (lambda: new_legendre_gf(0.2, 0.3, 1.5), "new_legendre_gf m"),
     (lambda: QuantumNumbers(2, 1.0), "quantum number m"),
+    (lambda: bessel_j(True, 1.0), "bessel_j order m"),
+    (lambda: laguerre(False, 0.0, 0.3), "laguerre degree k"),
+    (lambda: QuantumNumbers(True, 0), "quantum number n"),
+    (lambda: series_coefficients(lambda z: z, [1], nodes=True), "series_coefficients nodes"),
+    (lambda: series_coefficients(lambda z: z, [True]), "series_coefficients count"),
 ], ids=["double_factorial", "double_factorial-float", "pochhammer", "laguerre", "gegenbauer",
         "gegenbauer-negative", "legendre", "assoc_legendre-n", "assoc_legendre-m", "bessel_j",
-        "shifted_laguerre_gf", "new_legendre_gf", "quantum-number"])
+        "shifted_laguerre_gf", "new_legendre_gf", "quantum-number", "bessel_j-bool",
+        "laguerre-bool", "quantum-number-bool", "series_coefficients-nodes-bool",
+        "series_coefficients-count-bool"])
 def test_non_integer_degree_raises_naming_it(call, name):
     # Each of these returned a value (5.25, the float 15.0, 0.0, a generating
-    # function at m = 1.5) or raised a TypeError that named nothing.
+    # function at m = 1.5, J_1 for True, Cauchy coefficients on one node) or
+    # raised a TypeError that named nothing.
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
 

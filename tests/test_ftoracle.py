@@ -19,12 +19,11 @@ from scipy.special import eval_genlaguerre, gammaln
 
 import hydro2d.ftoracle
 import hydro2d.verify
-from hydro2d.ftoracle import (_MIN_PANELS, _TAIL_TOL, _hankel_rows, _levi_civita_rows,
-                              _panel_count, _rho_max, ft_hankel)
+from hydro2d.ftoracle import (_MIN_PANELS, _TAIL_TOL, PANEL_ORDER, _hankel_rows,
+                              _levi_civita_rows, _rho_max, ft_hankel)
 from hydro2d.momentum import MomentumPoint, _psi_momentum, psi_momentum
 from hydro2d.polys import _turns
 from hydro2d.position import QuantumNumbers
-from hydro2d.quadrature import PANEL_ORDER
 from hydro2d.reporting import VerificationReport
 from hydro2d.verify import SUITES, _states, acceptance_grid, check_oracle_agreement, run_suite
 
@@ -232,13 +231,24 @@ def test_past_largest_order_raises_like_closed_form(oracle):
         oracle(qn, mp)
 
 
+def _bessel_arguments(monkeypatch):
+    """The sizes of the arguments the Hankel route passes to its Bessel ladder, call by call."""
+    passed, ladder = [], hydro2d.ftoracle._bessel_ladder
+    monkeypatch.setattr(hydro2d.ftoracle, "_bessel_ladder",
+                        lambda m, xs: passed.append(xs.size) or ladder(m, xs))
+    return passed
+
+
 @pytest.mark.parametrize("n", [0, 4])
-def test_radial_rule_counts(n):
+def test_radial_rule_counts(n, monkeypatch):
     # At small p and n <= 12 the rule has exactly 512 points; at p = 20 the
     # panel width pi/p sets the count alone (as _MAX_PANEL_WIDTH does at small
-    # p from n = 13 on).
-    assert _panel_count(_rho_max(n), 0.05) * PANEL_ORDER == PANEL_ORDER * _MIN_PANELS == 512
-    assert _panel_count(_rho_max(n), 20.0) * PANEL_ORDER > 1024
+    # p from n = 13 on): 1,824 points at n = 0 and 26,800 at n = 4.
+    passed = _bessel_arguments(monkeypatch)
+    for p in (0.05, 20.0):
+        ft_hankel(QuantumNumbers(n, 0), MomentumPoint(p, 0.0))
+    assert PANEL_ORDER * _MIN_PANELS == 512
+    assert passed == [512, {0: 1824, 4: 26800}[n]]
 
 
 def _radial_tail(n, am, rho_max):
@@ -305,20 +315,32 @@ def test_batched_rows_equal_point_calls(n):
     assert worst_lc <= 1e-15  # measured 0
 
 
+def test_hankel_rows_skipping_orders_equal_the_full_level(monkeypatch):
+    # A level-6 batch whose |m| skips orders takes radial rows for its distinct
+    # |m| alone, and each of its rows is that of the full level; only the
+    # Bessel ladder's seed differs, J_0 ... J_4 against J_0 ... J_6.
+    received, radial = [], hydro2d.ftoracle._radial
+    monkeypatch.setattr(hydro2d.ftoracle, "_radial",
+                        lambda *args: received.append(args[1].tolist()) or radial(*args))
+    mp = MomentumPoint(np.array(_BATCH_P), np.array(_BATCH_PHI))
+    m = np.array([-4, 4, 1])
+    rows = _hankel_rows(np.full(3, 6), m, mp.p[None], mp.phi_p[None])
+    assert received == [[1, 4]]
+    full = _level_rows(_hankel_rows, 6, mp)
+    assert np.max(np.abs(rows - full[m + 6])) <= 1e-15  # measured 1.4e-17
+
+
 def test_hankel_route_integrates_each_momentum_once(monkeypatch):
     # A 6-momentum by 8-angle mesh passes PANEL_ORDER Bessel arguments per
     # panel of each distinct momentum, once, to one Bessel ladder and one
     # radial-factor call, and equals its per-point calls bit for bit.
-    passed, radial_calls = [], []
-    ladder, radial = hydro2d.ftoracle._bessel_ladder, hydro2d.ftoracle._radial
-    monkeypatch.setattr(hydro2d.ftoracle, "_bessel_ladder",
-                        lambda m, xs: passed.append(xs.size) or ladder(m, xs))
+    passed, radial_calls, radial = _bessel_arguments(monkeypatch), [], hydro2d.ftoracle._radial
     monkeypatch.setattr(hydro2d.ftoracle, "_radial",
                         lambda *args: radial_calls.append(args[2].size) or radial(*args))
     qn, ps = QuantumNumbers(2, -1), [0.0, 0.05, 0.3, 1.0, 2.5, 6.0]
     p, phi = np.meshgrid(ps, np.linspace(-3.0, 3.0, 8), indexing="ij")
     mesh = ft_hankel(qn, MomentumPoint(p, phi))
-    assert passed == [PANEL_ORDER * sum(_panel_count(_rho_max(2), pk) for pk in ps)]
+    assert passed == [512 + 512 + 512 + 608 + 1504 + 3600]  # one count per momentum
     assert radial_calls == passed  # one radial-factor call over the same nodes
     points = np.array([ft_hankel(qn, MomentumPoint(pk, fk))
                        for pk, fk in zip(p.ravel().tolist(), phi.ravel().tolist())])
@@ -459,13 +481,15 @@ def test_empty_level_has_every_row():
 @pytest.mark.parametrize("oracle", [ft_hankel])
 def test_node_row_budget_raises_before_any_allocation(oracle, monkeypatch):
     # (1, 1) at p = 1e6 would need 19,675,984 panels, 3.1e8 radial nodes; the
-    # level core must refuse it before building a rule or a Bessel argument.
+    # level core must refuse it before building a rule or a Bessel argument,
+    # also where the panel count is past any int64 or rho_max p overflows.
     def unreachable(*args):
         raise AssertionError("allocated past the budget")
-    monkeypatch.setattr(hydro2d.ftoracle, "panel_nodes", unreachable)
+    monkeypatch.setattr(hydro2d.ftoracle, "gauss_rules", unreachable)
     monkeypatch.setattr(hydro2d.ftoracle, "_bessel_ladder", unreachable)
-    with pytest.raises(ValueError, match="budget of 16,777,216"):
-        oracle(QuantumNumbers(1, 1), MomentumPoint(1e6, 0.0))
+    for p in (1e6, 1e20, 1e308):
+        with pytest.raises(ValueError, match="budget of 16,777,216"):
+            oracle(QuantumNumbers(1, 1), MomentumPoint(p, 0.0))
 
 
 def test_oracle_report_single_point():
@@ -520,7 +544,7 @@ def test_direct_route_uses_no_bessel_function():
     assert {"_levi_civita_rows", "_levi_civita_block", "_level"} <= reached
     named = set().union(*(_names(defs[name]) for name in reached))
     assert not named & {"_bessel_ladder", "bessel_j", "jv", "NEG_I_POW", "_turns",
-                        "_radial", "panel_nodes"}
+                        "_radial", "PANEL_ORDER", "_MIN_PANELS", "_MAX_PANEL_WIDTH", "_rho_max"}
     assert "_bessel_ladder" in _names(defs["_hankel_level"])
 
 

@@ -29,7 +29,8 @@ import numpy as np
 import pytest
 
 import hydro2d
-from hydro2d.quadrature import _FAMILIES, PANEL_ORDER, _gauss_rule, gauss_rules, panel_nodes
+from hydro2d.ftoracle import PANEL_ORDER
+from hydro2d.quadrature import _FAMILIES, _gauss_rule, gauss_rules
 
 
 @pytest.mark.parametrize("n", [8, 64, 256, 512, 1024])
@@ -80,8 +81,8 @@ def test_gauss_laguerre_rejects_empty_rule():
 
 
 def test_gauss_legendre_moments():
-    # One panel on [-1, 1]: the 16-point rule is exact to degree 31.
-    x, w = panel_nodes(np.array([-1.0, 1.0]))
+    # The Hankel route's 16-point panel rule is exact to degree 31.
+    (x, w), = gauss_rules("legendre", [PANEL_ORDER])
     for k in range(0, 31, 2):
         assert float(np.sum(w * x**k)) == pytest.approx(2.0 / (k + 1), rel=1e-14)
     for k in range(1, 32, 2):
@@ -138,7 +139,7 @@ def test_gauss_hermite_rejects_empty_rule():
 
 @pytest.mark.parametrize("family, sizes, match", [
     ("laguerre", [2.5], "size must be an integer, got 2.5"),
-    ("legendre", [True], "size must be a positive integer, got True"),
+    ("legendre", [True], "size must be an integer, got True"),
     ("hermite", [4, 3.0], "size must be an integer, got 3.0"),
     ("laguerre", [3, -1], "size must be a positive integer, got -1"),
     ("laguerre", ["3"], "size must be an integer, got '3'"),
@@ -152,9 +153,9 @@ def test_gauss_rules_rejects_bad_input(family, sizes, match):
 
 
 def test_only_quadrature_builds_or_caches_rules():
-    # Every other module takes its rules through gauss_rules, _rule_rows or
-    # panel_nodes: none names the builder, the family table, the cache or the
-    # private accessor that gauss_rules replaced.
+    # Every other module takes its rules through gauss_rules or _rule_rows:
+    # none names the builder, the family table, the cache or the private
+    # accessor that gauss_rules replaced.
     package = pathlib.Path(hydro2d.__file__).parent
     private = {"_gauss_rule", "_gauss_rules", "_RULES", "_FAMILIES"}
     found = {(path.name, name) for path in sorted(package.glob("*.py"))
@@ -231,12 +232,6 @@ def test_verify_builds_each_familys_rules_together():
         == [list(range(1, 12)), list(range(1, 12)), [2, 3, 4, 5, 6]]
 
 
-def test_panel_nodes_integrate_sine():
-    bounds = np.linspace(0.0, math.pi, 9)
-    x, w = panel_nodes(bounds)
-    assert float(np.sum(w * np.sin(x))) == pytest.approx(2.0, rel=1e-13)
-
-
 def test_package_never_imports_scipy():
     # Importing the package, building both rules and running every suite leave
     # sys.modules free of scipy, of numpy.polynomial and of numpy.random: the
@@ -244,8 +239,8 @@ def test_package_never_imports_scipy():
     home = str(pathlib.Path(hydro2d.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {home!r})\n"
             "import numpy as np, hydro2d\n"
-            "from hydro2d.quadrature import gauss_rules, panel_nodes\n"
-            "gauss_rules('laguerre', [16]); panel_nodes(np.array([0.0, 1.0]))\n"
+            "from hydro2d.quadrature import gauss_rules\n"
+            "gauss_rules('laguerre', [16]); gauss_rules('legendre', [16])\n"
             "hydro2d.run_suite('position', 2)\n"
             "assert all(report.passed for report in hydro2d.run_suite('all'))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -340,7 +335,8 @@ def test_rules_are_bit_identical_on_other_kernels(stack):
     home = str(pathlib.Path(hydro2d.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {home!r})\n"
             "import hashlib\n"
-            "from hydro2d.quadrature import PANEL_ORDER, gauss_rules\n"
+            "from hydro2d.ftoracle import PANEL_ORDER\n"
+            "from hydro2d.quadrature import gauss_rules\n"
             "for family, n in (('laguerre', 96), ('laguerre', 128), ('legendre', PANEL_ORDER)):\n"
             "    rule, = gauss_rules(family, [n])\n"
             "    print(hashlib.sha256(b''.join(a.tobytes() for a in rule)).hexdigest())\n")

@@ -116,6 +116,14 @@ def test_gridspec_rejects_an_unknown_scale():
         GridSpec(0.0, 1.0, 3, "cubic")
 
 
+@pytest.mark.parametrize("points", [2.5, 3.0, True, "3"])
+def test_gridspec_rejects_points_that_are_not_an_integer(points):
+    # A direct construction checks points as parse does: 2.5 reached numpy's
+    # TypeError in values(), and True counted as 1 point.
+    with pytest.raises(ValueError, match="^grid points must be an integer, got "):
+        GridSpec(0.0, 1.0, points)
+
+
 @pytest.mark.parametrize("text, field", [
     ("0:inf:3", "max"), ("nan:5:3", "min"), ("-inf:5:3", "min"), ("1:nan:3:log", "max"),
 ])
