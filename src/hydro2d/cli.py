@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
+from .ftoracle import _LEVI_CIVITA_MAX_N
 from .momentum import MomentumPoint, psi_momentum
 from .position import PolarPoint, QuantumNumbers, make_bound_state, psi_position
 from .reporting import GridSpec
@@ -156,25 +157,26 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         parser.error(str(exc))
     if args.mesh is not None and args.mesh < 2:
         parser.error("--mesh needs at least 2 angles")
-    if args.mesh is None:
-        angles = [args.angle]
-    else:
-        angles = [2.0 * math.pi * k / args.mesh for k in range(args.mesh)]
-
-    coords, phis = np.meshgrid(grid.values(), angles, indexing="ij")
     try:
+        if args.mesh is None:
+            angles = [args.angle]
+        else:
+            angles = 2.0 * math.pi * np.arange(args.mesh) / args.mesh
+        coords, phis = np.meshgrid(grid.values(), angles, indexing="ij")
         if args.space == "position":
             vals = psi_position(qn, PolarPoint(coords, phis))
         else:
             vals = psi_momentum(qn, MomentumPoint(coords, phis))
+        columns = [coords, vals.real, vals.imag, np.abs(vals) ** 2]
+        header = ["coordinate", "re", "im", "abs2"]
+        if args.mesh is not None:
+            columns.insert(1, phis)
+            header.insert(1, "angle")
+        stacked = np.column_stack([col.ravel() for col in columns])
     except ValueError as exc:
         parser.error(str(exc))
-    columns = [coords, vals.real, vals.imag, np.abs(vals) ** 2]
-    header = ["coordinate", "re", "im", "abs2"]
-    if args.mesh is not None:
-        columns.insert(1, phis)
-        header.insert(1, "angle")
-    stacked = np.column_stack([col.ravel() for col in columns])
+    except MemoryError:
+        parser.error(f"a table of {grid.points * (args.mesh or 1)} rows does not fit in memory")
     finite = np.isfinite(stacked).all(axis=0)
     if not finite.all():
         parser.error(f"non-finite {header[finite.argmin()]} in the table")
@@ -190,8 +192,8 @@ def cmd_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.n_max is not None and not 0 <= args.n_max <= 10:
-        parser.error("--n-max must lie in [0, 10]")
+    if args.n_max is not None and not 0 <= args.n_max <= _LEVI_CIVITA_MAX_N:
+        parser.error(f"--n-max must lie in [0, {_LEVI_CIVITA_MAX_N}]")
     if args.tol is not None and not (args.tol > 0.0 and math.isfinite(args.tol)):
         parser.error("--tol must be a positive finite number")
     run = functools.partial(run_suite, n_max=args.n_max, tol=args.tol)
@@ -249,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run verification suites")
     verify.add_argument("suite", choices=SUITE_ORDER + ("all",))
     verify.add_argument("--n-max", type=int, default=None,
-                        help="cap quantum numbers (default: per-check caps)")
+                        help=f"largest principal quantum number, 0..{_LEVI_CIVITA_MAX_N} "
+                             "(default: each check's own)")
     verify.add_argument("--tol", type=float, default=None,
                         help="override every tolerance in the suite")
     verify.add_argument("--format", choices=("csv", "json"), default="json")

@@ -2,9 +2,9 @@
 
 Everything is evaluated with upward three-term recurrences in the degree,
 which are stable for these families on their natural domains; only
-``_level_rows``, every Laguerre row of one level, runs downward in the order.
-Series expansions appear only in the test suite, where they serve as
-independent oracles.
+``_level_rows``, every Laguerre row of one level, runs downward in the order,
+and only ``bessel_j`` sums series: the ascending series and the large-argument
+expansion below.
 
 Conventions
 -----------

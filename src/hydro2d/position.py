@@ -133,7 +133,7 @@ def _norms(n, m) -> np.ndarray:
     n, am = np.broadcast_arrays(n, np.abs(m))
     states, table = list(zip(n.ravel().tolist(), am.ravel().tolist())), {}
     for k, a in dict.fromkeys(states):
-        ratio = math.factorial(k - a) / math.factorial(k + a)
+        ratio = 1 / math.prod(range(k - a + 1, k + a + 1))  # int / int: correctly rounded
         if ratio < sys.float_info.min:
             raise ValueError(f"(n-|m|)!/(n+|m|)! at (n, |m|) = ({k}, {a}) is below "
                              f"the smallest normal double {sys.float_info.min:.4g}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Tuple
@@ -58,15 +59,9 @@ class VerificationReport:
         return cls(check_name, grid_desc, worst_abs, worst_rel, tolerance, passed, notes)
 
     def to_dict(self) -> dict:
-        return {
-            "check_name": self.check_name,
-            "grid_desc": self.grid_desc,
-            "max_abs_err": self.max_abs_err,
-            "max_rel_err": self.max_rel_err,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "notes": self.notes,
-        }
+        """The fields in declaration order, ``passed`` under the key ``"pass"``."""
+        return {"pass" if f.name == "passed" else f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)}
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ come from the stdlib ``random.Random`` at a fixed seed, grids are fixed, and
 nothing depends on wall-clock state.
 Each check's signature carries its default n_max (the cap stated in the
 module contracts) and its default tolerance; ``run_suite`` passes on only
-the overrides that are set.  Checks on fixed parameter sets accept n_max
-and ignore it.
+the overrides that are set.  A check that takes n_max scans every level up
+to it; only ``two-oracle-agreement`` caps it, for cost.  Checks on fixed
+parameter sets accept n_max and ignore it.
 
 Most checks take every (n, m) from ``_states`` as two arrays: a state axis
 that the cores of ``position``, ``momentum`` and ``ftoracle`` evaluate in one
@@ -53,6 +54,14 @@ _SEED = 20260814
 # blowing up the point count.
 _PHI_CYCLE = (0.0, 0.9, 2.2, -1.4, 0.5 * math.pi)
 
+# The one-variable series checks read up to k = 30 off one circle of radius 0.75.
+# The samples' rounding reaches c_k multiplied by max|f| r^-k, so a larger circle
+# raises the first factor and a smaller one the second: at r = 0.8 the
+# (1-z)^-9 of shifted-laguerre-gf at m = 4 reads 1.5e-11, at r = 0.5 r^-30 = 2^30.
+_GF_CIRCLE = {"radius": 0.75, "nodes": 256}
+_GF_NOTES = ("coefficients by Cauchy quadrature, r = 0.75, 256 nodes; "
+             "errors scaled by max(1, |value|)")
+
 
 def _grid_points(p_values: np.ndarray) -> MomentumPoint:
     """The momenta ``p_values`` as one array point, azimuths cycling through _PHI_CYCLE."""
@@ -87,14 +96,13 @@ def check_gegenbauer_gf_coefficients(n_max: int = 12, tol: float = 1e-9) -> Veri
     qs, lams = np.linspace(-1.0, 1.0, 21), (0.5, 1.5, 2.5, 3.5)
     coeffs = series_coefficients(  # c[k, q, lam]
         lambda z: np.stack([genfunc.gegenbauer_gf(z[:, None], qs, lam) for lam in lams], -1),
-        (n_max + 1,))
+        (n_max + 1,), **_GF_CIRCLE)
     want = _degree(_gegenbauer_ladder(np.array(lams), qs[:, None]),
                    np.arange(n_max + 1)[:, None, None], "gegenbauer")
     return VerificationReport.from_errors(
         "gegenbauer-gf-coefficients",
         f"k <= {n_max}, lam in {{1/2,3/2,5/2,7/2}}, q on 21-point grid of [-1,1]",
-        [_ladder_errors(coeffs, want)], tol, relative=True,
-        notes="coefficients by Cauchy quadrature; errors scaled by max(1, |value|)")
+        [_ladder_errors(coeffs, want)], tol, relative=True, notes=_GF_NOTES)
 
 
 def check_gegenbauer_recurrence(n_max: int = 20, tol: float = 1e-10) -> VerificationReport:
@@ -180,38 +188,34 @@ def check_position_normalization(n_max: int = 10, tol: float = 1e-8) -> Verifica
 
 
 def check_position_orthogonality(n_max: int = 6, tol: float = 1e-7) -> VerificationReport:
-    cap = min(n_max, 10)
     return VerificationReport.from_errors(
-        "position-orthogonality-same-m", f"n < n' <= {cap}, shared m",
-        [(_pair_overlaps(cap, lambda n, m: ((n2, m) for n2 in range(n + 1, cap + 1))), 1.0)],
+        "position-orthogonality-same-m", f"n < n' <= {n_max}, shared m",
+        [(_pair_overlaps(n_max, lambda n, m: ((n2, m) for n2 in range(n + 1, n_max + 1))), 1.0)],
         tol, notes="distinct eigenvalues of one Hamiltonian")
 
 
 def check_angular_orthogonality(n_max: int = 6, tol: float = 1e-12) -> VerificationReport:
-    cap = min(n_max, 10)
     return VerificationReport.from_errors(
-        "position-orthogonality-same-n", f"n <= {cap}, distinct m",
-        [(_pair_overlaps(cap, lambda n, m: ((n, m2) for m2 in range(m + 1, n + 1))), 1.0)],
+        "position-orthogonality-same-n", f"n <= {n_max}, distinct m",
+        [(_pair_overlaps(n_max, lambda n, m: ((n, m2) for m2 in range(m + 1, n + 1))), 1.0)],
         tol, notes="angular integral vanishes identically")
 
 
 def check_ode_residual(n_max: int = 6, tol: float = 1e-4) -> VerificationReport:
-    cap = min(n_max, 10)
     rhos = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
     return VerificationReport.from_errors(
-        "radial-ode-residual", f"n <= {cap}, |m| <= n, rho in {rhos}",
-        [(np.abs(_ode_residual(*_states(cap, signed=True), np.array([rhos]))), 1.0)],
+        "radial-ode-residual", f"n <= {n_max}, |m| <= n, rho in {rhos}",
+        [(np.abs(_ode_residual(*_states(n_max, signed=True), np.array([rhos]))), 1.0)],
         tol, notes="R' and R'' by Cauchy coefficients on |h| = 1/2, 64 nodes")
 
 
 def check_position_conjugation(n_max: int = 6, tol: float = 0.0) -> VerificationReport:
-    cap = min(n_max, 10)
-    n, m = _states(cap, signed=False)
+    n, m = _states(n_max, signed=False)
     psi = _psi_position(np.tile(n, 2), np.concatenate([m, -m]),
                         np.array([[[0.3], [1.0], [4.0]]]), np.array([[0.35, 2.1, 5.0]]))
     plus, minus = np.split(psi, 2)
     return VerificationReport.from_errors(
-        "position-conjugation", f"n <= {cap}, bitwise psi(n,-m) == conj(psi(n,m))",
+        "position-conjugation", f"n <= {n_max}, bitwise psi(n,-m) == conj(psi(n,m))",
         [(np.abs(minus - np.conj(plus)), 1.0)],
         tol, notes="exact by construction of the angular factor")
 
@@ -266,13 +270,12 @@ def check_two_form_equality(n_max: int = 8, tol: float = 1e-12) -> VerificationR
 
 
 def check_momentum_phase_structure(n_max: int = 6, tol: float = 0.0) -> VerificationReport:
-    cap = min(n_max, 10)
     ps = np.array([[[0.3], [1.7]]])
     phis = np.array([0.9, -2.3, 4.4])
-    n, m = _states(cap, signed=True)
+    n, m = _states(n_max, signed=True)
     base = _psi_momentum(n, m, ps, 0.0)
     return VerificationReport.from_errors(
-        "momentum-phase-structure", f"|m| <= n <= {cap}, exact factorized phase",
+        "momentum-phase-structure", f"|m| <= n <= {n_max}, exact factorized phase",
         [(np.abs(_psi_momentum(n, m, ps, phis[None]) - base * _turns(m[:, None, None], phis)),
           1.0)], tol, notes="psi(p, phi_p) = psi(p, 0) e^(i m phi_p) bitwise")
 
@@ -405,17 +408,16 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
     source derivation chain disagrees about that constant by factors of 2,
     so it is asserted, not fitted: a fit would absorb any overall factor.
     """
-    cap = min(n_max, 8)
     q0 = 1.0
     mp = MomentumPoint(0.7, 0.3)
     coeffs = series_coefficients(
-        lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
-    n, m = _states(cap, signed=False)
+        lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (n_max + 1, n_max + 1))
+    n, m = _states(n_max, signed=False)
     refs = (_closed_form(n, m, np.array([[mp.p]]), np.array([[mp.phi_p]]), q0,
                          _gegenbauer_amplitude)[:, 0] / _core_scale(n, m))
     return VerificationReport.from_errors(
         "genfunc-coefficient-consistency",
-        f"n <= {cap}, m <= n at q0 = 1, p = 0.7",
+        f"n <= {n_max}, m <= n at q0 = 1, p = 0.7",
         [(np.abs(coeffs[n, m] - refs), np.abs(refs))], tol, relative=True,
         notes="constant 1 asserted (unitary anchoring), uniform over n, m")
 
@@ -424,13 +426,6 @@ def check_coefficient_consistency(n_max: int = 5, tol: float = 1e-6) -> Verifica
 # genfunc suite
 # ---------------------------------------------------------------------------
 
-# The four one-variable checks read k <= 30 off a circle of radius 0.75.  The
-# samples' rounding reaches c_k multiplied by max|f| r^-k, so a larger circle
-# raises the first factor and a smaller one the second: at r = 0.8 the
-# (1-z)^-9 of shifted-laguerre-gf at m = 4 reads 1.5e-11, at r = 0.5 r^-30 = 2^30.
-_GF_CIRCLE = {"radius": 0.75, "nodes": 256}
-_GF_NOTES = ("coefficients by Cauchy quadrature, r = 0.75, 256 nodes; "
-             "errors scaled by max(1, |value|)")
 _GF_K = np.arange(31)[:, None]  # the coefficient axis k <= 30, against the cases' axis
 
 
@@ -567,7 +562,7 @@ def check_oracle_agreement(n_max: int = 4, tol: float = 1e-6) -> VerificationRep
 
 
 def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
-    cap = min(n_max, 3)
+    cap = min(n_max, 3)  # a cost limit: the Hankel route took 0.19 s to n 10, 2.65 s to 20
     mp = _grid_points(np.geomspace(0.05, 3.0, 10))
     args = (*_states(cap, signed=True), mp.p[None], mp.phi_p[None])
     return VerificationReport.from_errors(
@@ -577,15 +572,14 @@ def check_two_oracles(n_max: int = 3, tol: float = 1e-7) -> VerificationReport:
 
 
 def check_oracle_phase(n_max: int = 3, tol: float = 1e-8) -> VerificationReport:
-    cap = min(n_max, 6)
     angles = np.array([0.0, 0.9, -2.4])
-    n, m = _states(cap, signed=True)
+    n, m = _states(n_max, signed=True)
     # vals[state, p, phi]; points where |psi(p, 0)| <= 1e-6 are skipped.
     vals = _levi_civita_rows(n, m, np.array([[[0.5], [2.0]]]), angles)
     diff = np.angle(vals) - np.angle(vals[..., :1]) - m[:, None, None] * angles
     wrapped = np.abs((diff + math.pi) % (2.0 * math.pi) - math.pi)
     return VerificationReport.from_errors(
-        "oracle-phase-correctness", f"n <= {cap}, angles wrapped mod 2 pi",
+        "oracle-phase-correctness", f"n <= {n_max}, angles wrapped mod 2 pi",
         [(np.where(np.abs(vals[..., :1]) > 1e-6, wrapped, 0.0), 1.0)],
         tol, notes="arg psi(phi_p) - arg psi(0) = m phi_p")
 

@@ -8,10 +8,12 @@ values.
 
 import dataclasses
 import errno
+import inspect
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -401,6 +403,19 @@ def test_verify_unreachable_tolerance_fails(capsys):
     assert any(not rep["pass"] for rep in reports)
 
 
+def test_verify_all_at_the_levi_civita_limit(capsys):
+    # --n-max reaches every check that takes it, up to the Levi-Civita oracle's n = 30;
+    # two-oracle-agreement alone keeps its cost cap of n = 3.
+    code, out = run_cli(capsys, ["verify", "all", "--n-max", "30"])
+    reports, checks = json.loads(out), [fn for suite in SUITE_ORDER for fn in SUITES[suite]]
+    assert code == 0 and len(reports) == len(checks) == 29
+    assert all(rep["pass"] for rep in reports)
+    for fn, rep in zip(checks, reports):  # a default of None: a fixed case set
+        if inspect.signature(fn).parameters["n_max"].default is not None:
+            want = "3" if rep["check_name"] == "two-oracle-agreement" else "30"
+            assert want in re.findall(r"\d+", rep["grid_desc"]), rep["check_name"]
+
+
 def test_verify_empty_sweeps_exit_1(capsys):
     code, out = run_cli(capsys, ["verify", "all", "--n-max", "0"])
     assert code == 1
@@ -419,7 +434,7 @@ def test_verify_csv_format(capsys):
 
 @pytest.mark.parametrize("bad", [
     ["verify", "everything"],
-    ["verify", "polys", "--n-max", "11"],
+    ["verify", "polys", "--n-max", "31"],
     ["verify", "polys", "--tol", "0"],
     [],
     ["verify", "levicivita", "--format", "csv", "--tol", "nan"],
@@ -435,8 +450,12 @@ def test_verify_usage_errors(bad):
     (["eigen", "--n-max", "51"], "--n-max must lie in [0, 50]"),
     (["table", "--n", "1", "--m", "0", "--grid", "0:5:6", "--mesh", "1"],
      "--mesh needs at least 2 angles"),
-    (["verify", "all", "--n-max", "11"], "--n-max must lie in [0, 10]"),
-], ids=["eigen", "table", "verify"])
+    (["table", "--n", "1", "--m", "0", "--grid", "0:1:1000000000000000"],
+     "a table of 1000000000000000 rows does not fit in memory"),
+    (["table", "--n", "1", "--m", "0", "--grid", "0:1:2", "--mesh", "1000000000000000"],
+     "a table of 2000000000000000 rows does not fit in memory"),
+    (["verify", "all", "--n-max", "31"], "--n-max must lie in [0, 30]"),
+], ids=["eigen", "table", "table-grid-memory", "table-mesh-memory", "verify"])
 def test_usage_error_prints_the_subcommand_usage(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -1,6 +1,7 @@
 """Position-space states: spectrum, normalization, nodes, ODE residual."""
 
 import math
+import sys
 import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -81,6 +82,20 @@ def test_normalization_rejects_underflowing_factorial_ratio():
     assert QuantumNumbers(85, 85).factorial_ratio > 0.0  # 1/170!, still a normal double
     with pytest.raises(ValueError, match="smallest normal double"):
         normalization(QuantumNumbers(92, 92))
+
+
+def test_factorial_ratio_is_the_quotient_of_the_factorials_bit_for_bit():
+    # (n-|m|)!/(n+|m|)! is formed as 1 over the 2|m| factors the factorials do not share:
+    # int / int rounds the exact rational once, so it equals the quotient of the two
+    # factorials bit for bit, for every |m| <= n <= 200 where that is a normal double.
+    pairs = [(k, a) for k in range(201) for a in range(k + 1)]
+    quotients = [math.factorial(k - a) / math.factorial(k + a) for k, a in pairs]
+    normal = [q >= sys.float_info.min for q in quotients]
+    n, m = np.array([p for p, keep in zip(pairs, normal) if keep]).T
+    assert position._norms(n, m)[0].tolist() == [q for q, keep in zip(quotients, normal) if keep]
+    k = 10**6
+    exact = Fraction(1, (k - 1) * k * (k + 1) * (k + 2))
+    assert QuantumNumbers(k, 2).factorial_ratio == float(exact)
 
 
 # pi to 60 digits, for the decimal references below

@@ -428,7 +428,7 @@ def _coefficient_reference(n, m, q0, mp):
 
 
 def _loop_coefficients(cap):
-    cap, q0, mp = min(cap, 8), 1.0, MomentumPoint(0.7, 0.3)
+    q0, mp = 1.0, MomentumPoint(0.7, 0.3)
     coeffs = series_coefficients(
         lambda z, t: gen_func_momentum(GenFuncParams(z, t, q0, 0.0), mp).g, (cap + 1, cap + 1))
     for qn in _each_state(cap, signed=False):
@@ -449,7 +449,7 @@ def _loop_gegenbauer_gf_coefficients(cap):
     qs = np.linspace(-1.0, 1.0, 21)
     for lam in (0.5, 1.5, 2.5, 3.5):
         coeffs = series_coefficients(lambda z: genfunc.gegenbauer_gf(z[:, None], qs, lam),
-                                     (cap + 1,))
+                                     (cap + 1,), **verify._GF_CIRCLE)
         yield _series_errors(coeffs, polys._gegenbauer_ladder(lam, qs))
 
 
